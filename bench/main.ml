@@ -1028,6 +1028,15 @@ let coverage_churn cfg =
   in
   List.iter
     (fun (topology, g) ->
+      (* Exact eliminations and prefilter rejects of the independent-
+         path search over this topology's whole run: deterministic work
+         counts (the pool only reorders atomic increments), gated by
+         bench diff where wall time cannot be. *)
+      let solver_work () =
+        ( Obs.Metrics.counter_value Solver.exact_rows,
+          Obs.Metrics.counter_value Solver.prefilter_rejects )
+      in
+      let exact0, rejects0 = solver_work () in
       let mmp = Graph.NodeSet.elements (Mmp.place g) in
       let m = List.length mmp in
       (* a) coverage as a function of the monitor budget: prefixes of
@@ -1107,6 +1116,7 @@ let coverage_churn cfg =
          %.3f) in %.1f s\n"
         topology m greedy_total plan.Coverage.full plan.Coverage.coverage_before
         plan.Coverage.coverage_after plan_s;
+      let exact1, rejects1 = solver_work () in
       Report.add_trials cfg.report (rounds + Array.length fractions);
       Report.add_series cfg.report
         (Jsonx.Obj
@@ -1132,6 +1142,8 @@ let coverage_churn cfg =
              ("greedy_full", Jsonx.Bool plan.Coverage.full);
              ("coverage_before", Jsonx.Float plan.Coverage.coverage_before);
              ("coverage_after", Jsonx.Float plan.Coverage.coverage_after);
+             ("solver_exact_rows_total", Jsonx.Int (exact1 - exact0));
+             ("solver_prefilter_rejects_total", Jsonx.Int (rejects1 - rejects0));
            ]))
     topologies;
   print_endline

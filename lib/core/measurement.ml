@@ -33,14 +33,17 @@ let check_measurement_path net p =
 
 let is_measurement_path net p = Result.is_ok (check_measurement_path net p)
 
-let incidence_row s p =
-  let row = Array.make (n_links s) Rational.zero in
-  List.iter
+let columns s p =
+  List.map
     (fun e ->
       match Graph.EdgeMap.find_opt e s.index with
-      | Some j -> row.(j) <- Rational.one
-      | None -> Errors.invalid_arg "Measurement.incidence_row: link outside the space")
-    (Nettomo_graph.Paths.path_edges p);
+      | Some j -> j
+      | None -> Errors.invalid_arg "Measurement.columns: link outside the space")
+    (Nettomo_graph.Paths.path_edges p)
+
+let incidence_row s p =
+  let row = Array.make (n_links s) Rational.zero in
+  List.iter (fun j -> row.(j) <- Rational.one) (columns s p);
   row
 
 let matrix s paths =

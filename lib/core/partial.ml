@@ -34,14 +34,9 @@ let analyze ?rng ?(exact_node_limit = 12) net =
     match mode with
     | Exact -> Identifiability.measurement_basis net
     | Sampled ->
-        (* Re-derive the basis from the maximal plan: its paths are
-           linearly independent and (w.h.p.) maximal. *)
-        let plan = Solver.independent_paths ?rng net in
-        let basis = Basis.create (Measurement.n_links space) in
-        List.iter
-          (fun p -> ignore (Basis.add basis (Measurement.incidence_row space p)))
-          plan.Solver.paths;
-        basis
+        (* The span of the maximal plan: its paths are linearly
+           independent and (w.h.p.) maximal. *)
+        snd (Solver.independent_paths_with_basis ?rng net)
   in
   let identifiable, unidentifiable = membership_sets space basis in
   { mode; rank = Basis.rank basis; identifiable; unidentifiable }

@@ -3,7 +3,9 @@ open Nettomo_graph
 module Q = Nettomo_linalg.Rational
 module Basis = Nettomo_linalg.Basis
 module Matrix = Nettomo_linalg.Matrix
+module Fbasis = Nettomo_linalg.Fbasis
 module Prng = Nettomo_util.Prng
+module Obs = Nettomo_obs.Obs
 
 type plan = {
   space : Measurement.space;
@@ -11,9 +13,16 @@ type plan = {
   rank : int;
 }
 
-let independent_paths ?rng ?max_stall ?(enumeration_limit = 200_000)
+(* Work counters for the search's exact layer: rows confirmed by exact
+   elimination, and candidates the float prefilter turned away before
+   any rational row was built. Deterministic for a given net and seed,
+   so benches can gate on them where wall time is too noisy. *)
+let exact_rows = Obs.Metrics.counter "solver_exact_rows_total"
+let prefilter_rejects = Obs.Metrics.counter "solver_prefilter_rejects_total"
+
+let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
     ?(seed_paths = []) net =
-  Nettomo_obs.Obs.Trace.span "solver.independent_paths" @@ fun () ->
+  Obs.Trace.span "solver.independent_paths" @@ fun () ->
   let g = Net.graph net in
   let space = Measurement.space g in
   let n = Measurement.n_links space in
@@ -22,20 +31,30 @@ let independent_paths ?rng ?max_stall ?(enumeration_limit = 200_000)
   let basis = Basis.create n in
   (* Float prefilter: almost every candidate near full rank is
      dependent, and rejecting it against a float basis costs
-     microseconds instead of an exact rational elimination. Accepted
-     rows are still confirmed exactly before entering the plan. *)
-  let fbasis = Nettomo_linalg.Fbasis.create n in
+     microseconds instead of an exact rational elimination. Only the
+     accepted rows are built over ℚ and confirmed exactly before
+     entering the plan. *)
+  let fbasis = Fbasis.create n in
   let accepted = ref [] in
   let offer p =
-    let row = Measurement.incidence_row space p in
-    let frow = Array.map Q.to_float row in
-    if not (Nettomo_linalg.Fbasis.would_increase_rank fbasis frow) then false
-    else if Basis.add basis row then begin
-      ignore (Nettomo_linalg.Fbasis.add fbasis frow);
-      accepted := p :: !accepted;
-      true
+    let cols = Measurement.columns space p in
+    let frow = Array.make n 0.0 in
+    List.iter (fun j -> frow.(j) <- 1.0) cols;
+    if not (Fbasis.would_increase_rank fbasis frow) then begin
+      Obs.Metrics.incr prefilter_rejects;
+      false
     end
-    else false
+    else begin
+      let row = Array.make n Q.zero in
+      List.iter (fun j -> row.(j) <- Q.one) cols;
+      Obs.Metrics.incr exact_rows;
+      if Basis.add basis row then begin
+        ignore (Fbasis.add fbasis frow);
+        accepted := p :: !accepted;
+        true
+      end
+      else false
+    end
   in
   let pairs = Net.monitor_pairs net in
   if pairs <> [] && n > 0 then begin
@@ -51,10 +70,20 @@ let independent_paths ?rng ?max_stall ?(enumeration_limit = 200_000)
           && Measurement.is_measurement_path net p
         then ignore (offer p))
       seed_paths;
-    (* Layer 1: shortest paths between all monitor pairs. *)
+    (* Layer 1: shortest paths between all monitor pairs, one search
+       per source (pairs come grouped by their first monitor). *)
+    let from = ref None in
     List.iter
       (fun (m1, m2) ->
-        match Traversal.shortest_path g m1 m2 with
+        let paths =
+          match !from with
+          | Some (src, paths) when src = m1 -> paths
+          | Some _ | None ->
+              let paths = Traversal.shortest_paths_from g m1 in
+              from := Some (m1, paths);
+              paths
+        in
+        match paths m2 with
         | Some p when List.length p >= 2 -> ignore (offer p)
         | Some _ | None -> ())
       pairs;
@@ -81,7 +110,12 @@ let independent_paths ?rng ?max_stall ?(enumeration_limit = 200_000)
             with Paths.Limit_exceeded -> ())
         pairs
   end;
-  { space; paths = List.rev !accepted; rank = Basis.rank basis }
+  ({ space; paths = List.rev !accepted; rank = Basis.rank basis }, basis)
+
+let independent_paths ?rng ?max_stall ?enumeration_limit ?seed_paths net =
+  fst
+    (independent_paths_with_basis ?rng ?max_stall ?enumeration_limit
+       ?seed_paths net)
 
 let full_rank net plan =
   plan.rank = Graph.n_edges (Net.graph net) && plan.rank = List.length plan.paths

@@ -40,6 +40,37 @@ val independent_paths :
     the reached rank far beyond what the stall-bounded random layer
     finds on larger networks. *)
 
+val independent_paths_with_basis :
+  ?rng:Nettomo_util.Prng.t ->
+  ?max_stall:int ->
+  ?enumeration_limit:int ->
+  ?seed_paths:Paths.path list ->
+  Net.t ->
+  plan * Basis.t
+(** {!independent_paths} together with the exact row basis the search
+    built: the span of the plan's incidence rows, equal to the basis
+    obtained by adding [plan.paths]' rows to an empty {!Basis.t} in
+    order. Per-link identifiability ("is the unit vector in the row
+    space?") can be read off it directly instead of eliminating the
+    plan a second time. The basis is not part of {!plan} because plans
+    are also rebuilt from their paths alone (e.g. decoded from a
+    store).
+
+    Candidates go through a float prefilter ({!Fbasis}) first; the
+    rational row is built and eliminated only for the ones it accepts.
+    Each such exact elimination increments the
+    [solver_exact_rows_total] counter of the metrics registry, and each
+    candidate the prefilter rejects increments
+    [solver_prefilter_rejects_total]. *)
+
+val exact_rows : Nettomo_obs.Obs.Metrics.counter
+(** [solver_exact_rows_total]: candidate rows eliminated exactly. *)
+
+val prefilter_rejects : Nettomo_obs.Obs.Metrics.counter
+(** [solver_prefilter_rejects_total]: candidates the float prefilter
+    rejected. Both counters are process-wide and deterministic for a
+    given input and seed. *)
+
 val full_rank : Net.t -> plan -> bool
 (** Whether the plan has as many paths as the network has links. *)
 

@@ -189,13 +189,6 @@ let unit_row n j =
   a.(j) <- Q.one;
   a
 
-let basis_of_plan space (plan : Solver.plan) =
-  let basis = Basis.create (Measurement.n_links space) in
-  List.iter
-    (fun p -> ignore (Basis.add basis (Measurement.incidence_row space p)))
-    plan.Solver.paths;
-  basis
-
 (* ------------------------------------------------------------------ *)
 
 let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
@@ -373,31 +366,44 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
             end
             else begin
               let netc = Net.create gc ~monitors in
-              let cmode = if nc <= exact_node_limit then Exact else Sampled in
-              escalate cmode;
-              let space = Measurement.space gc in
-              let basis =
-                match cmode with
-                | Exact -> Identifiability.measurement_basis netc
-                | Structural | Sampled ->
-                    let seed_paths =
-                      Nettomo_measure.Paths.simple_candidates
-                        (Nettomo_measure.Csr.of_net netc)
-                    in
-                    (* On components beyond the exact-enumeration range
-                       the structured spanning-tree seeds already reach
-                       near-maximal membership, while each productive
-                       random-layer row costs about a second of exact
-                       elimination at high rank — so the random search
-                       only runs on components where elimination is
-                       still cheap. *)
-                    let max_stall =
-                      if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
-                    in
-                    basis_of_plan space
-                      (Solver.independent_paths ~rng:(Prng.create seed)
-                         ~max_stall ~seed_paths netc)
+              let sampled () =
+                escalate Sampled;
+                let seed_paths =
+                  Nettomo_measure.Paths.simple_candidates
+                    (Nettomo_measure.Csr.of_net netc)
+                in
+                (* On components beyond the exact-enumeration range the
+                   structured spanning-tree seeds already reach
+                   near-maximal membership, so the random layer only
+                   runs on components of at most 150 links. Past that
+                   its price would be the stall budget, up to
+                   50·(nodes+1) random paths through the float
+                   prefilter per productive row, more than the exact
+                   elimination itself: a confirmed row costs about
+                   40 µs at rank 300–400 on the 300–390-link components
+                   of the coverage bench's ISP maps (2.1 GHz Xeon). The
+                   cutoff stays because lifting it would change
+                   answers. *)
+                let max_stall =
+                  if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
+                in
+                snd
+                  (Solver.independent_paths_with_basis
+                     ~rng:(Prng.create seed) ~max_stall ~seed_paths netc)
               in
+              let basis =
+                if nc > exact_node_limit then sampled ()
+                else begin
+                  escalate Exact;
+                  (* A dense component can hold more simple paths than
+                     the enumeration limit (K11 between two monitors
+                     has ~10^6): degrade it to the sampled lower bound
+                     instead of failing the whole report. *)
+                  try Identifiability.measurement_basis netc
+                  with Paths.Limit_exceeded -> sampled ()
+                end
+              in
+              let space = Measurement.space gc in
               let n = Measurement.n_links space in
               Graph.EdgeSet.iter
                 (fun e ->

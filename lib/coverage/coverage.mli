@@ -116,9 +116,12 @@ val classify :
     layer is seeded with the constructive spanning-tree candidates of
     [Measure.Paths.simple_candidates], so partial monitor placements
     get a meaningful lower bound rather than one near zero.
-    Requires at least two monitors ([Invalid_argument] otherwise); may
-    raise [Paths.Limit_exceeded] from the exact fallback on
-    pathological small-but-dense graphs. *)
+    A small-but-dense component whose simple paths exceed the
+    enumeration limit (e.g. K11 between two monitors) falls back to the
+    sampled basis and the report to [Sampled]. The sampled basis is the
+    one {!Nettomo_core.Solver.independent_paths_with_basis} built during
+    its search, so each component is eliminated once.
+    Requires at least two monitors ([Invalid_argument] otherwise). *)
 
 val coverage : report -> float
 (** Fraction of links identifiable, in [\[0, 1\]]; 1.0 for a network

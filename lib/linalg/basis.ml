@@ -27,8 +27,11 @@ let reduce t v =
     (fun (p, r) ->
       if not (Q.is_zero v.(p)) then begin
         let factor = v.(p) in
+        (* Zero entries of the row leave v unchanged; skipping them is
+           exact and spares most of the work on sparse 0/1 rows. *)
         for j = p to t.n - 1 do
-          v.(j) <- Q.sub v.(j) (Q.mul factor r.(j))
+          let rj = r.(j) in
+          if not (Q.is_zero rj) then v.(j) <- Q.sub v.(j) (Q.mul factor rj)
         done
       end)
     t.rows;
@@ -48,7 +51,7 @@ let add t v =
   | Some p ->
       let inv = Q.inv res.(p) in
       for j = p to t.n - 1 do
-        res.(j) <- Q.mul res.(j) inv
+        if not (Q.is_zero res.(j)) then res.(j) <- Q.mul res.(j) inv
       done;
       let rec insert = function
         | [] -> [ (p, res) ]

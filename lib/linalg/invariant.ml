@@ -10,7 +10,16 @@ let check_rational q =
     (Bigint.to_string den) (Bigint.to_string g);
   if Bigint.is_zero num then
     I.require (Bigint.equal den Bigint.one) "Rational: zero stored as 0/%s"
-      (Bigint.to_string den)
+      (Bigint.to_string den);
+  (* Canonical form: structural equality is only correct if a value
+     that fits the small form is never stored big. *)
+  let bound = Bigint.of_int Rational.small_max in
+  let fits =
+    Bigint.compare (Bigint.abs num) bound <= 0 && Bigint.compare den bound <= 0
+  in
+  I.require (Rational.is_small q = fits) "Rational: %s/%s stored %s"
+    (Bigint.to_string num) (Bigint.to_string den)
+    (if fits then "big but fits the small form" else "small beyond its range")
 
 let check_vector v = Array.iter check_rational v
 

@@ -7,7 +7,9 @@
     nothing. *)
 
 val check_rational : Rational.t -> unit
-(** Normalization: positive denominator, lowest terms, zero as 0/1. *)
+(** Normalization: positive denominator, lowest terms, zero as 0/1, and
+    the canonical form — stored small iff numerator magnitude and
+    denominator are both at most {!Rational.small_max}. *)
 
 val check_vector : Rational.t array -> unit
 (** Every entry normalized. *)

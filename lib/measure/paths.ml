@@ -182,17 +182,6 @@ let tree_path parent depth a b =
   let asc = climb parent a anc and bsc = climb parent b anc in
   asc @ List.tl (List.rev bsc)
 
-let is_simple nodes =
-  let seen = Hashtbl.create 16 in
-  List.for_all
-    (fun v ->
-      if Hashtbl.mem seen v then false
-      else begin
-        Hashtbl.add seen v ();
-        true
-      end)
-    nodes
-
 let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
   let monitors = Csr.monitor_indices csr in
   let roots =
@@ -204,6 +193,10 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
     take max_roots monitors
   in
   let to_ids ixs = List.map (fun ix -> csr.Csr.ids.(ix)) ixs in
+  (* [on_stem.(x) = !stamp] marks the nodes of the current r → u stem.
+     Stem and tail are tree paths, each node-simple, so a detour is
+     simple iff its tail avoids the stem. *)
+  let on_stem = Array.make csr.Csr.n (-1) and stamp = ref 0 in
   let acc = ref [] in
   List.iter
     (fun r ->
@@ -222,17 +215,18 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
             (fun (u, v) ->
               (* Skip tree links: the detour degenerates to a tree path. *)
               if parent.(u) <> v && parent.(v) <> u then begin
+                let stem = List.rev (climb parent u r) in
+                incr stamp;
+                List.iter (fun x -> on_stem.(x) <- !stamp) stem;
                 let emitted = ref 0 in
                 List.iter
                   (fun b ->
                     if !emitted < max_per_link && b <> r && depth.(b) >= 0
                     then begin
-                      let cand =
-                        climb parent u r |> List.rev
-                        |> fun ru -> ru @ tree_path parent depth v b
-                      in
-                      if is_simple cand then begin
-                        acc := to_ids cand :: !acc;
+                      let tail = tree_path parent depth v b in
+                      if List.for_all (fun x -> on_stem.(x) <> !stamp) tail
+                      then begin
+                        acc := to_ids (stem @ tail) :: !acc;
                         incr emitted
                       end
                     end)

@@ -1,0 +1,135 @@
+(* Reference implementations the fast paths are tested against. *)
+
+open Nettomo_core
+module Basis = Nettomo_linalg.Basis
+module Bigint = Nettomo_linalg.Bigint
+module Rational = Nettomo_linalg.Rational
+
+(* A basis rebuilt from a finished plan: every plan row added, in
+   order, to an empty basis. The reference for the basis the solver's
+   search hands out. *)
+let basis_of_plan space (plan : Solver.plan) =
+  let basis = Basis.create (Measurement.n_links space) in
+  List.iter
+    (fun p -> ignore (Basis.add basis (Measurement.incidence_row space p)))
+    plan.Solver.paths;
+  basis
+
+(* Which links' unit vectors lie in the span, in link-column order. *)
+let unit_membership space basis =
+  let n = Measurement.n_links space in
+  List.init n (fun j ->
+      let unit = Array.make n Rational.zero in
+      unit.(j) <- Rational.one;
+      Basis.mem basis unit)
+
+(* Rational arithmetic with every value a normalized Bigint pair and
+   every operation through Bigint: the reference for the small/big
+   representation. *)
+module Qref = struct
+  type t = { num : Bigint.t; den : Bigint.t }
+
+  let make num den =
+    if Bigint.is_zero den then raise Division_by_zero;
+    if Bigint.is_zero num then { num = Bigint.zero; den = Bigint.one }
+    else begin
+      let num, den =
+        if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den)
+        else (num, den)
+      in
+      let g = Bigint.gcd num den in
+      { num = Bigint.div num g; den = Bigint.div den g }
+    end
+
+  let compare a b =
+    Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+
+  let equal a b = Bigint.equal a.num b.num && Bigint.equal a.den b.den
+  let neg t = { t with num = Bigint.neg t.num }
+
+  let add a b =
+    make
+      (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
+      (Bigint.mul a.den b.den)
+
+  let sub a b = add a (neg b)
+  let mul a b = make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+
+  let inv t =
+    if Bigint.is_zero t.num then raise Division_by_zero;
+    make t.den t.num
+
+  let div a b = mul a (inv b)
+  let to_float t = Bigint.to_float t.num /. Bigint.to_float t.den
+
+  let to_string t =
+    if Bigint.equal t.den Bigint.one then Bigint.to_string t.num
+    else Bigint.to_string t.num ^ "/" ^ Bigint.to_string t.den
+
+  (* The fast value agrees with the reference one: same numerator and
+     denominator. *)
+  let agrees q r =
+    Bigint.equal (Rational.num q) r.num && Bigint.equal (Rational.den q) r.den
+end
+
+(* The float prefilter basis with every reduction and row update
+   spanning all n columns: the reference for the one that restricts its
+   arithmetic to the free columns, which must reach the same
+   verdicts. *)
+module Fbasis_ref = struct
+  type t = { n : int; epsilon : float; mutable rows : (int * float array) list }
+
+  let create ?(epsilon = 1e-9) n = { n; epsilon; rows = [] }
+  let rank t = List.length t.rows
+
+  let reduce t v =
+    let v = Array.copy v in
+    List.iter
+      (fun (p, r) ->
+        let factor = v.(p) in
+        if Float.abs factor > 0.0 then
+          for j = 0 to t.n - 1 do
+            v.(j) <- v.(j) -. (factor *. r.(j))
+          done)
+      t.rows;
+    v
+
+  let best_pivot t v =
+    let best = ref (-1) in
+    let best_mag = ref t.epsilon in
+    Array.iteri
+      (fun j x ->
+        let m = Float.abs x in
+        if m > !best_mag then begin
+          best := j;
+          best_mag := m
+        end)
+      v;
+    if !best < 0 then None else Some !best
+
+  let would_increase_rank t v = best_pivot t (reduce t v) <> None
+
+  let add t v =
+    let res = reduce t v in
+    match best_pivot t res with
+    | None -> false
+    | Some p ->
+        let inv = 1.0 /. res.(p) in
+        Array.iteri (fun j x -> res.(j) <- x *. inv) res;
+        res.(p) <- 1.0;
+        List.iter
+          (fun (_, r) ->
+            let factor = r.(p) in
+            if Float.abs factor > 0.0 then
+              for j = 0 to t.n - 1 do
+                r.(j) <- r.(j) -. (factor *. res.(j))
+              done)
+          t.rows;
+        let rec insert = function
+          | [] -> [ (p, res) ]
+          | (p', _) :: _ as rest when p < p' -> (p, res) :: rest
+          | x :: rest -> x :: insert rest
+        in
+        t.rows <- insert t.rows;
+        true
+end

@@ -123,6 +123,85 @@ let prop_coverage_monotone_in_monitors =
       in
       c2 >= c1)
 
+let test_dense_component_degrades () =
+  (* K11 and K12 hold more simple paths between two monitors than the
+     enumeration limit, so the exact rank fallback cannot run: the
+     component falls back to the sampled basis instead of failing. *)
+  List.iter
+    (fun n ->
+      let net = Net.create (Nettomo_topo.Gen.complete n) ~monitors:[ 0; 1 ] in
+      let name = Printf.sprintf "K%d" n in
+      match Nettomo_engine.Session.Scratch.coverage ~seed:0 net with
+      | Error msg -> Alcotest.failf "%s: coverage failed: %s" name msg
+      | Ok r ->
+          check cb (name ^ " sampled mode") true
+            (r.Coverage.mode = Coverage.Sampled);
+          (* Theorem 3.2: with two monitors only the interior links
+             and the direct monitor link can be identifiable. *)
+          let allowed =
+            Graph.EdgeSet.add (Graph.edge 0 1) (Interior.interior_links net)
+          in
+          check cb (name ^ " identifiable within interior + monitor link") true
+            (Graph.EdgeSet.subset r.Coverage.identifiable allowed))
+    [ 11; 12 ]
+
+(* The rank fallback reads membership off the basis the solver built
+   during its search; the oracle rebuilds one from the finished plan.
+   Both must give the same unit-row membership. *)
+let solver_basis_matches_rebuild ?max_stall ?seed_paths ~seed net =
+  let space = Measurement.space (Net.graph net) in
+  let plan, basis =
+    Solver.independent_paths_with_basis ~rng:(Prng.create seed) ?max_stall
+      ?seed_paths net
+  in
+  let rebuilt = Oracles.basis_of_plan space plan in
+  Nettomo_linalg.Basis.rank basis = plan.Solver.rank
+  && Nettomo_linalg.Basis.rank rebuilt = plan.Solver.rank
+  && List.equal Bool.equal
+       (Oracles.unit_membership space basis)
+       (Oracles.unit_membership space rebuilt)
+
+let prop_solver_basis_matches_rebuild =
+  QCheck2.Test.make
+    ~name:"solver basis = basis rebuilt from the plan (random nets > 12 nodes)"
+    ~count:40
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 13 30) (int_range 0 30))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let kappa = 2 + Prng.int rng 4 in
+      let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
+      let net = Net.create g ~monitors in
+      let seed_paths =
+        Nettomo_measure.Paths.simple_candidates (Nettomo_measure.Csr.of_net net)
+      in
+      solver_basis_matches_rebuild ~seed net
+      && solver_basis_matches_rebuild ~seed ~seed_paths net)
+
+let test_solver_basis_isp_prefixes () =
+  (* The coverage bench's maps under MMP-prefix budgets, searched the
+     way the rank fallback searches large components: spanning-tree
+     seeds, no random layer. *)
+  List.iter
+    (fun (name, seed) ->
+      let spec = Option.get (Nettomo_topo.Isp.find name) in
+      let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
+      let mmp = Graph.NodeSet.elements (Mmp.place g) in
+      let m = List.length mmp in
+      List.iter
+        (fun k ->
+          let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
+          let seed_paths =
+            Nettomo_measure.Paths.simple_candidates
+              (Nettomo_measure.Csr.of_net net)
+          in
+          check cb
+            (Printf.sprintf "%s with %d of %d MMP monitors" name k m)
+            true
+            (solver_basis_matches_rebuild ~max_stall:0 ~seed_paths ~seed:0 net))
+        [ m / 4; (3 * m) / 4 ])
+    [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
+
 let test_augment_zero_and_negative () =
   let net = Net.with_monitors Paper.fig1 [ 0; 1 ] in
   let plan = Coverage.augment ~k:0 net in
@@ -199,4 +278,9 @@ let suite =
       test_augment_deterministic;
     Alcotest.test_case "augment cold start" `Quick test_augment_cold_start;
     Alcotest.test_case "augment within MMP + 2" `Quick test_augment_vs_mmp;
+    Alcotest.test_case "K11 and K12 degrade to sampled" `Quick
+      test_dense_component_degrades;
+    QCheck_alcotest.to_alcotest prop_solver_basis_matches_rebuild;
+    Alcotest.test_case "solver basis = rebuild on ISP MMP prefixes" `Quick
+      test_solver_basis_isp_prefixes;
   ]

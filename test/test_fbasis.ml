@@ -72,6 +72,41 @@ let prop_rank_bounded =
       done;
       Fbasis.rank b <= n)
 
+(* Restricting the arithmetic to free columns must not move a single
+   verdict: the prefilter decides which rows the solver eliminates
+   exactly, so any drift would change coverage answers. Sparse 0/1 rows
+   (as the solver offers) and small-integer rows (fractional pivots,
+   partial pivoting at work), with later rows often dependent. *)
+let prop_matches_full_width_reference =
+  QCheck2.Test.make
+    ~name:"free-column basis matches the full-width reference" ~count:200
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 40) bool)
+    (fun (seed, n, sparse) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let fast = Fbasis.create n and slow = Oracles.Fbasis_ref.create n in
+      let row () =
+        if sparse then
+          Array.init n (fun _ ->
+              if Nettomo_util.Prng.int rng 4 = 0 then 1.0 else 0.0)
+        else
+          Array.init n (fun _ ->
+              float_of_int (Nettomo_util.Prng.int_in rng (-3) 3))
+      in
+      let ok = ref true in
+      for _ = 1 to 3 * n do
+        let v = row () in
+        let probe = row () in
+        if
+          Fbasis.would_increase_rank fast probe
+          <> Oracles.Fbasis_ref.would_increase_rank slow probe
+          || Fbasis.add fast v <> Oracles.Fbasis_ref.add slow v
+        then ok := false
+      done;
+      let copy = Fbasis.copy fast in
+      !ok
+      && Fbasis.rank fast = Oracles.Fbasis_ref.rank slow
+      && Fbasis.rank copy = Fbasis.rank fast)
+
 let suite =
   [
     Alcotest.test_case "empty basis" `Quick test_empty;
@@ -80,4 +115,5 @@ let suite =
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_agrees_with_exact_on_01;
     QCheck_alcotest.to_alcotest prop_rank_bounded;
+    QCheck_alcotest.to_alcotest prop_matches_full_width_reference;
   ]

@@ -84,6 +84,36 @@ let test_linalg_rejects () =
     (rejects (fun () ->
          Linv.check_system r (Array.make (Matrix.rows r + 2) Q.one)))
 
+let test_rational_canonical_form () =
+  let module B = Nettomo_linalg.Bigint in
+  let big n d = Q.Testing.big (B.of_int n) (B.of_int d) in
+  let m = Q.small_max in
+  (* Every value built through the interface is canonical, on both
+     sides of the boundary. *)
+  check cb "small and big values accepted" true
+    (accepts (fun () ->
+         Linv.check_vector
+           [|
+             Q.of_int m; Q.of_int (m + 1); Q.of_ints 1 (m + 1);
+             Q.mul (Q.of_int m) (Q.of_int m); Q.of_int min_int;
+             Q.div (Q.of_int (m + 1)) (Q.of_int 2);
+           |]));
+  (* Big-form values that break the representation invariants. *)
+  check cb "small-range value stored big rejected" true
+    (rejects (fun () -> Linv.check_rational (big 3 4)));
+  check cb "boundary value stored big rejected" true
+    (rejects (fun () -> Linv.check_rational (big (-m) m)));
+  check cb "zero stored big rejected" true
+    (rejects (fun () -> Linv.check_rational (big 0 1)));
+  check cb "big value in lowest terms accepted" true
+    (accepts (fun () -> Linv.check_rational (big (m + 1) 3)));
+  check cb "big value not in lowest terms rejected" true
+    (rejects (fun () -> Linv.check_rational (big (2 * (m + 1)) 4)));
+  check cb "big value with negative denominator rejected" true
+    (rejects (fun () -> Linv.check_rational (big (m + 1) (-3))));
+  check cb "vector holding a non-canonical entry rejected" true
+    (rejects (fun () -> Linv.check_vector [| Q.one; big 1 2 |]))
+
 let test_measurement_coherence () =
   let net = Paper.fig1 in
   let space = Measurement.space (Net.graph net) in
@@ -165,4 +195,6 @@ let suite =
     Alcotest.test_case "mmp postcondition (Thm 3.3)" `Quick test_mmp_postcondition;
     Alcotest.test_case "mmp rejects bad placements" `Quick
       test_mmp_rejects_bad_placements;
+    Alcotest.test_case "rational canonical form" `Quick
+      test_rational_canonical_form;
   ]

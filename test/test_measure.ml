@@ -221,6 +221,30 @@ let prop_simple_candidates_valid =
         (fun p -> Measurement.is_measurement_path net p)
         (Measure_paths.simple_candidates csr))
 
+(* The coverage fallback's answers depend on the exact candidate list,
+   order included, so it is pinned on two ISP maps under a quarter of
+   their MMP placement: count and FNV-1a digest of the rendered list. *)
+let test_simple_candidates_pinned () =
+  let render cands =
+    String.concat ";"
+      (List.map (fun p -> String.concat "-" (List.map string_of_int p)) cands)
+  in
+  List.iter
+    (fun (name, seed, count, digest) ->
+      let spec = Option.get (Nettomo_topo.Isp.find name) in
+      let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
+      let mmp = Graph.NodeSet.elements (Mmp.place g) in
+      let k = List.length mmp / 4 in
+      let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
+      let cands = Measure_paths.simple_candidates (Measure_csr.of_net net) in
+      check ci (name ^ " candidate count") count (List.length cands);
+      check Alcotest.string (name ^ " candidate digest") digest
+        Nettomo_util.Checksum.(to_hex (fnv64 (render cands))))
+    [
+      ("Ebone", 50, 4888, "f3c0d83266867678");
+      ("Exodus", 54, 7399, "406e07c0d64da10c");
+    ]
+
 let suite =
   [
     Alcotest.test_case "Csr round-trip (fig1)" `Quick test_csr_roundtrip;
@@ -237,4 +261,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_differential_vs_exact_solver;
     QCheck_alcotest.to_alcotest prop_constructed_matrix_full_rank;
     QCheck_alcotest.to_alcotest prop_simple_candidates_valid;
+    Alcotest.test_case "simple candidates pinned (ISP prefixes)" `Quick
+      test_simple_candidates_pinned;
   ]

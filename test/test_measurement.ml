@@ -68,7 +68,18 @@ let test_incidence_row () =
   let row = Measurement.incidence_row s [ 2; 1 ] in
   let ones = Array.to_list row |> List.filter (fun x -> not (Rational.is_zero x)) in
   check ci "single-link path has one 1" 1 (List.length ones);
-  check q "entry is at l9's column" Rational.one row.(Measurement.column s (Graph.edge 2 1))
+  check q "entry is at l9's column" Rational.one row.(Measurement.column s (Graph.edge 2 1));
+  (* The row is one at exactly the path's link columns. *)
+  List.iter
+    (fun p ->
+      let row = Measurement.incidence_row s p in
+      let ones =
+        List.filter (fun j -> not (Rational.is_zero row.(j)))
+          (List.init (Array.length row) Fun.id)
+      in
+      check (Alcotest.list ci) "columns are the row's ones" ones
+        (List.sort Int.compare (Measurement.columns s p)))
+    fig1_paths
 
 let test_fig1_matrix_invertible () =
   (* The headline claim of Section 2.3: these eleven paths make R

@@ -143,6 +143,36 @@ let test_coverage_monotone_on_fixtures () =
         (Graph.nodes g))
     fixture_nets
 
+(* Sampled mode reads membership off the solver's own basis; the
+   oracle rebuilds a basis from the plan the same seed yields. *)
+let prop_sampled_matches_plan_rebuild =
+  QCheck2.Test.make
+    ~name:"sampled mode = membership in the basis rebuilt from the plan"
+    ~count:40
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 13 30) (int_range 0 30))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let kappa = 2 + Prng.int rng 4 in
+      let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
+      let net = Net.create g ~monitors in
+      let r = Partial.analyze ~rng:(Prng.create seed) net in
+      let space = Measurement.space g in
+      let plan = Solver.independent_paths ~rng:(Prng.create seed) net in
+      let rebuilt = Oracles.basis_of_plan space plan in
+      let expected =
+        List.fold_left2
+          (fun acc e inside -> if inside then Graph.EdgeSet.add e acc else acc)
+          Graph.EdgeSet.empty
+          (Array.to_list (Measurement.link_order space))
+          (Oracles.unit_membership space rebuilt)
+      in
+      r.Partial.mode = Partial.Sampled
+      && r.Partial.rank = Nettomo_linalg.Basis.rank rebuilt
+      && Graph.EdgeSet.equal r.Partial.identifiable expected
+      && Graph.EdgeSet.equal r.Partial.unidentifiable
+           (Graph.EdgeSet.diff (Graph.edge_set g) expected))
+
 let suite =
   [
     Alcotest.test_case "fig1 full coverage" `Quick test_fig1_full_coverage;
@@ -159,4 +189,5 @@ let suite =
       test_sampled_subset_of_exact_on_fixtures;
     Alcotest.test_case "coverage monotone under monitor addition" `Quick
       test_coverage_monotone_on_fixtures;
+    QCheck_alcotest.to_alcotest prop_sampled_matches_plan_rebuild;
   ]

@@ -79,6 +79,37 @@ let test_shortest_path () =
   let g2 = Graph.of_edges [ (0, 1); (2, 3) ] in
   check cb "unreachable" true (Traversal.shortest_path g2 0 3 = None)
 
+(* One search per source must hand out the very path the per-pair
+   search finds, which is a shortest one; graphs are sometimes
+   disconnected so unreachable targets are covered too. *)
+let prop_shortest_paths_from_matches_per_pair =
+  QCheck2.Test.make ~name:"shortest_paths_from = shortest_path per pair"
+    ~count:100
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 14) bool)
+    (fun (seed, n, split) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g = Fixtures.random_connected rng n (Nettomo_util.Prng.int rng 12) in
+      let g =
+        if split then Graph.union g (Graph.of_edges [ (100, 101); (101, 102) ])
+        else g
+      in
+      let nodes = Graph.nodes g in
+      List.for_all
+        (fun s ->
+          let from_s = Traversal.shortest_paths_from g s in
+          let dist = Traversal.bfs_distances g s in
+          List.for_all
+            (fun d ->
+              let p = from_s d in
+              Option.equal (List.equal Int.equal) p (Traversal.shortest_path g s d)
+              &&
+              match (p, Graph.NodeMap.find_opt d dist) with
+              | Some p, Some k -> List.length p = k + 1
+              | None, None -> true
+              | Some _, None | None, Some _ -> false)
+            nodes)
+        nodes)
+
 let test_spanning_tree () =
   let g = Fixtures.k4 in
   let t = Traversal.spanning_tree g in
@@ -136,4 +167,5 @@ let suite =
     Alcotest.test_case "spanning forest" `Quick test_spanning_forest;
     QCheck_alcotest.to_alcotest prop_components_partition;
     QCheck_alcotest.to_alcotest prop_spanning_tree_size;
+    QCheck_alcotest.to_alcotest prop_shortest_paths_from_matches_per_pair;
   ]
