@@ -1300,19 +1300,6 @@ let soak_client path requests =
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
       soak_recv_all fd)
 
-(* Sessions fall back to the NETTOMO_STORE environment variable; a
-   store leaking in would warm the live run and the replay oracle
-   differently. Force it off for the duration. *)
-let soak_without_store_env f =
-  let prev = Sys.getenv_opt "NETTOMO_STORE" in
-  Unix.putenv "NETTOMO_STORE" "";
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some v -> Unix.putenv "NETTOMO_STORE" v
-      | None -> ())
-    f
-
 let serve_soak cfg ~clients =
   section
     (Printf.sprintf
@@ -1378,101 +1365,100 @@ let serve_soak cfg ~clients =
     load_line :: steps 1 []
   in
   let per_client = 1 + (2 * rounds) in
-  soak_without_store_env (fun () ->
-      let path =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "nettomo-bench-serve-%d.sock" (Unix.getpid ()))
-      in
-      (* slow_ms 0 captures every request: the ring-bound and capture
-         counters below become load-independent, so bench diff can gate
-         them without timing noise. *)
-      Obs.Slow.clear ();
-      let server =
-        Server.create ~seed:cfg.seed ~emit_wall_ms:false
-          ~max_conns:(clients + 4) ~slow_ms:0. ~pool:cfg.pool
-          (Server.Unix_socket path)
-      in
-      let d = Domain.spawn (fun () -> Server.run server) in
-      let transcripts = Array.make clients "" in
-      let (), wall_s =
-        wall_time (fun () ->
-            let threads =
-              List.init clients (fun k ->
-                  Thread.create
-                    (fun () ->
-                      transcripts.(k) <-
-                        soak_client path (workload (k mod shapes)))
-                    ())
-            in
-            List.iter Thread.join threads)
-      in
-      let served = Obs.Metrics.counter_value (Server.requests_total server) in
-      let shed = Obs.Metrics.counter_value (Server.shed_total server) in
-      let h = Server.request_latency server in
-      let p50 = Obs.Metrics.histogram_quantile h 0.5 in
-      let p95 = Obs.Metrics.histogram_quantile h 0.95 in
-      let p99 = Obs.Metrics.histogram_quantile h 0.99 in
-      Server.shutdown server;
-      Domain.join d;
-      (* The determinism oracle: one serial replay per workload shape,
-         then byte-compare every connection's transcript against its
-         shape's replay. *)
-      let oracle =
-        Array.init shapes (fun s ->
-            let p = Protocol.create ~emit_wall_ms:false () in
-            String.concat ""
-              (List.map
-                 (fun r -> Protocol.handle_line p r ^ "\n")
-                 (workload s)))
-      in
-      let identical =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun k t -> String.equal t oracle.(k mod shapes))
-             transcripts)
-      in
-      if not identical then
-        Inv.violationf
-          "serve-soak: a transcript differs from its single-client replay";
-      let slow_requests = Obs.Slow.length () in
-      let slow_ring_bounded = slow_requests <= Obs.Slow.capacity () in
-      let throughput = float_of_int served /. Float.max 1e-9 wall_s in
-      Printf.printf
-        "%d clients x %d requests: %d served (%d shed) in %.3f s -> %.0f req/s\n"
-        clients per_client served shed wall_s throughput;
-      Printf.printf "slow ring: %d captured (cap %d), bounded: %b\n"
-        slow_requests (Obs.Slow.capacity ()) slow_ring_bounded;
-      Printf.printf
-        "request latency p50 %.2f ms, p95 %.2f ms, p99 %.2f ms (count %d)\n"
-        (1000. *. p50) (1000. *. p95) (1000. *. p99)
-        (Obs.Metrics.histogram_count h);
-      Printf.printf "all transcripts equal single-client replay: %b\n"
-        identical;
-      Report.add_trials cfg.report served;
-      Report.add_series cfg.report
-        (Jsonx.Obj
-           [
-             ("topology", Jsonx.String "ER150");
-             ("clients", Jsonx.Int clients);
-             ("requests_per_client", Jsonx.Int per_client);
-             ("requests_served", Jsonx.Int served);
-             ("shed", Jsonx.Int shed);
-             ("wall_s", Jsonx.Float wall_s);
-             ("throughput_rps", Jsonx.Float throughput);
-             ("latency_p50_s", Jsonx.Float p50);
-             ("latency_p95_s", Jsonx.Float p95);
-             ("latency_p99_s", Jsonx.Float p99);
-             ("latency_count", Jsonx.Int (Obs.Metrics.histogram_count h));
-             ("latency_sum_s", Jsonx.Float (Obs.Metrics.histogram_sum h));
-             ("transcripts_identical", Jsonx.Bool identical);
-             ("slow_requests", Jsonx.Int slow_requests);
-             ("slow_ring_bounded", Jsonx.Bool slow_ring_bounded);
-           ]);
-      print_endline
-        "one dispatcher domain multiplexes every connection; the shared\n\
-         pool runs at most one in-flight request per connection, so each\n\
-         transcript reproduces serially.")
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nettomo-bench-serve-%d.sock" (Unix.getpid ()))
+  in
+  (* slow_ms 0 captures every request: the ring-bound and capture
+     counters below become load-independent, so bench diff can gate
+     them without timing noise. *)
+  Obs.Slow.clear ();
+  let server =
+    Server.create ~seed:cfg.seed ~emit_wall_ms:false
+      ~max_conns:(clients + 4) ~slow_ms:0. ~pool:cfg.pool
+      (Server.Unix_socket path)
+  in
+  let d = Domain.spawn (fun () -> Server.run server) in
+  let transcripts = Array.make clients "" in
+  let (), wall_s =
+    wall_time (fun () ->
+        let threads =
+          List.init clients (fun k ->
+              Thread.create
+                (fun () ->
+                  transcripts.(k) <-
+                    soak_client path (workload (k mod shapes)))
+                ())
+        in
+        List.iter Thread.join threads)
+  in
+  let served = Obs.Metrics.counter_value (Server.requests_total server) in
+  let shed = Obs.Metrics.counter_value (Server.shed_total server) in
+  let h = Server.request_latency server in
+  let p50 = Obs.Metrics.histogram_quantile h 0.5 in
+  let p95 = Obs.Metrics.histogram_quantile h 0.95 in
+  let p99 = Obs.Metrics.histogram_quantile h 0.99 in
+  Server.shutdown server;
+  Domain.join d;
+  (* The determinism oracle: one serial replay per workload shape,
+     then byte-compare every connection's transcript against its
+     shape's replay. *)
+  let oracle =
+    Array.init shapes (fun s ->
+        let p = Protocol.create ~emit_wall_ms:false () in
+        String.concat ""
+          (List.map
+             (fun r -> Protocol.handle_line p r ^ "\n")
+             (workload s)))
+  in
+  let identical =
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun k t -> String.equal t oracle.(k mod shapes))
+         transcripts)
+  in
+  if not identical then
+    Inv.violationf
+      "serve-soak: a transcript differs from its single-client replay";
+  let slow_requests = Obs.Slow.length () in
+  let slow_ring_bounded = slow_requests <= Obs.Slow.capacity () in
+  let throughput = float_of_int served /. Float.max 1e-9 wall_s in
+  Printf.printf
+    "%d clients x %d requests: %d served (%d shed) in %.3f s -> %.0f req/s\n"
+    clients per_client served shed wall_s throughput;
+  Printf.printf "slow ring: %d captured (cap %d), bounded: %b\n"
+    slow_requests (Obs.Slow.capacity ()) slow_ring_bounded;
+  Printf.printf
+    "request latency p50 %.2f ms, p95 %.2f ms, p99 %.2f ms (count %d)\n"
+    (1000. *. p50) (1000. *. p95) (1000. *. p99)
+    (Obs.Metrics.histogram_count h);
+  Printf.printf "all transcripts equal single-client replay: %b\n"
+    identical;
+  Report.add_trials cfg.report served;
+  Report.add_series cfg.report
+    (Jsonx.Obj
+       [
+         ("topology", Jsonx.String "ER150");
+         ("clients", Jsonx.Int clients);
+         ("requests_per_client", Jsonx.Int per_client);
+         ("requests_served", Jsonx.Int served);
+         ("shed", Jsonx.Int shed);
+         ("wall_s", Jsonx.Float wall_s);
+         ("throughput_rps", Jsonx.Float throughput);
+         ("latency_p50_s", Jsonx.Float p50);
+         ("latency_p95_s", Jsonx.Float p95);
+         ("latency_p99_s", Jsonx.Float p99);
+         ("latency_count", Jsonx.Int (Obs.Metrics.histogram_count h));
+         ("latency_sum_s", Jsonx.Float (Obs.Metrics.histogram_sum h));
+         ("transcripts_identical", Jsonx.Bool identical);
+         ("slow_requests", Jsonx.Int slow_requests);
+         ("slow_ring_bounded", Jsonx.Bool slow_ring_bounded);
+       ]);
+  print_endline
+    "one dispatcher domain multiplexes every connection; the shared\n\
+     pool runs at most one in-flight request per connection, so each\n\
+     transcript reproduces serially."
 
 let all_ids =
   [ "e1"; "e2"; "e3"; "e4"; "fig9"; "fig10"; "table2"; "fig11"; "table3";

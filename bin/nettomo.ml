@@ -617,6 +617,13 @@ let experiment_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
+(* A flag's value, else the named environment variable when non-empty. *)
+let flag_or_env flag var =
+  match (flag, Sys.getenv_opt var) with
+  | Some _, _ -> flag
+  | None, (None | Some "") -> None
+  | None, Some v -> Some v
+
 let serve_cmd =
   let jobs_arg =
     let doc = "Worker domains for fanning out \"batch\" requests." in
@@ -634,7 +641,8 @@ let serve_cmd =
       "Persistent artifact store directory (created if missing); answers \
        computed by this server warm it and later runs reuse them. Without \
        this flag the NETTOMO_STORE environment variable, when non-empty, \
-       names the directory instead."
+       names the directory instead; NETTOMO_STORE_MAX_BYTES overrides its \
+       size bound (default 256 MiB)."
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
@@ -711,14 +719,7 @@ let serve_cmd =
   in
   let run jobs seed no_wall_time store_dir trace listen tcp max_conns
       shed_wait_p95 max_line_bytes log_file slow_ms =
-    let log_file =
-      match log_file with
-      | Some _ as f -> f
-      | None -> (
-          match Sys.getenv_opt "NETTOMO_LOG" with
-          | None | Some "" -> None
-          | Some file -> Some file)
-    in
+    let log_file = flag_or_env log_file "NETTOMO_LOG" in
     (match Sys.getenv_opt "NETTOMO_LOG_LEVEL" with
     | None | Some "" -> ()
     | Some s -> (
@@ -726,13 +727,12 @@ let serve_cmd =
         | Some l -> Obs.Log.set_level l
         | None -> ()));
     (match log_file with None -> () | Some file -> Obs.Log.to_file file);
-    let trace =
-      match trace with
-      | Some _ as t -> t
-      | None -> (
-          match Sys.getenv_opt "NETTOMO_TRACE" with
-          | None | Some "" -> None
-          | Some file -> Some file)
+    let trace = flag_or_env trace "NETTOMO_TRACE" in
+    (* The one place the store environment is read: every session this
+       server creates shares the handle, so stats and status see it. *)
+    let store_dir = flag_or_env store_dir "NETTOMO_STORE" in
+    let max_bytes =
+      Option.bind (Sys.getenv_opt "NETTOMO_STORE_MAX_BYTES") int_of_string_opt
     in
     if Option.is_some trace then Obs.Trace.enable ();
     let write_trace () =
@@ -758,7 +758,7 @@ let serve_cmd =
           Fun.protect ~finally:write_trace (fun () ->
               Pool.with_pool ~jobs (fun pool ->
                   let store =
-                    Option.map (fun d -> Store.open_dir d) store_dir
+                    Option.map (fun d -> Store.open_dir ?max_bytes d) store_dir
                   in
                   match socket_listen with
                   | None ->

@@ -17,37 +17,6 @@ module Measurement = Nettomo_core.Measurement
 module Coverage = Nettomo_coverage.Coverage
 module Solve = Nettomo_measure.Solve
 
-(* ---------- store keys ---------- *)
-
-let key_identifiable (fp : Fingerprint.t) =
-  Printf.sprintf "id-%016Lx-%016Lx" fp.Fingerprint.structure
-    fp.Fingerprint.monitors
-
-let key_classification (fp : Fingerprint.t) =
-  Printf.sprintf "cls-%016Lx-%016Lx" fp.Fingerprint.structure
-    fp.Fingerprint.monitors
-
-let key_report structure = Printf.sprintf "mmp-%016Lx" structure
-
-let key_plan ~seed (fp : Fingerprint.t) =
-  Printf.sprintf "plan-%016Lx-%016Lx-%d" fp.Fingerprint.structure
-    fp.Fingerprint.monitors seed
-
-let key_components block = Printf.sprintf "tri-%016Lx" block
-let key_edges block = Printf.sprintf "sep-%016Lx" block
-
-let key_coverage ~seed (fp : Fingerprint.t) =
-  Printf.sprintf "cov-%016Lx-%016Lx-%d" fp.Fingerprint.structure
-    fp.Fingerprint.monitors seed
-
-let key_augment ~seed ~k (fp : Fingerprint.t) =
-  Printf.sprintf "aug-%016Lx-%016Lx-%d-%d" fp.Fingerprint.structure
-    fp.Fingerprint.monitors seed k
-
-let key_solution ~seed (fp : Fingerprint.t) =
-  Printf.sprintf "sol-%016Lx-%016Lx-%d" fp.Fingerprint.structure
-    fp.Fingerprint.monitors seed
-
 (* ---------- writer ---------- *)
 
 let add_int b n =
@@ -87,16 +56,17 @@ let add_edge b (u, v) =
 let add_edges b es = add_list add_edge b (ES.elements es)
 let add_path b p = add_list add_int b p
 
-let render tag body =
-  let b = Buffer.create 128 in
-  add_str b tag;
-  body b;
-  Buffer.contents b
+let add_map add_v b m =
+  add_list
+    (fun b (e, v) ->
+      add_edge b e;
+      add_v b v)
+    b (EM.bindings m)
 
 (* ---------- reader ---------- *)
 
 exception Bad
-(** Local decode failure; never escapes {!run_decode}. *)
+(** Local decode failure; never escapes {!decode}. *)
 
 type reader = { s : string; mutable pos : int }
 
@@ -152,11 +122,36 @@ let redge r =
 let redges r = List.fold_left (fun acc e -> ES.add e acc) ES.empty (rlist redge r)
 let rpath r = rlist rint r
 
-let run_decode tag read s =
+let rmap rv r =
+  List.fold_left
+    (fun acc (e, v) -> EM.add e v acc)
+    EM.empty
+    (rlist
+       (fun r ->
+         let e = redge r in
+         let v = rv r in
+         (e, v))
+       r)
+
+(* ---------- codecs ---------- *)
+
+type 'a t = {
+  tag : string;
+  write : Buffer.t -> 'a -> unit;
+  read : reader -> 'a;
+}
+
+let encode c v =
+  let b = Buffer.create 128 in
+  add_str b c.tag;
+  c.write b v;
+  Buffer.contents b
+
+let decode c s =
   let r = { s; pos = 0 } in
   match
-    if not (String.equal (rstr r) tag) then fail ();
-    let v = read r in
+    if not (String.equal (rstr r) c.tag) then fail ();
+    let v = c.read r in
     if r.pos <> String.length s then fail ();
     v
   with
@@ -167,10 +162,18 @@ let run_decode tag read s =
          e.g. a self-loop rejected by Graph.edge *)
       None
 
+(* An answer or the library's error message, under the same tag. *)
+let result c =
+  { tag = c.tag; write = add_result c.write; read = rresult c.read }
+
+let key tag hashes ints =
+  String.concat "-"
+    ((tag :: List.map (Printf.sprintf "%016Lx") hashes)
+    @ List.map string_of_int ints)
+
 (* ---------- artifacts ---------- *)
 
-let encode_identifiable r = render "id1" (fun b -> add_result add_bool b r)
-let decode_identifiable s = run_decode "id1" (rresult rbool) s
+let identifiable = result { tag = "id1"; write = add_bool; read = rbool }
 
 let add_kind b = function
   | Classify.Cross_link { pa; pb; pc; pd } ->
@@ -202,94 +205,65 @@ let rkind r =
   | 2 -> Classify.Unclassified
   | _ -> fail ()
 
-let encode_classification r =
-  render "cls1"
-    (fun b ->
-      add_result
-        (fun b m ->
-          add_list
-            (fun b (e, k) ->
-              add_edge b e;
-              add_kind b k)
-            b (EM.bindings m))
-        b r)
+let classification =
+  result { tag = "cls1"; write = add_map add_kind; read = rmap rkind }
 
-let decode_classification s =
-  run_decode "cls1"
-    (rresult (fun r ->
-         List.fold_left
-           (fun acc (e, k) -> EM.add e k acc)
-           EM.empty
-           (rlist
-              (fun r ->
-                let e = redge r in
-                let k = rkind r in
-                (e, k))
-              r)))
-    s
-
-let encode_report r =
-  render "mmp1"
-    (fun b ->
-      add_result
+let report =
+  result
+    {
+      tag = "mmp1";
+      write =
         (fun b (rep : Mmp.report) ->
           add_nodes b rep.Mmp.monitors;
           add_nodes b rep.Mmp.by_degree;
           add_nodes b rep.Mmp.by_triconnected;
           add_nodes b rep.Mmp.by_biconnected;
-          add_nodes b rep.Mmp.top_up)
-        b r)
-
-let decode_report s =
-  run_decode "mmp1"
-    (rresult (fun r ->
-         let monitors = rnodes r in
-         let by_degree = rnodes r in
-         let by_triconnected = rnodes r in
-         let by_biconnected = rnodes r in
-         let top_up = rnodes r in
-         { Mmp.monitors; by_degree; by_triconnected; by_biconnected; top_up }))
-    s
+          add_nodes b rep.Mmp.top_up);
+      read =
+        (fun r ->
+          let monitors = rnodes r in
+          let by_degree = rnodes r in
+          let by_triconnected = rnodes r in
+          let by_biconnected = rnodes r in
+          let top_up = rnodes r in
+          { Mmp.monitors; by_degree; by_triconnected; by_biconnected; top_up });
+    }
 
 (* A plan's measurement space is a pure function of the graph, so it is
    rebuilt on decode rather than serialized — sound because plan keys
    include the full fingerprint of the state the plan was computed for. *)
-let encode_plan r =
-  render "plan1"
-    (fun b ->
-      add_result (fun b (p : Solver.plan) -> add_list add_path b p.Solver.paths) b r)
+let plan ~net =
+  result
+    {
+      tag = "plan1";
+      write = (fun b (p : Solver.plan) -> add_list add_path b p.Solver.paths);
+      read =
+        (fun r ->
+          let paths = rlist rpath r in
+          {
+            Solver.space = Measurement.space (Net.graph net);
+            paths;
+            rank = List.length paths;
+          });
+    }
 
-let decode_plan ~net s =
-  run_decode "plan1"
-    (rresult (fun r ->
-         let paths = rlist rpath r in
-         {
-           Solver.space = Measurement.space (Net.graph net);
-           paths;
-           rank = List.length paths;
-         }))
-    s
-
-let encode_components comps =
-  render "tri1" (fun b ->
-      add_list
-        (fun b (c : Triconnected.component) ->
+let components =
+  {
+    tag = "tri1";
+    write =
+      add_list (fun b (c : Triconnected.component) ->
           add_nodes b c.Triconnected.nodes;
           add_edges b c.Triconnected.edges;
-          add_edges b c.Triconnected.virtuals)
-        b comps)
+          add_edges b c.Triconnected.virtuals);
+    read =
+      rlist (fun r ->
+          let nodes = rnodes r in
+          let edges = redges r in
+          let virtuals = redges r in
+          { Triconnected.nodes; edges; virtuals });
+  }
 
-let decode_components s =
-  run_decode "tri1"
-    (rlist (fun r ->
-         let nodes = rnodes r in
-         let edges = redges r in
-         let virtuals = redges r in
-         { Triconnected.nodes; edges; virtuals }))
-    s
-
-let encode_edges es = render "sep1" (fun b -> add_list add_edge b es)
-let decode_edges s = run_decode "sep1" (rlist redge) s
+let edges = { tag = "sep1"; write = add_list add_edge; read = rlist redge }
 
 let add_mode b = function
   | Coverage.Structural -> add_int b 0
@@ -327,91 +301,77 @@ let rreason r =
 
 (* The identifiable / unidentifiable partition is a pure projection of
    the verdict map, so only the verdicts are serialized. *)
-let encode_coverage r =
-  render "cov1"
-    (fun b ->
-      add_result
+let coverage =
+  result
+    {
+      tag = "cov1";
+      write =
         (fun b (rep : Coverage.report) ->
           add_mode b rep.Coverage.mode;
-          add_list
-            (fun b (e, (v : Coverage.verdict)) ->
-              add_edge b e;
+          add_map
+            (fun b (v : Coverage.verdict) ->
               add_bool b v.Coverage.identifiable;
               add_int b (reason_code v.Coverage.reason))
-            b
-            (EM.bindings rep.Coverage.verdicts))
-        b r)
-
-let decode_coverage s =
-  run_decode "cov1"
-    (rresult (fun r ->
-         let mode = rmode r in
-         let bindings =
-           rlist
-             (fun r ->
-               let e = redge r in
-               let identifiable = rbool r in
-               let reason = rreason r in
-               (e, { Coverage.identifiable; reason }))
-             r
-         in
-         let verdicts =
-           List.fold_left
-             (fun acc (e, v) -> EM.add e v acc)
-             EM.empty bindings
-         in
-         let identifiable, unidentifiable =
-           List.fold_left
-             (fun (i, u) (e, (v : Coverage.verdict)) ->
-               if v.Coverage.identifiable then (ES.add e i, u)
-               else (i, ES.add e u))
-             (ES.empty, ES.empty) bindings
-         in
-         { Coverage.mode; verdicts; identifiable; unidentifiable }))
-    s
+            b rep.Coverage.verdicts);
+      read =
+        (fun r ->
+          let mode = rmode r in
+          let verdicts =
+            rmap
+              (fun r ->
+                let identifiable = rbool r in
+                let reason = rreason r in
+                { Coverage.identifiable; reason })
+              r
+          in
+          let identifiable, unidentifiable =
+            EM.fold
+              (fun e (v : Coverage.verdict) (i, u) ->
+                if v.Coverage.identifiable then (ES.add e i, u)
+                else (i, ES.add e u))
+              verdicts (ES.empty, ES.empty)
+          in
+          { Coverage.mode; verdicts; identifiable; unidentifiable });
+    }
 
 (* [measurements] always equals the link count today, but it is part of
    the artifact's meaning (how many walks were measured), so it is
    serialized rather than reconstructed. *)
-let encode_solution r =
-  render "sol1"
-    (fun b ->
-      add_result
+let solution =
+  result
+    {
+      tag = "sol1";
+      write =
         (fun b (s : Solve.solution) ->
           add_list add_edge b (Array.to_list s.Solve.links);
           add_list add_float b (Array.to_list s.Solve.metrics);
-          add_int b s.Solve.measurements)
-        b r)
+          add_int b s.Solve.measurements);
+      read =
+        (fun r ->
+          let links = Array.of_list (rlist redge r) in
+          let metrics = Array.of_list (rlist rfloat r) in
+          let measurements = rint r in
+          if Array.length links <> Array.length metrics then fail ();
+          { Solve.links; metrics; measurements });
+    }
 
-let decode_solution s =
-  run_decode "sol1"
-    (rresult (fun r ->
-         let links = Array.of_list (rlist redge r) in
-         let metrics = Array.of_list (rlist rfloat r) in
-         let measurements = rint r in
-         if Array.length links <> Array.length metrics then fail ();
-         { Solve.links; metrics; measurements }))
-    s
-
-let encode_augment r =
-  render "aug1"
-    (fun b ->
-      add_result
+let augment =
+  result
+    {
+      tag = "aug1";
+      write =
         (fun b (p : Coverage.plan) ->
           add_int b p.Coverage.requested;
           add_list add_int b p.Coverage.added;
           add_float b p.Coverage.coverage_before;
           add_float b p.Coverage.coverage_after;
-          add_bool b p.Coverage.full)
-        b r)
-
-let decode_augment s =
-  run_decode "aug1"
-    (rresult (fun r ->
-         let requested = rint r in
-         let added = rlist rint r in
-         let coverage_before = rfloat r in
-         let coverage_after = rfloat r in
-         let full = rbool r in
-         { Coverage.requested; added; coverage_before; coverage_after; full }))
-    s
+          add_bool b p.Coverage.full);
+      read =
+        (fun r ->
+          let requested = rint r in
+          let added = rlist rint r in
+          let coverage_before = rfloat r in
+          let coverage_after = rfloat r in
+          let full = rbool r in
+          { Coverage.requested; added; coverage_before; coverage_after; full });
+    }

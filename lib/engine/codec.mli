@@ -1,97 +1,67 @@
 (** Serialization of engine artifacts for the persistent store.
 
-    Each artifact family has an [encode_*] to a payload string and a
-    [decode_*] back; decoders return [None] on any structural mismatch
-    (wrong schema tag, malformed token stream, impossible value such as
-    a self-loop link), which {!Nettomo_store.Store.find_with} counts as
-    a corrupt skip — an ordinary miss. Byte-level integrity (truncation,
-    bit flips) is already guaranteed by the store's checksummed framing
-    before a payload reaches a decoder here.
+    Each artifact family is one ['a t]: a schema tag plus a writer and a
+    reader over a flat token stream. {!decode} returns [None] on any
+    structural mismatch (wrong schema tag, malformed token stream,
+    impossible value such as a self-loop link), which
+    {!Nettomo_store.Store.find_with} counts as a corrupt skip — an
+    ordinary miss. Byte-level integrity (truncation, bit flips) is
+    already guaranteed by the store's checksummed framing before a
+    payload reaches a decoder here.
 
     Encodings are deterministic: sets and maps are emitted in their
     canonical (ordered) traversal, so equal artifacts encode to equal
     bytes.
 
-    The [key_*] functions fix the store key scheme (also documented in
-    DESIGN.md §11). Keys embed the content-addressed
-    {!Fingerprint} hashes of the state an artifact was derived from —
-    full fingerprint for monitor-dependent answers, structure half for
-    topology-only ones, per-block hash for decomposition pieces — so
-    invalidation is by construction. *)
+    {!key} fixes the store key scheme (DESIGN.md §11 lists every
+    family). Keys embed the content-addressed {!Fingerprint} hashes of
+    the state an artifact was derived from — full fingerprint for
+    monitor-dependent answers, structure half for topology-only ones,
+    per-block hash for decomposition pieces — so invalidation is by
+    construction. *)
 
 open Nettomo_graph
 
-(** {1 Store keys} *)
+type 'a t
+(** The codec of one artifact family. *)
 
-val key_identifiable : Fingerprint.t -> string
-val key_classification : Fingerprint.t -> string
+val encode : 'a t -> 'a -> string
+val decode : 'a t -> string -> 'a option
 
-val key_report : int64 -> string
-(** Keyed by the structure half alone: MMP ignores monitors. *)
+val key : string -> int64 list -> int list -> string
+(** [key tag hashes ints] is the store key [tag-<hash>…-<int>…]: each
+    hash as 16 lowercase hex digits, each int in decimal, all joined by
+    ['-']. *)
 
-val key_plan : seed:int -> Fingerprint.t -> string
-(** Plans additionally depend on the session's deterministic seed. *)
+(** {1 Artifact families}
 
-val key_components : int64 -> string
-(** Keyed by a biconnected block's {!Fingerprint.of_component} hash. *)
+    Session answers carry the library's error message when the query
+    failed, so those codecs encode a [result]. *)
 
-val key_edges : int64 -> string
-(** Separation pairs of a block, same key space as {!key_components}. *)
+val identifiable : (bool, string) result t
 
-val key_coverage : seed:int -> Fingerprint.t -> string
-(** Coverage reports depend on the full fingerprint and on the seed
-    driving the sampled rank fallback. *)
+val classification :
+  (Nettomo_core.Classify.kind Graph.EdgeMap.t, string) result t
 
-val key_augment : seed:int -> k:int -> Fingerprint.t -> string
-(** Augmentation plans additionally depend on the requested budget. *)
+val report : (Nettomo_core.Mmp.report, string) result t
 
-val key_solution : seed:int -> Fingerprint.t -> string
-(** Solved metric campaigns depend on the full fingerprint and on the
-    seed that draws the ground-truth link metrics. *)
-
-(** {1 Artifacts} *)
-
-val encode_identifiable : (bool, string) result -> string
-val decode_identifiable : string -> (bool, string) result option
-
-val encode_classification :
-  (Nettomo_core.Classify.kind Graph.EdgeMap.t, string) result -> string
-
-val decode_classification :
-  string -> (Nettomo_core.Classify.kind Graph.EdgeMap.t, string) result option
-
-val encode_report : (Nettomo_core.Mmp.report, string) result -> string
-val decode_report : string -> (Nettomo_core.Mmp.report, string) result option
-
-val encode_plan : (Nettomo_core.Solver.plan, string) result -> string
-
-val decode_plan :
-  net:Nettomo_core.Net.t ->
-  string ->
-  (Nettomo_core.Solver.plan, string) result option
+val plan :
+  net:Nettomo_core.Net.t -> (Nettomo_core.Solver.plan, string) result t
 (** The plan's measurement space is a pure function of the graph and is
-    rebuilt from [net] rather than deserialized; sound because plan keys
-    name the exact state the plan was computed for. *)
+    rebuilt from [net] on decode rather than serialized; sound because
+    plan keys name the exact state the plan was computed for. *)
 
-val encode_components : Triconnected.component list -> string
-val decode_components : string -> Triconnected.component list option
+val components : Triconnected.component list t
+(** One biconnected block's triconnected split. *)
 
-val encode_edges : Graph.edge list -> string
-val decode_edges : string -> Graph.edge list option
+val edges : Graph.edge list t
+(** One biconnected block's separation pairs. *)
 
-val encode_coverage :
-  (Nettomo_coverage.Coverage.report, string) result -> string
-
-val decode_coverage :
-  string -> (Nettomo_coverage.Coverage.report, string) result option
+val coverage : (Nettomo_coverage.Coverage.report, string) result t
 (** The identifiable / unidentifiable partition is rebuilt from the
     serialized verdict map. *)
 
-val encode_augment : (Nettomo_coverage.Coverage.plan, string) result -> string
-val decode_augment : string -> (Nettomo_coverage.Coverage.plan, string) result option
+val augment : (Nettomo_coverage.Coverage.plan, string) result t
 
-val encode_solution : (Nettomo_measure.Solve.solution, string) result -> string
-
-val decode_solution :
-  string -> (Nettomo_measure.Solve.solution, string) result option
+val solution : (Nettomo_measure.Solve.solution, string) result t
 (** Metrics are hex-float tokens, so the round-trip is bit-exact. *)

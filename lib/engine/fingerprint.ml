@@ -64,5 +64,4 @@ let of_net net =
 let equal a b =
   Int64.equal a.structure b.structure && Int64.equal a.monitors b.monitors
 
-let key t = (t.structure, t.monitors)
 let to_string t = Printf.sprintf "%016Lx:%016Lx" t.structure t.monitors

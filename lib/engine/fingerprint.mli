@@ -53,8 +53,5 @@ val monitors : t -> int64
 
 val equal : t -> t -> bool
 
-val key : t -> int64 * int64
-(** Hashtable key combining both halves. *)
-
 val to_string : t -> string
 (** Hex rendering ["ssssssssssssssss:mmmmmmmmmmmmmmmm"]. *)

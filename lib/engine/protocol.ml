@@ -145,8 +145,6 @@ let shape_payload session =
       Jsonx.String (Fingerprint.to_string (Session.fingerprint session)) );
   ]
 
-let identifiable_payload v = [ ("identifiable", Jsonx.Bool v) ]
-
 let kind_name = function
   | Classify.Cross_link _ -> "cross_link"
   | Classify.Shortcut _ -> "shortcut"
@@ -229,63 +227,83 @@ let augment_payload (p : Coverage.plan) =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
+(* One row per query kind: the request fields it reads, its answer from
+   the live session, its answer on an immutable network snapshot, and
+   the payload either renders to. *)
 type query =
-  | Q_identifiable
-  | Q_classify
-  | Q_mmp
-  | Q_plan
-  | Q_coverage
-  | Q_augment of int  (** budget of monitor additions *)
-  | Q_solve
+  | Query : {
+      args : Jsonx.t -> ('b, code * string) result;
+      session : Session.t -> 'b -> ('a, string) result;
+      snapshot : seed:int -> 'b -> Net.t -> ('a, string) result;
+      payload : Net.t -> 'a -> (string * Jsonx.t) list;
+    }
+      -> query
 
-let default_augment_budget = 1
+(* A row for a query that reads no request fields. *)
+let plain session snapshot payload =
+  Query
+    {
+      args = (fun _ -> Ok ());
+      session = (fun s () -> session s);
+      snapshot = (fun ~seed () -> snapshot ~seed);
+      payload;
+    }
 
-let query_of_string = function
-  | "identifiable" -> Ok Q_identifiable
-  | "classify" -> Ok Q_classify
-  | "mmp" -> Ok Q_mmp
-  | "plan" -> Ok Q_plan
-  | "coverage" -> Ok Q_coverage
-  | "solve" -> Ok Q_solve
-  (* In a batch, queries are named with no per-query arguments, so
-     "augment" runs with the default budget. *)
-  | "augment" -> Ok (Q_augment default_augment_budget)
-  | s -> bad_request "unknown query %S" s
+let queries =
+  [
+    ( "identifiable",
+      plain Session.identifiable
+        (fun ~seed:_ -> Session.Scratch.identifiable)
+        (fun _ v -> [ ("identifiable", Jsonx.Bool v) ]) );
+    ( "classify",
+      plain Session.classify
+        (fun ~seed:_ -> Session.Scratch.classify)
+        (fun _ -> classify_payload) );
+    ( "mmp",
+      plain Session.mmp
+        (fun ~seed:_ -> Session.Scratch.mmp)
+        (fun _ -> mmp_payload) );
+    ("plan", plain Session.plan Session.Scratch.plan plan_payload);
+    ( "coverage",
+      plain Session.coverage Session.Scratch.coverage (fun _ ->
+          coverage_payload) );
+    (* [k] is the budget of monitor additions. *)
+    ( "augment",
+      Query
+        {
+          args = opt_int_field "k" ~default:1;
+          session = (fun s k -> Session.augment s ~k);
+          snapshot = (fun ~seed k -> Session.Scratch.augment ~seed ~k);
+          payload = (fun _ -> augment_payload);
+        } );
+    ( "solve",
+      plain Session.solve Session.Scratch.solve (fun _ -> solve_payload) );
+  ]
+
+let find_query name =
+  List.find_map
+    (fun (n, q) -> if String.equal n name then Some q else None)
+    queries
 
 (* A query the session accepted but the library rejected (precondition
    failure) is [Query_failed]; the message is the library's own. *)
-let query_failed r = Result.map_error (fun m -> (Query_failed, m)) r
+let answer payload net r =
+  Result.map_error (fun m -> (Query_failed, m)) (Result.map (payload net) r)
 
-let eval_session session q =
-  query_failed
-    (match q with
-    | Q_identifiable ->
-        Result.map identifiable_payload (Session.identifiable session)
-    | Q_classify -> Result.map classify_payload (Session.classify session)
-    | Q_mmp -> Result.map mmp_payload (Session.mmp session)
-    | Q_plan ->
-        Result.map (plan_payload (Session.net session)) (Session.plan session)
-    | Q_coverage -> Result.map coverage_payload (Session.coverage session)
-    | Q_augment k -> Result.map augment_payload (Session.augment ~k session)
-    | Q_solve -> Result.map solve_payload (Session.solve session))
+let eval_session s req (Query q) =
+  let* args = q.args req in
+  answer q.payload (Session.net s) (q.session s args)
 
 (* Batch sub-queries are evaluated as pure from-scratch computations
    over an immutable snapshot of the network, so they can fan out over
    the pool (the mutable session is not domain-safe) and are
    deterministic across [--jobs] by the {!Pool} contract. The answers
    still equal the session's — that is the engine's differential
-   invariant. *)
-let eval_scratch ~seed net = function
-  | Q_identifiable ->
-      Result.map identifiable_payload (Session.Scratch.identifiable net)
-  | Q_classify -> Result.map classify_payload (Session.Scratch.classify net)
-  | Q_mmp -> Result.map mmp_payload (Session.Scratch.mmp net)
-  | Q_plan -> Result.map (plan_payload net) (Session.Scratch.plan ~seed net)
-  | Q_coverage ->
-      Result.map coverage_payload (Session.Scratch.coverage ~seed net)
-  | Q_augment k ->
-      Result.map augment_payload (Session.Scratch.augment ~seed ~k net)
-  | Q_solve -> Result.map solve_payload (Session.Scratch.solve ~seed net)
+   invariant. Batched queries name no per-query fields, so each reads
+   its defaults (augment runs with a budget of 1). *)
+let eval_snapshot ~seed net (Query q) =
+  let* args = q.args (Jsonx.Obj []) in
+  answer q.payload net (q.snapshot ~seed args net)
 
 let slow_entry_json (e : Obs.Slow.entry) =
   Jsonx.Obj
@@ -375,14 +393,6 @@ let dispatch t req =
         Result.map_error (fun m -> (Invalid_delta, m)) (Session.apply s d)
       in
       Ok (shape_payload s)
-  | ("identifiable" | "classify" | "mmp" | "plan" | "coverage" | "solve") as q ->
-      let* s = require_session t in
-      let* q = query_of_string q in
-      eval_session s q
-  | "augment" ->
-      let* s = require_session t in
-      let* k = opt_int_field "k" ~default:default_augment_budget req in
-      eval_session s (Q_augment k)
   | "batch" ->
       let* s = require_session t in
       let* names = field "queries" req in
@@ -393,9 +403,10 @@ let dispatch t req =
               (fun acc item ->
                 let* acc = acc in
                 match Jsonx.to_string_opt item with
-                | Some name ->
-                    let* q = query_of_string name in
-                    Ok (q :: acc)
+                | Some name -> (
+                    match find_query name with
+                    | Some q -> Ok (q :: acc)
+                    | None -> bad_request "unknown query %S" name)
                 | None -> bad_request "field \"queries\" must list query names")
               (Ok []) items
             |> Result.map List.rev
@@ -405,7 +416,7 @@ let dispatch t req =
       in
       let net = Session.net s in
       let seed = Session.seed s in
-      let run q = eval_scratch ~seed net q in
+      let run q = eval_snapshot ~seed net q in
       let results =
         match t.pool with
         | Some pool -> Pool.map pool run (Array.of_list qs)
@@ -415,11 +426,11 @@ let dispatch t req =
         Array.to_list results
         |> List.map (function
              | Ok payload -> Jsonx.Obj (("status", Jsonx.String "ok") :: payload)
-             | Error m ->
+             | Error (code, m) ->
                  Jsonx.Obj
                    [
                      ("status", Jsonx.String "error");
-                     ("code", Jsonx.String (code_to_string Query_failed));
+                     ("code", Jsonx.String (code_to_string code));
                      ("error", Jsonx.String m);
                    ])
       in
@@ -498,7 +509,12 @@ let dispatch t req =
         ((("session_loaded", Jsonx.Bool (Option.is_some t.session))
          :: pool_fields)
         @ store_fields)
-  | op -> bad_request "unknown op %S" op
+  | op -> (
+      match find_query op with
+      | None -> bad_request "unknown op %S" op
+      | Some q ->
+          let* s = require_session t in
+          eval_session s req q)
 
 let handle_line ?ctx t line =
   (* The request context: the socket dispatcher allocates one per line

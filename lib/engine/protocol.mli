@@ -97,9 +97,10 @@ val create :
     (serial when absent); [seed] (default 7) is the default session
     seed; [emit_wall_ms] (default [true]) controls the ["wall_ms"]
     response field — golden-file tests turn it off for byte-stable
-    output; [store] is handed to every session the server creates
-    (sessions fall back to [NETTOMO_STORE] when absent, see
-    {!Session.create}); [slow_ms] arms slow-request capture — any
+    output; [store] is handed to every session the server creates,
+    and is the store [stats] and [status] report (no store when
+    absent: the environment is read by [nettomo serve], not here);
+    [slow_ms] arms slow-request capture — any
     request whose wall time reaches the threshold has its span tree
     and per-layer breakdown pushed onto {!Nettomo_obs.Obs.Slow} and
     logged at [warn]. *)

@@ -46,37 +46,12 @@ type stats = {
   full_computes : int;
 }
 
-(* The memoised query kinds, used to label memo hit/miss counters on
-   the Obs registry. *)
-type query =
-  | Q_identifiable
-  | Q_classify
-  | Q_mmp
-  | Q_plan
-  | Q_coverage
-  | Q_augment
-  | Q_solve
-
-let query_index = function
-  | Q_identifiable -> 0
-  | Q_classify -> 1
-  | Q_mmp -> 2
-  | Q_plan -> 3
-  | Q_coverage -> 4
-  | Q_augment -> 5
-  | Q_solve -> 6
-
-let query_labels =
-  [ "identifiable"; "classify"; "mmp"; "plan"; "coverage"; "augment"; "solve" ]
-
 (* Counters are per-session Obs instruments: [stats] reads this
    session's cells, the process-wide metrics dump aggregates them, so
    the two views are the same memory and can never disagree. *)
 type counters = {
   c_deltas : Obs.Metrics.counter;
   c_queries : Obs.Metrics.counter;
-  c_memo_hits : Obs.Metrics.counter array; (* indexed by query_index *)
-  c_memo_misses : Obs.Metrics.counter array;
   c_degree_shortcuts : Obs.Metrics.counter;
   c_verdict_carries : Obs.Metrics.counter;
   c_block_hits : Obs.Metrics.counter;
@@ -89,28 +64,30 @@ type counters = {
   c_measure_links_recovered : Obs.Metrics.counter;
 }
 
-let query_label q = List.nth query_labels (query_index q)
-
-let memo_hit c q =
-  Obs.Metrics.incr c.c_memo_hits.(query_index q);
-  Obs.Ctx.add_ambient "memo.hits" 1.;
-  Obs.Log.debug "session.memo_hit" [ ("query", Obs.Log.Str (query_label q)) ]
-
-let memo_miss c q =
-  Obs.Metrics.incr c.c_memo_misses.(query_index q);
-  Obs.Ctx.add_ambient "memo.misses" 1.;
-  Obs.Log.debug "session.memo_miss" [ ("query", Obs.Log.Str (query_label q)) ]
-
-type entry = {
-  mutable e_identifiable : (bool, string) result option;
-  mutable e_classify : (Classify.kind Graph.EdgeMap.t, string) result option;
-  mutable e_plan : (Solver.plan, string) result option;
-  mutable e_coverage : (Coverage.report, string) result option;
-  mutable e_augment : (int * (Coverage.plan, string) result) option;
-      (** keyed by the requested budget [k]; only the most recent one is
-          kept per state *)
-  mutable e_solve : (Solve.solution, string) result option;
+(* One query kind's answers, keyed by their store key, with the kind's
+   memo hit/miss counters on the Obs registry. *)
+type 'a memo = {
+  label : string;
+  answers : (string, ('a, string) result) Hashtbl.t;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
 }
+
+let memo label =
+  let cell name = Obs.Metrics.counter ~labels:[ ("query", label) ] name in
+  {
+    label;
+    answers = Hashtbl.create 64;
+    hits = cell "session_memo_hits_total";
+    misses = cell "session_memo_misses_total";
+  }
+
+let memo_event m ~hit =
+  Obs.Metrics.incr (if hit then m.hits else m.misses);
+  Obs.Ctx.add_ambient (if hit then "memo.hits" else "memo.misses") 1.;
+  Obs.Log.debug
+    (if hit then "session.memo_hit" else "session.memo_miss")
+    [ ("query", Obs.Log.Str m.label) ]
 
 type t = {
   mutable net : Net.t;
@@ -127,9 +104,13 @@ type t = {
       (** per-block cut pairs, same key *)
   decomp_memo : (int64, Triconnected.t) Hashtbl.t;
       (** whole decomposition, keyed by the structure fingerprint *)
-  mmp_memo : (int64, (Mmp.report, string) result) Hashtbl.t;
-  memo : (int64 * int64, entry) Hashtbl.t;
-      (** per-state answers, keyed by the full fingerprint *)
+  m_identifiable : bool memo;
+  m_classify : Classify.kind Graph.EdgeMap.t memo;
+  m_mmp : Mmp.report memo;
+  m_plan : Solver.plan memo;
+  m_coverage : Coverage.report memo;
+  m_augment : Coverage.plan memo;
+  m_solve : Solve.solution memo;
   store : Store.t option;
       (** second-level persistent cache, consulted only when the
           in-memory memos miss and only at full-computation sites *)
@@ -144,24 +125,7 @@ let count_deg_lt3 net =
       else acc)
     g 0
 
-(* NETTOMO_STORE=<dir> enables the persistent cache for sessions created
-   without an explicit [?store]; the empty string means disabled, so
-   tests can force a hermetic environment. NETTOMO_STORE_MAX_BYTES
-   overrides the store's size bound. *)
-let store_of_env () =
-  match Sys.getenv_opt "NETTOMO_STORE" with
-  | None | Some "" -> None
-  | Some dir -> (
-      match
-        Option.bind (Sys.getenv_opt "NETTOMO_STORE_MAX_BYTES") int_of_string_opt
-      with
-      | Some max_bytes -> Some (Store.open_dir ~max_bytes dir)
-      | None -> Some (Store.open_dir dir))
-
 let create ?(seed = 7) ?store net =
-  let store =
-    match store with Some _ as s -> s | None -> store_of_env ()
-  in
   {
     net;
     fp = Fingerprint.of_net net;
@@ -172,27 +136,18 @@ let create ?(seed = 7) ?store net =
     tricache = Hashtbl.create 64;
     paircache = Hashtbl.create 64;
     decomp_memo = Hashtbl.create 64;
-    mmp_memo = Hashtbl.create 64;
-    memo = Hashtbl.create 64;
+    m_identifiable = memo "identifiable";
+    m_classify = memo "classify";
+    m_mmp = memo "mmp";
+    m_plan = memo "plan";
+    m_coverage = memo "coverage";
+    m_augment = memo "augment";
+    m_solve = memo "solve";
     store;
     counters =
       {
         c_deltas = Obs.Metrics.counter "session_deltas_total";
         c_queries = Obs.Metrics.counter "session_queries_total";
-        c_memo_hits =
-          Array.of_list
-            (List.map
-               (fun q ->
-                 Obs.Metrics.counter ~labels:[ ("query", q) ]
-                   "session_memo_hits_total")
-               query_labels);
-        c_memo_misses =
-          Array.of_list
-            (List.map
-               (fun q ->
-                 Obs.Metrics.counter ~labels:[ ("query", q) ]
-                   "session_memo_misses_total")
-               query_labels);
         c_degree_shortcuts = Obs.Metrics.counter "session_degree_shortcuts_total";
         c_verdict_carries = Obs.Metrics.counter "session_verdict_carries_total";
         c_block_hits = Obs.Metrics.counter "session_block_hits_total";
@@ -215,26 +170,38 @@ let fingerprint t = t.fp
 let seed t = t.seed
 let store t = t.store
 
-let store_find t key decode =
-  match t.store with
-  | None -> None
-  | Some s ->
-      let r = Store.find_with s key ~decode in
-      Obs.Log.debug
-        (if Option.is_some r then "session.store_hit" else "session.store_miss")
-        [ ("key", Obs.Log.Str key) ];
-      r
-
-let store_put t key payload =
-  match t.store with
-  | None -> ()
-  | Some s ->
-      Store.put s key payload;
-      Obs.Log.debug "session.store_put"
-        [
-          ("key", Obs.Log.Str key);
-          ("bytes", Obs.Log.Int (String.length payload));
-        ]
+(* The one store consultation site: the decoded entry under [key], or
+   [compute]'s value published there. *)
+let stored t key codec compute =
+  let found =
+    Option.bind t.store (fun s ->
+        let r = Store.find_with s key ~decode:(Codec.decode codec) in
+        Obs.Log.debug
+          (if Option.is_some r then "session.store_hit"
+           else "session.store_miss")
+          [ ("key", Obs.Log.Str key) ];
+        r)
+  in
+  match found with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      (* Encoded with or without a store. Skipping it without one makes
+         bench/suite's solve-scale ~25% faster but raises its peak
+         resident set from ~115 to ~175 MiB (2-vCPU Xeon): OCaml 5.1's
+         major GC paces itself by allocation, and these payloads are a
+         large share of a campaign's. *)
+      let payload = Codec.encode codec v in
+      Option.iter
+        (fun s ->
+          Store.put s key payload;
+          Obs.Log.debug "session.store_put"
+            [
+              ("key", Obs.Log.Str key);
+              ("bytes", Obs.Log.Int (String.length payload));
+            ])
+        t.store;
+      v
 
 (* A cache-miss full computation: counted on the registry and
    attributed to the ambient request, which is what the slow-request
@@ -249,9 +216,11 @@ let stats t =
   {
     deltas = v c.c_deltas;
     queries = v c.c_queries;
-    (* Every memo hit increments exactly one labelled cell, so the sum
-       equals the pre-registry scalar counter exactly. *)
-    memo_hits = Array.fold_left (fun acc cell -> acc + v cell) 0 c.c_memo_hits;
+    (* Every memo hit increments exactly one kind's cell. *)
+    memo_hits =
+      v t.m_identifiable.hits + v t.m_classify.hits + v t.m_mmp.hits
+      + v t.m_plan.hits + v t.m_coverage.hits + v t.m_augment.hits
+      + v t.m_solve.hits;
     degree_shortcuts = v c.c_degree_shortcuts;
     verdict_carries = v c.c_verdict_carries;
     block_hits = v c.c_block_hits;
@@ -564,23 +533,69 @@ let apply t delta =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-let memo_entry t =
-  let key = Fingerprint.key t.fp in
-  match Hashtbl.find_opt t.memo key with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          e_identifiable = None;
-          e_classify = None;
-          e_plan = None;
-          e_coverage = None;
-          e_augment = None;
-          e_solve = None;
-        }
-      in
-      Hashtbl.add t.memo key e;
-      e
+(* One query kind, as [run] answers it. *)
+type 'a query = {
+  key : string;  (** store key of this state's answer, also its memo key *)
+  codec : ('a, string) result Codec.t;
+  memo : 'a memo;
+  fast : unit -> ('a, string) result option;
+      (** an answer that needs no analysis and never touches the store *)
+  compute : unit -> ('a, string) result;  (** the analysis itself *)
+  scratch : unit -> ('a, string) result;  (** the from-scratch reference *)
+  equal : 'a -> 'a -> bool;
+  fresh : 'a -> unit;  (** counts an answer [compute] just produced *)
+  after : ('a, string) result -> unit;  (** runs on every answer *)
+}
+
+let query ~key ~codec ~memo ~scratch ~equal =
+  {
+    key;
+    codec;
+    memo;
+    fast = (fun () -> None);
+    compute = scratch;
+    scratch;
+    equal;
+    fresh = ignore;
+    after = ignore;
+  }
+
+(* memo → fast path → store → compute, then the NETTOMO_CHECK
+   differential on whatever answered. *)
+let run t q =
+  Obs.Metrics.incr t.counters.c_queries;
+  let r =
+    match Hashtbl.find_opt q.memo.answers q.key with
+    | Some r ->
+        memo_event q.memo ~hit:true;
+        r
+    | None ->
+        memo_event q.memo ~hit:false;
+        let r =
+          match q.fast () with
+          | Some r -> r
+          | None ->
+              stored t q.key q.codec (fun () ->
+                  full_compute t;
+                  let r =
+                    Obs.Trace.span
+                      ~attrs:[ ("query", q.memo.label) ]
+                      "session.compute" q.compute
+                  in
+                  Result.iter q.fresh r;
+                  r)
+        in
+        Hashtbl.add q.memo.answers q.key r;
+        r
+  in
+  differential t q.memo.label q.equal r q.scratch;
+  q.after r;
+  r
+
+(* Keys of answers that depend on the whole state: both fingerprint
+   halves, then [ints] (seed, budget). *)
+let state_key t tag ints =
+  Codec.key tag [ t.fp.Fingerprint.structure; t.fp.Fingerprint.monitors ] ints
 
 let is_connected_now t =
   match t.connected with
@@ -590,69 +605,53 @@ let is_connected_now t =
       t.connected <- Some c;
       c
 
-let compute_identifiable t =
+(* Identifiability answers that need no analysis: a precondition
+   failure (delegated, so the error message matches the library's
+   exactly), κ ≤ 2 (Theorem 3.1, O(1) here), a non-monitor of degree
+   < 3 (Theorem 3.3 needs every one at degree ≥ 3), or a verdict
+   carried across monotone deltas. *)
+let identifiable_fast t =
   let n = t.net in
   let g = Net.graph n in
-  if is_connected_now t && Graph.n_edges g > 0 then
-    match Net.kappa n with
-    | 0 | 1 -> Ok false
-    | 2 -> (
-        (* Theorem 3.1, decidable in O(1) here. *)
-        match Net.monitor_list n with
-        | [ m1; m2 ] -> Ok (Graph.n_edges g = 1 && Graph.mem_edge g m1 m2)
-        | _ -> Errors.error "Session: kappa = 2 but monitor_list disagrees")
-    | _ ->
-        if t.deg_lt3 > 0 then begin
-          (* Theorem 3.3 needs every non-monitor at degree ≥ 3. *)
-          Obs.Metrics.incr t.counters.c_degree_shortcuts;
-          Ok false
-        end
-        else (
-          match t.verdict with
-          | Some v ->
-              Obs.Metrics.incr t.counters.c_verdict_carries;
-              Ok v
-          | None -> (
-              let key = Codec.key_identifiable t.fp in
-              match store_find t key Codec.decode_identifiable with
-              | Some r -> r
-              | None ->
-                  full_compute t;
-                  let r =
-                    Obs.Trace.span
-                      ~attrs:[ ("query", "identifiable") ]
-                      "session.compute"
-                      (fun () ->
-                        run_catch (fun () ->
-                            Sparsify.is_three_vertex_connected
-                              (Extended.extend n).Extended.graph))
-                  in
-                  store_put t key (Codec.encode_identifiable r);
-                  r))
+  if not (is_connected_now t && Graph.n_edges g > 0) then
+    Some (Scratch.identifiable n)
   else
-    (* Precondition failure: delegate so the error message matches the
-       library's exactly. *)
-    Scratch.identifiable n
+    match Net.kappa n with
+    | 0 | 1 -> Some (Ok false)
+    | 2 -> (
+        match Net.monitor_list n with
+        | [ m1; m2 ] ->
+            Some (Ok (Graph.n_edges g = 1 && Graph.mem_edge g m1 m2))
+        | _ -> Errors.error "Session: kappa = 2 but monitor_list disagrees")
+    | _ when t.deg_lt3 > 0 ->
+        Obs.Metrics.incr t.counters.c_degree_shortcuts;
+        Some (Ok false)
+    | _ ->
+        Option.map
+          (fun v ->
+            Obs.Metrics.incr t.counters.c_verdict_carries;
+            Ok v)
+          t.verdict
 
 let identifiable t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_identifiable with
-    | Some r ->
-        memo_hit t.counters Q_identifiable;
-        r
-    | None ->
-        memo_miss t.counters Q_identifiable;
-        let r = compute_identifiable t in
-        e.e_identifiable <- Some r;
-        r
-  in
-  (match r with
-  | Ok v when Net.kappa t.net >= 3 -> t.verdict <- Some v
-  | Ok _ | Error _ -> ());
-  differential t "identifiable" Bool.equal r (fun () -> Scratch.identifiable t.net);
-  r
+  run t
+    {
+      (query ~key:(state_key t "id" []) ~codec:Codec.identifiable
+         ~memo:t.m_identifiable
+         ~scratch:(fun () -> Scratch.identifiable t.net)
+         ~equal:Bool.equal)
+      with
+      fast = (fun () -> identifiable_fast t);
+      compute =
+        (fun () ->
+          run_catch (fun () ->
+              Sparsify.is_three_vertex_connected
+                (Extended.extend t.net).Extended.graph));
+      after =
+        (function
+        | Ok v when Net.kappa t.net >= 3 -> t.verdict <- Some v
+        | Ok _ | Error _ -> ());
+    }
 
 let block_key (block : Biconnected.component) =
   Fingerprint.of_component block.Biconnected.nodes block.Biconnected.edges
@@ -670,34 +669,36 @@ let decomposition t =
       Obs.Trace.span "session.decomposition" @@ fun () ->
       let g = Net.graph t.net in
       let bc = Biconnected.decompose g in
+      (* One block's piece: the in-memory cache, else the store, else
+         [compute] on the block's induced subgraph. *)
+      let piece cache tag codec compute (block : Biconnected.component) =
+        let key = block_key block in
+        match Hashtbl.find_opt cache key with
+        | Some v -> (v, true)
+        | None ->
+            let v =
+              stored t (Codec.key tag [ key ] []) codec (fun () ->
+                  compute (Graph.induced g block.Biconnected.nodes))
+            in
+            Hashtbl.add cache key v;
+            (v, false)
+      in
       let blocks =
         List.map
           (fun (block : Biconnected.component) ->
             if NS.cardinal block.Biconnected.nodes < 3 then (block, [])
             else
-              let key = block_key block in
-              match Hashtbl.find_opt t.tricache key with
-              | Some comps ->
-                  Obs.Metrics.incr t.counters.c_block_hits;
-                  Obs.Ctx.add_ambient "block.hits" 1.;
-                  (block, comps)
-              | None ->
-                  Obs.Metrics.incr t.counters.c_block_misses;
-                  Obs.Ctx.add_ambient "block.misses" 1.;
-                  let skey = Codec.key_components key in
-                  let comps =
-                    match store_find t skey Codec.decode_components with
-                    | Some comps -> comps
-                    | None ->
-                        let comps =
-                          Triconnected.split_biconnected
-                            (Graph.induced g block.Biconnected.nodes)
-                        in
-                        store_put t skey (Codec.encode_components comps);
-                        comps
-                  in
-                  Hashtbl.add t.tricache key comps;
-                  (block, comps))
+              let comps, hit =
+                piece t.tricache "tri" Codec.components
+                  Triconnected.split_biconnected block
+              in
+              Obs.Metrics.incr
+                (if hit then t.counters.c_block_hits
+                 else t.counters.c_block_misses);
+              Obs.Ctx.add_ambient
+                (if hit then "block.hits" else "block.misses")
+                1.;
+              (block, comps))
           bc.Biconnected.components
       in
       let separation_pairs =
@@ -705,24 +706,9 @@ let decomposition t =
           (fun ((block : Biconnected.component), _) ->
             if NS.cardinal block.Biconnected.nodes < 4 then []
             else
-              let key = block_key block in
-              match Hashtbl.find_opt t.paircache key with
-              | Some pairs -> pairs
-              | None ->
-                  let skey = Codec.key_edges key in
-                  let pairs =
-                    match store_find t skey Codec.decode_edges with
-                    | Some pairs -> pairs
-                    | None ->
-                        let pairs =
-                          Separation.cut_pairs
-                            (Graph.induced g block.Biconnected.nodes)
-                        in
-                        store_put t skey (Codec.encode_edges pairs);
-                        pairs
-                  in
-                  Hashtbl.add t.paircache key pairs;
-                  pairs)
+              fst
+                (piece t.paircache "sep" Codec.edges Separation.cut_pairs
+                   block))
           blocks
       in
       let separation_vertices =
@@ -747,105 +733,41 @@ let decomposition t =
       Hashtbl.add t.decomp_memo skey d;
       d
 
+(* MMP ignores monitors, so it is keyed by the structure half alone. *)
 let mmp t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let skey = t.fp.Fingerprint.structure in
-  let r =
-    match Hashtbl.find_opt t.mmp_memo skey with
-    | Some r ->
-        memo_hit t.counters Q_mmp;
-        r
-    | None ->
-        memo_miss t.counters Q_mmp;
-        let key = Codec.key_report skey in
-        let r =
-          match store_find t key Codec.decode_report with
-          | Some r -> r
-          | None ->
-              let g = Net.graph t.net in
-              let r =
-                if (not (Graph.is_empty g)) && is_connected_now t then begin
-                  full_compute t;
-                  Obs.Trace.span
-                    ~attrs:[ ("query", "mmp") ]
-                    "session.compute"
-                    (fun () ->
-                      run_catch (fun () ->
-                          Mmp.place_report_decomposed g (decomposition t)))
-                end
-                else Scratch.mmp t.net
-              in
-              store_put t key (Codec.encode_report r);
-              r
-        in
-        Hashtbl.add t.mmp_memo skey r;
-        r
-  in
-  differential t "mmp" equal_report r (fun () -> Scratch.mmp t.net);
-  r
+  let g = Net.graph t.net in
+  run t
+    {
+      (query
+         ~key:(Codec.key "mmp" [ t.fp.Fingerprint.structure ] [])
+         ~codec:Codec.report ~memo:t.m_mmp
+         ~scratch:(fun () -> Scratch.mmp t.net)
+         ~equal:equal_report)
+      with
+      fast =
+        (fun () ->
+          if Graph.is_empty g || not (is_connected_now t) then
+            Some (Scratch.mmp t.net)
+          else None);
+      compute =
+        (fun () ->
+          run_catch (fun () ->
+              Mmp.place_report_decomposed g (decomposition t)));
+    }
 
 let classify t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_classify with
-    | Some r ->
-        memo_hit t.counters Q_classify;
-        r
-    | None ->
-        memo_miss t.counters Q_classify;
-        let key = Codec.key_classification t.fp in
-        let r =
-          match store_find t key Codec.decode_classification with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "classify") ]
-                  "session.compute"
-                  (fun () -> Scratch.classify t.net)
-              in
-              store_put t key (Codec.encode_classification r);
-              r
-        in
-        e.e_classify <- Some r;
-        r
-  in
-  differential t "classify" equal_classification r (fun () ->
-      Scratch.classify t.net);
-  r
+  run t
+    (query ~key:(state_key t "cls" []) ~codec:Codec.classification
+       ~memo:t.m_classify
+       ~scratch:(fun () -> Scratch.classify t.net)
+       ~equal:equal_classification)
 
 let plan t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_plan with
-    | Some r ->
-        memo_hit t.counters Q_plan;
-        r
-    | None ->
-        memo_miss t.counters Q_plan;
-        let key = Codec.key_plan ~seed:t.seed t.fp in
-        let r =
-          match store_find t key (Codec.decode_plan ~net:t.net) with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "plan") ]
-                  "session.compute"
-                  (fun () -> Scratch.plan ~seed:t.seed t.net)
-              in
-              store_put t key (Codec.encode_plan r);
-              r
-        in
-        e.e_plan <- Some r;
-        r
-  in
-  differential t "plan" equal_plan r (fun () -> Scratch.plan ~seed:t.seed t.net);
-  r
+  run t
+    (query ~key:(state_key t "plan" [ t.seed ]) ~codec:(Codec.plan ~net:t.net)
+       ~memo:t.m_plan
+       ~scratch:(fun () -> Scratch.plan ~seed:t.seed t.net)
+       ~equal:equal_plan)
 
 (* NETTOMO_CHECK: on graphs small enough for Partial.analyze's Exact
    mode, the structural classifier must reproduce the rank oracle's
@@ -872,84 +794,38 @@ let coverage_oracle t r =
                     (Fingerprint.to_string t.fp)))
 
 let coverage t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_coverage with
-    | Some r ->
-        memo_hit t.counters Q_coverage;
-        r
-    | None ->
-        memo_miss t.counters Q_coverage;
-        let key = Codec.key_coverage ~seed:t.seed t.fp in
-        let r =
-          match store_find t key Codec.decode_coverage with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "coverage") ]
-                  "session.compute"
-                  (fun () -> Scratch.coverage ~seed:t.seed t.net)
-              in
-              (match r with
-              | Ok rep ->
-                  Obs.Metrics.incr
-                    ~by:(ES.cardinal rep.Coverage.identifiable)
-                    t.counters.c_coverage_identifiable;
-                  Obs.Metrics.incr
-                    ~by:(ES.cardinal rep.Coverage.unidentifiable)
-                    t.counters.c_coverage_unidentifiable
-              | Error _ -> ());
-              store_put t key (Codec.encode_coverage r);
-              r
-        in
-        e.e_coverage <- Some r;
-        r
-  in
-  differential t "coverage" equal_coverage r (fun () ->
-      Scratch.coverage ~seed:t.seed t.net);
-  coverage_oracle t r;
-  r
+  run t
+    {
+      (query ~key:(state_key t "cov" [ t.seed ]) ~codec:Codec.coverage
+         ~memo:t.m_coverage
+         ~scratch:(fun () -> Scratch.coverage ~seed:t.seed t.net)
+         ~equal:equal_coverage)
+      with
+      fresh =
+        (fun rep ->
+          Obs.Metrics.incr
+            ~by:(ES.cardinal rep.Coverage.identifiable)
+            t.counters.c_coverage_identifiable;
+          Obs.Metrics.incr
+            ~by:(ES.cardinal rep.Coverage.unidentifiable)
+            t.counters.c_coverage_unidentifiable);
+      after = coverage_oracle t;
+    }
 
 let augment t ~k =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_augment with
-    | Some (k', r) when k' = k ->
-        memo_hit t.counters Q_augment;
-        r
-    | Some _ | None ->
-        memo_miss t.counters Q_augment;
-        let key = Codec.key_augment ~seed:t.seed ~k t.fp in
-        let r =
-          match store_find t key Codec.decode_augment with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "augment") ]
-                  "session.compute"
-                  (fun () -> Scratch.augment ~seed:t.seed ~k t.net)
-              in
-              (match r with
-              | Ok p ->
-                  Obs.Metrics.incr
-                    ~by:(List.length p.Coverage.added)
-                    t.counters.c_coverage_monitors_added
-              | Error _ -> ());
-              store_put t key (Codec.encode_augment r);
-              r
-        in
-        e.e_augment <- Some (k, r);
-        r
-  in
-  differential t "augment" equal_augment r (fun () ->
-      Scratch.augment ~seed:t.seed ~k t.net);
-  r
+  run t
+    {
+      (query ~key:(state_key t "aug" [ t.seed; k ]) ~codec:Codec.augment
+         ~memo:t.m_augment
+         ~scratch:(fun () -> Scratch.augment ~seed:t.seed ~k t.net)
+         ~equal:equal_augment)
+      with
+      fresh =
+        (fun p ->
+          Obs.Metrics.incr
+            ~by:(List.length p.Coverage.added)
+            t.counters.c_coverage_monitors_added);
+    }
 
 (* NETTOMO_CHECK: on networks small enough for the exact simple-path
    pipeline, the float metrics recovered from the constructive walks
@@ -989,42 +865,19 @@ let solve_oracle t r =
                   exact))
 
 let solve t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_solve with
-    | Some r ->
-        memo_hit t.counters Q_solve;
-        r
-    | None ->
-        memo_miss t.counters Q_solve;
-        let key = Codec.key_solution ~seed:t.seed t.fp in
-        let r =
-          match store_find t key Codec.decode_solution with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "solve") ]
-                  "session.compute"
-                  (fun () -> Scratch.solve ~seed:t.seed t.net)
-              in
-              (match r with
-              | Ok sol ->
-                  Obs.Metrics.incr ~by:sol.Solve.measurements
-                    t.counters.c_measure_walks;
-                  Obs.Metrics.incr
-                    ~by:(Array.length sol.Solve.metrics)
-                    t.counters.c_measure_links_recovered
-              | Error _ -> ());
-              store_put t key (Codec.encode_solution r);
-              r
-        in
-        e.e_solve <- Some r;
-        r
-  in
-  differential t "solve" equal_solution r (fun () ->
-      Scratch.solve ~seed:t.seed t.net);
-  solve_oracle t r;
-  r
+  run t
+    {
+      (query ~key:(state_key t "sol" [ t.seed ]) ~codec:Codec.solution
+         ~memo:t.m_solve
+         ~scratch:(fun () -> Scratch.solve ~seed:t.seed t.net)
+         ~equal:equal_solution)
+      with
+      fresh =
+        (fun sol ->
+          Obs.Metrics.incr ~by:sol.Solve.measurements
+            t.counters.c_measure_walks;
+          Obs.Metrics.incr
+            ~by:(Array.length sol.Solve.metrics)
+            t.counters.c_measure_links_recovered);
+      after = solve_oracle t;
+    }

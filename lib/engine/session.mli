@@ -7,9 +7,10 @@
     The caching scheme (see DESIGN.md §10) is content-addressed through
     {!Fingerprint}:
 
-    - per-state answers are memoized by the full fingerprint, so a
-      delta stream that revisits a state (add a link, remove it again)
-      answers in O(1);
+    - every answer is memoized under its store key (the full
+      fingerprint, or the structure half for MMP, plus the seed and
+      budget where they matter), so a delta stream that revisits a
+      state (add a link, remove it again) answers in O(1);
     - the triconnected decomposition is reassembled from a per-block
       cache keyed by each biconnected component's own fingerprint: a
       delta only pays recomputation inside the blocks it touched, and
@@ -54,13 +55,12 @@ type delta =
 val pp_delta : Format.formatter -> delta -> unit
 
 val create : ?seed:int -> ?store:Nettomo_store.Store.t -> Nettomo_core.Net.t -> t
-(** A fresh session over a network. [seed] (default 7) keys the
-    deterministic generator used by {!plan}. [store] attaches a
-    persistent second-level cache; when omitted, a non-empty
-    [NETTOMO_STORE] environment variable names a store directory to
-    open (with [NETTOMO_STORE_MAX_BYTES] optionally overriding its
-    size bound), and an empty or unset one leaves the session
-    memory-only. *)
+(** A fresh session over a network. [seed] (default 7) drives the
+    deterministic generators of {!plan}, {!coverage}, {!augment} and
+    {!solve}, and is part of their store keys. [store] attaches a
+    persistent second-level cache; without it the session is
+    memory-only — the environment is never consulted ([nettomo serve]
+    resolves [NETTOMO_STORE] itself and passes the store in). *)
 
 val net : t -> Nettomo_core.Net.t
 (** The current network. *)
@@ -109,8 +109,8 @@ val coverage : t -> (Nettomo_coverage.Coverage.report, string) result
 
 val augment : t -> k:int -> (Nettomo_coverage.Coverage.plan, string) result
 (** {!Nettomo_coverage.Coverage.augment} for a budget of [k] monitor
-    additions. Memoized per (state, [k]) — only the most recently used
-    [k] is kept in memory per state, all are persisted. *)
+    additions. Memoized and persisted per (state, [k]): every budget
+    asked for is kept, not only the latest. *)
 
 val solve : t -> (Nettomo_measure.Solve.solution, string) result
 (** A full simulated measurement campaign on the current network:

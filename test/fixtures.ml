@@ -124,3 +124,23 @@ let edgeset_testable =
         (Format.pp_print_list ~pp_sep:Format.pp_print_space Graph.pp_edge)
         (Graph.EdgeSet.elements s))
     Graph.EdgeSet.equal
+
+(* A fresh directory path under the temp dir, emptied before [f] runs
+   and removed with its files afterwards, so reruns cannot see stale
+   state. *)
+let with_temp_dir name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nettomo-test-%s-%d" name (Unix.getpid ()))
+  in
+  let rm_rf () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ()
+    end
+  in
+  rm_rf ();
+  Fun.protect ~finally:rm_rf (fun () -> f dir)

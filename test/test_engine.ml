@@ -67,7 +67,9 @@ let same name eq got want =
   if not (Session.equal_result eq got want) then
     Alcotest.failf "%s: session answer diverges from scratch" name
 
-let run_stream ~steps seed =
+(* One random delta stream, checking every answer against scratch on
+   the shadow network; returns the session for its counters. *)
+let run_stream ?store ~steps seed =
   let rng = Prng.create (0x5eed + (1000 * seed)) in
   let n = 8 + Prng.int rng 7 in
   let extra = Prng.int rng 8 in
@@ -75,7 +77,7 @@ let run_stream ~steps seed =
   let nodes = Graph.node_array g in
   let k = min (Array.length nodes) (3 + Prng.int rng 3) in
   let monitors = Array.to_list (Prng.sample rng k nodes) in
-  let s = Session.create ~seed (Net.create g ~monitors) in
+  let s = Session.create ~seed ?store (Net.create g ~monitors) in
   let sh = { g; mon = NS.of_list monitors } in
   for step = 1 to steps do
     let d = random_delta rng sh in
@@ -101,16 +103,49 @@ let run_stream ~steps seed =
         (Session.Scratch.plan ~seed:(Session.seed s) refnet);
     if step mod 8 = 4 then
       same "solve" Session.equal_solution (Session.solve s)
-        (Session.Scratch.solve ~seed:(Session.seed s) refnet)
-  done
+        (Session.Scratch.solve ~seed:(Session.seed s) refnet);
+    if step mod 2 = 1 then
+      same "coverage" Session.equal_coverage (Session.coverage s)
+        (Session.Scratch.coverage ~seed:(Session.seed s) refnet);
+    if step mod 8 = 2 then
+      same "augment" Session.equal_augment (Session.augment s ~k:2)
+        (Session.Scratch.augment ~seed:(Session.seed s) ~k:2 refnet)
+  done;
+  s
 
 let test_differential_streams () =
   (* ≥ 50 independent streams; even seeds additionally run under the
      NETTOMO_CHECK invariant layer so the engine's internal differential
      checks fire too. *)
   for seed = 0 to 54 do
-    Invariant.with_enabled (seed mod 2 = 0) (fun () -> run_stream ~steps:22 seed)
+    Invariant.with_enabled (seed mod 2 = 0) (fun () ->
+        ignore (run_stream ~steps:22 seed))
   done
+
+module Store = Nettomo_store.Store
+
+(* The same streams twice over one store: a cold session publishes
+   every answer it computes, then a fresh session replaying the stream
+   must answer everything from the store. Both passes check each answer
+   against scratch on the same states, so their answers are equal; the
+   warm pass also runs the session's own differential on every store
+   hit. *)
+let test_warm_store_replay () =
+  Fixtures.with_temp_dir "warm-replay" (fun dir ->
+      let store = Store.open_dir dir in
+      List.iter
+        (fun seed ->
+          let cold = run_stream ~store ~steps:22 seed in
+          check cb "cold pass computes" true
+            ((Session.stats cold).Session.full_computes > 0);
+          let warm =
+            Invariant.with_enabled true (fun () ->
+                run_stream ~store ~steps:22 seed)
+          in
+          check Alcotest.int
+            (Printf.sprintf "stream %d: warm pass computes nothing" seed)
+            0 (Session.stats warm).Session.full_computes)
+        [ 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Invalid deltas: error out and leave the session untouched           *)
@@ -202,24 +237,8 @@ let test_incremental_shortcuts () =
 (* Solve: memo on revisit, store round-trip across sessions, and the   *)
 (* NETTOMO_CHECK differential vs the exact solver                      *)
 
-module Store = Nettomo_store.Store
-
 let test_solve_memo_and_store () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nettomo-test-solve-store-%d" (Unix.getpid ()))
-  in
-  let rm_rf () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
-  in
-  rm_rf ();
-  Fun.protect ~finally:rm_rf (fun () ->
+  Fixtures.with_temp_dir "solve-store" (fun dir ->
       Invariant.with_enabled true (fun () ->
           let net = Net.create Fixtures.petersen ~monitors:[ 0; 1; 2 ] in
           let store = Store.open_dir dir in
@@ -360,4 +379,6 @@ let suite =
       test_batch_jobs_deterministic;
     Alcotest.test_case "batch equals single queries" `Quick
       test_batch_equals_single;
+    Alcotest.test_case "warm store replay computes nothing" `Quick
+      test_warm_store_replay;
   ]

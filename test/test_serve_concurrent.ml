@@ -135,19 +135,6 @@ let replay requests =
 
 (* ---------- harness ---------- *)
 
-(* Sessions fall back to the NETTOMO_STORE environment variable; a
-   store leaking in from the environment would warm answers across the
-   live run and the replay differently. Force it off, restore after. *)
-let with_no_store_env f =
-  let prev = Sys.getenv_opt "NETTOMO_STORE" in
-  Unix.putenv "NETTOMO_STORE" "";
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some v -> Unix.putenv "NETTOMO_STORE" v
-      | None -> ())
-    f
-
 let sock_counter = ref 0
 
 let fresh_sock_path () =
@@ -157,19 +144,18 @@ let fresh_sock_path () =
 
 let with_server ?max_conns ?max_line_bytes ?shed_wait_p95 ?slow_ms ?store
     ?(jobs = 4) f =
-  with_no_store_env (fun () ->
-      Pool.with_pool ~jobs (fun pool ->
-          let path = fresh_sock_path () in
-          let server =
-            Server.create ~emit_wall_ms:false ?max_conns ?max_line_bytes
-              ?shed_wait_p95 ?slow_ms ?store ~pool (Server.Unix_socket path)
-          in
-          let d = Domain.spawn (fun () -> Server.run server) in
-          Fun.protect
-            ~finally:(fun () ->
-              Server.shutdown server;
-              Domain.join d)
-            (fun () -> f ~path ~server ~pool)))
+  Pool.with_pool ~jobs (fun pool ->
+      let path = fresh_sock_path () in
+      let server =
+        Server.create ~emit_wall_ms:false ?max_conns ?max_line_bytes
+          ?shed_wait_p95 ?slow_ms ?store ~pool (Server.Unix_socket path)
+      in
+      let d = Domain.spawn (fun () -> Server.run server) in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.shutdown server;
+          Domain.join d)
+        (fun () -> f ~path ~server ~pool))
 
 let gauge g = int_of_float (Obs.Metrics.gauge_value g)
 
@@ -792,8 +778,7 @@ let run_serial_soak () =
   Obs.Metrics.reset ();
   Obs.Clock.use_fake ();
   let transcripts =
-    with_no_store_env (fun () ->
-        Array.init soak_clients (fun k -> replay (soak_workload k)))
+    Array.init soak_clients (fun k -> replay (soak_workload k))
   in
   (counter_lines (Obs.Metrics.dump ()), transcripts)
 
