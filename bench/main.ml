@@ -1216,6 +1216,9 @@ let solve_scale cfg =
             | Ok p -> p
             | Error msg -> failwith ("solve-scale: " ^ msg))
       in
+      (* The flat graph is verified inside [plan]; the walk family here,
+         outside the timed region. *)
+      Inv.check (fun () -> Measure_paths.Invariant.check net plan);
       let w =
         Array.map Q.to_float
           (Array.map (Measurement.weight truth)

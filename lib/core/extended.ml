@@ -7,7 +7,7 @@ let extend net =
   if Net.kappa net = 0 then Errors.invalid_arg "Extended.extend: no monitors";
   let g = Net.graph net in
   let vm1 = Graph.fresh_node g in
-  let vm2 = vm1 + 1 in
+  let vm2 = Graph.fresh_node (Graph.add_node g vm1) in
   let graph =
     Graph.NodeSet.fold
       (fun m acc -> Graph.add_edge (Graph.add_edge acc vm1 m) vm2 m)

@@ -15,7 +15,8 @@ type t = {
 
 val extend : Net.t -> t
 (** Raises [Invalid_argument] if the network has no monitors. The virtual
-    monitors receive fresh node identifiers above every existing node. *)
+    monitors receive fresh node identifiers from {!Graph.fresh_node}:
+    above every existing node, unless that node is [max_int]. *)
 
 val as_two_monitor_net : Net.t -> Net.t
 (** The extended graph as a 2-monitor network on the virtual monitors —

@@ -368,10 +368,7 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
               let netc = Net.create gc ~monitors in
               let sampled () =
                 escalate Sampled;
-                let seed_paths =
-                  Nettomo_measure.Paths.simple_candidates
-                    (Nettomo_measure.Csr.of_net netc)
-                in
+                let seed_paths = Nettomo_measure.Paths.simple_candidates netc in
                 (* On components beyond the exact-enumeration range the
                    structured spanning-tree seeds already reach
                    near-maximal membership, so the random layer only

@@ -1,5 +1,3 @@
-module Errors = Nettomo_util.Errors
-module C = Graph.Compact
 module NS = Graph.NodeSet
 module ES = Graph.EdgeSet
 
@@ -7,23 +5,23 @@ type component = { nodes : NS.t; edges : ES.t }
 
 type result = { components : component list; cut_vertices : NS.t }
 
-(* Iterative Tarjan biconnected-components DFS over the compact form.
-   [skip_node] is an optional compact index to pretend-delete so that
+(* Iterative Tarjan biconnected-components DFS over the Csr rows.
+   [skip_node] is an optional Csr index to pretend-delete so that
    3-vertex-connectivity sweeps can test G - v in place.
 
    Returns (blocks as index-edge lists, cut vertex indices, isolated
    visited roots, number of connected components). *)
-let decompose_compact (c : C.t) ~skip_node =
+let decompose_csr (c : Csr.t) ~skip_node =
   let n = c.n in
   let disc = Array.make n (-1) in
   let low = Array.make n max_int in
   let parent = Array.make n (-1) in
   let parent_skipped = Array.make n false in
-  let next_child = Array.make n 0 in
+  (* Position in [c.adj] of each node's next unscanned neighbour. *)
+  let next = Array.sub c.xadj 0 n in
   let children_of_root = Array.make n 0 in
   let is_cut = Array.make n false in
   let time = ref 0 in
-  let visited = ref 0 in
   let n_components = ref 0 in
   let edge_stack = ref [] in
   let blocks = ref [] in
@@ -49,16 +47,14 @@ let decompose_compact (c : C.t) ~skip_node =
       disc.(root) <- !time;
       low.(root) <- !time;
       incr time;
-      incr visited;
       let root_had_edges = ref false in
       while !stack <> [] do
         match !stack with
         | [] -> ()
         | u :: rest ->
-            let adj = c.adj.(u) in
-            if next_child.(u) < Array.length adj then begin
-              let v = adj.(next_child.(u)) in
-              next_child.(u) <- next_child.(u) + 1;
+            if next.(u) < c.xadj.(u + 1) then begin
+              let v = c.adj.(next.(u)) in
+              next.(u) <- next.(u) + 1;
               if skipped v then ()
               else if v = parent.(u) && not parent_skipped.(u) then
                 parent_skipped.(u) <- true
@@ -70,7 +66,6 @@ let decompose_compact (c : C.t) ~skip_node =
                 disc.(v) <- !time;
                 low.(v) <- !time;
                 incr time;
-                incr visited;
                 stack := v :: !stack
               end
               else if disc.(v) < disc.(u) then begin
@@ -100,25 +95,24 @@ let decompose_compact (c : C.t) ~skip_node =
   for v = 0 to n - 1 do
     dfs_from v
   done;
-  ignore !visited;
   (!blocks, is_cut, !isolated_roots, !n_components)
 
 module Internal = struct
-  let decompose_compact = decompose_compact
+  let decompose_csr = decompose_csr
 
   let connected_and_cut_free c skip_node =
-    let _, is_cut, _, n_components = decompose_compact c ~skip_node in
+    let _, is_cut, _, n_components = decompose_csr c ~skip_node in
     n_components <= 1 && Array.for_all not is_cut
 end
 
 let decompose g =
   Nettomo_obs.Obs.Trace.span "graph.biconnected" @@ fun () ->
-  let c = C.of_graph g in
-  let blocks, is_cut, isolated, _ = decompose_compact c ~skip_node:None in
+  let c = Csr.of_graph g in
+  let blocks, is_cut, isolated, _ = decompose_csr c ~skip_node:None in
   let component_of_block edge_idxs =
     List.fold_left
       (fun acc (a, b) ->
-        let e = Graph.edge (C.id c a) (C.id c b) in
+        let e = Graph.edge c.ids.(a) c.ids.(b) in
         {
           nodes = NS.add (fst e) (NS.add (snd e) acc.nodes);
           edges = ES.add e acc.edges;
@@ -130,25 +124,16 @@ let decompose g =
   let components =
     List.fold_left
       (fun acc i ->
-        { nodes = NS.singleton (C.id c i); edges = ES.empty } :: acc)
+        { nodes = NS.singleton c.ids.(i); edges = ES.empty } :: acc)
       components isolated
   in
   let cut_vertices = ref NS.empty in
   Array.iteri
-    (fun i cut -> if cut then cut_vertices := NS.add (C.id c i) !cut_vertices)
+    (fun i cut -> if cut then cut_vertices := NS.add c.ids.(i) !cut_vertices)
     is_cut;
   { components; cut_vertices = !cut_vertices }
 
 let cut_vertices g = (decompose g).cut_vertices
 
 let is_biconnected g =
-  Graph.n_nodes g >= 3 && Internal.connected_and_cut_free (C.of_graph g) None
-
-let is_connected_and_cut_free_without g v =
-  if not (Graph.mem_node g v) then
-    Errors.invalid_arg "Biconnected.is_connected_and_cut_free_without: unknown node";
-  let c = C.of_graph g in
-  Internal.connected_and_cut_free c (Some (C.index c v))
-
-let is_biconnected_without g v =
-  Graph.n_nodes g >= 4 && is_connected_and_cut_free_without g v
+  Graph.n_nodes g >= 3 && Internal.connected_and_cut_free (Csr.of_graph g) None

@@ -27,30 +27,23 @@ val cut_vertices : Graph.t -> Graph.NodeSet.t
 val is_biconnected : Graph.t -> bool
 (** 2-vertex-connectivity: ≥ 3 nodes, connected, and no cut vertex. *)
 
-val is_biconnected_without : Graph.t -> Graph.node -> bool
-(** [is_biconnected_without g v] tests whether [G - v] is biconnected,
-    without building the smaller graph. *)
-
-val is_connected_and_cut_free_without : Graph.t -> Graph.node -> bool
-(** Whether [G - v] is connected and has no cut vertex (no constraint on
-    its size). This is the building block of the 3-vertex-connectivity
-    sweep: [G] with ≥ 4 nodes is 3-vertex-connected iff [G - v] is
-    connected and cut-free for every node [v]. *)
-
 (**/**)
 
-(** Low-level entry points over the compact form, shared with
-    {!Separation} so that sweeps over all [G - v] reuse one adjacency
-    structure. Not part of the stable API. *)
+(** Low-level entry points over {!Csr} rows, shared with {!Separation}
+    so that a sweep over every [G - v] flattens the graph once. Not part
+    of the stable API. *)
 module Internal : sig
-  val decompose_compact :
-    Graph.Compact.t ->
+  val decompose_csr :
+    Csr.t ->
     skip_node:int option ->
     (int * int) list list * bool array * int list * int
-  (** [(blocks as compact-index edge lists, is-cut-vertex array, isolated
+  (** [(blocks as Csr-index edge lists, is-cut-vertex array, isolated
       visited roots, connected-component count)] of the graph minus the
       skipped index. *)
 
-  val connected_and_cut_free : Graph.Compact.t -> int option -> bool
+  val connected_and_cut_free : Csr.t -> int option -> bool
+  (** Whether the graph minus the skipped index is connected and has no
+      cut vertex (no constraint on its size) — the building block of the
+      3-vertex-connectivity sweep: [G] with ≥ 4 nodes is
+      3-vertex-connected iff this holds with every node skipped. *)
 end
-

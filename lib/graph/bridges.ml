@@ -1,11 +1,10 @@
 module Errors = Nettomo_util.Errors
-module C = Graph.Compact
 
 (* Iterative Tarjan lowlink computation. [skip] is an optional edge (as a
-   pair of compact indices) to pretend-delete, so callers can test G - l
+   pair of Csr indices) to pretend-delete, so callers can test G - l
    without rebuilding adjacency. Returns the bridge list as index pairs
    and whether the traversal from index 0 reached every node. *)
-let bridges_compact (c : C.t) ~skip =
+let bridges_csr (c : Csr.t) ~skip =
   let n = c.n in
   if n = 0 then ([], true)
   else begin
@@ -23,7 +22,8 @@ let bridges_compact (c : C.t) ~skip =
       | None -> false
       | Some (a, b) -> (u = a && v = b) || (u = b && v = a)
     in
-    let next_child = Array.make n 0 in
+    (* Position in [c.adj] of each node's next unscanned neighbour. *)
+    let next = Array.sub c.xadj 0 n in
     let dfs_from root =
       if disc.(root) >= 0 then ()
       else begin
@@ -36,10 +36,9 @@ let bridges_compact (c : C.t) ~skip =
           match !stack with
           | [] -> ()
           | u :: rest ->
-              let adj = c.adj.(u) in
-              if next_child.(u) < Array.length adj then begin
-                let v = adj.(next_child.(u)) in
-                next_child.(u) <- next_child.(u) + 1;
+              if next.(u) < c.xadj.(u + 1) then begin
+                let v = c.adj.(next.(u)) in
+                next.(u) <- next.(u) + 1;
                 if skipped u v then ()
                 else if v = parent.(u) && not parent_skipped.(u) then
                   parent_skipped.(u) <- true
@@ -75,23 +74,22 @@ let bridges_compact (c : C.t) ~skip =
   end
 
 let bridges g =
-  let c = C.of_graph g in
-  let idx_bridges, _ = bridges_compact c ~skip:None in
+  let c = Csr.of_graph g in
+  let idx_bridges, _ = bridges_csr c ~skip:None in
   List.fold_left
-    (fun acc (u, v) -> Graph.EdgeSet.add (Graph.edge (C.id c u) (C.id c v)) acc)
+    (fun acc (u, v) -> Graph.EdgeSet.add (Graph.edge c.ids.(u) c.ids.(v)) acc)
     Graph.EdgeSet.empty idx_bridges
 
-let two_edge_connected_compact c ~skip =
-  if c.C.n < 2 then false
+let two_edge_connected_csr (c : Csr.t) ~skip =
+  if c.n < 2 then false
   else
-    let idx_bridges, connected = bridges_compact c ~skip in
+    let idx_bridges, connected = bridges_csr c ~skip in
     connected && idx_bridges = []
 
-let is_two_edge_connected g =
-  two_edge_connected_compact (C.of_graph g) ~skip:None
+let is_two_edge_connected g = two_edge_connected_csr (Csr.of_graph g) ~skip:None
 
 let is_two_edge_connected_without g (u, v) =
   if not (Graph.mem_edge g u v) then
     Errors.invalid_arg "Bridges.is_two_edge_connected_without: edge not in graph";
-  let c = C.of_graph g in
-  two_edge_connected_compact c ~skip:(Some (C.index c u, C.index c v))
+  let c = Csr.of_graph g in
+  two_edge_connected_csr c ~skip:(Some (Csr.index c u, Csr.index c v))

@@ -1,5 +1,4 @@
 module Errors = Nettomo_util.Errors
-module C = Graph.Compact
 
 (* Unit-capacity max flow on a directed residual network given by arrays,
    using BFS augmentation (Edmonds–Karp). Capacities are small (0/1 or a
@@ -15,8 +14,6 @@ module Flow = struct
     rev : int array;
     out_arcs : int list array;
   }
-
-  let create n = { n; heads = [||]; caps = [||]; rev = [||]; out_arcs = Array.make n [] }
 
   (* Build from an arc list: (src, dst, cap). Adds reverse arcs with
      capacity 0. *)
@@ -85,8 +82,6 @@ module Flow = struct
       incr flow
     done;
     !flow
-
-  let _ = create
 end
 
 let check_pair g s d =
@@ -94,19 +89,26 @@ let check_pair g s d =
   if not (Graph.mem_node g s && Graph.mem_node g d) then
     Errors.invalid_arg "Connectivity: unknown endpoint"
 
-let edge_flow_network c =
+(* Each half-edge [u → adj.(p)] of the Csr rows, in row order, as
+   [f u adj.(p)]. *)
+let iter_half_edges (c : Csr.t) f =
+  for u = 0 to c.n - 1 do
+    for p = c.xadj.(u) to c.xadj.(u + 1) - 1 do
+      f u c.adj.(p)
+    done
+  done
+
+let edge_flow_network (c : Csr.t) =
   (* Each undirected link becomes two unit arcs. *)
   let arcs = ref [] in
-  Array.iteri
-    (fun u nbrs -> Array.iter (fun v -> arcs := (u, v, 1) :: !arcs) nbrs)
-    c.C.adj;
-  Flow.of_arcs c.C.n !arcs
+  iter_half_edges c (fun u v -> arcs := (u, v, 1) :: !arcs);
+  Flow.of_arcs c.n !arcs
 
 let max_flow_edges_limited g s d limit =
   check_pair g s d;
-  let c = C.of_graph g in
+  let c = Csr.of_graph g in
   let net = edge_flow_network c in
-  Flow.max_flow ?limit net (C.index c s) (C.index c d)
+  Flow.max_flow ?limit net (Csr.index c s) (Csr.index c d)
 
 let max_flow_edges g s d = max_flow_edges_limited g s d None
 
@@ -116,23 +118,20 @@ let max_flow_edges g s d = max_flow_edges_limited g s d None
    v_out → u_in of capacity 1. Unit capacity on link arcs is enough —
    vertex-disjoint paths use each link at most once — and it makes the
    direct s-d link count as exactly one path. *)
-let vertex_flow_network c ~s ~d =
-  let inf = c.C.n + 10 in
+let vertex_flow_network (c : Csr.t) ~s ~d =
+  let inf = c.n + 10 in
   let arcs = ref [] in
-  for x = 0 to c.C.n - 1 do
+  for x = 0 to c.n - 1 do
     let cap = if x = s || x = d then inf else 1 in
     arcs := ((2 * x), (2 * x) + 1, cap) :: !arcs
   done;
-  Array.iteri
-    (fun u nbrs ->
-      Array.iter (fun v -> arcs := (((2 * u) + 1), 2 * v, 1) :: !arcs) nbrs)
-    c.C.adj;
-  Flow.of_arcs (2 * c.C.n) !arcs
+  iter_half_edges c (fun u v -> arcs := (((2 * u) + 1), 2 * v, 1) :: !arcs);
+  Flow.of_arcs (2 * c.n) !arcs
 
 let max_flow_vertices_limited g s d limit =
   check_pair g s d;
-  let c = C.of_graph g in
-  let si = C.index c s and di = C.index c d in
+  let c = Csr.of_graph g in
+  let si = Csr.index c s and di = Csr.index c d in
   let net = vertex_flow_network c ~s:si ~d:di in
   Flow.max_flow ?limit net ((2 * si) + 1) (2 * di)
 

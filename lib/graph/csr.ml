@@ -1,0 +1,101 @@
+type t = {
+  n : int;
+  m : int;
+  ids : Graph.node array;
+  xadj : int array;
+  adj : int array;
+  eid : int array;
+  ends : int array;
+}
+
+(* Binary search in the increasing identifier array; -1 when absent. *)
+let find ids v =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if ids.(mid) = v then mid else if ids.(mid) < v then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ids)
+
+let index t v =
+  match find t.ids v with
+  | -1 -> Nettomo_util.Errors.invalid_arg "Csr.index: node not in the graph"
+  | i -> i
+
+let endpoints t k = (t.ends.(2 * k), t.ends.((2 * k) + 1))
+let edge t k = (t.ids.(t.ends.(2 * k)), t.ids.(t.ends.((2 * k) + 1)))
+
+module Invariant = struct
+  (* Every row and link is compared with the graph's own sorted
+     accessors, which never look at the flat form. *)
+  let check g t =
+    let req = Nettomo_util.Invariant.require in
+    let ints = List.equal Int.equal in
+    req
+      (ints (Array.to_list t.ids) (Graph.nodes g)
+      && t.n = Array.length t.ids
+      && t.m = Graph.n_edges g
+      && Array.length t.xadj = t.n + 1
+      && t.xadj.(t.n) = 2 * t.m
+      && Array.length t.adj = 2 * t.m
+      && Array.length t.eid = 2 * t.m
+      && Array.length t.ends = 2 * t.m)
+      "Csr: %d nodes and %d links do not match the graph or the arrays" t.n t.m;
+    List.iteri
+      (fun k e ->
+        req (Graph.edge_equal (edge t k) e) "Csr: link %d out of lexicographic order" k)
+      (Graph.edges g);
+    Array.iteri
+      (fun i v ->
+        let lo = t.xadj.(i) and hi = t.xadj.(i + 1) in
+        let row = Array.to_list (Array.sub t.adj lo (hi - lo)) in
+        req
+          (ints (List.map (fun j -> t.ids.(j)) row) (Graph.neighbor_list g v))
+          "Csr: row %d is not the sorted neighbour set of node %d" i v;
+        for p = lo to hi - 1 do
+          req
+            (Graph.edge_equal (edge t t.eid.(p)) (Graph.edge v t.ids.(t.adj.(p))))
+            "Csr: half-edge %d of row %d carries the wrong link" p i
+        done)
+      t.ids
+end
+
+let of_graph g =
+  let ids = Graph.node_array g in
+  let n = Array.length ids and m = Graph.n_edges g in
+  let nbrs = Array.map (Graph.neighbors g) ids in
+  let xadj = Array.make (n + 1) 0 in
+  Array.iteri (fun i s -> xadj.(i + 1) <- xadj.(i) + Graph.NodeSet.cardinal s) nbrs;
+  let adj = Array.make (2 * m) 0
+  and eid = Array.make (2 * m) 0
+  and ends = Array.make (2 * m) 0 in
+  (* One cursor pass in increasing row order: scanning row [i] numbers
+     its links to higher neighbours [j] in increasing order — the
+     lexicographic link order — and appends each to both rows. Row [j]
+     thus receives its lower neighbours, in increasing order, before its
+     own scan appends the higher ones, so every row comes out sorted. *)
+  let cursor = Array.sub xadj 0 n in
+  let half i j k =
+    adj.(cursor.(i)) <- j;
+    eid.(cursor.(i)) <- k;
+    cursor.(i) <- cursor.(i) + 1
+  in
+  let k = ref 0 in
+  Array.iteri
+    (fun i s ->
+      Graph.NodeSet.iter
+        (fun v ->
+          if v > ids.(i) then begin
+            let j = find ids v in
+            half i j !k;
+            half j i !k;
+            ends.(2 * !k) <- i;
+            ends.((2 * !k) + 1) <- j;
+            incr k
+          end)
+        s)
+    nbrs;
+  let t = { n; m; ids; xadj; adj; eid; ends } in
+  Nettomo_util.Invariant.check (fun () -> Invariant.check g t);
+  t

@@ -145,7 +145,14 @@ let max_degree g =
   else NodeMap.fold (fun _ nbrs acc -> max acc (NodeSet.cardinal nbrs)) g.adj 0
 
 let fresh_node g =
-  match NodeMap.max_binding_opt g.adj with None -> 0 | Some (v, _) -> v + 1
+  match NodeMap.max_binding_opt g.adj with
+  | None -> 0
+  | Some (hi, _) when hi < max_int -> hi + 1
+  | Some _ ->
+      (* [max_int + 1] wraps onto [min_int], which may be a node: take
+         the first free identifier upwards from there instead. *)
+      let rec free v = if mem_node g v then free (v + 1) else v in
+      free min_int
 
 let equal g1 g2 =
   NodeMap.equal NodeSet.equal g1.adj g2.adj
@@ -154,42 +161,6 @@ let pp ppf g =
   Format.fprintf ppf "@[<hv>graph{%d nodes, %d links:" (n_nodes g) (n_edges g);
   iter_edges (fun e -> Format.fprintf ppf "@ %a" pp_edge e) g;
   Format.fprintf ppf "}@]"
-
-module Compact = struct
-  type graph = t
-
-  type t = {
-    n : int;
-    ids : node array;
-    index_of : int NodeMap.t;
-    adj : int array array;
-  }
-
-  let of_graph g =
-    let ids = node_array g in
-    let n = Array.length ids in
-    let index_of =
-      Array.to_seq ids
-      |> Seq.mapi (fun i v -> (v, i))
-      |> NodeMap.of_seq
-    in
-    let adj =
-      Array.map
-        (fun v ->
-          neighbors g v |> NodeSet.elements
-          |> List.map (fun u -> NodeMap.find u index_of)
-          |> Array.of_list)
-        ids
-    in
-    { n; ids; index_of; adj }
-
-  let index t v =
-    match NodeMap.find_opt v t.index_of with
-    | Some i -> i
-    | None -> Errors.invalid_arg "Graph.Compact.index: unknown node"
-
-  let id t i = t.ids.(i)
-end
 
 module Invariant = struct
   module I = Nettomo_util.Invariant

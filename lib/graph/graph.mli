@@ -9,7 +9,7 @@
 
     The structure is persistent: all operations return new graphs and
     never mutate their argument. Traversal-heavy algorithms should convert
-    to the array-based {!Compact} form once and work there. *)
+    to the flat {!Csr} form once and work there. *)
 
 type node = int
 
@@ -108,30 +108,14 @@ val min_degree : t -> int
 val max_degree : t -> int
 
 val fresh_node : t -> node
-(** An identifier strictly larger than every node in the graph (0 when
-    empty). Used to mint virtual monitors. *)
+(** An identifier not in the graph: one more than the largest node (0
+    when empty) or, when the largest node is [max_int], the smallest
+    free identifier. Used to mint virtual monitors. *)
 
 val equal : t -> t -> bool
 (** Equality of node sets and link sets. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Immutable array-based view for traversal algorithms: nodes are
-    re-indexed to [0 … n-1] with adjacency arrays. *)
-module Compact : sig
-  type graph = t
-
-  type t = private {
-    n : int;
-    ids : node array;  (** index → original identifier *)
-    index_of : int NodeMap.t;  (** original identifier → index *)
-    adj : int array array;  (** adjacency lists by index *)
-  }
-
-  val of_graph : graph -> t
-  val index : t -> node -> int
-  val id : t -> int -> node
-end
 
 (** Verification of the representation invariants, part of the debug
     invariant layer (see {!Nettomo_util.Invariant}). *)

@@ -1,29 +1,25 @@
-module C = Graph.Compact
-module NS = Graph.NodeSet
 module ES = Graph.EdgeSet
 
 (* Shared sweep: call [f v u] for every ordered pair where u is a
    cut-vertex of G - v, for non-cut-vertex v, and with G - v connected.
    [f] returns [true] to continue, [false] to stop the sweep early. *)
 let sweep g ~f =
-  let c = C.of_graph g in
+  let c = Csr.of_graph g in
   let n = c.n in
   if n >= 4 then begin
-    let _, is_cut0, _, _ =
-      Biconnected.Internal.decompose_compact c ~skip_node:None
-    in
+    let _, is_cut0, _, _ = Biconnected.Internal.decompose_csr c ~skip_node:None in
     let continue_ = ref true in
     let v = ref 0 in
     while !continue_ && !v < n do
       if not is_cut0.(!v) then begin
         let _, is_cut, _, n_components =
-          Biconnected.Internal.decompose_compact c ~skip_node:(Some !v)
+          Biconnected.Internal.decompose_csr c ~skip_node:(Some !v)
         in
         if n_components <= 1 then begin
           let u = ref 0 in
           while !continue_ && !u < n do
             if is_cut.(!u) && not is_cut0.(!u) then
-              continue_ := f (C.id c !v) (C.id c !u);
+              continue_ := f c.ids.(!v) c.ids.(!u);
             incr u
           done
         end
@@ -47,20 +43,13 @@ let first_cut_pair g =
       false);
   !found
 
-let cut_pair_members g =
-  let acc = ref NS.empty in
-  sweep g ~f:(fun v u ->
-      acc := NS.add v (NS.add u !acc);
-      true);
-  !acc
-
 let is_three_vertex_connected g =
   Graph.n_nodes g >= 4
   &&
-  let c = C.of_graph g in
+  let c = Csr.of_graph g in
   let ok = ref true in
   let v = ref 0 in
-  while !ok && !v < c.C.n do
+  while !ok && !v < c.n do
     if not (Biconnected.Internal.connected_and_cut_free c (Some !v)) then
       ok := false;
     incr v

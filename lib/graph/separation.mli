@@ -18,9 +18,6 @@ val cut_pairs : Graph.t -> Graph.edge list
 val first_cut_pair : Graph.t -> Graph.edge option
 (** Some minimal 2-vertex cut, with early exit, or [None]. *)
 
-val cut_pair_members : Graph.t -> Graph.NodeSet.t
-(** All nodes belonging to at least one minimal 2-vertex cut. *)
-
 val is_three_vertex_connected : Graph.t -> bool
 (** Whether the graph is 3-vertex-connected: at least 4 nodes, and
     [G - v] is connected and cut-vertex-free for every node [v]. This is

@@ -1,4 +1,5 @@
 open Nettomo_graph
+module Net = Nettomo_core.Net
 module Invariant_gate = Nettomo_util.Invariant
 
 type kind = Trunk | Probe of int | Chord of int
@@ -16,10 +17,13 @@ type t = {
   chord_row : int array;
 }
 
+let flatten net =
+  Nettomo_obs.Obs.Trace.span "measure.csr" @@ fun () -> Csr.of_graph (Net.graph net)
+
 (* Deterministic BFS over the sorted Csr rows: parent, the link index to
    the parent, depth, and the visit order. *)
 let bfs (csr : Csr.t) root =
-  let n = csr.Csr.n in
+  let n = csr.n in
   let parent = Array.make n (-1)
   and parent_eid = Array.make n (-1)
   and depth = Array.make n (-1)
@@ -32,27 +36,29 @@ let bfs (csr : Csr.t) root =
     let u = Queue.pop queue in
     order.(!filled) <- u;
     incr filled;
-    for k = csr.Csr.xadj.(u) to csr.Csr.xadj.(u + 1) - 1 do
-      let v = csr.Csr.adj.(k) in
+    for k = csr.xadj.(u) to csr.xadj.(u + 1) - 1 do
+      let v = csr.adj.(k) in
       if depth.(v) < 0 then begin
         depth.(v) <- depth.(u) + 1;
         parent.(v) <- u;
-        parent_eid.(v) <- csr.Csr.eid.(k);
+        parent_eid.(v) <- csr.eid.(k);
         Queue.add v queue
       end
     done
   done;
   (parent, parent_eid, depth, order, !filled)
 
-let of_csr (csr : Csr.t) =
+let plan net =
+  let csr = flatten net in
   Nettomo_obs.Obs.Trace.span "measure.plan" @@ fun () ->
-  match Csr.monitor_indices csr with
+  match Net.monitor_list net with
   | [] | [ _ ] -> Error "needs at least two monitors"
-  | root :: second :: _ ->
+  | r :: s :: _ ->
+      let root = Csr.index csr r and second = Csr.index csr s in
       let parent, parent_eid, depth, order, reached = bfs csr root in
-      if reached < csr.Csr.n then Error "disconnected topology"
+      if reached < csr.n then Error "disconnected topology"
       else begin
-        let n = csr.Csr.n and m = csr.Csr.m in
+        let n = csr.n and m = csr.m in
         let kinds = Array.make m Trunk in
         let probe_row = Array.make n (-1)
         and chord_row = Array.make m (-1) in
@@ -74,7 +80,7 @@ let of_csr (csr : Csr.t) =
           end
         done;
         if !row <> m then
-          Nettomo_util.Errors.invalid_arg "Measure.Paths.of_csr: measurement row accounting";
+          Nettomo_util.Errors.invalid_arg "Measure.Paths.plan: measurement row accounting";
         let t =
           {
             csr;
@@ -92,8 +98,7 @@ let of_csr (csr : Csr.t) =
         Ok t
       end
 
-let plan net = of_csr (Csr.of_net net)
-let n_measurements t = t.csr.Csr.m
+let n_measurements t = t.csr.m
 
 (* Tree path root → v as index and link-index lists, root side first. *)
 let down_nodes t v =
@@ -106,10 +111,6 @@ let down_eids t v =
   in
   go v []
 
-let chord_ends t k =
-  let iu, iv = Csr.endpoints t.csr k in
-  (iu, iv)
-
 let walk_indices t i =
   let trunk = down_nodes t t.second in
   match t.kinds.(i) with
@@ -118,10 +119,10 @@ let walk_indices t i =
       let dn = down_nodes t v in
       dn @ List.tl (List.rev dn) @ List.tl trunk
   | Chord k ->
-      let u, v = chord_ends t k in
+      let u, v = Csr.endpoints t.csr k in
       down_nodes t u @ List.rev (down_nodes t v) @ List.tl trunk
 
-let walk_nodes t i = List.map (fun ix -> t.csr.Csr.ids.(ix)) (walk_indices t i)
+let walk_nodes t i = List.map (fun ix -> t.csr.ids.(ix)) (walk_indices t i)
 
 let walk_eids t i =
   let trunk = down_eids t t.second in
@@ -131,12 +132,12 @@ let walk_eids t i =
       let dn = down_eids t v in
       dn @ List.rev dn @ trunk
   | Chord k ->
-      let u, v = chord_ends t k in
+      let u, v = Csr.endpoints t.csr k in
       down_eids t u @ (k :: List.rev (down_eids t v)) @ trunk
 
 let measure t w =
   Nettomo_obs.Obs.Trace.span "measure.measure" @@ fun () ->
-  let n = t.csr.Csr.n and m = t.csr.Csr.m in
+  let n = t.csr.n and m = t.csr.m in
   if Array.length w <> m then
     Nettomo_util.Errors.invalid_arg "Measure.Paths.measure: weight vector length mismatch";
   let phi = Array.make n 0.0 in
@@ -151,7 +152,7 @@ let measure t w =
       | Trunk -> a
       | Probe v -> (2.0 *. phi.(v)) +. a
       | Chord k ->
-          let u, v = chord_ends t k in
+          let u, v = Csr.endpoints t.csr k in
           phi.(u) +. w.(k) +. phi.(v) +. a)
     t.kinds
 
@@ -182,8 +183,9 @@ let tree_path parent depth a b =
   let asc = climb parent a anc and bsc = climb parent b anc in
   asc @ List.tl (List.rev bsc)
 
-let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
-  let monitors = Csr.monitor_indices csr in
+let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) net =
+  let csr = flatten net in
+  let monitors = List.map (Csr.index csr) (Net.monitor_list net) in
   let roots =
     let rec take k = function
       | [] -> []
@@ -192,11 +194,11 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
     in
     take max_roots monitors
   in
-  let to_ids ixs = List.map (fun ix -> csr.Csr.ids.(ix)) ixs in
+  let to_ids ixs = List.map (fun ix -> csr.ids.(ix)) ixs in
   (* [on_stem.(x) = !stamp] marks the nodes of the current r → u stem.
      Stem and tail are tree paths, each node-simple, so a detour is
      simple iff its tail avoids the stem. *)
-  let on_stem = Array.make csr.Csr.n (-1) and stamp = ref 0 in
+  let on_stem = Array.make csr.n (-1) and stamp = ref 0 in
   let acc = ref [] in
   List.iter
     (fun r ->
@@ -208,7 +210,7 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
             acc := to_ids (tree_path parent depth r b) :: !acc)
         monitors;
       (* Tree–chord–tree detours: r → u, (u,v), v → b. *)
-      for k = 0 to csr.Csr.m - 1 do
+      for k = 0 to csr.m - 1 do
         let iu, iv = Csr.endpoints csr k in
         if depth.(iu) >= 0 && depth.(iv) >= 0 then
           List.iter
@@ -238,13 +240,14 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) (csr : Csr.t) =
   List.rev !acc
 
 module Invariant = struct
-  let check t =
+  let check net t =
     let req = Invariant_gate.require in
     let csr = t.csr in
-    let n = csr.Csr.n and m = csr.Csr.m in
+    let n = csr.n and m = csr.m in
     req (Array.length t.kinds = m) "Paths: %d measurements for %d links"
       (Array.length t.kinds) m;
-    req (csr.Csr.monitors.(t.root) && csr.Csr.monitors.(t.second))
+    req
+      (Net.is_monitor net csr.ids.(t.root) && Net.is_monitor net csr.ids.(t.second))
       "Paths: endpoints are not monitors";
     (* Every link is covered exactly once: tree links by the parent
        relation, the rest by chord rows. *)
@@ -269,9 +272,9 @@ module Invariant = struct
       let rec steps nodes eids =
         match (nodes, eids) with
         | x :: (y :: _ as rest), k :: ks ->
+            let a, b = Csr.endpoints csr k in
             req
-              (Graph.edge_equal csr.Csr.edges.(k)
-                 (Graph.edge csr.Csr.ids.(x) csr.Csr.ids.(y)))
+              ((a = x && b = y) || (a = y && b = x))
               "Paths: walk %d step %d-%d does not traverse link %d" i x y k;
             steps rest ks
         | _ -> ()

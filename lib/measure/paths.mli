@@ -10,9 +10,9 @@
 
     - [r] is the smallest monitor, [s] the next smallest, [T] the
       deterministic BFS tree rooted at [r] (sorted adjacency rows of
-      {!Csr}, so the tree — and every walk below — is a pure function
-      of the topology and monitor set). Write [t(v)] for the tree path
-      [r → v] and [φ(v)] for its metric sum.
+      {!Nettomo_graph.Csr}, so the tree — and every walk below — is a
+      pure function of the topology and monitor set). Write [t(v)] for
+      the tree path [r → v] and [φ(v)] for its metric sum.
     - The {b trunk} [M_s = t(s)] measures [a = φ(s)].
     - A {b probe} per vertex [v ∉ {r, s}]:
       [M_v = t(v) · reverse(t(v)) · t(s)] measures [2·φ(v) + a].
@@ -39,7 +39,7 @@ type kind =
   | Chord of int  (** detour across a non-tree link (link index) *)
 
 type t = private {
-  csr : Csr.t;
+  csr : Csr.t;  (** the network's graph, flattened *)
   root : int;  (** Csr index of [r] *)
   second : int;  (** Csr index of [s] *)
   parent : int array;  (** BFS tree parent; [-1] at the root *)
@@ -52,10 +52,9 @@ type t = private {
 }
 
 val plan : Nettomo_core.Net.t -> (t, string) result
-(** Build the walk family. [Error] when the network is disconnected or
-    has fewer than two monitors. [O(n + m)]. *)
-
-val of_csr : Csr.t -> (t, string) result
+(** Build the walk family: flatten the network's graph once (the
+    [measure.csr] span), then plan on its rows. [Error] when the network
+    is disconnected or has fewer than two monitors. [O(n + m log n)]. *)
 
 val n_measurements : t -> int
 (** Always [Csr.m] — one measurement per link. *)
@@ -75,7 +74,10 @@ val measure : t -> float array -> float array
     integer metrics the result is exactly the per-walk edge sum. *)
 
 val simple_candidates :
-  ?max_roots:int -> ?max_per_link:int -> Csr.t -> Nettomo_graph.Paths.path list
+  ?max_roots:int ->
+  ?max_per_link:int ->
+  Nettomo_core.Net.t ->
+  Nettomo_graph.Paths.path list
 (** Deterministic {e simple} measurement-path candidates harvested from
     the same spanning-tree machinery, for rank lower bounds under the
     paper's simple-path model (used by [Coverage]'s sampled fallback):
@@ -85,12 +87,12 @@ val simple_candidates :
     [b] that happen to be node-simple, keeping at most [max_per_link]
     (default 3) detours per link orientation and root. Paths are
     returned as node lists of the original graph; duplicates are not
-    removed. *)
+    removed. Flattens the network's graph once, like {!plan}. *)
 
 (** Structural verification of a plan against its network, gated by
     {!Nettomo_util.Invariant}: every walk is a genuine monitor-to-
     monitor walk of the graph and the family has exactly one
     measurement per link. *)
 module Invariant : sig
-  val check : t -> unit
+  val check : Nettomo_core.Net.t -> t -> unit
 end

@@ -1,4 +1,5 @@
 module Graph = Nettomo_graph.Graph
+module Csr = Nettomo_graph.Csr
 open Nettomo_core
 open Nettomo_linalg
 module Invariant_gate = Nettomo_util.Invariant
@@ -12,7 +13,7 @@ type solution = {
 let recover (plan : Paths.t) values =
   Nettomo_obs.Obs.Trace.span "measure.solve" @@ fun () ->
   let csr = plan.Paths.csr in
-  let n = csr.Csr.n and m = csr.Csr.m in
+  let n = csr.n and m = csr.m in
   if Array.length values <> m then
     Nettomo_util.Errors.invalid_arg "Measure.Solve.recover: measurement vector length mismatch";
   let a = values.(0) in
@@ -36,14 +37,14 @@ let recover (plan : Paths.t) values =
       metrics.(k) <- values.(row) -. phi.(u) -. phi.(v) -. a
     end
   done;
-  { links = Array.copy csr.Csr.edges; metrics; measurements = m }
+  { links = Array.init m (Csr.edge csr); metrics; measurements = m }
 
 let check_rank_limit = 64
 
 (* Exact full-rank certificate: the walks' link-multiplicity matrix
    (entries count traversals, not 0/1) must be invertible over ℚ. *)
 let check_full_rank (plan : Paths.t) =
-  let m = plan.Paths.csr.Csr.m in
+  let m = plan.Paths.csr.m in
   if m > 0 && m <= check_rank_limit then begin
     let rows =
       Array.init m (fun i ->
@@ -56,7 +57,7 @@ let check_full_rank (plan : Paths.t) =
       "Measure.Solve: constructed matrix has rank %d over %d links" rank m
   end
 
-let check_recovery (plan : Paths.t) truth (sol : solution) =
+let check_recovery truth (sol : solution) =
   Array.iteri
     (fun k e ->
       let exact = Rational.to_float (Measurement.weight truth e) in
@@ -67,7 +68,7 @@ let check_recovery (plan : Paths.t) truth (sol : solution) =
         "Measure.Solve: link %a recovered as %.17g, truth %.17g"
         (fun () e -> Format.asprintf "%a" Graph.pp_edge e)
         e got exact)
-    plan.Paths.csr.Csr.edges
+    sol.links
 
 let simulate net truth =
   Nettomo_obs.Obs.Trace.span "measure.simulate" @@ fun () ->
@@ -76,17 +77,15 @@ let simulate net truth =
   | Ok plan ->
       let csr = plan.Paths.csr in
       let w =
-        Array.map
-          (fun e -> Rational.to_float (Measurement.weight truth e))
-          csr.Csr.edges
+        Array.init csr.m (fun k ->
+            Rational.to_float (Measurement.weight truth (Csr.edge csr k)))
       in
       let values = Paths.measure plan w in
       let sol = recover plan values in
       Invariant_gate.check (fun () ->
-          Csr.Invariant.check (Net.graph net) csr;
-          Paths.Invariant.check plan;
+          Paths.Invariant.check net plan;
           check_full_rank plan;
-          check_recovery plan truth sol);
+          check_recovery truth sol);
       Ok sol
 
 let solution_equal a b =

@@ -70,15 +70,6 @@ let test_is_biconnected () =
   check cb "disconnected" false
     (Biconnected.is_biconnected (Graph.of_edges [ (0, 1); (2, 3) ]))
 
-let test_is_biconnected_without () =
-  (* K4 minus a node is a triangle: biconnected. *)
-  check cb "k4 - v" true (Biconnected.is_biconnected_without Fixtures.k4 0);
-  (* A cycle minus a node is a path: not biconnected. *)
-  check cb "cycle - v" false
-    (Biconnected.is_biconnected_without (Fixtures.cycle_graph 5) 0);
-  (* Wheel minus the hub is a cycle: biconnected. *)
-  check cb "wheel - hub" true (Biconnected.is_biconnected_without Fixtures.wheel5 0)
-
 let blocks_edge_partition g =
   let r = Biconnected.decompose g in
   let all =
@@ -142,7 +133,6 @@ let suite =
     Alcotest.test_case "isolated node block" `Quick test_isolated_node_block;
     Alcotest.test_case "mixed blocks and cuts" `Quick test_fig8_style;
     Alcotest.test_case "is_biconnected" `Quick test_is_biconnected;
-    Alcotest.test_case "is_biconnected_without" `Quick test_is_biconnected_without;
     QCheck_alcotest.to_alcotest prop_cut_vertices_oracle;
     QCheck_alcotest.to_alcotest prop_blocks_partition_edges;
     QCheck_alcotest.to_alcotest prop_blocks_pairwise_share_at_most_one_node;

@@ -172,9 +172,7 @@ let prop_solver_basis_matches_rebuild =
       let kappa = 2 + Prng.int rng 4 in
       let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
       let net = Net.create g ~monitors in
-      let seed_paths =
-        Nettomo_measure.Paths.simple_candidates (Nettomo_measure.Csr.of_net net)
-      in
+      let seed_paths = Nettomo_measure.Paths.simple_candidates net in
       solver_basis_matches_rebuild ~seed net
       && solver_basis_matches_rebuild ~seed ~seed_paths net)
 
@@ -191,10 +189,7 @@ let test_solver_basis_isp_prefixes () =
       List.iter
         (fun k ->
           let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
-          let seed_paths =
-            Nettomo_measure.Paths.simple_candidates
-              (Nettomo_measure.Csr.of_net net)
-          in
+          let seed_paths = Nettomo_measure.Paths.simple_candidates net in
           check cb
             (Printf.sprintf "%s with %d of %d MMP monitors" name k m)
             true

@@ -281,6 +281,44 @@ let test_solve_memo_and_store () =
                 (Session.equal_solution a b)
           | _ -> Alcotest.fail "solve failed under seed 12"))
 
+(* A legal topology holding both [min_int] and [max_int]: minting the
+   virtual monitors must not merge one into a real node, so every answer
+   maps onto the answer for a relabelled copy. Monitors 1, 2, 3 sit on a
+   K5 whose non-monitors {4, 5} are a 2-cut cutting off a K4 on
+   {x, 6, 7, y}, so neither copy is identifiable. *)
+let test_extreme_ids () =
+  let topology x y =
+    let clique nodes =
+      List.concat_map
+        (fun u -> List.filter_map (fun v -> if u < v then Some (u, v) else None) nodes)
+        nodes
+    in
+    Graph.of_edges
+      (clique [ 1; 2; 3; 4; 5 ] @ clique [ x; 6; 7; y ]
+      @ [ (4, x); (4, 6); (5, 7); (5, y) ])
+  in
+  let relabel v = if v = min_int then 100 else if v = max_int then 200 else v in
+  let answers g =
+    let net = Net.create g ~monitors:[ 1; 2; 3 ] in
+    let s = Session.create ~seed:7 net in
+    Invariant.with_enabled true (fun () ->
+        ( Identifiability.network_identifiable net,
+          Session.identifiable s,
+          Result.map
+            (fun (r : Nettomo_coverage.Coverage.report) -> r.identifiable)
+            (Session.coverage s) ))
+  in
+  let id_x, sid_x, cov_x = answers (topology min_int max_int)
+  and id_p, sid_p, cov_p = answers (topology 100 200) in
+  check cb "relabelled copy not identifiable" false id_p;
+  check cb "network_identifiable" id_p id_x;
+  check Alcotest.(result bool string) "Session.identifiable" sid_p sid_x;
+  match (cov_x, cov_p) with
+  | Ok x, Ok p ->
+      check Fixtures.edgeset_testable "Session.coverage identifiable links" p
+        (Graph.EdgeSet.map (fun (u, v) -> Graph.edge (relabel u) (relabel v)) x)
+  | _ -> Alcotest.fail "coverage failed"
+
 let test_solve_rejects () =
   (* Errors mirror the library and are memoized like answers. *)
   let disconnected =
@@ -375,6 +413,8 @@ let suite =
     Alcotest.test_case "solve memo and store round-trip" `Quick
       test_solve_memo_and_store;
     Alcotest.test_case "solve rejects bad networks" `Quick test_solve_rejects;
+    Alcotest.test_case "min_int/max_int node ids" `Quick
+      test_extreme_ids;
     Alcotest.test_case "batch identical across jobs" `Quick
       test_batch_jobs_deterministic;
     Alcotest.test_case "batch equals single queries" `Quick

@@ -121,30 +121,34 @@ let test_fresh_node () =
   check ci "fresh on empty" 0 (Graph.fresh_node Graph.empty);
   check ci "fresh on k4" 4 (Graph.fresh_node Fixtures.k4);
   let g = Graph.of_edges [ (3, 17) ] in
-  check ci "fresh above max" 18 (Graph.fresh_node g)
+  check ci "fresh above max" 18 (Graph.fresh_node g);
+  (* Above [max_int] lies [min_int]: the id must not wrap onto a node. *)
+  let g = Graph.of_edges [ (-5, max_int) ] in
+  check ci "smallest free when max_int is taken" min_int (Graph.fresh_node g);
+  let g = Graph.of_edges [ (min_int, max_int); (min_int + 1, max_int) ] in
+  check ci "skips taken ids from min_int" (min_int + 2) (Graph.fresh_node g)
 
 let test_fold_edges_each_once () =
   let count = Graph.fold_edges (fun _ acc -> acc + 1) Fixtures.k4 0 in
   check ci "k4 has 6 edges" 6 count
 
+(* The flat form replaced [Graph.Compact]: every row mirrors the
+   original adjacency and identifiers round-trip through the index. *)
 let test_compact_roundtrip () =
   let g = Fixtures.petersen in
-  let c = Graph.Compact.of_graph g in
-  check ci "compact size" 10 c.Graph.Compact.n;
-  (* Every adjacency is mirrored and matches the original graph. *)
-  Array.iteri
-    (fun i nbrs ->
-      let v = Graph.Compact.id c i in
-      check ci
-        (Printf.sprintf "degree of %d" v)
-        (Graph.degree g v) (Array.length nbrs);
-      Array.iter
-        (fun j ->
-          check cb "edge exists" true (Graph.mem_edge g v (Graph.Compact.id c j)))
-        nbrs)
-    c.Graph.Compact.adj;
-  check ci "index of id roundtrip" 3
-    (Graph.Compact.index c (Graph.Compact.id c 3))
+  let c = Csr.of_graph g in
+  check ci "compact size" 10 c.Csr.n;
+  for i = 0 to c.Csr.n - 1 do
+    let v = c.Csr.ids.(i) in
+    check ci
+      (Printf.sprintf "degree of %d" v)
+      (Graph.degree g v)
+      (c.Csr.xadj.(i + 1) - c.Csr.xadj.(i));
+    for k = c.Csr.xadj.(i) to c.Csr.xadj.(i + 1) - 1 do
+      check cb "edge exists" true (Graph.mem_edge g v c.Csr.ids.(c.Csr.adj.(k)))
+    done
+  done;
+  check ci "index of id roundtrip" 3 (Csr.index c c.Csr.ids.(3))
 
 let test_equal () =
   let g1 = Graph.of_edges [ (0, 1); (1, 2) ] in
@@ -176,6 +180,73 @@ let prop_handshake =
       let sum = Graph.fold_nodes (fun v acc -> acc + Graph.degree g v) g 0 in
       sum = 2 * Graph.n_edges g)
 
+(* [n] distinct identifiers in random order, always including [min_int]
+   and [max_int], the rest drawn from a dense band around zero or from
+   the whole int range. *)
+let sparse_ids rng n =
+  let module Prng = Nettomo_util.Prng in
+  let seen = ref (Graph.NodeSet.of_list [ min_int; max_int ]) in
+  while Graph.NodeSet.cardinal !seen < n do
+    let v =
+      if Prng.bool rng then Prng.int_in rng (-50) 50
+      else Int64.to_int (Prng.bits64 rng)
+    in
+    seen := Graph.NodeSet.add v !seen
+  done;
+  let ids = Array.of_list (Graph.NodeSet.elements !seen) in
+  Prng.shuffle rng ids;
+  ids
+
+(* Every graph the separation sweep sees (an induced block) and every
+   extended graph has gaps between its ids, so relabel random graphs
+   one-to-one onto sparse ids: the flat form must hold its invariant,
+   index every id back and number links in measurement-column order,
+   and every structural answer must map through the relabelling. *)
+let prop_sparse_ids =
+  QCheck2.Test.make ~name:"Csr and answers on sparse ids" ~count:200
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 25) (int_range 0 30))
+    (fun (seed, n, extra) ->
+      let open Nettomo_core in
+      let rng = Nettomo_util.Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let ids = sparse_ids rng n in
+      let f v = ids.(v) in
+      let h =
+        Graph.fold_edges
+          (fun (u, v) acc -> Graph.add_edge acc (f u) (f v))
+          g (Graph.of_edges ~nodes:(Array.to_list ids) [])
+      in
+      let csr = Csr.of_graph h in
+      Nettomo_util.Invariant.with_enabled true (fun () ->
+          Csr.Invariant.check h csr);
+      let map_edges es =
+        Graph.EdgeSet.map (fun (u, v) -> Graph.edge (f u) (f v)) es
+      in
+      let pairs g = Graph.EdgeSet.of_list (Separation.cut_pairs g) in
+      let identifiable g monitors =
+        Identifiability.network_identifiable (Net.create g ~monitors)
+      in
+      let monitors =
+        Array.to_list (Nettomo_util.Prng.sample rng (min n 3) (Array.init n Fun.id))
+      in
+      Array.for_all (fun v -> csr.ids.(Csr.index csr v) = v) ids
+      && (match Csr.index csr (Graph.fresh_node h) with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+      && Array.for_all2 Graph.edge_equal
+           (Array.init csr.m (Csr.edge csr))
+           (Measurement.link_order (Measurement.space h))
+      && Graph.EdgeSet.equal (Bridges.bridges h) (map_edges (Bridges.bridges g))
+      && Graph.NodeSet.equal (Biconnected.cut_vertices h)
+           (Graph.NodeSet.map f (Biconnected.cut_vertices g))
+      && Graph.EdgeSet.equal (pairs h) (map_edges (pairs g))
+      && Bool.equal
+           (Separation.is_three_vertex_connected h)
+           (Separation.is_three_vertex_connected g)
+      && (n < 3
+         || Bool.equal (identifiable h (List.map f monitors))
+              (identifiable g monitors)))
+
 let suite =
   [
     Alcotest.test_case "edge normalization" `Quick test_edge_normalization;
@@ -206,4 +277,5 @@ let suite =
     Alcotest.test_case "structural equality" `Quick test_equal;
     QCheck_alcotest.to_alcotest prop_add_remove_edge;
     QCheck_alcotest.to_alcotest prop_handshake;
+    QCheck_alcotest.to_alcotest prop_sparse_ids;
   ]

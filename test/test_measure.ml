@@ -1,6 +1,5 @@
 open Nettomo_graph
 open Nettomo_core
-module Measure_csr = Nettomo_measure.Csr
 module Measure_paths = Nettomo_measure.Paths
 module Measure_solve = Nettomo_measure.Solve
 module Prng = Nettomo_util.Prng
@@ -28,19 +27,45 @@ let metrics_match_truth (sol : Measure_solve.solution) truth ~tol =
 
 (* --- Csr ------------------------------------------------------------- *)
 
+(* The measurement layer walks the graph's flat form ({!Csr}); a BFS
+   over its arrays must reach exactly what the graph reaches. *)
+let csr_connected (c : Csr.t) =
+  c.Csr.n = 0
+  ||
+  let seen = Array.make c.Csr.n false in
+  let queue = Queue.create () in
+  seen.(0) <- true;
+  Queue.add 0 queue;
+  let reached = ref 1 in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    for k = c.Csr.xadj.(i) to c.Csr.xadj.(i + 1) - 1 do
+      let j = c.Csr.adj.(k) in
+      if not seen.(j) then begin
+        seen.(j) <- true;
+        incr reached;
+        Queue.add j queue
+      end
+    done
+  done;
+  !reached = c.Csr.n
+
 let test_csr_roundtrip () =
-  let csr = Measure_csr.of_net fig1_net in
-  check ci "nodes" (Graph.n_nodes Fixtures.fig1) csr.Measure_csr.n;
-  check ci "links" (Graph.n_edges Fixtures.fig1) csr.Measure_csr.m;
-  Invariant.with_enabled true (fun () ->
-      Measure_csr.Invariant.check Fixtures.fig1 csr);
+  let csr = Csr.of_graph (Net.graph fig1_net) in
+  check ci "nodes" (Graph.n_nodes Fixtures.fig1) csr.Csr.n;
+  check ci "links" (Graph.n_edges Fixtures.fig1) csr.Csr.m;
+  Invariant.with_enabled true (fun () -> Csr.Invariant.check Fixtures.fig1 csr);
   (* Link order is the measurement column order. *)
   let space = Measurement.space Fixtures.fig1 in
-  Array.iteri
-    (fun k e -> check ci "column order" k (Measurement.column space e))
-    csr.Measure_csr.edges;
-  check cb "connected" true (Measure_csr.is_connected csr);
-  check ci "monitor count" 3 (List.length (Measure_csr.monitor_indices csr))
+  for k = 0 to csr.Csr.m - 1 do
+    check ci "column order" k (Measurement.column space (Csr.edge csr k))
+  done;
+  check cb "connected" true (csr_connected csr);
+  let monitor_indices =
+    List.sort_uniq compare
+      (List.map (Csr.index csr) (Graph.NodeSet.elements (Net.monitors fig1_net)))
+  in
+  check ci "monitor count" 3 (List.length monitor_indices)
 
 let prop_csr_invariant =
   QCheck2.Test.make ~name:"Csr matches its source graph" ~count:100
@@ -48,10 +73,9 @@ let prop_csr_invariant =
     (fun (seed, n, extra) ->
       let rng = Prng.create seed in
       let g = Fixtures.random_connected rng n extra in
-      let csr = Measure_csr.of_graph g in
-      Invariant.with_enabled true (fun () ->
-          Measure_csr.Invariant.check g csr);
-      Measure_csr.is_connected csr = Traversal.is_connected g)
+      let csr = Csr.of_graph g in
+      Invariant.with_enabled true (fun () -> Csr.Invariant.check g csr);
+      csr_connected csr = Traversal.is_connected g)
 
 (* --- Paths ----------------------------------------------------------- *)
 
@@ -62,7 +86,7 @@ let test_plan_counts_fig1 () =
       check ci "one measurement per link" (Graph.n_edges Fixtures.fig1)
         (Measure_paths.n_measurements plan);
       Invariant.with_enabled true (fun () ->
-          Measure_paths.Invariant.check plan)
+          Measure_paths.Invariant.check fig1_net plan)
 
 let test_plan_rejects () =
   let two = Net.with_monitors fig1_net [ Fixtures.fig1_m1 ] in
@@ -196,8 +220,7 @@ let prop_constructed_matrix_full_rank =
           | Error _ -> List.length monitors < 2))
 
 let test_simple_candidates_valid () =
-  let csr = Measure_csr.of_net fig1_net in
-  let cands = Measure_paths.simple_candidates csr in
+  let cands = Measure_paths.simple_candidates fig1_net in
   check cb "produces candidates" true (cands <> []);
   List.iter
     (fun p ->
@@ -216,10 +239,9 @@ let prop_simple_candidates_valid =
       let k = min (Array.length nodes) (2 + Prng.int rng 3) in
       let monitors = Array.to_list (Prng.sample rng k nodes) in
       let net = Net.create g ~monitors in
-      let csr = Measure_csr.of_net net in
       List.for_all
         (fun p -> Measurement.is_measurement_path net p)
-        (Measure_paths.simple_candidates csr))
+        (Measure_paths.simple_candidates net))
 
 (* The coverage fallback's answers depend on the exact candidate list,
    order included, so it is pinned on two ISP maps under a quarter of
@@ -236,7 +258,7 @@ let test_simple_candidates_pinned () =
       let mmp = Graph.NodeSet.elements (Mmp.place g) in
       let k = List.length mmp / 4 in
       let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
-      let cands = Measure_paths.simple_candidates (Measure_csr.of_net net) in
+      let cands = Measure_paths.simple_candidates net in
       check ci (name ^ " candidate count") count (List.length cands);
       check Alcotest.string (name ^ " candidate digest") digest
         Nettomo_util.Checksum.(to_hex (fnv64 (render cands))))
@@ -244,6 +266,29 @@ let test_simple_candidates_pinned () =
       ("Ebone", 50, 4888, "f3c0d83266867678");
       ("Exodus", 54, 7399, "406e07c0d64da10c");
     ]
+
+(* The walk family's recovery on a 10^4-node map, pinned as the count
+   and FNV-1a digest of its links and the bits of every recovered
+   metric: flattening the graph differently must not move one bit. *)
+let test_simulate_pinned () =
+  let rng = Prng.create 10 in
+  let g = Nettomo_topo.Gen.barabasi_albert rng ~n:10_000 ~nmin:2 in
+  let net = Net.create g ~monitors:[ 0; 1 ] in
+  let truth = Measurement.random_weights ~lo:1 ~hi:1000 rng g in
+  match Measure_solve.simulate net truth with
+  | Error e -> Alcotest.fail e
+  | Ok sol ->
+      let rendered =
+        String.concat ";"
+          (Array.to_list
+             (Array.map2
+                (fun (u, v) x ->
+                  Printf.sprintf "%d-%d:%Lx" u v (Int64.bits_of_float x))
+                sol.Measure_solve.links sol.Measure_solve.metrics))
+      in
+      check ci "links" 19995 (Array.length sol.Measure_solve.links);
+      check Alcotest.string "links and metric bits" "423132b68a0a555f"
+        Nettomo_util.Checksum.(to_hex (fnv64 rendered))
 
 let suite =
   [
@@ -263,4 +308,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_simple_candidates_valid;
     Alcotest.test_case "simple candidates pinned (ISP prefixes)" `Quick
       test_simple_candidates_pinned;
+    Alcotest.test_case "simulate pinned (BA10k)" `Quick test_simulate_pinned;
   ]

@@ -64,14 +64,6 @@ let test_first_cut_pair () =
   check cb "petersen has none" true
     (Separation.first_cut_pair Fixtures.petersen = None)
 
-let test_cut_pair_members () =
-  check Fixtures.nodeset_testable "square members"
-    (Graph.NodeSet.of_list [ 0; 1; 2; 3 ])
-    (Separation.cut_pair_members Fixtures.square);
-  check Fixtures.nodeset_testable "two K4 members"
-    (Graph.NodeSet.of_list [ 2; 3 ])
-    (Separation.cut_pair_members Fixtures.two_k4_by_pair)
-
 let test_is_3vc_known () =
   check cb "k4" true (Separation.is_three_vertex_connected Fixtures.k4);
   check cb "k5" true (Separation.is_three_vertex_connected Fixtures.k5);
@@ -124,7 +116,6 @@ let suite =
     Alcotest.test_case "cut vertices excluded (minimality)" `Quick
       test_cut_vertices_excluded;
     Alcotest.test_case "first_cut_pair" `Quick test_first_cut_pair;
-    Alcotest.test_case "cut_pair_members" `Quick test_cut_pair_members;
     Alcotest.test_case "3-vertex-connectivity on known graphs" `Quick
       test_is_3vc_known;
     QCheck_alcotest.to_alcotest prop_cut_pairs_match_oracle;

@@ -199,6 +199,71 @@ let prop_virtual_endpoints_are_pair_members =
                      Graph.NodeSet.mem u members && Graph.NodeSet.mem v members)
                    c.virtuals))
 
+(* The graph layer's answers on four realistic maps, pinned as counts
+   and FNV-1a digests of their rendering, block and component order
+   included: a change of adjacency representation must leave every
+   decomposition, separation pair and bridge exactly where it was. *)
+let pinned_graphs () =
+  let isp name seed =
+    let spec = Option.get (Nettomo_topo.Isp.find name) in
+    (name, Nettomo_topo.Isp.generate (Nettomo_util.Prng.create seed) spec)
+  in
+  let er150 =
+    let rng = Nettomo_util.Prng.create 7 in
+    Nettomo_topo.Gen.until_connected (fun () ->
+        Nettomo_topo.Gen.erdos_renyi rng ~n:150 ~p:0.039)
+  in
+  [ isp "Ebone" 1; isp "Exodus" 2; isp "Tiscali" 3; ("ER150", er150) ]
+
+let render_pins (t : Triconnected.t) bridges =
+  let nodes s = String.concat "," (List.map string_of_int (Graph.NodeSet.elements s)) in
+  let edges l = String.concat "," (List.map (Format.asprintf "%a" Graph.pp_edge) l) in
+  let edge_set s = edges (Graph.EdgeSet.elements s) in
+  let component (c : Triconnected.component) =
+    Printf.sprintf "C[%s|%s|%s]" (nodes c.nodes) (edge_set c.edges)
+      (edge_set c.virtuals)
+  in
+  let block ((b : Biconnected.component), comps) =
+    Printf.sprintf "B[%s|%s]{%s}" (nodes b.nodes) (edge_set b.edges)
+      (String.concat ";" (List.map component comps))
+  in
+  String.concat "\n"
+    [
+      String.concat "\n" (List.map block t.blocks);
+      "cut " ^ nodes t.cut_vertices;
+      "sep " ^ edges t.separation_pairs;
+      "sv " ^ nodes t.separation_vertices;
+      "bridges " ^ edge_set bridges;
+    ]
+
+let test_pinned_decompositions () =
+  let pin (name, g) =
+    let t = Triconnected.decompose g and bridges = Bridges.bridges g in
+    ( name,
+      Printf.sprintf "%d blocks, %d components, %d pairs, %d bridges"
+        (List.length t.blocks)
+        (List.length (List.concat_map snd t.blocks))
+        (List.length t.separation_pairs)
+        (Graph.EdgeSet.cardinal bridges),
+      Nettomo_util.Checksum.(to_hex (fnv64 (render_pins t bridges))) )
+  in
+  check
+    Alcotest.(list (triple string string string))
+    "counts and digests"
+    [
+      ( "Ebone",
+        "35 blocks, 35 components, 33 pairs, 34 bridges",
+        "09e67fdfb7833f9c" );
+      ( "Exodus",
+        "67 blocks, 28 components, 27 pairs, 66 bridges",
+        "0d184c1b9e28badd" );
+      ( "Tiscali",
+        "103 blocks, 51 components, 49 pairs, 102 bridges",
+        "2b8a7f130f575c81" );
+      ("ER150", "2 blocks, 7 components, 6 pairs, 1 bridges", "cfc2de84e25008d4");
+    ]
+    (List.map pin (pinned_graphs ()))
+
 let suite =
   [
     Alcotest.test_case "K4 stays whole" `Quick test_k4_single;
@@ -214,4 +279,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_real_edges_covered;
     QCheck_alcotest.to_alcotest prop_component_nodes_cover;
     QCheck_alcotest.to_alcotest prop_virtual_endpoints_are_pair_members;
+    Alcotest.test_case "decompositions pinned (4 maps)" `Quick
+      test_pinned_decompositions;
   ]
