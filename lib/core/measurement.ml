@@ -33,17 +33,14 @@ let check_measurement_path net p =
 
 let is_measurement_path net p = Result.is_ok (check_measurement_path net p)
 
-let columns s p =
-  List.map
-    (fun e ->
-      match Graph.EdgeMap.find_opt e s.index with
-      | Some j -> j
-      | None -> Errors.invalid_arg "Measurement.columns: link outside the space")
-    (Nettomo_graph.Paths.path_edges p)
-
 let incidence_row s p =
   let row = Array.make (n_links s) Rational.zero in
-  List.iter (fun j -> row.(j) <- Rational.one) (columns s p);
+  List.iter
+    (fun e ->
+      match Graph.EdgeMap.find_opt e s.index with
+      | Some j -> row.(j) <- Rational.one
+      | None -> Errors.invalid_arg "Measurement.incidence_row: link outside the space")
+    (Nettomo_graph.Paths.path_edges p);
   row
 
 let matrix s paths =

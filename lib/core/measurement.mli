@@ -30,14 +30,10 @@ val is_measurement_path : Net.t -> Paths.path -> bool
 
 val check_measurement_path : Net.t -> Paths.path -> (unit, string) result
 
-val columns : space -> Paths.path -> int list
-(** The columns of the path's links, in path order. Raises
-    [Invalid_argument] for a link outside the space. *)
-
 val incidence_row : space -> Paths.path -> Rational.t array
-(** 0/1 row of the path over the link columns: one at {!columns}, zero
-    elsewhere. Raises [Invalid_argument] for a link outside the
-    space. *)
+(** 0/1 row of the path over the link columns: one at the column of
+    each of its links, zero elsewhere. Raises [Invalid_argument] for a
+    link outside the space. *)
 
 val matrix : space -> Paths.path list -> Matrix.t
 (** Measurement matrix [R] (paths × links). Raises [Invalid_argument] on

@@ -20,6 +20,39 @@ type plan = {
 let exact_rows = Obs.Metrics.counter "solver_exact_rows_total"
 let prefilter_rejects = Obs.Metrics.counter "solver_prefilter_rejects_total"
 
+(* A candidate's link columns in increasing order when it is a
+   measurement path of the flattened network — at least two nodes, all
+   in the graph, none repeated, consecutive ones adjacent, both ends
+   monitors — and [None] otherwise. One pass over the path: the first
+   node is looked up in the CSR, every later one in its predecessor's
+   row, which also yields the link number; a repeat is caught by the
+   per-candidate stamp in [seen]. Csr numbers links in
+   [Measurement.link_order], so link numbers are the measurement
+   columns. *)
+let columns (csr : Csr.t) ~monitor ~seen ~stamp p =
+  let rec walk i cols = function
+    | [] -> if monitor.(i) then Some (List.sort Int.compare cols) else None
+    | v :: rest -> (
+        match Csr.half_edge csr i v with
+        | -1 -> None
+        | k ->
+            let j = csr.adj.(k) in
+            if seen.(j) = stamp then None
+            else begin
+              seen.(j) <- stamp;
+              walk j (csr.eid.(k) :: cols) rest
+            end)
+  in
+  match p with
+  | v :: (_ :: _ as rest) -> (
+      match Csr.find csr v with
+      | -1 -> None
+      | i when not monitor.(i) -> None
+      | i ->
+          seen.(i) <- stamp;
+          walk i [] rest)
+  | [] | [ _ ] -> None
+
 let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
     ?(seed_paths = []) net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
@@ -29,47 +62,43 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
   let rng = match rng with Some r -> r | None -> Prng.create 0x6e65740a in
   let max_stall = Option.value max_stall ~default:(50 * (n + 1)) in
   let basis = Basis.create n in
+  let csr = Csr.of_graph g in
+  let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
+  let seen = Array.make csr.Csr.n 0 in
+  let stamp = ref 0 in
   (* Float prefilter: almost every candidate near full rank is
      dependent, and rejecting it against a float basis costs
      microseconds instead of an exact rational elimination. Only the
      accepted rows are built over ℚ and confirmed exactly before
-     entering the plan. *)
+     entering the plan. Candidates that are not measurement paths are
+     ignored rather than rejected, so callers can over-approximate. *)
   let fbasis = Fbasis.create n in
   let accepted = ref [] in
   let offer p =
-    let cols = Measurement.columns space p in
-    let frow = Array.make n 0.0 in
-    List.iter (fun j -> frow.(j) <- 1.0) cols;
-    if not (Fbasis.would_increase_rank fbasis frow) then begin
-      Obs.Metrics.incr prefilter_rejects;
-      false
-    end
-    else begin
-      let row = Array.make n Q.zero in
-      List.iter (fun j -> row.(j) <- Q.one) cols;
-      Obs.Metrics.incr exact_rows;
-      if Basis.add basis row then begin
-        ignore (Fbasis.add fbasis frow);
-        accepted := p :: !accepted;
-        true
-      end
-      else false
-    end
+    incr stamp;
+    match columns csr ~monitor ~seen ~stamp:!stamp p with
+    | None -> false
+    | Some cols when not (Fbasis.would_increase_rank fbasis cols) ->
+        Obs.Metrics.incr prefilter_rejects;
+        false
+    | Some cols ->
+        let row = Array.make n Q.zero in
+        List.iter (fun j -> row.(j) <- Q.one) cols;
+        Obs.Metrics.incr exact_rows;
+        if Basis.add basis row then begin
+          ignore (Fbasis.add fbasis cols);
+          accepted := p :: !accepted;
+          true
+        end
+        else false
   in
   let pairs = Net.monitor_pairs net in
   if pairs <> [] && n > 0 then begin
     (* Layer 0: caller-supplied candidates (e.g. the constructive
        spanning-tree paths of [Measure.Paths.simple_candidates]) —
        structured rows that cover far more of the space than the random
-       layer reaches within its stall budget. Invalid candidates are
-       ignored rather than rejected so callers can over-approximate. *)
-    List.iter
-      (fun p ->
-        if
-          (not (Basis.is_full basis))
-          && Measurement.is_measurement_path net p
-        then ignore (offer p))
-      seed_paths;
+       layer reaches within its stall budget. *)
+    List.iter (fun p -> if not (Basis.is_full basis) then ignore (offer p)) seed_paths;
     (* Layer 1: shortest paths between all monitor pairs, one search
        per source (pairs come grouped by their first monitor). *)
     let from = ref None in
@@ -83,9 +112,7 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
               from := Some (m1, paths);
               paths
         in
-        match paths m2 with
-        | Some p when List.length p >= 2 -> ignore (offer p)
-        | Some _ | None -> ())
+        Option.iter (fun p -> ignore (offer p)) (paths m2))
       pairs;
     (* Layer 2: randomized simple paths until full rank or stall. *)
     let pair_arr = Array.of_list pairs in

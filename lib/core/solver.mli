@@ -27,8 +27,9 @@ val independent_paths :
   Net.t ->
   plan
 (** A maximal set of linearly independent measurement paths found by the
-    layered search. [max_stall] (default [50 · |L|]) bounds consecutive
-    unproductive random candidates before falling back to enumeration;
+    layered search. [max_stall] (default [50 · (|L| + 1)]) bounds
+    consecutive unproductive random candidates before falling back to
+    enumeration;
     [enumeration_limit] (default 200,000 paths per monitor pair) bounds
     the exhaustive fallback, which only runs on graphs of at most 16
     nodes — so on larger networks the plan is maximal only with high
@@ -56,12 +57,16 @@ val independent_paths_with_basis :
     are also rebuilt from their paths alone (e.g. decoded from a
     store).
 
-    Candidates go through a float prefilter ({!Fbasis}) first; the
-    rational row is built and eliminated only for the ones it accepts.
-    Each such exact elimination increments the
-    [solver_exact_rows_total] counter of the metrics registry, and each
-    candidate the prefilter rejects increments
-    [solver_prefilter_rejects_total]. *)
+    The search runs on link numbers: the network is flattened once
+    ({!Nettomo_graph.Csr}, whose link numbers are the measurement
+    columns), and each candidate is validated and turned into its
+    ascending column list in one pass over the flat rows. The column
+    list goes through a float prefilter ({!Fbasis}) first, which
+    rejects it without allocating; the rational row is built and
+    eliminated only for the ones it accepts. Each such exact
+    elimination increments the [solver_exact_rows_total] counter of the
+    metrics registry, and each candidate the prefilter rejects
+    increments [solver_prefilter_rejects_total]. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
 (** [solver_exact_rows_total]: candidate rows eliminated exactly. *)

@@ -377,7 +377,7 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                    50·(nodes+1) random paths through the float
                    prefilter per productive row, more than the exact
                    elimination itself: a confirmed row costs about
-                   40 µs at rank 300–400 on the 300–390-link components
+                   30 µs at rank 300–400 on the 300–390-link components
                    of the coverage bench's ISP maps (2.1 GHz Xeon). The
                    cutoff stays because lifting it would change
                    answers. *)

@@ -8,20 +8,28 @@ type t = {
   ends : int array;
 }
 
-(* Binary search in the increasing identifier array; -1 when absent. *)
-let find ids v =
+(* Binary search for [v] among the increasing values [key lo] …
+   [key (hi - 1)]; its position, or -1 when absent. *)
+let search key lo hi v =
   let rec go lo hi =
     if lo >= hi then -1
     else
       let mid = lo + ((hi - lo) / 2) in
-      if ids.(mid) = v then mid else if ids.(mid) < v then go (mid + 1) hi else go lo mid
+      let x = key mid in
+      if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length ids)
+  go lo hi
+
+let find t v = search (Array.get t.ids) 0 t.n v
 
 let index t v =
-  match find t.ids v with
+  match find t v with
   | -1 -> Nettomo_util.Errors.invalid_arg "Csr.index: node not in the graph"
   | i -> i
+
+(* Index order is identifier order, so a row sorted by neighbour index
+   is sorted by neighbour identifier too. *)
+let half_edge t i v = search (fun k -> t.ids.(t.adj.(k))) t.xadj.(i) t.xadj.(i + 1) v
 
 let endpoints t k = (t.ends.(2 * k), t.ends.((2 * k) + 1))
 let edge t k = (t.ids.(t.ends.(2 * k)), t.ids.(t.ends.((2 * k) + 1)))
@@ -87,7 +95,7 @@ let of_graph g =
       Graph.NodeSet.iter
         (fun v ->
           if v > ids.(i) then begin
-            let j = find ids v in
+            let j = search (Array.get ids) 0 n v in
             half i j !k;
             half j i !k;
             ends.(2 * !k) <- i;

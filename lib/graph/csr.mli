@@ -36,6 +36,17 @@ val index : t -> Graph.node -> int
 (** Identifier → index, [O(log n)]. Raises [Invalid_argument] for a node
     not in the graph. *)
 
+val find : t -> Graph.node -> int
+(** Identifier → index, or [-1] for a node not in the graph;
+    [O(log n)]. *)
+
+val half_edge : t -> int -> Graph.node -> int
+(** [half_edge t i v] is the position in [adj] and [eid] of the
+    half-edge from index [i] to the neighbour with identifier [v], or
+    [-1] when [v] is not a neighbour of [i] (or not a node at all);
+    [O(log deg i)]. Walking a path given by identifiers this way needs
+    no identifier lookup past its first node. *)
+
 val endpoints : t -> int -> int * int
 (** Link number → its endpoint indices, smaller first. *)
 

@@ -1,21 +1,22 @@
 module Errors = Nettomo_util.Errors
 module Q = Rational
 
-type t = { n : int; mutable rows : (int * Q.t array) list }
+type t = { n : int; mutable rows : (int * Q.t array) list; mutable rank : int }
 (* Invariant: [rows] is sorted by strictly increasing pivot column; each
    row has a 1 at its pivot and zeros at all earlier columns. Rows are
    not reduced against later pivots — forward reduction in pivot order is
-   still exact because eliminating pivot p only perturbs columns > p. *)
+   still exact because eliminating pivot p only perturbs columns > p.
+   [rank] is the length of [rows]. *)
 
 let create n =
   if n < 0 then Errors.invalid_arg "Basis.create: negative dimension";
-  { n; rows = [] }
+  { n; rows = []; rank = 0 }
 
 let dimension t = t.n
 
-let rank t = List.length t.rows
+let rank t = t.rank
 
-let is_full t = rank t = t.n
+let is_full t = t.rank = t.n
 
 let check_dim t v =
   if Array.length v <> t.n then Errors.invalid_arg "Basis: dimension mismatch"
@@ -59,6 +60,7 @@ let add t v =
         | x :: rest -> x :: insert rest
       in
       t.rows <- insert t.rows;
+      t.rank <- t.rank + 1;
       true
 
-let copy t = { n = t.n; rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }
+let copy t = { t with rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }

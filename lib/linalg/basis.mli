@@ -18,9 +18,10 @@ val dimension : t -> int
 (** Ambient dimension [n]. *)
 
 val rank : t -> int
+(** O(1): the rank is kept as the basis grows. *)
 
 val is_full : t -> bool
-(** Whether the basis spans all of ℚ{^n}. *)
+(** Whether the basis spans all of ℚ{^n}. O(1). *)
 
 val reduce : t -> Rational.t array -> Rational.t array
 (** Residual of a vector after eliminating against the basis; the zero

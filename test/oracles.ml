@@ -72,10 +72,11 @@ module Qref = struct
     Bigint.equal (Rational.num q) r.num && Bigint.equal (Rational.den q) r.den
 end
 
-(* The float prefilter basis with every reduction and row update
-   spanning all n columns: the reference for the one that restricts its
-   arithmetic to the free columns, which must reach the same
-   verdicts. *)
+(* The float prefilter basis on dense rows, with every reduction
+   visiting every row and every reduction and row update spanning all n
+   columns: the reference for the column-row basis, which subtracts only
+   the rows pivoted on a candidate's columns, only on the free columns,
+   and must reach the same verdicts. *)
 module Fbasis_ref = struct
   type t = { n : int; epsilon : float; mutable rows : (int * float array) list }
 
@@ -132,4 +133,6 @@ module Fbasis_ref = struct
         in
         t.rows <- insert t.rows;
         true
+
+  let copy t = { t with rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }
 end

@@ -197,6 +197,69 @@ let test_solver_basis_isp_prefixes () =
         [ m / 4; (3 * m) / 4 ])
     [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
 
+(* Coverage answers on the coverage bench's maps, pinned at a subset of
+   their MMP-prefix budgets (k from 2 to m in steps of about m/12):
+   mode, number of identifiable links, FNV-1a digest of those links, and
+   the solver's exact-row and prefilter-reject counts for the report. A
+   change to the path search's representation must not move one of
+   them. *)
+let test_isp_budget_answers_pinned () =
+  let mode_name = function
+    | Coverage.Structural -> "structural"
+    | Coverage.Exact -> "exact"
+    | Coverage.Sampled -> "sampled"
+  in
+  let render links =
+    String.concat ";"
+      (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (Graph.EdgeSet.elements links))
+  in
+  let count c = Nettomo_obs.Obs.Metrics.counter_value c in
+  List.iter
+    (fun (name, seed, points) ->
+      let spec = Option.get (Nettomo_topo.Isp.find name) in
+      let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
+      let mmp = Graph.NodeSet.elements (Mmp.place g) in
+      List.iter
+        (fun (k, mode, size, digest, exact, rejects) ->
+          let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
+          let exact0 = count Solver.exact_rows and rejects0 = count Solver.prefilter_rejects in
+          let r = Coverage.classify net in
+          let at what = Printf.sprintf "%s with %d MMP monitors: %s" name k what in
+          check Alcotest.string (at "mode") mode (mode_name r.Coverage.mode);
+          check ci (at "identifiable links") size (Graph.EdgeSet.cardinal r.Coverage.identifiable);
+          check Alcotest.string (at "identifiable digest") digest
+            Nettomo_util.Checksum.(to_hex (fnv64 (render r.Coverage.identifiable)));
+          check ci (at "exact rows") exact (count Solver.exact_rows - exact0);
+          check ci (at "prefilter rejects") rejects (count Solver.prefilter_rejects - rejects0))
+        points)
+    [
+      ( "Ebone",
+        50,
+        [
+          (8, "sampled", 191, "927e2a019d876008", 285, 2884);
+          (26, "sampled", 257, "f699033ff138bef1", 315, 5980);
+          (50, "sampled", 329, "1e3d4c64863f6617", 353, 8174);
+          (56, "sampled", 1, "38cb24f11110b389", 0, 0);
+          (65, "structural", 381, "2b8061596f304c9a", 0, 0);
+        ] );
+      ( "Exodus",
+        54,
+        [
+          (2, "sampled", 88, "856c1581356f7e75", 254, 66);
+          (26, "sampled", 339, "fa03fac05609a5c5", 358, 7698);
+          (58, "sampled", 0, "cbf29ce484222325", 0, 0);
+          (95, "structural", 434, "e78f2cd397a852c8", 0, 0);
+        ] );
+      ( "Tiscali",
+        56,
+        [
+          (2, "sampled", 18, "c7f8898a9a730bbd", 137, 15);
+          (38, "sampled", 267, "a400b1c1f50d938d", 286, 6852);
+          (74, "sampled", 0, "cbf29ce484222325", 0, 0);
+          (142, "structural", 404, "0573b4d2ed22699e", 0, 0);
+        ] );
+    ]
+
 let test_augment_zero_and_negative () =
   let net = Net.with_monitors Paper.fig1 [ 0; 1 ] in
   let plan = Coverage.augment ~k:0 net in
@@ -278,4 +341,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solver_basis_matches_rebuild;
     Alcotest.test_case "solver basis = rebuild on ISP MMP prefixes" `Quick
       test_solver_basis_isp_prefixes;
+    Alcotest.test_case "ISP budget answers pinned" `Quick
+      test_isp_budget_answers_pinned;
   ]

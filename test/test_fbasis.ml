@@ -4,40 +4,67 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let frow = Array.map float_of_int
+(* Fbasis takes a 0/1 row as the ascending columns where it is 1; the
+   reference takes the dense vector. *)
+let dense n cols =
+  let v = Array.make n 0.0 in
+  List.iter (fun j -> v.(j) <- 1.0) cols;
+  v
+
+(* A random 0/1 row over [n] columns as its ascending column list: each
+   column is set with probability 1/[inv_density]. *)
+let random_cols rng n inv_density =
+  List.filter (fun _ -> Nettomo_util.Prng.int rng inv_density = 0) (List.init n Fun.id)
 
 let test_empty () =
   let b = Fbasis.create 3 in
   check ci "rank 0" 0 (Fbasis.rank b);
   check ci "dimension" 3 (Fbasis.dimension b);
-  check cb "zero rejected" false (Fbasis.would_increase_rank b (frow [| 0; 0; 0 |]));
-  check cb "nonzero accepted" true (Fbasis.would_increase_rank b (frow [| 0; 1; 0 |]))
+  check cb "zero rejected" false (Fbasis.would_increase_rank b []);
+  check cb "nonzero accepted" true (Fbasis.would_increase_rank b [ 1 ])
 
 let test_add_and_reject () =
-  let b = Fbasis.create 3 in
-  check cb "add 1" true (Fbasis.add b (frow [| 1; 1; 0 |]));
-  check cb "add 2" true (Fbasis.add b (frow [| 0; 1; 1 |]));
-  check cb "dependent rejected" false (Fbasis.add b (frow [| 1; 2; 1 |]));
-  check cb "independent accepted" true (Fbasis.add b (frow [| 1; 0; 0 |]));
+  let b = Fbasis.create 4 in
+  check cb "add 1" true (Fbasis.add b [ 0; 1 ]);
+  check cb "add 2" true (Fbasis.add b [ 2; 3 ]);
+  check cb "add 3" true (Fbasis.add b [ 0; 2 ]);
+  (* e1 + e3 = (e0 + e1) + (e2 + e3) - (e0 + e2) *)
+  check cb "dependent rejected" false (Fbasis.add b [ 1; 3 ]);
+  check cb "independent accepted" true (Fbasis.add b [ 1 ]);
   check cb "full" true (Fbasis.is_full b);
-  check cb "everything now dependent" false
-    (Fbasis.would_increase_rank b (frow [| 3; -7; 2 |]))
+  check cb "everything now dependent" false (Fbasis.would_increase_rank b [ 0; 1; 2; 3 ]);
+  List.iter
+    (fun cols ->
+      Alcotest.check_raises "columns must be ascending and in range"
+        (Invalid_argument "Fbasis: columns must be ascending and below the dimension")
+        (fun () -> ignore (Fbasis.would_increase_rank b cols)))
+    [ [ 1; 0 ]; [ 2; 2 ]; [ 4 ]; [ -1 ] ]
 
 let test_near_zero_epsilon () =
-  let b = Fbasis.create 2 in
-  ignore (Fbasis.add b [| 1.0; 0.0 |]);
-  check cb "tiny residual treated as dependent" false
-    (Fbasis.would_increase_rank b [| 1.0; 1e-12 |]);
-  check cb "clear residual accepted" true
-    (Fbasis.would_increase_rank b [| 1.0; 0.5 |])
+  (* After e0+e1, e1+e2 and e0+e2+e3 (pivot 2, scaled by 1/2), the
+     residual of e0 is -0.5·e3 and that of e3 is e3 itself. *)
+  let build ?epsilon () =
+    let b = Fbasis.create ?epsilon 4 in
+    List.iter (fun cols -> ignore (Fbasis.add b cols)) [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2; 3 ] ];
+    b
+  in
+  let b = build ~epsilon:0.75 () in
+  check ci "rank 3" 3 (Fbasis.rank b);
+  check cb "residual within epsilon treated as dependent" false
+    (Fbasis.would_increase_rank b [ 0 ]);
+  check cb "clear residual accepted" true (Fbasis.would_increase_rank b [ 3 ]);
+  check cb "default epsilon accepts the half residual" true
+    (Fbasis.would_increase_rank (build ()) [ 0 ])
 
 let test_copy_independent () =
   let b = Fbasis.create 2 in
-  ignore (Fbasis.add b [| 1.0; 0.0 |]);
+  ignore (Fbasis.add b [ 0 ]);
   let b2 = Fbasis.copy b in
-  ignore (Fbasis.add b2 [| 0.0; 1.0 |]);
+  ignore (Fbasis.add b2 [ 1 ]);
   check ci "copy extended" 2 (Fbasis.rank b2);
-  check ci "original untouched" 1 (Fbasis.rank b)
+  check ci "original untouched" 1 (Fbasis.rank b);
+  check cb "original still accepts e1" true (Fbasis.would_increase_rank b [ 1 ]);
+  check cb "copy rejects e1" false (Fbasis.would_increase_rank b2 [ 1 ])
 
 (* The whole point of Fbasis: on 0/1 incidence-like rows it must agree
    with the exact basis. *)
@@ -51,9 +78,12 @@ let prop_agrees_with_exact_on_01 =
       let fl = Fbasis.create n in
       let ok = ref true in
       for _ = 1 to rows do
-        let bits = Array.init n (fun _ -> Nettomo_util.Prng.int rng 2) in
-        let e = Basis.add exact (Array.map Rational.of_int bits) in
-        let f = Fbasis.add fl (Array.map float_of_int bits) in
+        let cols = random_cols rng n 2 in
+        let e =
+          Basis.add exact
+            (Array.init n (fun j -> if List.exists (Int.equal j) cols then Rational.one else Rational.zero))
+        in
+        let f = Fbasis.add fl cols in
         if e <> f then ok := false
       done;
       !ok && Basis.rank exact = Fbasis.rank fl)
@@ -65,18 +95,15 @@ let prop_rank_bounded =
       let rng = Nettomo_util.Prng.create seed in
       let b = Fbasis.create n in
       for _ = 1 to 3 * n do
-        ignore
-          (Fbasis.add b
-             (Array.init n (fun _ ->
-                  float_of_int (Nettomo_util.Prng.int_in rng (-5) 5))))
+        ignore (Fbasis.add b (random_cols rng n 2))
       done;
       Fbasis.rank b <= n)
 
-(* Restricting the arithmetic to free columns must not move a single
-   verdict: the prefilter decides which rows the solver eliminates
-   exactly, so any drift would change coverage answers. Sparse 0/1 rows
-   (as the solver offers) and small-integer rows (fractional pivots,
-   partial pivoting at work), with later rows often dependent. *)
+(* Restricting the arithmetic to free columns and to the rows pivoted on
+   a candidate's columns must not move a single verdict: the prefilter
+   decides which rows the solver eliminates exactly, so any drift would
+   change coverage answers. Sparse and denser 0/1 rows, with later rows
+   often dependent. *)
 let prop_matches_full_width_reference =
   QCheck2.Test.make
     ~name:"free-column basis matches the full-width reference" ~count:200
@@ -84,28 +111,58 @@ let prop_matches_full_width_reference =
     (fun (seed, n, sparse) ->
       let rng = Nettomo_util.Prng.create seed in
       let fast = Fbasis.create n and slow = Oracles.Fbasis_ref.create n in
-      let row () =
-        if sparse then
-          Array.init n (fun _ ->
-              if Nettomo_util.Prng.int rng 4 = 0 then 1.0 else 0.0)
-        else
-          Array.init n (fun _ ->
-              float_of_int (Nettomo_util.Prng.int_in rng (-3) 3))
-      in
+      let row () = random_cols rng n (if sparse then 4 else 2) in
       let ok = ref true in
       for _ = 1 to 3 * n do
         let v = row () in
         let probe = row () in
         if
           Fbasis.would_increase_rank fast probe
-          <> Oracles.Fbasis_ref.would_increase_rank slow probe
-          || Fbasis.add fast v <> Oracles.Fbasis_ref.add slow v
+          <> Oracles.Fbasis_ref.would_increase_rank slow (dense n probe)
+          || Fbasis.add fast v <> Oracles.Fbasis_ref.add slow (dense n v)
         then ok := false
       done;
       let copy = Fbasis.copy fast in
       !ok
       && Fbasis.rank fast = Oracles.Fbasis_ref.rank slow
       && Fbasis.rank copy = Fbasis.rank fast)
+
+(* Path-like rows (a few random columns each), probes interleaved with
+   adds, then the same again on a copy of each basis: the column-row
+   basis and the dense reference must give identical verdicts and rank
+   throughout, and the copies must leave the originals alone. *)
+let prop_column_rows_match_reference_through_copy =
+  QCheck2.Test.make
+    ~name:"column rows match the dense reference, through a copy" ~count:200
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 48) (int_range 1 8))
+    (fun (seed, n, width) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let module R = Oracles.Fbasis_ref in
+      let row () =
+        List.sort_uniq Int.compare
+          (List.init (1 + Nettomo_util.Prng.int rng width) (fun _ -> Nettomo_util.Prng.int rng n))
+      in
+      let agree fast slow =
+        let ok = ref true in
+        for _ = 1 to 2 * n do
+          let probe = row () in
+          let v = row () in
+          if
+            Fbasis.would_increase_rank fast probe <> R.would_increase_rank slow (dense n probe)
+            || Fbasis.add fast v <> R.add slow (dense n v)
+          then ok := false
+        done;
+        !ok && Fbasis.rank fast = R.rank slow
+      in
+      let fast = Fbasis.create n and slow = R.create n in
+      let first = agree fast slow in
+      let rank = Fbasis.rank fast in
+      let fast' = Fbasis.copy fast and slow' = R.copy slow in
+      let second = agree fast' slow' in
+      let probe = row () in
+      first && second
+      && Fbasis.rank fast = rank
+      && Fbasis.would_increase_rank fast probe = R.would_increase_rank slow (dense n probe))
 
 let suite =
   [
@@ -116,4 +173,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_agrees_with_exact_on_01;
     QCheck_alcotest.to_alcotest prop_rank_bounded;
     QCheck_alcotest.to_alcotest prop_matches_full_width_reference;
+    QCheck_alcotest.to_alcotest prop_column_rows_match_reference_through_copy;
   ]

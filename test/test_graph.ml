@@ -200,7 +200,8 @@ let sparse_ids rng n =
 (* Every graph the separation sweep sees (an induced block) and every
    extended graph has gaps between its ids, so relabel random graphs
    one-to-one onto sparse ids: the flat form must hold its invariant,
-   index every id back and number links in measurement-column order,
+   index every id back (and no other), find each link from either end
+   by its neighbour's id, number links in measurement-column order,
    and every structural answer must map through the relabelling. *)
 let prop_sparse_ids =
   QCheck2.Test.make ~name:"Csr and answers on sparse ids" ~count:200
@@ -229,10 +230,26 @@ let prop_sparse_ids =
       let monitors =
         Array.to_list (Nettomo_util.Prng.sample rng (min n 3) (Array.init n Fun.id))
       in
+      let fresh = Graph.fresh_node h in
       Array.for_all (fun v -> csr.ids.(Csr.index csr v) = v) ids
-      && (match Csr.index csr (Graph.fresh_node h) with
+      && (match Csr.index csr fresh with
          | _ -> false
          | exception Invalid_argument _ -> true)
+      && Array.for_all (fun v -> Csr.find csr v = Csr.index csr v) ids
+      && Csr.find csr fresh = -1
+      && Array.for_all
+           (fun u ->
+             let i = Csr.index csr u in
+             Csr.half_edge csr i fresh = -1
+             && Array.for_all
+                  (fun v ->
+                    match Csr.half_edge csr i v with
+                    | -1 -> not (Graph.mem_edge h u v)
+                    | k ->
+                        csr.adj.(k) = Csr.index csr v
+                        && Graph.edge_equal (Csr.edge csr csr.eid.(k)) (Graph.edge u v))
+                  ids)
+           ids
       && Array.for_all2 Graph.edge_equal
            (Array.init csr.m (Csr.edge csr))
            (Measurement.link_order (Measurement.space h))

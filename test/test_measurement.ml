@@ -78,7 +78,8 @@ let test_incidence_row () =
           (List.init (Array.length row) Fun.id)
       in
       check (Alcotest.list ci) "columns are the row's ones" ones
-        (List.sort Int.compare (Measurement.columns s p)))
+        (List.sort Int.compare
+           (List.map (Measurement.column s) (Nettomo_graph.Paths.path_edges p))))
     fig1_paths
 
 let test_fig1_matrix_invertible () =

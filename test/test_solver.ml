@@ -111,6 +111,55 @@ let test_no_monitor_pairs () =
   let plan = Solver.independent_paths ~rng:(Prng.create 10) net in
   check ci "no paths without a pair" 0 plan.Solver.rank
 
+(* The search validates seed paths on the flat graph; it must skip
+   exactly the entries the reference [Measurement.is_measurement_path]
+   rejects, and nothing else: valid candidates mixed with broken copies
+   (reversed, a node dropped or repeated, a foreign node, an end node
+   dropped, too short) give the plan, and the work counts, of the valid
+   ones alone. *)
+let prop_invalid_seeds_skipped =
+  QCheck2.Test.make ~name:"invalid seed paths skipped as Measurement rejects them"
+    ~count:60
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 5 20) (int_range 0 20))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let kappa = 2 + Prng.int rng 3 in
+      let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
+      let net = Net.create g ~monitors in
+      let broken p =
+        match Prng.int rng 9 with
+        | 0 -> List.rev p
+        | 1 -> List.filteri (fun i _ -> i <> 1) p
+        | 2 -> List.hd p :: p
+        | 3 -> p @ [ n + 5 ]
+        | 4 -> List.tl p
+        | 5 -> List.rev (List.tl (List.rev p))
+        | 6 -> [ List.hd p ]
+        | 7 -> p @ [ List.hd p ]
+        | _ -> []
+      in
+      let seeds =
+        List.concat_map
+          (fun p -> [ p; broken p ])
+          (Nettomo_measure.Paths.simple_candidates net)
+      in
+      let counts () =
+        Nettomo_obs.Obs.Metrics.
+          (counter_value Solver.exact_rows, counter_value Solver.prefilter_rejects)
+      in
+      let plan seed_paths =
+        let e0, r0 = counts () in
+        let p = Solver.independent_paths ~rng:(Prng.create seed) ~max_stall:0 ~seed_paths net in
+        let e1, r1 = counts () in
+        (p, e1 - e0, r1 - r0)
+      in
+      let a, ea, ra = plan seeds in
+      let b, eb, rb = plan (List.filter (Measurement.is_measurement_path net) seeds) in
+      a.Solver.rank = b.Solver.rank
+      && List.equal (List.equal Int.equal) a.Solver.paths b.Solver.paths
+      && ea = eb && ra = rb)
+
 let suite =
   [
     Alcotest.test_case "fig1 plan reaches full rank" `Quick test_plan_full_rank_fig1;
@@ -125,4 +174,5 @@ let suite =
     Alcotest.test_case "no monitor pairs" `Quick test_no_monitor_pairs;
     QCheck_alcotest.to_alcotest prop_recover_roundtrip_mmp;
     QCheck_alcotest.to_alcotest prop_plan_paths_independent;
+    QCheck_alcotest.to_alcotest prop_invalid_seeds_skipped;
   ]
