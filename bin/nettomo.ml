@@ -7,7 +7,6 @@
      check      identifiability of a monitor placement (Theorems 3.1-3.3)
      place      minimum monitor placement (Algorithm 1, MMP)
      solve      simulate delays and recover them from path measurements
-     partial    per-link identifiability of an arbitrary placement
      coverage   structural per-link coverage and greedy monitor augmentation
      routing    fixed shortest-path-routing baseline vs MMP
      robust     single-failure robustness of a placement
@@ -396,36 +395,6 @@ let robust_cmd =
          "Single-failure robustness: which link/node failures break the \
           placement's identifiability.")
     Term.(ret (const run $ topology_arg $ monitors_arg $ mmp_arg))
-
-(* ------------------------------------------------------------------ *)
-(* partial                                                             *)
-
-let partial_cmd =
-  let run file monitors seed =
-    let g = load file in
-    match net_of g monitors with
-    | `Error _ as e -> e
-    | `Ok net ->
-        let rng = Prng.create seed in
-        (match Partial.analyze ~rng net with
-        | exception Invalid_argument m -> `Error (false, m)
-        | r ->
-            Format.printf "%a@." Partial.pp r;
-            if not (Graph.EdgeSet.is_empty r.Partial.unidentifiable) then begin
-              Format.printf "unidentifiable links:";
-              Graph.EdgeSet.iter
-                (fun (u, v) -> Format.printf " %d-%d" u v)
-                r.Partial.unidentifiable;
-              Format.printf "@."
-            end;
-            `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "partial"
-       ~doc:
-         "Partial identifiability: which links a (possibly insufficient) \
-          placement identifies.")
-    Term.(ret (const run $ topology_arg $ monitors_arg $ seed_arg))
 
 (* ------------------------------------------------------------------ *)
 (* coverage                                                            *)
@@ -923,15 +892,14 @@ let obs_cmd =
     in
     (* Validation contract used by CI: the file parses as JSON, every
        event is a complete ("X") span with the expected fields, and the
-       spans form a consistent tree. Traces written by this build carry
-       span ids in args ("span" / "parent" / "req"), and the check
-       reassembles the cross-domain parent–child tree from them: ids
-       unique, every parent present, children contained in their
-       parent's interval, request id constant down each edge. Traces
-       without span ids (older files) fall back to the per-thread
-       balance check — sorted by start time the spans of one tid must
-       nest properly, no partial overlap. The epsilon absorbs the %.3f
-       microsecond quantization of the writer. *)
+       spans form a consistent tree. Every span carries ids in args
+       ("span" / "parent" / "req"), and the check reassembles the
+       cross-domain parent–child tree from them: ids unique, every
+       parent present, children contained in their parent's interval,
+       request id constant down each edge. Ids are registered in one
+       pass and edges checked in a second, each walking the spans in
+       file order and reporting the first bad one. The epsilon absorbs
+       the %.3f microsecond quantization of the writer. *)
     let eps = 0.01 in
     let num = function
       | Jsonx.Int i -> Some (float_of_int i)
@@ -955,97 +923,52 @@ let obs_cmd =
           Option.bind (Jsonx.member "ph" ev) Jsonx.to_string_opt,
           get "ts", get "dur", get "tid" )
       with
-      | Some _, Some "X", Some ts, Some dur, Some tid
+      | Some _, Some "X", Some ts, Some dur, Some _
         when ts >= 0. && dur >= 0. ->
-          Ok
-            ( int_of_float tid,
-              ts,
-              dur,
-              (arg_int "span" ev, arg_int "parent" ev, arg_int "req" ev) )
+          Ok (ts, dur, arg_int "span" ev, arg_int "parent" ev, arg_int "req" ev)
       | _ -> Error (Printf.sprintf "event %d is not a well-formed span" i)
     in
-    let check_nesting spans =
-      (* Parents sort before their children: start ascending, then
-         longer span first on equal starts. *)
-      let spans =
-        List.sort
-          (fun (sa, da) (sb, db) ->
-            let c = Float.compare sa sb in
-            if c <> 0 then c else Float.compare db da)
-          spans
-      in
-      List.fold_left
-        (fun acc (s, d) ->
-          match acc with
-          | Error _ as err -> err
-          | Ok stack ->
-              (* Pop every enclosing span that ended before this start. *)
-              let stack = List.filter (fun e -> e > s +. eps) stack in
-              let e = s +. d in
-              (match stack with
-              | top :: _ when e > top +. eps ->
-                  Error
-                    (Printf.sprintf
-                       "span [%f, %f] overlaps enclosing span ending %f" s e
-                       top)
-              | _ -> Ok (e :: stack)))
-        (Ok []) spans
-    in
-    (* Id-mode: reassemble the parent–child tree across domains. *)
     let check_tree spans =
       let by_id = Hashtbl.create 64 in
-      let dup =
-        List.fold_left
-          (fun acc (_, ts, dur, (id, parent, req)) ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match id with
-                | None -> Some "a span is missing its \"span\" id arg"
-                | Some id ->
-                    if Hashtbl.mem by_id id then
-                      Some (Printf.sprintf "duplicate span id %d" id)
-                    else begin
-                      Hashtbl.replace by_id id (ts, dur, parent, req);
-                      None
-                    end))
-          None spans
+      let register (ts, dur, id, _, req) =
+        match id with
+        | None -> Some "a span is missing its \"span\" id arg"
+        | Some id when Hashtbl.mem by_id id ->
+            Some (Printf.sprintf "duplicate span id %d" id)
+        | Some id ->
+            Hashtbl.replace by_id id (ts, dur, req);
+            None
       in
-      match dup with
+      let nested = function
+        | ts, dur, Some id, Some p, req -> (
+            match Hashtbl.find_opt by_id p with
+            | None ->
+                Some (Printf.sprintf "span %d: parent %d not in trace" id p)
+            | Some (pts, pdur, preq) ->
+                if ts +. eps < pts || ts +. dur > pts +. pdur +. eps then
+                  Some
+                    (Printf.sprintf
+                       "span %d [%f, %f] escapes parent %d [%f, %f]" id ts
+                       (ts +. dur) p pts (pts +. pdur))
+                else if
+                  match (req, preq) with
+                  | Some r, Some pr -> r <> pr
+                  | _ -> false
+                then
+                  Some
+                    (Printf.sprintf
+                       "span %d carries a different request id than its \
+                        parent %d"
+                       id p)
+                else None)
+        | _ -> None
+      in
+      match List.find_map register spans with
       | Some m -> Error m
-      | None ->
-          Hashtbl.fold
-            (fun id (ts, dur, parent, req) acc ->
-              match acc with
-              | Error _ -> acc
-              | Ok () -> (
-                  match parent with
-                  | None -> Ok ()
-                  | Some p -> (
-                      match Hashtbl.find_opt by_id p with
-                      | None ->
-                          Error
-                            (Printf.sprintf "span %d: parent %d not in trace"
-                               id p)
-                      | Some (pts, pdur, _, preq) ->
-                          if ts +. eps < pts || ts +. dur > pts +. pdur +. eps
-                          then
-                            Error
-                              (Printf.sprintf
-                                 "span %d [%f, %f] escapes parent %d [%f, %f]"
-                                 id ts (ts +. dur) p pts (pts +. pdur))
-                          else if
-                            match (req, preq) with
-                            | Some r, Some pr -> r <> pr
-                            | _ -> false
-                          then
-                            Error
-                              (Printf.sprintf
-                                 "span %d carries a different request id than \
-                                  its parent %d"
-                                 id p)
-                          else Ok ())))
-            by_id (Ok ())
+      | None -> (
+          match List.find_map nested spans with
+          | Some m -> Error m
+          | None -> Ok ())
     in
     let run file =
       let raw = In_channel.with_open_bin file In_channel.input_all in
@@ -1063,57 +986,22 @@ let obs_cmd =
                        | Ok acc, Ok v -> Ok (v :: acc)
                        | Ok _, Error m -> Error m)
                      (Ok [])
+                |> Result.map List.rev
               in
-              match parsed with
-              | Error m -> `Error (false, m)
-              | Ok spans ->
-                  let id_mode =
-                    List.exists (fun (_, _, _, (id, _, _)) -> id <> None) spans
-                  in
-                  if id_mode then begin
-                    match check_tree spans with
-                    | Ok () ->
-                        Format.printf
-                          "%d span(s): parent-child tree consistent@."
-                          (List.length spans);
-                        `Ok ()
-                    | Error m -> `Error (false, m)
-                  end
-                  else begin
-                    let by_tid = Hashtbl.create 8 in
-                    List.iter
-                      (fun (tid, ts, dur, _) ->
-                        let prev =
-                          Option.value (Hashtbl.find_opt by_tid tid)
-                            ~default:[]
-                        in
-                        Hashtbl.replace by_tid tid ((ts, dur) :: prev))
-                      spans;
-                    let bad =
-                      Hashtbl.fold
-                        (fun tid tspans acc ->
-                          match check_nesting tspans with
-                          | Ok _ -> acc
-                          | Error m -> (tid, m) :: acc)
-                        by_tid []
-                    in
-                    match bad with
-                    | [] ->
-                        Format.printf
-                          "%d span(s) across %d thread(s): balanced@."
-                          (List.length spans) (Hashtbl.length by_tid);
-                        `Ok ()
-                    | (tid, m) :: _ ->
-                        `Error (false, Printf.sprintf "tid %d: %s" tid m)
-                  end)
+              match Result.bind parsed check_tree with
+              | Ok () ->
+                  Format.printf "%d span(s): parent-child tree consistent@."
+                    (List.length events);
+                  `Ok ()
+              | Error m -> `Error (false, m))
           | Some _ | None -> `Error (false, "trace has no traceEvents array"))
     in
     Cmd.v
       (Cmd.info "check-trace"
          ~doc:
            "Validate a trace file written by serve --trace: JSON parses, \
-            events are well-formed complete spans, and spans nest properly \
-            per thread.")
+            events are well-formed complete spans, and their span ids form \
+            a consistent parent-child tree.")
       Term.(ret (const run $ file_arg))
   in
   let slow_cmd =
@@ -1407,6 +1295,6 @@ let () =
        (Cmd.group info
           [
             gen_cmd; stats_cmd; decompose_cmd; check_cmd; place_cmd; solve_cmd;
-            partial_cmd; coverage_cmd; routing_cmd; robust_cmd; experiment_cmd;
+            coverage_cmd; routing_cmd; robust_cmd; experiment_cmd;
             serve_cmd; store_cmd; obs_cmd; bench_cmd; dot_cmd;
           ]))

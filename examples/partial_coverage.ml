@@ -6,16 +6,18 @@
    monitor selection may be constrained to a subset of nodes such as
    gateways, and leaves "the achievable number of identifiable links"
    under such constraints as future work. This example explores that
-   regime with the library's rank-based partial-identifiability
-   analysis: on an ISP-like topology, place monitors only on the
-   degree-1 gateway routers, measure what fraction of links that
-   identifies, and watch coverage grow as backbone monitors are allowed
-   in one by one — until it meets MMP's guaranteed-full placement. *)
+   regime with the library's per-link coverage classifier: on an
+   ISP-like topology, place monitors only on the degree-1 gateway
+   routers, measure what fraction of links that identifies, and watch
+   coverage grow as backbone monitors are allowed in one by one — until
+   it meets MMP's guaranteed-full placement. It ends with the library's
+   greedy augmentation planner started from the gateways. *)
 
 open Nettomo_graph
 open Nettomo_topo
 open Nettomo_core
 module Prng = Nettomo_util.Prng
+module Coverage = Nettomo_coverage.Coverage
 
 let spec =
   {
@@ -41,11 +43,9 @@ let () =
   in
   Printf.printf "gateway routers (allowed monitor sites): %d\n" (List.length gateways);
 
-  let analyze monitors =
-    Partial.analyze ~rng (Net.create g ~monitors)
-  in
-  let r0 = analyze gateways in
-  Format.printf "monitors on all gateways only: %a@." Partial.pp r0;
+  let classify monitors = Coverage.classify (Net.create g ~monitors) in
+  let r0 = classify gateways in
+  Format.printf "monitors on all gateways only: %a@." Coverage.pp r0;
 
   (* Relax the constraint: admit backbone routers one at a time, lowest
      degree first -- the degree-2 tandem relays are exactly the nodes
@@ -61,15 +61,17 @@ let () =
     | [] -> admitted
     | v :: rest ->
         let monitors = gateways @ List.rev (v :: admitted) in
-        let r = analyze monitors in
-        let c = Partial.coverage r in
+        let r = classify monitors in
+        let c = Coverage.coverage r in
         if c > last_coverage then
-          Printf.printf "  + node %2d (degree %2d): coverage %5.1f%% (rank %d)\n" v
-            (Graph.degree g v) (100.0 *. c) r.Partial.rank;
+          Printf.printf
+            "  + node %2d (degree %2d): coverage %5.1f%% (%d links)\n" v
+            (Graph.degree g v) (100.0 *. c)
+            (Graph.EdgeSet.cardinal r.Coverage.identifiable);
         if c >= 1.0 then v :: admitted
         else relax (v :: admitted) rest c
   in
-  let admitted = relax [] backbone (Partial.coverage r0) in
+  let admitted = relax [] backbone (Coverage.coverage r0) in
   Printf.printf
     "full coverage with the %d gateways + %d admitted backbone routers\n"
     (List.length gateways) (List.length admitted);
@@ -82,16 +84,11 @@ let () =
     "(MMP must include every gateway by rule (i); any further gap is the\n\
      cost of the degree-order heuristic vs MMP's structural picks)\n";
 
-  (* The library's own constrained-placement greedy, for comparison:
-     candidates = gateways plus the degree-2 relays. *)
-  let candidates =
-    Graph.fold_nodes
-      (fun v acc -> if Graph.degree g v <= 2 then v :: acc else acc)
-      g []
+  (* The library's greedy planner, for comparison: starting from the
+     gateways, it adds the monitor that frees the most links each step
+     and stops at full coverage. *)
+  let plan =
+    Coverage.augment ~k:(Graph.n_nodes g) (Net.create g ~monitors:gateways)
   in
-  let r = Constrained.greedy_place ~rng g ~candidates in
-  Format.printf
-    "@,Constrained.greedy_place over the %d low-degree candidates: %d monitors, %a@."
-    (List.length candidates)
-    (List.length r.Constrained.monitors)
-    Partial.pp r.Constrained.report
+  Format.printf "@.Coverage.augment from the gateways: %a@." Coverage.pp_plan
+    plan

@@ -14,20 +14,6 @@ type kind =
   | Shortcut of { pa : Paths.path; pb : Paths.path; via : Paths.path }
   | Unclassified
 
-let pp_path ppf p =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "-")
-    Format.pp_print_int ppf p
-
-let pp_kind ppf = function
-  | Cross_link w ->
-      Format.fprintf ppf "cross-link (PA=%a PB=%a PC=%a PD=%a)" pp_path w.pa
-        pp_path w.pb pp_path w.pc pp_path w.pd
-  | Shortcut w ->
-      Format.fprintf ppf "shortcut (PA=%a PB=%a via=%a)" pp_path w.pa pp_path
-        w.pb pp_path w.via
-  | Unclassified -> Format.pp_print_string ppf "unclassified"
-
 (* Path utilities: node sets and intersection cardinalities. *)
 let nodes_of p = NS.of_list p
 
@@ -182,8 +168,8 @@ let classify ?(limit = 50_000) net =
   done;
   !kinds
 
-let identify ?limit net weights =
-  let kinds = classify ?limit net in
+let identify net weights =
+  let kinds = classify net in
   let half = Q.of_ints 1 2 in
   let m = Measurement.measure weights in
   (* Resolve in dependency order: cross-links directly, then shortcuts
@@ -236,7 +222,10 @@ let is_non_separating_cycle net nodes =
   |> List.for_all (fun comp ->
          not (NS.is_empty (NS.inter comp (Net.monitors net))))
 
-let non_separating_cycles ?(limit = 100_000) net =
+(* Candidate cycles examined before [non_separating_cycles] gives up. *)
+let cycle_limit = 100_000
+
+let non_separating_cycles net =
   let g = Net.graph net in
   let seen = Hashtbl.create 32 in
   let out = ref [] in
@@ -245,7 +234,7 @@ let non_separating_cycles ?(limit = 100_000) net =
      paths s → v using only nodes > s, closing when v is adjacent to s. *)
   let consider cycle_nodes =
     incr examined;
-    if !examined > limit then raise Paths.Limit_exceeded;
+    if !examined > cycle_limit then raise Paths.Limit_exceeded;
     let key = List.sort Int.compare cycle_nodes in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
@@ -257,7 +246,7 @@ let non_separating_cycles ?(limit = 100_000) net =
      smallest node; direction duplicates are removed by [seen]. *)
   let rec dfs s path visited v =
     incr examined;
-    if !examined > limit then raise Paths.Limit_exceeded;
+    if !examined > cycle_limit then raise Paths.Limit_exceeded;
     NS.iter
       (fun u ->
         if u > s && not (NS.mem u visited) then begin

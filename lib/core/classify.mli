@@ -9,7 +9,7 @@
     and yields concrete per-link identification formulas.
 
     The searches enumerate simple paths and are exponential: they are
-    meant for small networks (examples, tests), with [limit] guards. *)
+    meant for small networks (examples, tests), with enumeration limits. *)
 
 open Nettomo_graph
 open Nettomo_linalg
@@ -31,15 +31,13 @@ type kind =
       (** No witness found — under Theorem 3.2's conditions this does
           not happen for interior links. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val classify : ?limit:int -> Net.t -> kind Graph.EdgeMap.t
 (** Classification of every interior link of a 2-monitor network.
     Cross-links are found first; shortcuts are then closed under a
     fixpoint, allowing detours through links identified earlier. Raises
     [Invalid_argument] unless the network has exactly two monitors. *)
 
-val identify : ?limit:int -> Net.t -> Measurement.weights ->
+val identify : Net.t -> Measurement.weights ->
   (Graph.edge * Rational.t) list
 (** Apply the identification formulas (7) and (9) to every classified
     interior link, measuring the witness paths against the given
@@ -52,7 +50,7 @@ val is_non_separating_cycle : Net.t -> Graph.node list -> bool
     every connected component of [G ∖ F] contains at least one
     monitor. *)
 
-val non_separating_cycles : ?limit:int -> Net.t -> Graph.node list list
+val non_separating_cycles : Net.t -> Graph.node list list
 (** All non-separating cycles, each reported once with its smallest node
-    first. Exponential; [limit] (default 100,000) bounds the number of
-    candidate cycles examined, raising [Paths.Limit_exceeded] beyond. *)
+    first. Exponential: raises [Paths.Limit_exceeded] after examining
+    100,000 candidate cycles. *)

@@ -97,7 +97,7 @@ let network_identifiable net =
 (* ------------------------------------------------------------------ *)
 (* Ground truth by exact rank                                          *)
 
-let measurement_basis ?limit net =
+let measurement_basis net =
   let g = Net.graph net in
   let space = Measurement.space g in
   let basis = Basis.create (Measurement.n_links space) in
@@ -106,16 +106,16 @@ let measurement_basis ?limit net =
        (fun (m1, m2) ->
          List.iter
            (fun p -> ignore (Basis.add basis (Measurement.incidence_row space p)))
-           (Paths.all_simple_paths ?limit g m1 m2);
+           (Paths.all_simple_paths g m1 m2);
          if Basis.is_full basis then raise Exit)
        (Net.monitor_pairs net)
    with Exit -> ());
   basis
 
-let identifiable_links_bruteforce ?limit net =
+let identifiable_links_bruteforce net =
   let g = Net.graph net in
   let space = Measurement.space g in
-  let basis = measurement_basis ?limit net in
+  let basis = measurement_basis net in
   let n = Measurement.n_links space in
   let order = Measurement.link_order space in
   let acc = ref Graph.EdgeSet.empty in
@@ -127,5 +127,5 @@ let identifiable_links_bruteforce ?limit net =
     order;
   !acc
 
-let network_identifiable_bruteforce ?limit net =
-  Basis.is_full (measurement_basis ?limit net)
+let network_identifiable_bruteforce net =
+  Basis.is_full (measurement_basis net)

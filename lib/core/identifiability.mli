@@ -55,14 +55,14 @@ val pp_failure : Format.formatter -> two_monitor_failure -> unit
 
 (** {1 Ground truth by exact rank} *)
 
-val measurement_basis : ?limit:int -> Net.t -> Nettomo_linalg.Basis.t
+val measurement_basis : Net.t -> Nettomo_linalg.Basis.t
 (** Row-space basis of the measurement matrix over {e all} simple paths
-    between all monitor pairs. Exponential; [limit] (default 200,000)
-    bounds the number of paths per monitor pair and raises
-    [Paths.Limit_exceeded] beyond it. *)
+    between all monitor pairs. Exponential; raises
+    [Paths.Limit_exceeded] when one monitor pair has more than 200,000
+    simple paths. *)
 
-val identifiable_links_bruteforce : ?limit:int -> Net.t -> Graph.EdgeSet.t
+val identifiable_links_bruteforce : Net.t -> Graph.EdgeSet.t
 (** Exactly the identifiable links, by row-space membership of each unit
     vector. *)
 
-val network_identifiable_bruteforce : ?limit:int -> Net.t -> bool
+val network_identifiable_bruteforce : Net.t -> bool

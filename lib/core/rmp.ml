@@ -19,14 +19,6 @@ let trial rng g ~kappa =
   let net = Net.create g ~monitors in
   kappa >= 2 && Identifiability.network_identifiable net
 
-let success_fraction rng g ~kappa ~runs =
-  if runs <= 0 then Errors.invalid_arg "Rmp.success_fraction: runs must be positive";
-  let hits = ref 0 in
-  for _ = 1 to runs do
-    if trial rng g ~kappa then incr hits
-  done;
-  float_of_int !hits /. float_of_int runs
-
 let success_fraction_par ?pool rng g ~kappa ~runs =
   if runs <= 0 then
     Errors.invalid_arg "Rmp.success_fraction_par: runs must be positive";

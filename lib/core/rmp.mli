@@ -18,11 +18,6 @@ val trial : Nettomo_util.Prng.t -> Graph.t -> kappa:int -> bool
 (** One Monte-Carlo trial: place κ random monitors and test whether the
     whole network is identifiable. *)
 
-val success_fraction :
-  Nettomo_util.Prng.t -> Graph.t -> kappa:int -> runs:int -> float
-(** Fraction of [runs] independent trials achieving identifiability,
-    drawn serially from one stream. *)
-
 val success_fraction_par :
   ?pool:Nettomo_util.Pool.t ->
   Nettomo_util.Prng.t ->
@@ -30,12 +25,11 @@ val success_fraction_par :
   kappa:int ->
   runs:int ->
   float
-(** Like {!success_fraction}, but trial [i] draws from
-    [Nettomo_util.Prng.substream] [i] of the generator's state, and the
-    trials run on [pool] when one with more than one job is given. The
-    result is a function of the generator state, [kappa] and [runs]
-    only: every job count — including no pool at all — returns the
-    same fraction, and the caller's generator advances exactly once
-    either way. Note the trial schedule differs from
-    {!success_fraction}'s single sequential stream, so the two
-    functions agree in distribution but not draw-for-draw. *)
+(** Fraction of [runs] independent trials achieving identifiability.
+    Trial [i] draws from [Nettomo_util.Prng.substream] [i] of the
+    generator's state, and the trials run on [pool] when one with more
+    than one job is given, serially otherwise. The result is a function
+    of the generator state, [kappa] and [runs] only: every job count —
+    including no pool at all — returns the same fraction, and the
+    caller's generator advances exactly once either way. Raises
+    [Invalid_argument] unless [runs] is positive. *)

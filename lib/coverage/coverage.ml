@@ -536,7 +536,7 @@ let deficiency tables mset =
   + List.fold_left (fun acc c -> acc + comp_term c) 0 tables.bic_comps
   + max 0 (tables.kappa_floor - Graph.NodeSet.cardinal mset)
 
-let augment ?(seed = 0) ?(exact_node_limit = 12) ~k net =
+let augment ?(seed = 0) ~k net =
   if k < 0 then Errors.invalid_arg "Coverage.augment: k must be non-negative";
   Obs.Trace.span "coverage.augment" @@ fun () ->
   let g = Net.graph net in
@@ -553,7 +553,7 @@ let augment ?(seed = 0) ?(exact_node_limit = 12) ~k net =
   let cov_of mset =
     let n = Net.with_monitors net (Graph.NodeSet.elements mset) in
     if Net.kappa n < 2 then 0.0
-    else coverage (classify ~seed ~exact_node_limit n)
+    else coverage (classify ~seed n)
   in
   (* Exact full-coverage test: cheap necessary screens first, then the
      paper's Theorem 3.1/3.3 verdict per connected component. *)

@@ -14,11 +14,12 @@
     touching the measurement matrix, and only the links the structure
     cannot decide fall through to rank membership on the pruned
     measurement-relevant sub-network. Every structural rule is sound
-    with respect to the rank semantics of {!Nettomo_core.Partial} —
-    a link is identifiable iff its unit vector lies in the row space of
-    the measurement matrix over all simple monitor-to-monitor paths —
-    so on graphs small enough for the exact fallback the report equals
-    {!Nettomo_core.Partial.analyze} in [Exact] mode, link for link.
+    with respect to the rank semantics — a link is identifiable iff its
+    unit vector lies in the row space of the measurement matrix over
+    all simple monitor-to-monitor paths — so on graphs small enough for
+    the exact fallback the report equals the exact oracle
+    {!Nettomo_core.Identifiability.identifiable_links_bruteforce}, link
+    for link.
 
     Structural layers, in order:
     + {e whole-network accept} — the network passes the paper's
@@ -108,7 +109,7 @@ val classify :
 (** Classify every link. [seed] (default 0) drives the sampled fallback
     so reports are deterministic; [exact_node_limit] (default 12) is
     the pruned-subgraph size up to which the fallback enumerates
-    exactly, matching {!Nettomo_core.Partial.analyze};
+    exactly;
     [rank_node_limit] (default 160) is the size past which the rank
     fallback is skipped and surviving links become [Unresolved]. The
     fallback runs per connected component of the pruned sub-network —
@@ -125,7 +126,7 @@ val classify :
 
 val coverage : report -> float
 (** Fraction of links identifiable, in [\[0, 1\]]; 1.0 for a network
-    with no links (matches {!Nettomo_core.Partial.coverage}). *)
+    with no links. *)
 
 val identifiable_subnet : report -> Graph.t
 (** The maximal identifiable sub-network: exactly the identifiable
@@ -145,8 +146,7 @@ type plan = {
   full : bool;  (** the final placement identifies every link *)
 }
 
-val augment :
-  ?seed:int -> ?exact_node_limit:int -> k:int -> Nettomo_core.Net.t -> plan
+val augment : ?seed:int -> k:int -> Nettomo_core.Net.t -> plan
 (** Greedily add up to [k] monitors, each step taking the candidate
     with the greatest marginal structural coverage — the number of
     links freed from the sound reject rules (low degree,
@@ -160,7 +160,7 @@ val augment :
     sampling — so termination does not depend on the rank fallback.
 
     [coverage_before]/[coverage_after] are measured with {!classify}
-    (same [seed] / [exact_node_limit]); a network with fewer than two
+    (same [seed], default limits); a network with fewer than two
     monitors has coverage 0.0 by convention, which also makes [augment]
     usable as a cold-start planner. [k] must be non-negative
     ([Invalid_argument] otherwise). Deterministic for fixed arguments. *)

@@ -10,7 +10,6 @@ module Classify = Nettomo_core.Classify
 module Mmp = Nettomo_core.Mmp
 module Solver = Nettomo_core.Solver
 module Extended = Nettomo_core.Extended
-module Partial = Nettomo_core.Partial
 module Coverage = Nettomo_coverage.Coverage
 module Measurement = Nettomo_core.Measurement
 module Rational = Nettomo_linalg.Rational
@@ -668,7 +667,6 @@ let decomposition t =
   | None ->
       Obs.Trace.span "session.decomposition" @@ fun () ->
       let g = Net.graph t.net in
-      let bc = Biconnected.decompose g in
       (* One block's piece: the in-memory cache, else the store, else
          [compute] on the block's induced subgraph. *)
       let piece cache tag codec compute (block : Biconnected.component) =
@@ -683,46 +681,21 @@ let decomposition t =
             Hashtbl.add cache key v;
             (v, false)
       in
-      let blocks =
-        List.map
-          (fun (block : Biconnected.component) ->
-            if NS.cardinal block.Biconnected.nodes < 3 then (block, [])
-            else
-              let comps, hit =
-                piece t.tricache "tri" Codec.components
-                  Triconnected.split_biconnected block
-              in
-              Obs.Metrics.incr
-                (if hit then t.counters.c_block_hits
-                 else t.counters.c_block_misses);
-              Obs.Ctx.add_ambient
-                (if hit then "block.hits" else "block.misses")
-                1.;
-              (block, comps))
-          bc.Biconnected.components
+      let split block =
+        let comps, hit =
+          piece t.tricache "tri" Codec.components
+            Triconnected.split_biconnected block
+        in
+        Obs.Metrics.incr
+          (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
+        Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
+        comps
       in
-      let separation_pairs =
-        List.concat_map
-          (fun ((block : Biconnected.component), _) ->
-            if NS.cardinal block.Biconnected.nodes < 4 then []
-            else
-              fst
-                (piece t.paircache "sep" Codec.edges Separation.cut_pairs
-                   block))
-          blocks
-      in
-      let separation_vertices =
-        List.fold_left
-          (fun acc (a, b) -> NS.add a (NS.add b acc))
-          bc.Biconnected.cut_vertices separation_pairs
+      let cut_pairs block =
+        fst (piece t.paircache "sep" Codec.edges Separation.cut_pairs block)
       in
       let d =
-        {
-          Triconnected.blocks;
-          cut_vertices = bc.Biconnected.cut_vertices;
-          separation_pairs;
-          separation_vertices;
-        }
+        Triconnected.assemble (Biconnected.decompose g) ~split ~cut_pairs
       in
       Invariant.check (fun () ->
           if not (equal_decomposition d (Triconnected.decompose g)) then
@@ -769,28 +742,24 @@ let plan t =
        ~scratch:(fun () -> Scratch.plan ~seed:t.seed t.net)
        ~equal:equal_plan)
 
-(* NETTOMO_CHECK: on graphs small enough for Partial.analyze's Exact
-   mode, the structural classifier must reproduce the rank oracle's
-   identifiable set link for link (the structural rules are exact there;
-   only past [rank_node_limit] does the report degrade to a lower
-   bound). *)
+(* NETTOMO_CHECK: on graphs small enough to enumerate every simple
+   path, the structural classifier must reproduce the exact rank
+   oracle's identifiable set link for link (the structural rules are
+   exact there; only past [rank_node_limit] does the report degrade to
+   a lower bound). *)
 let coverage_oracle t r =
   Invariant.check (fun () ->
       match r with
       | Error _ -> ()
       | Ok (rep : Coverage.report) ->
           if Graph.n_nodes (Net.graph t.net) <= 12 then (
-            match Partial.analyze t.net with
+            match Identifiability.identifiable_links_bruteforce t.net with
             | exception Paths.Limit_exceeded -> ()
             | oracle ->
-                if
-                  not
-                    (ES.equal rep.Coverage.identifiable
-                       oracle.Partial.identifiable)
-                then
+                if not (ES.equal rep.Coverage.identifiable oracle) then
                   Invariant.violationf
-                    "Session.coverage: classifier diverges from \
-                     Partial.analyze Exact (state %s)"
+                    "Session.coverage: classifier diverges from the exact \
+                     rank oracle (state %s)"
                     (Fingerprint.to_string t.fp)))
 
 let coverage t =

@@ -104,8 +104,9 @@ val coverage : t -> (Nettomo_coverage.Coverage.report, string) result
 (** {!Nettomo_coverage.Coverage.classify} with the session seed driving
     the sampled rank fallback; memoized per state and persisted under a
     seed-qualified store key. Under [NETTOMO_CHECK] the answer is
-    additionally compared against {!Nettomo_core.Partial.analyze}'s
-    Exact mode whenever the network has at most 12 nodes. *)
+    additionally compared against the exact rank oracle
+    {!Nettomo_core.Identifiability.identifiable_links_bruteforce}
+    whenever the network has at most 12 nodes. *)
 
 val augment : t -> k:int -> (Nettomo_coverage.Coverage.plan, string) result
 (** {!Nettomo_coverage.Coverage.augment} for a budget of [k] monitor

@@ -4,13 +4,6 @@ module ES = Graph.EdgeSet
 
 type component = { nodes : NS.t; edges : ES.t; virtuals : ES.t }
 
-let pp_component ppf c =
-  Format.fprintf ppf "@[<h>{nodes %a; virtual %a}@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-    (NS.elements c.nodes)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Graph.pp_edge)
-    (ES.elements c.virtuals)
-
 let component_of ~virtuals g =
   {
     nodes = Graph.node_set g;
@@ -60,23 +53,17 @@ type t = {
   separation_vertices : NS.t;
 }
 
-let decompose g =
-  Nettomo_obs.Obs.Trace.span "graph.triconnected.decompose" @@ fun () ->
-  let bc = Biconnected.decompose g in
+let assemble (bc : Biconnected.result) ~split ~cut_pairs =
   let blocks =
     List.map
       (fun (block : Biconnected.component) ->
-        if NS.cardinal block.nodes < 3 then (block, [])
-        else
-          let sub = Graph.induced g block.nodes in
-          (block, split_biconnected sub))
+        (block, if NS.cardinal block.nodes < 3 then [] else split block))
       bc.components
   in
   let separation_pairs =
     List.concat_map
       (fun ((block : Biconnected.component), _) ->
-        if NS.cardinal block.nodes < 4 then []
-        else Separation.cut_pairs (Graph.induced g block.nodes))
+        if NS.cardinal block.nodes < 4 then [] else cut_pairs block)
       blocks
   in
   let separation_vertices =
@@ -85,5 +72,14 @@ let decompose g =
       bc.cut_vertices separation_pairs
   in
   { blocks; cut_vertices = bc.cut_vertices; separation_pairs; separation_vertices }
+
+let decompose g =
+  Nettomo_obs.Obs.Trace.span "graph.triconnected.decompose" @@ fun () ->
+  let on_block f (block : Biconnected.component) =
+    f (Graph.induced g block.nodes)
+  in
+  assemble (Biconnected.decompose g)
+    ~split:(on_block split_biconnected)
+    ~cut_pairs:(on_block Separation.cut_pairs)
 
 let components g = List.concat_map snd (decompose g).blocks

@@ -17,8 +17,6 @@ type component = {
   virtuals : Graph.EdgeSet.t;  (** the virtual links among [edges] *)
 }
 
-val pp_component : Format.formatter -> component -> unit
-
 val split_biconnected : Graph.t -> component list
 (** Triconnected components of a biconnected graph (≥ 3 nodes, no cut
     vertex). Raises [Invalid_argument] if the input has a cut vertex or is
@@ -39,6 +37,20 @@ type t = {
 
 val decompose : Graph.t -> t
 (** Full decomposition of an arbitrary graph. *)
+
+val assemble :
+  Biconnected.result ->
+  split:(Biconnected.component -> component list) ->
+  cut_pairs:(Biconnected.component -> Graph.edge list) ->
+  t
+(** The decomposition built from per-block pieces: [split] gives the
+    triconnected components of each block of 3 nodes or more, and
+    [cut_pairs] the minimal 2-vertex cuts of each block of 4 nodes or
+    more ({!split_biconnected} and {!Separation.cut_pairs} on the
+    block's induced subgraph, as {!decompose} passes them, or any
+    lookup that returns the same). Smaller blocks get no call. Every
+    [split] runs first, in block order, then every [cut_pairs], in
+    block order. *)
 
 val components : Graph.t -> component list
 (** Just the triconnected components across all blocks. *)

@@ -208,7 +208,6 @@ let of_int n =
   end
 
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let sign t = t.sign
 let is_zero t = t.sign = 0

@@ -15,5 +15,3 @@ let invalid_arg = Stdlib.invalid_arg
 let invalid_argf fmt = Printf.ksprintf Stdlib.invalid_arg fmt
 
 let error msg = raise (Error msg)
-
-let errorf fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt

@@ -21,6 +21,3 @@ val invalid_argf : ('a, unit, string, 'b) format4 -> 'a
 
 val error : string -> 'a
 (** Raise {!Error}. *)
-
-val errorf : ('a, unit, string, 'b) format4 -> 'a
-(** [errorf fmt …] formats and raises {!Error}. *)

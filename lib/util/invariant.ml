@@ -17,8 +17,6 @@ let enabled_flag =
 
 let enabled () = Atomic.get enabled_flag
 
-let set_enabled b = Atomic.set enabled_flag b
-
 let with_enabled b f =
   let saved = Atomic.get enabled_flag in
   Atomic.set enabled_flag b;

@@ -13,16 +13,15 @@
 
     The switch starts enabled iff the [NETTOMO_CHECK] environment
     variable is set to anything but [""], ["0"] or ["false"], and can be
-    flipped programmatically (tests force it on). On failure the checks
-    raise {!Violation} — never an assert — so violations are
-    distinguishable from ordinary precondition errors. *)
+    forced for the extent of a thunk with {!with_enabled} (tests force
+    it on). On failure the checks raise {!Violation} — never an
+    assert — so violations are distinguishable from ordinary
+    precondition errors. *)
 
 exception Violation of string
 
 val enabled : unit -> bool
 (** Whether invariant verification is on. *)
-
-val set_enabled : bool -> unit
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run a thunk with the switch forced to a value, restoring it after. *)

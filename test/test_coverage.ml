@@ -17,13 +17,12 @@ let test_fig1_full_structural () =
   check cb "whole-network reason" true
     (reason_of r (Graph.edge 0 4) = Coverage.Whole_network)
 
-let test_fig1_two_monitors_matches_partial () =
+let test_fig1_two_monitors_matches_oracle () =
   let net = Net.with_monitors Paper.fig1 [ 0; 1 ] in
   let r = Coverage.classify net in
-  let oracle = Partial.analyze net in
-  check cb "oracle is exact" true (oracle.Partial.mode = Partial.Exact);
-  check Fixtures.edgeset_testable "identifiable set matches Partial exact"
-    oracle.Partial.identifiable r.Coverage.identifiable
+  check Fixtures.edgeset_testable "identifiable set matches the exact oracle"
+    (Identifiability.identifiable_links_bruteforce net)
+    r.Coverage.identifiable
 
 let test_monitor_link_reason () =
   (* Square with adjacent monitors: the direct link is the only
@@ -51,9 +50,9 @@ let test_unmeasurable_block () =
   let r = Coverage.classify net in
   check cb "dangling block unmeasurable" true
     (reason_of r (Graph.edge 3 4) = Coverage.Unmeasurable);
-  let oracle = Partial.analyze net in
-  check Fixtures.edgeset_testable "matches Partial exact"
-    oracle.Partial.identifiable r.Coverage.identifiable
+  check Fixtures.edgeset_testable "matches the exact oracle"
+    (Identifiability.identifiable_links_bruteforce net)
+    r.Coverage.identifiable
 
 let test_identifiable_subnet () =
   let net = Net.create Fixtures.square ~monitors:[ 0; 1 ] in
@@ -316,7 +315,7 @@ let suite =
     Alcotest.test_case "fig1 full monitors: structural accept" `Quick
       test_fig1_full_structural;
     Alcotest.test_case "fig1 two monitors = Partial exact" `Quick
-      test_fig1_two_monitors_matches_partial;
+      test_fig1_two_monitors_matches_oracle;
     Alcotest.test_case "monitor-link and low-degree reasons" `Quick
       test_monitor_link_reason;
     Alcotest.test_case "unmeasurable dangling block" `Quick

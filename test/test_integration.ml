@@ -6,6 +6,7 @@ open Nettomo_topo
 open Nettomo_core
 module Prng = Nettomo_util.Prng
 module Q = Nettomo_linalg.Rational
+module Coverage = Nettomo_coverage.Coverage
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -64,12 +65,13 @@ let test_abilene_two_monitor_partial () =
   (* Seattle and New York as the only vantage points. *)
   let g = abilene () in
   let net = Net.create g ~monitors:[ 0; 10 ] in
-  let r = Partial.analyze net in
-  check cb "not everything identifiable" true (Partial.coverage r < 1.0);
+  let r = Coverage.classify net in
+  check cb "not everything identifiable" true (Coverage.coverage r < 1.0);
   (* Coast-to-coast monitors leave the exterior links dark (Cor 4.1). *)
   Graph.EdgeSet.iter
     (fun e ->
-      check cb "exterior dark" true (Graph.EdgeSet.mem e r.Partial.unidentifiable))
+      check cb "exterior dark" true
+        (Graph.EdgeSet.mem e r.Coverage.unidentifiable))
     (Interior.exterior_links net)
 
 let test_generated_roundtrip_through_file () =

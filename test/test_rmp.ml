@@ -40,18 +40,22 @@ let test_trial_on_path () =
 
 let test_success_fraction_bounds () =
   let rng = Prng.create 13 in
-  let f = Rmp.success_fraction rng Fixtures.two_k4_by_pair ~kappa:3 ~runs:50 in
+  let f =
+    Rmp.success_fraction_par rng Fixtures.two_k4_by_pair ~kappa:3 ~runs:50
+  in
   check cb "within [0,1]" true (f >= 0.0 && f <= 1.0);
   (* Two fused K4s need a monitor strictly inside each side plus a
      third; random 3-subsets succeed sometimes but not always. *)
-  let f_all = Rmp.success_fraction rng Fixtures.two_k4_by_pair ~kappa:6 ~runs:20 in
+  let f_all =
+    Rmp.success_fraction_par rng Fixtures.two_k4_by_pair ~kappa:6 ~runs:20
+  in
   check cb "all-nodes placement always works" true (f_all = 1.0)
 
 let test_success_fraction_matches_exhaustive () =
   (* For K4 with κ=3 every subset works: fraction must be 1. *)
   let rng = Prng.create 14 in
   check (Alcotest.float 0.0) "k4 kappa=3" 1.0
-    (Rmp.success_fraction rng Fixtures.k4 ~kappa:3 ~runs:40)
+    (Rmp.success_fraction_par rng Fixtures.k4 ~kappa:3 ~runs:40)
 
 let test_single_node_graph_rejected () =
   (* Regression: asking for kappa = |V| on a single-node graph must be

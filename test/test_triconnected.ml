@@ -264,6 +264,59 @@ let test_pinned_decompositions () =
     ]
     (List.map pin (pinned_graphs ()))
 
+(* [assemble]'s calling contract, which the engine's block counters
+   rely on: one [split] per block of 3 nodes or more, then one
+   [cut_pairs] per block of 4 nodes or more, each pass in block order.
+   Given the from-scratch pieces it builds exactly [decompose]'s
+   answer. Each pinned map has a single block of 3 or more nodes, so a
+   chain of K4, triangle, bridge and K4 is checked too: it tells the
+   two thresholds apart and needs both passes in order. *)
+let test_assemble_contract () =
+  let chain =
+    Graph.of_edges
+      [
+        (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3);
+        (3, 4); (3, 5); (4, 5); (5, 6);
+        (6, 7); (6, 8); (6, 9); (7, 8); (7, 9); (8, 9);
+      ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let bc = Biconnected.decompose g in
+      let index_of block =
+        let rec go i = function
+          | [] -> -1
+          | b :: rest -> if b == block then i else go (i + 1) rest
+        in
+        go 0 bc.components
+      in
+      let calls = ref [] in
+      let piece tag f (block : Biconnected.component) =
+        calls := (tag, index_of block) :: !calls;
+        f (Graph.induced g block.nodes)
+      in
+      let t =
+        Triconnected.assemble bc
+          ~split:(piece "split" Triconnected.split_biconnected)
+          ~cut_pairs:(piece "cut_pairs" Separation.cut_pairs)
+      in
+      let blocks tag min_nodes =
+        List.filter
+          (fun (b : Biconnected.component) ->
+            Graph.NodeSet.cardinal b.nodes >= min_nodes)
+          bc.components
+        |> List.map (fun b -> (tag, index_of b))
+      in
+      check
+        Alcotest.(list (pair string int))
+        (name ^ ": calls in block order")
+        (blocks "split" 3 @ blocks "cut_pairs" 4)
+        (List.rev !calls);
+      check Alcotest.string (name ^ ": equals decompose")
+        (render_pins (Triconnected.decompose g) Graph.EdgeSet.empty)
+        (render_pins t Graph.EdgeSet.empty))
+    (("chain", chain) :: pinned_graphs ())
+
 let suite =
   [
     Alcotest.test_case "K4 stays whole" `Quick test_k4_single;
@@ -281,4 +334,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_virtual_endpoints_are_pair_members;
     Alcotest.test_case "decompositions pinned (4 maps)" `Quick
       test_pinned_decompositions;
+    Alcotest.test_case "assemble calls each block's pieces in order" `Quick
+      test_assemble_contract;
   ]
