@@ -53,8 +53,10 @@ let columns (csr : Csr.t) ~monitor ~seen ~stamp p =
           walk i [] rest)
   | [] | [ _ ] -> None
 
+type seed = { src : int; cols : int list }
+
 let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
-    ?(seed_paths = []) net =
+    ?seeds net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
   let g = Net.graph net in
   let space = Measurement.space g in
@@ -69,58 +71,100 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
   (* Float prefilter: almost every candidate near full rank is
      dependent, and rejecting it against a float basis costs
      microseconds instead of an exact rational elimination. Only the
-     accepted rows are built over ℚ and confirmed exactly before
-     entering the plan. Candidates that are not measurement paths are
-     ignored rather than rejected, so callers can over-approximate. *)
+     accepted rows are built over ℚ and confirmed exactly; [offer] says
+     whether the row entered the basis, and its caller then puts the
+     candidate's node path into the plan. *)
   let fbasis = Fbasis.create n in
   let accepted = ref [] in
-  let offer p =
+  let offer cols =
+    if not (Fbasis.would_increase_rank fbasis cols) then begin
+      Obs.Metrics.incr prefilter_rejects;
+      false
+    end
+    else begin
+      let row = Array.make n Q.zero in
+      List.iter (fun j -> row.(j) <- Q.one) cols;
+      Obs.Metrics.incr exact_rows;
+      Basis.add basis row
+      && begin
+           ignore (Fbasis.add fbasis cols);
+           true
+         end
+    end
+  in
+  (* A node path from layers 2 and 3: offered when it is a measurement
+     path, ignored otherwise, so those layers may over-approximate. *)
+  let offer_path p =
     incr stamp;
     match columns csr ~monitor ~seen ~stamp:!stamp p with
     | None -> false
-    | Some cols when not (Fbasis.would_increase_rank fbasis cols) ->
-        Obs.Metrics.incr prefilter_rejects;
-        false
     | Some cols ->
-        let row = Array.make n Q.zero in
-        List.iter (fun j -> row.(j) <- Q.one) cols;
-        Obs.Metrics.incr exact_rows;
-        if Basis.add basis row then begin
-          ignore (Fbasis.add fbasis cols);
-          accepted := p :: !accepted;
-          true
-        end
-        else false
+        offer cols
+        && begin
+             accepted := p :: !accepted;
+             true
+           end
+  in
+  (* A row that starts at index [src], kept with its node path: from
+     each node, the one link of the row not yet walked. Rows come from
+     generators that only emit simple paths between monitors, so they
+     are not validated again. *)
+  let on_row = Array.make csr.Csr.m 0 in
+  let offer_row src cols =
+    if offer cols then begin
+      incr stamp;
+      List.iter (fun k -> on_row.(k) <- !stamp) cols;
+      let rec walk x prev path =
+        let next = ref (-1) in
+        for h = csr.Csr.xadj.(x) to csr.Csr.xadj.(x + 1) - 1 do
+          let k = csr.Csr.eid.(h) in
+          if on_row.(k) = !stamp && k <> prev then next := h
+        done;
+        if !next < 0 then List.rev path
+        else
+          let y = csr.Csr.adj.(!next) in
+          walk y csr.Csr.eid.(!next) (csr.Csr.ids.(y) :: path)
+      in
+      accepted := walk src (-1) [ csr.Csr.ids.(src) ] :: !accepted
+    end
   in
   let pairs = Net.monitor_pairs net in
   if pairs <> [] && n > 0 then begin
-    (* Layer 0: caller-supplied candidates (e.g. the constructive
-       spanning-tree paths of [Measure.Paths.simple_candidates]) —
-       structured rows that cover far more of the space than the random
-       layer reaches within its stall budget. *)
-    List.iter (fun p -> if not (Basis.is_full basis) then ignore (offer p)) seed_paths;
-    (* Layer 1: shortest paths between all monitor pairs, one search
-       per source (pairs come grouped by their first monitor). *)
-    let from = ref None in
-    List.iter
-      (fun (m1, m2) ->
-        let paths =
-          match !from with
-          | Some (src, paths) when src = m1 -> paths
-          | Some _ | None ->
-              let paths = Traversal.shortest_paths_from g m1 in
-              from := Some (m1, paths);
-              paths
-        in
-        Option.iter (fun p -> ignore (offer p)) (paths m2))
-      pairs;
+    (* Layer 0: ready-made rows from the caller (e.g. the constructive
+       spanning-tree candidates of [Measure.Paths.simple_candidates]),
+       generated on this search's flat graph — structured rows that
+       cover far more of the space than the random layer reaches
+       within its stall budget. *)
+    Option.iter
+      (fun seeds ->
+        List.iter
+          (fun { src; cols } -> if not (Basis.is_full basis) then offer_row src cols)
+          (seeds csr ~monitor))
+      seeds;
+    (* Layer 1: shortest paths between all monitor pairs, in
+       [monitor_pairs] order, read off one breadth-first tree per
+       source monitor. *)
+    let rec layer1 = function
+      | m1 :: (_ :: _ as rest) ->
+          let src = Csr.index csr m1 in
+          let { Csr.parent; parent_eid; depth; _ } = Csr.bfs csr src in
+          let rec up x cols = if x = src then cols else up parent.(x) (parent_eid.(x) :: cols) in
+          List.iter
+            (fun m2 ->
+              let dst = Csr.index csr m2 in
+              if depth.(dst) >= 0 then offer_row src (List.sort Int.compare (up dst [])))
+            rest;
+          layer1 rest
+      | [] | [ _ ] -> ()
+    in
+    layer1 (Net.monitor_list net);
     (* Layer 2: randomized simple paths until full rank or stall. *)
     let pair_arr = Array.of_list pairs in
     let stall = ref 0 in
     while (not (Basis.is_full basis)) && !stall < max_stall do
       let m1, m2 = pair_arr.(Prng.int rng (Array.length pair_arr)) in
       match Paths.random_simple_path rng g m1 m2 with
-      | Some p -> if offer p then stall := 0 else incr stall
+      | Some p -> if offer_path p then stall := 0 else incr stall
       | None -> incr stall
     done;
     (* Layer 3: exhaustive enumeration as a completeness fallback —
@@ -132,17 +176,15 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
           if not (Basis.is_full basis) then
             try
               List.iter
-                (fun p -> ignore (offer p))
+                (fun p -> ignore (offer_path p))
                 (Paths.all_simple_paths ~limit:enumeration_limit g m1 m2)
             with Paths.Limit_exceeded -> ())
         pairs
   end;
   ({ space; paths = List.rev !accepted; rank = Basis.rank basis }, basis)
 
-let independent_paths ?rng ?max_stall ?enumeration_limit ?seed_paths net =
-  fst
-    (independent_paths_with_basis ?rng ?max_stall ?enumeration_limit
-       ?seed_paths net)
+let independent_paths ?rng ?max_stall ?enumeration_limit ?seeds net =
+  fst (independent_paths_with_basis ?rng ?max_stall ?enumeration_limit ?seeds net)
 
 let full_rank net plan =
   plan.rank = Graph.n_edges (Net.graph net) && plan.rank = List.length plan.paths

@@ -19,11 +19,19 @@ type plan = {
   rank : int;  (** [= List.length paths] *)
 }
 
+type seed = {
+  src : int;  (** {!Nettomo_graph.Csr} index of the path's first node *)
+  cols : int list;  (** its link numbers, strictly ascending *)
+}
+(** A candidate handed to the search as a row: a simple path between two
+    distinct monitors of the flattened network, given by its link
+    numbers (the measurement columns) and the node it starts at. *)
+
 val independent_paths :
   ?rng:Nettomo_util.Prng.t ->
   ?max_stall:int ->
   ?enumeration_limit:int ->
-  ?seed_paths:Paths.path list ->
+  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> seed list) ->
   Net.t ->
   plan
 (** A maximal set of linearly independent measurement paths found by the
@@ -34,39 +42,47 @@ val independent_paths :
     the exhaustive fallback, which only runs on graphs of at most 16
     nodes — so on larger networks the plan is maximal only with high
     probability. On identifiable networks of moderate size the plan
-    reaches full rank. [seed_paths] are candidate paths offered before
-    any search layer (entries that are not valid measurement paths of
-    the network are skipped); structured candidates — e.g. the
-    spanning-tree families of [Measure.Paths.simple_candidates] — push
-    the reached rank far beyond what the stall-bounded random layer
-    finds on larger networks. *)
+    reaches full rank.
+
+    [seeds] generates rows offered before any search layer. It is called
+    once, on the flat graph the search builds and its monitor flags by
+    index; every row it returns must be a simple path between two
+    distinct monitors, which the search does not check again. Structured
+    rows — e.g. the spanning-tree families of
+    [Measure.Paths.simple_candidates] — push the reached rank far beyond
+    what the stall-bounded random layer finds on larger networks. An
+    accepted seed enters the plan as its node path from [src]. *)
 
 val independent_paths_with_basis :
   ?rng:Nettomo_util.Prng.t ->
   ?max_stall:int ->
   ?enumeration_limit:int ->
-  ?seed_paths:Paths.path list ->
+  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> seed list) ->
   Net.t ->
   plan * Basis.t
 (** {!independent_paths} together with the exact row basis the search
     built: the span of the plan's incidence rows, equal to the basis
     obtained by adding [plan.paths]' rows to an empty {!Basis.t} in
     order. Per-link identifiability ("is the unit vector in the row
-    space?") can be read off it directly instead of eliminating the
-    plan a second time. The basis is not part of {!plan} because plans
-    are also rebuilt from their paths alone (e.g. decoded from a
-    store).
+    space?") can be read off it directly ({!Basis.mem_unit}) instead of
+    eliminating the plan a second time. The basis is not part of
+    {!plan} because plans are also rebuilt from their paths alone (e.g.
+    decoded from a store).
 
     The search runs on link numbers: the network is flattened once
     ({!Nettomo_graph.Csr}, whose link numbers are the measurement
-    columns), and each candidate is validated and turned into its
-    ascending column list in one pass over the flat rows. The column
-    list goes through a float prefilter ({!Fbasis}) first, which
-    rejects it without allocating; the rational row is built and
-    eliminated only for the ones it accepts. Each such exact
-    elimination increments the [solver_exact_rows_total] counter of the
-    metrics registry, and each candidate the prefilter rejects
-    increments [solver_prefilter_rejects_total]. *)
+    columns). Seeds arrive as rows. The monitor-pair shortest paths are
+    read off one flat breadth-first tree per source monitor
+    ({!Nettomo_graph.Csr.bfs}) as rows, and each becomes a node path
+    only once it is accepted. Random and enumerated node paths are
+    validated and turned into their ascending column lists in one pass
+    over the flat rows. Every row goes through a float prefilter
+    ({!Fbasis}) first, which rejects it without allocating; the
+    rational row is built and eliminated only for the ones it accepts.
+    Each such exact elimination increments the
+    [solver_exact_rows_total] counter of the metrics registry, and each
+    candidate the prefilter rejects increments
+    [solver_prefilter_rejects_total]. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
 (** [solver_exact_rows_total]: candidate rows eliminated exactly. *)

@@ -6,7 +6,6 @@ module Net = Nettomo_core.Net
 module Identifiability = Nettomo_core.Identifiability
 module Measurement = Nettomo_core.Measurement
 module Solver = Nettomo_core.Solver
-module Q = Nettomo_linalg.Rational
 module Basis = Nettomo_linalg.Basis
 
 type mode = Structural | Exact | Sampled
@@ -181,15 +180,6 @@ let relevant_blocks t terminals =
     t.blocks
 
 (* ------------------------------------------------------------------ *)
-(* Rank membership helpers shared by the block-local and pruned-global
-   fallbacks. *)
-
-let unit_row n j =
-  let a = Array.make n Q.zero in
-  a.(j) <- Q.one;
-  a
-
-(* ------------------------------------------------------------------ *)
 
 let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
   if Net.kappa net < 2 then
@@ -304,11 +294,9 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                   ()
               | basis ->
                   let space = Measurement.space bg in
-                  let n = Measurement.n_links space in
                   Graph.EdgeSet.iter
                     (fun e ->
-                      let row = unit_row n (Measurement.column space e) in
-                      let inside = Basis.mem basis row in
+                      let inside = Basis.mem_unit basis (Measurement.column space e) in
                       if monitor_terminals then decide e inside
                       else if not inside then decide e false)
                     mine
@@ -368,7 +356,6 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
               let netc = Net.create gc ~monitors in
               let sampled () =
                 escalate Sampled;
-                let seed_paths = Nettomo_measure.Paths.simple_candidates netc in
                 (* On components beyond the exact-enumeration range the
                    structured spanning-tree seeds already reach
                    near-maximal membership, so the random layer only
@@ -386,7 +373,8 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                 in
                 snd
                   (Solver.independent_paths_with_basis
-                     ~rng:(Prng.create seed) ~max_stall ~seed_paths netc)
+                     ~rng:(Prng.create seed) ~max_stall
+                     ~seeds:Nettomo_measure.Paths.simple_candidates netc)
               in
               let basis =
                 if nc > exact_node_limit then sampled ()
@@ -401,13 +389,14 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                 end
               in
               let space = Measurement.space gc in
-              let n = Measurement.n_links space in
               Graph.EdgeSet.iter
                 (fun e ->
-                  let row = unit_row n (Measurement.column space e) in
                   verdicts :=
                     Graph.EdgeMap.add e
-                      { identifiable = Basis.mem basis row; reason = Rank }
+                      {
+                        identifiable = Basis.mem_unit basis (Measurement.column space e);
+                        reason = Rank;
+                      }
                       !verdicts)
                 mine
             end

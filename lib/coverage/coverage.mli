@@ -121,7 +121,10 @@ val classify :
     enumeration limit (e.g. K11 between two monitors) falls back to the
     sampled basis and the report to [Sampled]. The sampled basis is the
     one {!Nettomo_core.Solver.independent_paths_with_basis} built during
-    its search, so each component is eliminated once.
+    its search, so each component is eliminated once; the seeds are
+    generated as link-number rows on the flat graph that search builds.
+    Every rank verdict, exact or sampled, is read off its basis with
+    {!Nettomo_linalg.Basis.mem_unit}.
     Requires at least two monitors ([Invalid_argument] otherwise). *)
 
 val coverage : report -> float

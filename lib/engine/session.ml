@@ -186,10 +186,15 @@ let stored t key codec compute =
   | None ->
       let v = compute () in
       (* Encoded with or without a store. Skipping it without one makes
-         bench/suite's solve-scale ~25% faster but raises its peak
-         resident set from ~115 to ~175 MiB (2-vCPU Xeon): OCaml 5.1's
-         major GC paces itself by allocation, and these payloads are a
-         large share of a campaign's. *)
+         bench/suite's solve-scale 27% faster (11.2 → 14.1 op/s), and
+         its peak resident set then rises from 118 to 199 MiB (2-vCPU
+         Xeon), but the program is not at fault: with the suite's forced
+         full major before each set-up repetition removed, both builds
+         peak at 111–112 MiB. After a forced collection, a set-up repetition
+         that allocates little leaves OCaml 5.1.1 completing almost no
+         major cycle for the next ~100 operations while the heap grows.
+         The encode stays until the suite's set-up loop is changed in a
+         benchmark change of its own. *)
       let payload = Codec.encode codec v in
       Option.iter
         (fun s ->

@@ -34,6 +34,42 @@ let half_edge t i v = search (fun k -> t.ids.(t.adj.(k))) t.xadj.(i) t.xadj.(i +
 let endpoints t k = (t.ends.(2 * k), t.ends.((2 * k) + 1))
 let edge t k = (t.ids.(t.ends.(2 * k)), t.ids.(t.ends.((2 * k) + 1)))
 
+type tree = {
+  parent : int array;
+  parent_eid : int array;
+  depth : int array;
+  order : int array;
+  reached : int;
+}
+
+(* FIFO queue over the sorted rows, parent fixed at first discovery:
+   the tree {!Traversal}'s persistent-graph search builds, in indices. *)
+let bfs t root =
+  let n = t.n in
+  let parent = Array.make n (-1)
+  and parent_eid = Array.make n (-1)
+  and depth = Array.make n (-1)
+  and order = Array.make n (-1) in
+  let queue = Queue.create () in
+  depth.(root) <- 0;
+  Queue.add root queue;
+  let filled = ref 0 in
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    order.(!filled) <- u;
+    incr filled;
+    for k = t.xadj.(u) to t.xadj.(u + 1) - 1 do
+      let v = t.adj.(k) in
+      if depth.(v) < 0 then begin
+        depth.(v) <- depth.(u) + 1;
+        parent.(v) <- u;
+        parent_eid.(v) <- t.eid.(k);
+        Queue.add v queue
+      end
+    done
+  done;
+  { parent; parent_eid; depth; order; reached = !filled }
+
 module Invariant = struct
   (* Every row and link is compared with the graph's own sorted
      accessors, which never look at the flat form. *)

@@ -53,6 +53,22 @@ val endpoints : t -> int -> int * int
 val edge : t -> int -> Graph.edge
 (** Link number → the normalized link in identifiers. *)
 
+(** A breadth-first search tree, by index. *)
+type tree = {
+  parent : int array;  (** tree parent; [-1] at the root and off the tree *)
+  parent_eid : int array;  (** link number to the parent; [-1] likewise *)
+  depth : int array;  (** hops from the root; [-1] when unreached *)
+  order : int array;  (** visit order, root first; [-1]-padded past [reached] *)
+  reached : int;  (** nodes visited, the root included *)
+}
+
+val bfs : t -> int -> tree
+(** [bfs t root] searches from index [root] with a FIFO queue, scanning
+    each row in its sorted order and fixing a node's parent at its first
+    discovery. That is the tree [Traversal.shortest_path] walks on the
+    persistent graph, so the tree path from [root] to any node is the
+    very path it returns. [O(n + m)]. *)
+
 (** Verification of the flat form against its source graph, part of the
     debug invariant layer (see {!Nettomo_util.Invariant}). *)
 module Invariant : sig

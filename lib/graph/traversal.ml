@@ -70,10 +70,10 @@ let bfs_distances g src =
   !dist
 
 (* BFS parent pointers from [src] (which is its own parent), in
-   ascending-neighbour order. With [stop] the search ends once [stop] is
-   discovered; every node discovered by then has the parent a full
-   search gives it, so both agree on the path to [stop]. *)
-let bfs_parents ?stop g src =
+   ascending-neighbour order, until [stop] is discovered; every node
+   discovered by then has the parent a full search gives it, so both
+   agree on the path to [stop]. *)
+let bfs_parents g src stop =
   let parent = ref (NM.singleton src src) in
   let q = Queue.create () in
   Queue.add src q;
@@ -84,9 +84,7 @@ let bfs_parents ?stop g src =
       (fun u ->
         if not (NM.mem u !parent) then begin
           parent := NM.add u v !parent;
-          match stop with
-          | Some s when s = u -> found := true
-          | Some _ | None -> Queue.add u q
+          if u = stop then found := true else Queue.add u q
         end)
       (Graph.neighbors g v)
   done;
@@ -105,16 +103,7 @@ let shortest_path g src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then
     Errors.invalid_arg "Traversal.shortest_path: unknown endpoint";
   if src = dst then Some [ src ]
-  else path_to (bfs_parents ~stop:dst g src) src dst
-
-let shortest_paths_from g src =
-  if not (Graph.mem_node g src) then
-    Errors.invalid_arg "Traversal.shortest_paths_from: unknown source";
-  let parent = bfs_parents g src in
-  fun dst ->
-    if not (Graph.mem_node g dst) then
-      Errors.invalid_arg "Traversal.shortest_paths_from: unknown endpoint";
-    path_to parent src dst
+  else path_to (bfs_parents g src dst) src dst
 
 let spanning_tree g =
   let seen = ref NS.empty in

@@ -38,12 +38,5 @@ val shortest_path :
 (** A shortest path as a node sequence (inclusive of both endpoints), or
     [None] if unreachable. *)
 
-val shortest_paths_from :
-  Graph.t -> Graph.node -> Graph.node -> Graph.node list option
-(** [shortest_paths_from g src] runs one breadth-first search from
-    [src] and answers [shortest_path g src dst] for every [dst] — the
-    very same path, not just one of equal length — so a caller asking
-    for many destinations from one source pays for one search. *)
-
 val spanning_tree : Graph.t -> Graph.EdgeSet.t
 (** Edges of a BFS spanning forest (a tree per component). *)

@@ -21,9 +21,9 @@ let is_full t = t.rank = t.n
 let check_dim t v =
   if Array.length v <> t.n then Errors.invalid_arg "Basis: dimension mismatch"
 
-let reduce t v =
-  check_dim t v;
-  let v = Array.copy v in
+(* Forward elimination of [v], in place, against [rows] in pivot
+   order. *)
+let eliminate t v rows =
   List.iter
     (fun (p, r) ->
       if not (Q.is_zero v.(p)) then begin
@@ -35,7 +35,12 @@ let reduce t v =
           if not (Q.is_zero rj) then v.(j) <- Q.sub v.(j) (Q.mul factor rj)
         done
       end)
-    t.rows;
+    rows
+
+let reduce t v =
+  check_dim t v;
+  let v = Array.copy v in
+  eliminate t v t.rows;
   v
 
 let first_nonzero v =
@@ -44,6 +49,24 @@ let first_nonzero v =
   loop 0
 
 let mem t v = first_nonzero (reduce t v) = None
+
+(* Rows pivoted before [j] are zero at [j] and never touch the unit
+   vector's residual; the row pivoted at [j], if any, clears it there
+   and leaves minus its own later entries, which only the rows after it
+   can cancel. *)
+let mem_unit t j =
+  if j < 0 || j >= t.n then Errors.invalid_arg "Basis.mem_unit: column out of range";
+  let rec from = function
+    | [] -> false
+    | (p, _) :: rest when p < j -> from rest
+    | (p, r) :: later when p = j ->
+        let v = Array.copy r in
+        v.(j) <- Q.zero;
+        eliminate t v later;
+        first_nonzero v = None
+    | _ :: _ -> false
+  in
+  from t.rows
 
 let add t v =
   let res = reduce t v in

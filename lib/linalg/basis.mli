@@ -30,6 +30,14 @@ val reduce : t -> Rational.t array -> Rational.t array
 val mem : t -> Rational.t array -> bool
 (** Row-space membership. *)
 
+val mem_unit : t -> int -> bool
+(** [mem_unit t j] is [mem t e_j] for the [j]-th unit vector, answered
+    without building it: [false] at once when no row is pivoted at [j],
+    otherwise whether that row's entries after [j] reduce to zero
+    against the rows pivoted after it. This is per-link
+    identifiability off a measurement basis. Raises [Invalid_argument]
+    unless [0 <= j < dimension t]. *)
+
 val add : t -> Rational.t array -> bool
 (** Add a vector. Returns [true] (and extends the basis) iff the vector
     was independent of the current span. The input array is not

@@ -1,5 +1,6 @@
 open Nettomo_graph
 module Net = Nettomo_core.Net
+module Solver = Nettomo_core.Solver
 module Invariant_gate = Nettomo_util.Invariant
 
 type kind = Trunk | Probe of int | Chord of int
@@ -20,34 +21,6 @@ type t = {
 let flatten net =
   Nettomo_obs.Obs.Trace.span "measure.csr" @@ fun () -> Csr.of_graph (Net.graph net)
 
-(* Deterministic BFS over the sorted Csr rows: parent, the link index to
-   the parent, depth, and the visit order. *)
-let bfs (csr : Csr.t) root =
-  let n = csr.n in
-  let parent = Array.make n (-1)
-  and parent_eid = Array.make n (-1)
-  and depth = Array.make n (-1)
-  and order = Array.make n (-1) in
-  let queue = Queue.create () in
-  depth.(root) <- 0;
-  Queue.add root queue;
-  let filled = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order.(!filled) <- u;
-    incr filled;
-    for k = csr.xadj.(u) to csr.xadj.(u + 1) - 1 do
-      let v = csr.adj.(k) in
-      if depth.(v) < 0 then begin
-        depth.(v) <- depth.(u) + 1;
-        parent.(v) <- u;
-        parent_eid.(v) <- csr.eid.(k);
-        Queue.add v queue
-      end
-    done
-  done;
-  (parent, parent_eid, depth, order, !filled)
-
 let plan net =
   let csr = flatten net in
   Nettomo_obs.Obs.Trace.span "measure.plan" @@ fun () ->
@@ -55,7 +28,7 @@ let plan net =
   | [] | [ _ ] -> Error "needs at least two monitors"
   | r :: s :: _ ->
       let root = Csr.index csr r and second = Csr.index csr s in
-      let parent, parent_eid, depth, order, reached = bfs csr root in
+      let { Csr.parent; parent_eid; depth; order; reached } = Csr.bfs csr root in
       if reached < csr.n then Error "disconnected topology"
       else begin
         let n = csr.n and m = csr.m in
@@ -158,43 +131,14 @@ let measure t w =
 
 (* Simple-path candidates for the paper's measurement model, used by the
    coverage sampled fallback: deterministic tree paths and tree–chord–
-   tree detours between monitors, kept only when node-simple. *)
+   tree detours between monitors, kept only when node-simple, each
+   emitted as its ascending link numbers. *)
+let max_roots = 8
+let max_per_link = 3
 
-let lca parent depth a b =
-  let a = ref a and b = ref b in
-  while depth.(!a) > depth.(!b) do
-    a := parent.(!a)
-  done;
-  while depth.(!b) > depth.(!a) do
-    b := parent.(!b)
-  done;
-  while !a <> !b do
-    a := parent.(!a);
-    b := parent.(!b)
-  done;
-  !a
-
-let climb parent a stop =
-  let rec go x acc = if x = stop then List.rev (x :: acc) else go parent.(x) (x :: acc) in
-  go a []
-
-let tree_path parent depth a b =
-  let anc = lca parent depth a b in
-  let asc = climb parent a anc and bsc = climb parent b anc in
-  asc @ List.tl (List.rev bsc)
-
-let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) net =
-  let csr = flatten net in
-  let monitors = List.map (Csr.index csr) (Net.monitor_list net) in
-  let roots =
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: tl -> x :: take (k - 1) tl
-    in
-    take max_roots monitors
-  in
-  let to_ids ixs = List.map (fun ix -> csr.ids.(ix)) ixs in
+let simple_candidates (csr : Csr.t) ~monitor =
+  let monitors = List.filter (Array.get monitor) (List.init csr.n Fun.id) in
+  let roots = List.filteri (fun i _ -> i < max_roots) monitors in
   (* [on_stem.(x) = !stamp] marks the nodes of the current r → u stem.
      Stem and tail are tree paths, each node-simple, so a detour is
      simple iff its tail avoids the stem. *)
@@ -202,39 +146,47 @@ let simple_candidates ?(max_roots = 8) ?(max_per_link = 3) net =
   let acc = ref [] in
   List.iter
     (fun r ->
-      let parent, _peid, depth, _order, _reached = bfs csr r in
+      let { Csr.parent; parent_eid; depth; _ } = Csr.bfs csr r in
+      let emit cols = acc := { Solver.src = r; cols = List.sort Int.compare cols } :: !acc in
+      (* The links from [x] up to its ancestor [a], onto [links]. *)
+      let rec up x a links = if x = a then links else up parent.(x) a (parent_eid.(x) :: links) in
+      let rec lca a b =
+        if a = b then a
+        else if depth.(a) >= depth.(b) then lca parent.(a) b
+        else lca a parent.(b)
+      in
       (* Tree paths to every other reachable monitor. *)
-      List.iter
-        (fun b ->
-          if b <> r && depth.(b) >= 0 then
-            acc := to_ids (tree_path parent depth r b) :: !acc)
-        monitors;
-      (* Tree–chord–tree detours: r → u, (u,v), v → b. *)
+      List.iter (fun b -> if b <> r && depth.(b) >= 0 then emit (up b r [])) monitors;
+      (* Tree–chord–tree detours r → u, (u,v), v → b across link [k].
+         The stem holds every ancestor of its nodes, so the tail meets
+         it iff the tail's top node, lca(v, b), is on it. *)
+      let detour k u v =
+        incr stamp;
+        let rec mark x =
+          on_stem.(x) <- !stamp;
+          if x <> r then mark parent.(x)
+        in
+        mark u;
+        let emitted = ref 0 in
+        List.iter
+          (fun b ->
+            if !emitted < max_per_link && b <> r && depth.(b) >= 0 then begin
+              let a = lca v b in
+              if on_stem.(a) <> !stamp then begin
+                emit (up u r (k :: up v a (up b a [])));
+                incr emitted
+              end
+            end)
+          monitors
+      in
       for k = 0 to csr.m - 1 do
         let iu, iv = Csr.endpoints csr k in
-        if depth.(iu) >= 0 && depth.(iv) >= 0 then
-          List.iter
-            (fun (u, v) ->
-              (* Skip tree links: the detour degenerates to a tree path. *)
-              if parent.(u) <> v && parent.(v) <> u then begin
-                let stem = List.rev (climb parent u r) in
-                incr stamp;
-                List.iter (fun x -> on_stem.(x) <- !stamp) stem;
-                let emitted = ref 0 in
-                List.iter
-                  (fun b ->
-                    if !emitted < max_per_link && b <> r && depth.(b) >= 0
-                    then begin
-                      let tail = tree_path parent depth v b in
-                      if List.for_all (fun x -> on_stem.(x) <> !stamp) tail
-                      then begin
-                        acc := to_ids (stem @ tail) :: !acc;
-                        incr emitted
-                      end
-                    end)
-                  monitors
-              end)
-            [ (iu, iv); (iv, iu) ]
+        (* Skip tree links: the detour degenerates to a tree path. *)
+        if depth.(iu) >= 0 && depth.(iv) >= 0 && parent.(iu) <> iv && parent.(iv) <> iu
+        then begin
+          detour k iu iv;
+          detour k iv iu
+        end
       done)
     roots;
   List.rev !acc

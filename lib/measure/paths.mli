@@ -73,21 +73,21 @@ val measure : t -> float array -> float array
     measurement campaign. [O(n + m)] via the tree potentials; with
     integer metrics the result is exactly the per-walk edge sum. *)
 
-val simple_candidates :
-  ?max_roots:int ->
-  ?max_per_link:int ->
-  Nettomo_core.Net.t ->
-  Nettomo_graph.Paths.path list
+val simple_candidates : Csr.t -> monitor:bool array -> Nettomo_core.Solver.seed list
 (** Deterministic {e simple} measurement-path candidates harvested from
     the same spanning-tree machinery, for rank lower bounds under the
-    paper's simple-path model (used by [Coverage]'s sampled fallback):
-    per monitor root — at most [max_roots] (default 8), smallest ids
-    first — the tree paths to every other monitor, plus
-    tree–chord–tree detours [r → u, (u,v), v → b] to other monitors
-    [b] that happen to be node-simple, keeping at most [max_per_link]
-    (default 3) detours per link orientation and root. Paths are
-    returned as node lists of the original graph; duplicates are not
-    removed. Flattens the network's graph once, like {!plan}. *)
+    paper's simple-path model (the seeds of [Coverage]'s sampled
+    fallback). [simple_candidates csr ~monitor] walks the given flat
+    graph, whose monitors are the indices [i] with [monitor.(i)]. Per
+    monitor root [r] — the first 8 monitors, smallest
+    identifiers first — it emits the tree paths to every other
+    reachable monitor, then the tree–chord–tree detours
+    [r → u, (u,v), v → b] to other monitors [b] whose tail [v → b]
+    avoids the stem [r → u], links in increasing order and each link
+    as [(u,v)] then [(v,u)], keeping at most 3 detours per link
+    orientation and root. Each candidate comes out as
+    a row: its link numbers in ascending order, starting at [r].
+    Duplicates are not removed. *)
 
 (** Structural verification of a plan against its network, gated by
     {!Nettomo_util.Invariant}: every walk is a genuine monitor-to-

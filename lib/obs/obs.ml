@@ -64,46 +64,91 @@ module Metrics = struct
         sum : float Atomic.t;
       }
 
-  type instrument = { name : string; labels : (string * string) list; cell : cell }
+  (* A handle owns [own], which per-instance readers ([Session.stats],
+     [Pool.queue_wait]) see, and shares [series] with every handle of
+     the same name and labels: the registry's one cell for that series,
+     which [dump] reads. Every update lands in both. *)
+  type instrument = { own : cell; series : cell }
 
   type counter = instrument
   type gauge = instrument
   type histogram = instrument
 
-  (* nettomo-lint: allow unsafe-shared-mutable — guarded by
+  let histogram_cell bounds =
+    Histogram
+      {
+        bounds;
+        counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
+        sum = Atomic.make 0.;
+      }
+
+  (* An empty cell of the same kind (and bounds). *)
+  let fresh = function
+    | Counter _ -> Counter (Atomic.make 0)
+    | Gauge _ -> Gauge (Atomic.make 0.)
+    | Histogram { bounds; _ } -> histogram_cell bounds
+
+  (* Whether handles of these two cells can share one series: the same
+     kind, and for histograms the same bounds. *)
+  let compatible a b =
+    match (a, b) with
+    | Counter _, Counter _ | Gauge _, Gauge _ -> true
+    | Histogram { bounds = x; _ }, Histogram { bounds = y; _ } ->
+        Array.length x = Array.length y
+        && Array.for_all2 (fun u v -> Float.compare u v = 0) x y
+    | (Counter _ | Gauge _ | Histogram _), _ -> false
+
+  (* One cell per (name, sorted labels). Dropped handles leave their
+     totals behind in the series cell and nothing else, so the registry
+     holds only distinct series however many instances come and go.
+     nettomo-lint: allow unsafe-shared-mutable — guarded by
      [registry_mu]; every read and write below locks it. *)
-  let registry : instrument list ref = ref []
+  let registry : (string * (string * string) list, cell) Hashtbl.t = Hashtbl.create 64
   let registry_mu = Mutex.create ()
 
-  let register name labels cell =
-    let labels =
-      List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-    in
-    let inst = { name; labels; cell } in
+  (* A handle whose kind or bounds clash with the series already
+     registered under its key keeps a series of its own, outside the
+     registry: the first registration decides what the dump shows. *)
+  let register name labels own =
+    let key = (name, List.sort (fun (a, _) (b, _) -> String.compare a b) labels) in
     Mutex.lock registry_mu;
-    registry := inst :: !registry;
+    let series =
+      match Hashtbl.find_opt registry key with
+      | Some series when compatible series own -> series
+      | Some _ -> fresh own
+      | None ->
+          let series = fresh own in
+          Hashtbl.add registry key series;
+          series
+    in
     Mutex.unlock registry_mu;
-    inst
+    { own; series }
 
   let counter ?(labels = []) name = register name labels (Counter (Atomic.make 0))
 
   let incr ?(by = 1) c =
-    match c.cell with
-    | Counter a -> ignore (Atomic.fetch_and_add a by)
-    | Gauge _ | Histogram _ -> ()
+    match (c.own, c.series) with
+    | Counter a, Counter s ->
+        ignore (Atomic.fetch_and_add a by);
+        ignore (Atomic.fetch_and_add s by)
+    | (Counter _ | Gauge _ | Histogram _), _ -> ()
 
   let counter_value c =
-    match c.cell with Counter a -> Atomic.get a | Gauge _ | Histogram _ -> 0
+    match c.own with Counter a -> Atomic.get a | Gauge _ | Histogram _ -> 0
 
   let gauge ?(labels = []) name = register name labels (Gauge (Atomic.make 0.))
 
+  (* The series of a gauge is the sum of its handles' values, so it
+     moves by the change in this handle's value. *)
   let set_gauge g v =
-    match g.cell with
-    | Gauge a -> Atomic.set a v
-    | Counter _ | Histogram _ -> ()
+    match (g.own, g.series) with
+    | Gauge a, Gauge s ->
+        let old = Atomic.exchange a v in
+        atomic_add_float s (v -. old)
+    | (Counter _ | Gauge _ | Histogram _), _ -> ()
 
   let gauge_value g =
-    match g.cell with Gauge a -> Atomic.get a | Counter _ | Histogram _ -> 0.
+    match g.own with Gauge a -> Atomic.get a | Counter _ | Histogram _ -> 0.
 
   let default_buckets = [ 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. ]
 
@@ -117,13 +162,7 @@ module Metrics = struct
                (Printf.sprintf "Obs.Metrics.histogram %s: buckets not increasing"
                   name)))
       bounds;
-    register name labels
-      (Histogram
-         {
-           bounds;
-           counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-           sum = Atomic.make 0.;
-         })
+    register name labels (histogram_cell bounds)
 
   (* Inclusive upper bounds: v lands in the first bucket with v <= bound,
      else in the trailing +Inf bucket. *)
@@ -133,20 +172,23 @@ module Metrics = struct
     go 0
 
   let observe h v =
-    match h.cell with
-    | Histogram { bounds; counts; sum } ->
-        ignore (Atomic.fetch_and_add counts.(bucket_index bounds v) 1);
-        atomic_add_float sum v
-    | Counter _ | Gauge _ -> ()
+    let record = function
+      | Histogram { bounds; counts; sum } ->
+          ignore (Atomic.fetch_and_add counts.(bucket_index bounds v) 1);
+          atomic_add_float sum v
+      | Counter _ | Gauge _ -> ()
+    in
+    record h.own;
+    record h.series
 
   let histogram_count h =
-    match h.cell with
+    match h.own with
     | Histogram { counts; _ } ->
         Array.fold_left (fun acc a -> acc + Atomic.get a) 0 counts
     | Counter _ | Gauge _ -> 0
 
   let histogram_sum h =
-    match h.cell with
+    match h.own with
     | Histogram { sum; _ } -> Atomic.get sum
     | Counter _ | Gauge _ -> 0.
 
@@ -157,7 +199,7 @@ module Metrics = struct
      result against a threshold; "at least this much" is the useful
      direction). *)
   let histogram_quantile h q =
-    match h.cell with
+    match h.own with
     | Counter _ | Gauge _ -> 0.
     | Histogram { bounds; counts; _ } ->
         let counts = Array.map Atomic.get counts in
@@ -209,47 +251,11 @@ module Metrics = struct
       Printf.sprintf "%.0f" v
     else Printf.sprintf "%.9g" v
 
-  (* Aggregation key: instruments sharing (name, labels) are summed so
-     per-instance handles (one per Session / Store) present as a single
-     process-wide series. *)
-  type agg =
-    | ACounter of int
-    | AGauge of float
-    | AHisto of float array * int array * float
-
-  let merge a b =
-    match (a, b) with
-    | ACounter x, ACounter y -> ACounter (x + y)
-    | AGauge x, AGauge y -> AGauge (x +. y)
-    | AHisto (bo, cx, sx), AHisto (bo', cy, sy)
-      when Array.length bo = Array.length bo'
-           && Array.for_all2 (fun u v -> Float.compare u v = 0) bo bo' ->
-        AHisto (bo, Array.map2 ( + ) cx cy, sx +. sy)
-    | _ -> a (* mismatched kinds under one name: keep the first *)
-
-  let snapshot inst =
-    match inst.cell with
-    | Counter a -> ACounter (Atomic.get a)
-    | Gauge a -> AGauge (Atomic.get a)
-    | Histogram { bounds; counts; sum } ->
-        AHisto (bounds, Array.map Atomic.get counts, Atomic.get sum)
-
   let dump () =
     Mutex.lock registry_mu;
-    let insts = !registry in
+    let series = Hashtbl.fold (fun key cell acc -> (key, cell) :: acc) registry [] in
     Mutex.unlock registry_mu;
-    let tbl = Hashtbl.create 64 in
-    let keys = ref [] in
-    List.iter
-      (fun inst ->
-        let key = (inst.name, inst.labels) in
-        match Hashtbl.find_opt tbl key with
-        | Some prev -> Hashtbl.replace tbl key (merge prev (snapshot inst))
-        | None ->
-            keys := key :: !keys;
-            Hashtbl.add tbl key (snapshot inst))
-      insts;
-    let cmp (n1, l1) (n2, l2) =
+    let cmp ((n1, l1), _) ((n2, l2), _) =
       let c = String.compare n1 n2 in
       if c <> 0 then c
       else
@@ -259,19 +265,19 @@ module Metrics = struct
             if k <> 0 then k else String.compare b d)
           l1 l2
     in
-    let keys = List.sort cmp !keys in
     let b = Buffer.create 1024 in
     List.iter
-      (fun (name, labels) ->
-        match Hashtbl.find tbl (name, labels) with
-        | ACounter v ->
+      (fun ((name, labels), cell) ->
+        match cell with
+        | Counter a ->
             Buffer.add_string b
-              (Printf.sprintf "%s%s %d\n" name (render_labels labels) v)
-        | AGauge v ->
+              (Printf.sprintf "%s%s %d\n" name (render_labels labels) (Atomic.get a))
+        | Gauge a ->
             Buffer.add_string b
               (Printf.sprintf "%s%s %s\n" name (render_labels labels)
-                 (float_str v))
-        | AHisto (bounds, counts, sum) ->
+                 (float_str (Atomic.get a)))
+        | Histogram { bounds; counts; sum } ->
+            let counts = Array.map Atomic.get counts in
             let cumulative = ref 0 in
             Array.iteri
               (fun i bound ->
@@ -288,16 +294,16 @@ module Metrics = struct
                  total);
             Buffer.add_string b
               (Printf.sprintf "%s_sum%s %s\n" name (render_labels labels)
-                 (float_str sum));
+                 (float_str (Atomic.get sum)));
             Buffer.add_string b
               (Printf.sprintf "%s_count%s %d\n" name (render_labels labels)
                  total))
-      keys;
+      (List.sort cmp series);
     Buffer.contents b
 
   let reset () =
     Mutex.lock registry_mu;
-    registry := [];
+    Hashtbl.reset registry;
     Mutex.unlock registry_mu
 end
 

@@ -38,10 +38,17 @@ end
 module Metrics : sig
   (** Registry of named instruments.  Instruments are per-instance
       handles (a [Session] and a [Store] each own theirs, so their
-      [stats] records keep exact per-instance values); {!dump}
-      aggregates all live instruments sharing a (name, labels) pair
-      by summation, so the process-wide view and the per-instance
-      views can never disagree — they are the same cells. *)
+      [stats] records keep exact per-instance values).  The registry
+      keeps one cell per series — a (name, sorted labels) pair — and
+      every update through a handle lands in both the handle's own
+      cell and its series cell: counters and histograms add the same
+      amount, a gauge adds the change in its own value.  A series thus
+      holds the sum over every handle ever registered under it (since
+      the last {!reset}), and a dropped handle leaves nothing behind
+      but its share of that sum, so creating and dropping instances
+      does not grow the registry.  A handle whose kind (or histogram
+      bounds) clashes with the series first registered under its name
+      and labels keeps its values to itself and stays out of {!dump}. *)
 
   type counter
   type gauge
@@ -87,14 +94,16 @@ module Metrics : sig
       reads the pool queue-wait p95 through this. *)
 
   val dump : unit -> string
-  (** Prometheus-style text exposition of every registered
-      instrument, aggregated by (name, labels) and sorted, hence
-      deterministic for a given set of values.  Histograms emit
+  (** Prometheus-style text exposition of every series, sorted by
+      name and labels, hence deterministic for a given set of
+      updates.  Its cost grows with the number of distinct series,
+      not with the number of handles ever created.  Histograms emit
       cumulative [_bucket{le="..."}] lines plus [_sum] / [_count]. *)
 
   val reset : unit -> unit
-  (** Unregister every instrument (test isolation).  Existing handles
-      keep working but no longer appear in {!dump}. *)
+  (** Forget every series (test isolation).  Existing handles keep
+      working but their updates no longer appear in {!dump}; handles
+      registered afterwards start new series. *)
 end
 
 module Ctx : sig

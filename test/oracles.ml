@@ -23,6 +23,74 @@ let unit_membership space basis =
       unit.(j) <- Rational.one;
       Basis.mem basis unit)
 
+(* The coverage fallback's spanning-tree seeds as node lists, the way
+   they were generated before the search moved onto link numbers: per
+   root (the first 8 monitors), the tree paths to every other monitor,
+   then per link orientation (u,v) up to 3 node-simple detours
+   r → u, (u,v), v → b. The reference for [Measure.Paths.simple_candidates],
+   whose rows must be these paths' link columns, in the same order. *)
+let simple_candidates net =
+  let open Nettomo_graph in
+  let csr = Csr.of_graph (Net.graph net) in
+  let monitors = List.map (Csr.index csr) (Net.monitor_list net) in
+  let roots = List.filteri (fun i _ -> i < 8) monitors in
+  let to_ids ixs = List.map (fun ix -> csr.Csr.ids.(ix)) ixs in
+  let on_stem = Array.make csr.Csr.n (-1) and stamp = ref 0 in
+  let acc = ref [] in
+  List.iter
+    (fun r ->
+      let { Csr.parent; depth; _ } = Csr.bfs csr r in
+      let lca a b =
+        let a = ref a and b = ref b in
+        while depth.(!a) > depth.(!b) do
+          a := parent.(!a)
+        done;
+        while depth.(!b) > depth.(!a) do
+          b := parent.(!b)
+        done;
+        while !a <> !b do
+          a := parent.(!a);
+          b := parent.(!b)
+        done;
+        !a
+      in
+      let climb a stop =
+        let rec go x acc = if x = stop then List.rev (x :: acc) else go parent.(x) (x :: acc) in
+        go a []
+      in
+      let tree_path a b =
+        let anc = lca a b in
+        climb a anc @ List.tl (List.rev (climb b anc))
+      in
+      List.iter
+        (fun b -> if b <> r && depth.(b) >= 0 then acc := to_ids (tree_path r b) :: !acc)
+        monitors;
+      for k = 0 to csr.Csr.m - 1 do
+        let iu, iv = Csr.endpoints csr k in
+        if depth.(iu) >= 0 && depth.(iv) >= 0 then
+          List.iter
+            (fun (u, v) ->
+              if parent.(u) <> v && parent.(v) <> u then begin
+                let stem = List.rev (climb u r) in
+                incr stamp;
+                List.iter (fun x -> on_stem.(x) <- !stamp) stem;
+                let emitted = ref 0 in
+                List.iter
+                  (fun b ->
+                    if !emitted < 3 && b <> r && depth.(b) >= 0 then begin
+                      let tail = tree_path v b in
+                      if List.for_all (fun x -> on_stem.(x) <> !stamp) tail then begin
+                        acc := to_ids (stem @ tail) :: !acc;
+                        incr emitted
+                      end
+                    end)
+                  monitors
+              end)
+            [ (iu, iv); (iv, iu) ]
+      done)
+    roots;
+  List.rev !acc
+
 (* Rational arithmetic with every value a normalized Bigint pair and
    every operation through Bigint: the reference for the small/big
    representation. *)

@@ -86,6 +86,32 @@ let prop_mem_iff_rank_unchanged =
       let b2 = Basis.copy b in
       Basis.mem b v = not (Basis.add b2 v))
 
+(* Unit-row membership read off the echelon rows must agree with
+   reducing the dense unit row, for every column. Small entries and
+   often-deficient bases (rows up to 2n, some of them 0/1 incidence-like)
+   make both answers common. *)
+let prop_mem_unit_matches_mem =
+  QCheck2.Test.make ~name:"mem_unit = mem on unit rows" ~count:300
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 9) (int_range 0 18))
+    (fun (seed, n, rows) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let b = Basis.create n in
+      let binary = Nettomo_util.Prng.bool rng in
+      for _ = 1 to rows do
+        ignore
+          (Basis.add b
+             (Array.init n (fun _ ->
+                  Rational.of_int
+                    (if binary then Nettomo_util.Prng.int rng 2
+                     else Nettomo_util.Prng.int_in rng (-3) 3))))
+      done;
+      List.for_all
+        (fun j ->
+          let unit = Array.make n Rational.zero in
+          unit.(j) <- Rational.one;
+          Basis.mem_unit b j = Basis.mem b unit)
+        (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "empty basis" `Quick test_empty;
@@ -96,4 +122,5 @@ let suite =
     Alcotest.test_case "input not retained" `Quick test_add_does_not_retain_input;
     QCheck_alcotest.to_alcotest prop_rank_matches_matrix;
     QCheck_alcotest.to_alcotest prop_mem_iff_rank_unchanged;
+    QCheck_alcotest.to_alcotest prop_mem_unit_matches_mem;
   ]

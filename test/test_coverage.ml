@@ -145,16 +145,17 @@ let test_dense_component_degrades () =
     [ 11; 12 ]
 
 (* The rank fallback reads membership off the basis the solver built
-   during its search; the oracle rebuilds one from the finished plan.
-   Both must give the same unit-row membership. *)
-let solver_basis_matches_rebuild ?max_stall ?seed_paths ~seed net =
+   during its search; the oracle rebuilds one from the finished plan,
+   whose paths (seeds included, rebuilt from their rows) must all be
+   measurement paths. Both must give the same unit-row membership. *)
+let solver_basis_matches_rebuild ?max_stall ?seeds ~seed net =
   let space = Measurement.space (Net.graph net) in
   let plan, basis =
-    Solver.independent_paths_with_basis ~rng:(Prng.create seed) ?max_stall
-      ?seed_paths net
+    Solver.independent_paths_with_basis ~rng:(Prng.create seed) ?max_stall ?seeds net
   in
   let rebuilt = Oracles.basis_of_plan space plan in
-  Nettomo_linalg.Basis.rank basis = plan.Solver.rank
+  List.for_all (Measurement.is_measurement_path net) plan.Solver.paths
+  && Nettomo_linalg.Basis.rank basis = plan.Solver.rank
   && Nettomo_linalg.Basis.rank rebuilt = plan.Solver.rank
   && List.equal Bool.equal
        (Oracles.unit_membership space basis)
@@ -171,9 +172,8 @@ let prop_solver_basis_matches_rebuild =
       let kappa = 2 + Prng.int rng 4 in
       let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
       let net = Net.create g ~monitors in
-      let seed_paths = Nettomo_measure.Paths.simple_candidates net in
       solver_basis_matches_rebuild ~seed net
-      && solver_basis_matches_rebuild ~seed ~seed_paths net)
+      && solver_basis_matches_rebuild ~seed ~seeds:Nettomo_measure.Paths.simple_candidates net)
 
 let test_solver_basis_isp_prefixes () =
   (* The coverage bench's maps under MMP-prefix budgets, searched the
@@ -188,11 +188,11 @@ let test_solver_basis_isp_prefixes () =
       List.iter
         (fun k ->
           let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
-          let seed_paths = Nettomo_measure.Paths.simple_candidates net in
           check cb
             (Printf.sprintf "%s with %d of %d MMP monitors" name k m)
             true
-            (solver_basis_matches_rebuild ~max_stall:0 ~seed_paths ~seed:0 net))
+            (solver_basis_matches_rebuild ~max_stall:0
+               ~seeds:Nettomo_measure.Paths.simple_candidates ~seed:0 net))
         [ m / 4; (3 * m) / 4 ])
     [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
 

@@ -402,6 +402,41 @@ let test_batch_equals_single () =
         (Jsonx.equal batch_item single))
     results singles
 
+(* Every session registers its counters in the process-wide metrics
+   registry. Sessions that are created and dropped must leave no trace
+   there beyond their share of each series' totals: 10,000 of them may
+   not grow the live heap by a mebibyte (one handle list per session
+   grew it by about 28 MiB), and the dump still shows each series once,
+   carrying every dropped session's counts. *)
+let test_dropped_sessions_release_metrics () =
+  let net = Net.create (Graph.of_edges [ (0, 1); (1, 2); (0, 2) ]) ~monitors:[ 0; 1 ] in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let series_lines () =
+    List.filter
+      (String.starts_with ~prefix:"session_queries_total")
+      (String.split_on_char '\n' (Nettomo_obs.Obs.Metrics.dump ()))
+  in
+  let queries () =
+    match series_lines () with
+    | [ line ] -> int_of_string (List.nth (String.split_on_char ' ' line) 1)
+    | lines -> Alcotest.failf "%d session_queries_total lines" (List.length lines)
+  in
+  ignore (Session.identifiable (Session.create net));
+  let q0 = queries () in
+  let before = live () in
+  for _ = 1 to 10_000 do
+    ignore (Session.create net)
+  done;
+  let grown = (live () - before) * (Sys.word_size / 8) in
+  check cb (Printf.sprintf "live heap grew by %d bytes, under 1 MiB" grown) true
+    (grown < 1 lsl 20);
+  ignore (Session.identifiable (Session.create net));
+  ignore (Session.identifiable (Session.create net));
+  check Alcotest.int "dropped sessions' queries still counted" (q0 + 2) (queries ())
+
 let suite =
   [
     Alcotest.test_case "differential random delta streams" `Slow
@@ -421,4 +456,6 @@ let suite =
       test_batch_equals_single;
     Alcotest.test_case "warm store replay computes nothing" `Quick
       test_warm_store_replay;
+    Alcotest.test_case "dropped sessions release their metrics" `Quick
+      test_dropped_sessions_release_metrics;
   ]

@@ -219,14 +219,36 @@ let prop_constructed_matrix_full_rank =
               && metrics_match_truth sol truth ~tol:1e-9
           | Error _ -> List.length monitors < 2))
 
+(* The library's spanning-tree seeds as (first node, link columns),
+   and the oracle's node-list seeds turned into the same form. *)
+let seed_rows net =
+  let csr = Csr.of_graph (Net.graph net) in
+  let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
+  List.map
+    (fun { Solver.src; cols } -> (csr.Csr.ids.(src), cols))
+    (Measure_paths.simple_candidates csr ~monitor)
+
+let oracle_rows net =
+  let space = Measurement.space (Net.graph net) in
+  List.map
+    (fun p ->
+      ( List.hd p,
+        List.sort Int.compare
+          (List.map (Measurement.column space) (Nettomo_graph.Paths.path_edges p)) ))
+    (Oracles.simple_candidates net)
+
+let rows_equal = List.equal (fun (a, r) (b, q) -> a = b && List.equal Int.equal r q)
+
 let test_simple_candidates_valid () =
-  let cands = Measure_paths.simple_candidates fig1_net in
+  let cands = Oracles.simple_candidates fig1_net in
   check cb "produces candidates" true (cands <> []);
   List.iter
     (fun p ->
       check cb "candidate is a measurement path" true
         (Measurement.is_measurement_path fig1_net p))
-    cands
+    cands;
+  check cb "rows are the candidates' columns" true
+    (rows_equal (seed_rows fig1_net) (oracle_rows fig1_net))
 
 let prop_simple_candidates_valid =
   QCheck2.Test.make
@@ -241,7 +263,46 @@ let prop_simple_candidates_valid =
       let net = Net.create g ~monitors in
       List.for_all
         (fun p -> Measurement.is_measurement_path net p)
-        (Measure_paths.simple_candidates net))
+        (Oracles.simple_candidates net)
+      && rows_equal (seed_rows net) (oracle_rows net))
+
+(* The fallback's seeds are generated as rows on the flat graph; they
+   must be the oracle's node-list seeds, as columns, in the same order,
+   starting at the same node. Random nets past the exact-enumeration
+   range, and one with every second node a monitor, so roots past the
+   eighth are skipped. *)
+let prop_seed_rows_match_oracle =
+  QCheck2.Test.make
+    ~name:"link-number seeds = node-list seeds as rows (random nets > 12 nodes)"
+    ~count:60
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 13 40) (int_range 0 40))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let nodes = Graph.node_array g in
+      let k = if seed mod 2 = 0 then 2 + Prng.int rng 6 else n / 2 in
+      let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
+      rows_equal (seed_rows net) (oracle_rows net))
+
+let isp_prefix name seed frac =
+  let spec = Option.get (Nettomo_topo.Isp.find name) in
+  let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
+  let mmp = Graph.NodeSet.elements (Mmp.place g) in
+  let k = frac (List.length mmp) in
+  Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp)
+
+let test_seed_rows_isp () =
+  List.iter
+    (fun (name, seed) ->
+      List.iter
+        (fun (what, frac) ->
+          let net = isp_prefix name seed frac in
+          check cb
+            (Printf.sprintf "%s, %s of its MMP monitors" name what)
+            true
+            (rows_equal (seed_rows net) (oracle_rows net)))
+        [ ("a quarter", fun m -> m / 4); ("three quarters", fun m -> 3 * m / 4) ])
+    [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
 
 (* The coverage fallback's answers depend on the exact candidate list,
    order included, so it is pinned on two ISP maps under a quarter of
@@ -253,12 +314,7 @@ let test_simple_candidates_pinned () =
   in
   List.iter
     (fun (name, seed, count, digest) ->
-      let spec = Option.get (Nettomo_topo.Isp.find name) in
-      let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
-      let mmp = Graph.NodeSet.elements (Mmp.place g) in
-      let k = List.length mmp / 4 in
-      let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
-      let cands = Measure_paths.simple_candidates net in
+      let cands = Oracles.simple_candidates (isp_prefix name seed (fun m -> m / 4)) in
       check ci (name ^ " candidate count") count (List.length cands);
       check Alcotest.string (name ^ " candidate digest") digest
         Nettomo_util.Checksum.(to_hex (fnv64 (render cands))))
@@ -306,6 +362,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_differential_vs_exact_solver;
     QCheck_alcotest.to_alcotest prop_constructed_matrix_full_rank;
     QCheck_alcotest.to_alcotest prop_simple_candidates_valid;
+    QCheck_alcotest.to_alcotest prop_seed_rows_match_oracle;
+    Alcotest.test_case "link-number seeds = node-list seeds (ISP prefixes)" `Quick
+      test_seed_rows_isp;
     Alcotest.test_case "simple candidates pinned (ISP prefixes)" `Quick
       test_simple_candidates_pinned;
     Alcotest.test_case "simulate pinned (BA10k)" `Quick test_simulate_pinned;

@@ -296,6 +296,140 @@ let test_framing_overflow () =
   check sl "second chunk crosses it" [] (Framing.feed fr "de");
   check cb "overflow across feeds" true (Framing.overflowed fr)
 
+(* Fuzzed framing: random byte strings — NUL, carriage returns, bytes
+   at or above 0x80, newlines, and often no trailing newline — cut into
+   random chunks. Whatever the chunking, feed then close must give the
+   newline-split lines of the whole string (an empty tail dropped);
+   under a line bound L, the lines before the first one longer than L,
+   with the overflow latch set iff such a line exists. *)
+let fuzz_bytes =
+  QCheck2.Gen.(
+    string_size ~gen:(frequency [ (4, char); (2, oneofl [ '\n'; '\r'; '\000'; '\xff'; '\x80' ]); (3, oneofl [ 'a'; 'b'; ' ' ]) ])
+      (int_bound 120))
+
+let chunked s sizes =
+  let n = String.length s in
+  let rec go i sizes acc =
+    if i >= n then List.rev acc
+    else
+      match sizes with
+      | [] -> List.rev (String.sub s i (n - i) :: acc)
+      | k :: rest ->
+          let k = min k (n - i) in
+          go (i + k) rest (String.sub s i k :: acc)
+  in
+  go 0 sizes []
+
+let split_lines s =
+  match List.rev (String.split_on_char '\n' s) with
+  | "" :: rest -> List.rev rest
+  | lines -> List.rev lines
+
+let framed ?max_line_bytes chunks =
+  let fr = Framing.create ?max_line_bytes () in
+  let lines = List.concat_map (Framing.feed fr) chunks in
+  (lines @ Option.to_list (Framing.close fr), Framing.overflowed fr)
+
+let prop_framing_fuzz =
+  QCheck2.Test.make ~name:"framing: fuzzed chunks give the newline-split lines" ~count:3000
+    QCheck2.Gen.(triple fuzz_bytes (list_size (int_bound 12) (int_bound 9)) (int_range 1 24))
+    (fun (s, sizes, bound) ->
+      let lines = split_lines s in
+      let rec before_long = function
+        | l :: rest when String.length l <= bound -> l :: before_long rest
+        | _ -> []
+      in
+      let short = before_long lines in
+      framed (chunked s sizes) = (lines, false)
+      && framed ~max_line_bytes:bound (chunked s sizes)
+         = (short, List.length short < List.length lines))
+
+(* Fuzzed requests against a loaded session: random bytes, and the
+   golden request lines with one top-level field's value swapped for
+   JSON of another type. Every answer must be one JSON object line
+   whose status is "ok", or "error" with a known code, and nothing may
+   raise; the session must still answer afterwards. *)
+let golden_requests =
+  [
+    fig1_line;
+    {|{"id":1,"op":"load","edges":"0 1\n0 2\n1 2\n1 3\n2 3","monitors":[0,3]}|};
+    {|{"id":2,"op":"identifiable"}|};
+    {|{"id":3,"op":"mmp"}|};
+    {|{"id":4,"op":"delta","action":"remove_link","u":6,"v":2}|};
+    {|{"id":6,"op":"delta","action":"add_link","u":6,"v":2}|};
+    {|{"id":8,"op":"batch","queries":["identifiable","mmp","plan"]}|};
+    {|{"id":9,"op":"delta","action":"set_monitors","monitors":[0,1]}|};
+    {|{"id":10,"op":"classify"}|};
+    {|{"id":12,"op":"stats"}|};
+    {|{"id":14,"op":"coverage"}|};
+    {|{"id":15,"op":"augment","k":2}|};
+    {|{"id":16,"op":"batch","queries":["coverage","augment"]}|};
+    {|{"id":14,"op":"solve"}|};
+    {|{"id":16,"op":"status"}|};
+    {|{"id":9,"op":"slow","limit":4}|};
+    {|{"id":17,"op":"metrics"}|};
+  ]
+
+let other_json =
+  [
+    "null"; "true"; "false"; "1.5"; "-1"; "0"; "4611686018427387903";
+    "12345678901234567890123"; "-12345678901234567890123"; "1e308"; "-1e308";
+    {|""|}; {|"x"|}; {|"load"|}; {|"delta"|}; {|"0 1\n1 2"|}; {|"\u0000\r\u00ff"|};
+    "[]"; "[0,1]"; "[[0],[1,[2]]]"; {|[null,true,"a"]|}; "{}"; {|{"a":[1,{"b":null}]}|};
+  ]
+
+let mutated line field value =
+  match Jsonx.parse line with
+  | Ok (Jsonx.Obj fields) ->
+      let i = field mod List.length fields in
+      "{"
+      ^ String.concat ","
+          (List.mapi
+             (fun j (k, v) ->
+               Jsonx.to_string (Jsonx.String k)
+               ^ ":"
+               ^ if i = j then value else Jsonx.to_string v)
+             fields)
+      ^ "}"
+  | Ok _ | Error _ -> line
+
+let well_formed answer =
+  let codes =
+    List.map Protocol.code_to_string
+      Protocol.
+        [ Bad_json; Bad_request; No_session; Bad_topology; Invalid_delta; Query_failed; Overloaded ]
+  in
+  (not (String.contains answer '\n'))
+  &&
+  match Jsonx.parse answer with
+  | Ok (Jsonx.Obj _ as v) -> (
+      match (member_string "status" v, member_string "code" v) with
+      | Some "ok", None -> true
+      | Some "error", Some code -> List.mem code codes
+      | _ -> false)
+  | Ok _ | Error _ -> false
+
+let prop_protocol_fuzz =
+  QCheck2.Test.make ~name:"protocol: fuzzed requests get one well-formed answer" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun s -> `Bytes s) fuzz_bytes;
+          map3
+            (fun line field value -> `Mutated (line, field, value))
+            (oneofl golden_requests) (int_bound 7) (oneofl other_json);
+        ])
+    (fun input ->
+      let line =
+        match input with
+        | `Bytes s -> s
+        | `Mutated (line, field, value) -> mutated line field value
+      in
+      let s = fresh () in
+      ignore (Protocol.handle_line s fig1_line);
+      well_formed (Protocol.handle_line s line)
+      && well_formed (Protocol.handle_line s {|{"id":0,"op":"identifiable"}|}))
+
 (* Run [Protocol.serve] over a byte string, returning the raw output. *)
 let serve_string input =
   let in_file = Filename.temp_file "nettomo_serve" ".in" in
@@ -348,6 +482,8 @@ let suite =
     Alcotest.test_case "metrics op dumps the registry" `Quick test_metrics_op;
     Alcotest.test_case "framing: incremental chunks" `Quick test_framing_chunks;
     Alcotest.test_case "framing: oversized lines" `Quick test_framing_overflow;
+    QCheck_alcotest.to_alcotest prop_framing_fuzz;
+    QCheck_alcotest.to_alcotest prop_protocol_fuzz;
     Alcotest.test_case "serve answers a final line without newline" `Quick
       test_serve_eof_without_newline;
   ]

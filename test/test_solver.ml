@@ -111,54 +111,50 @@ let test_no_monitor_pairs () =
   let plan = Solver.independent_paths ~rng:(Prng.create 10) net in
   check ci "no paths without a pair" 0 plan.Solver.rank
 
-(* The search validates seed paths on the flat graph; it must skip
-   exactly the entries the reference [Measurement.is_measurement_path]
-   rejects, and nothing else: valid candidates mixed with broken copies
-   (reversed, a node dropped or repeated, a foreign node, an end node
-   dropped, too short) give the plan, and the work counts, of the valid
-   ones alone. *)
-let prop_invalid_seeds_skipped =
-  QCheck2.Test.make ~name:"invalid seed paths skipped as Measurement rejects them"
-    ~count:60
-    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 5 20) (int_range 0 20))
-    (fun (seed, n, extra) ->
+(* Layer 1 offers one row per reachable monitor pair, read off one flat
+   breadth-first tree per source. The reference takes
+   [Traversal.shortest_path] per pair and keeps each path whose
+   incidence row extends an exact basis. With no seeds, no random layer
+   and more than 16 nodes (no enumeration) the plan is layer 1 alone:
+   it must hold the same node paths in the same order, and every
+   reachable pair must have cost one prefilter or exact test. Some nets
+   get a second component, so some pairs are unreachable. *)
+let prop_layer1_matches_shortest_paths =
+  QCheck2.Test.make ~name:"layer-1 rows and plan = shortest_path per pair" ~count:60
+    QCheck2.Gen.(quad (int_bound 1_000_000) (int_range 17 35) (int_range 0 30) bool)
+    (fun (seed, n, extra, split) ->
       let rng = Prng.create seed in
       let g = Fixtures.random_connected rng n extra in
-      let kappa = 2 + Prng.int rng 3 in
+      let g =
+        if split then Graph.union g (Graph.of_edges [ (100, 101); (101, 102); (100, 102) ])
+        else g
+      in
+      let kappa = 2 + Prng.int rng 5 in
       let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
       let net = Net.create g ~monitors in
-      let broken p =
-        match Prng.int rng 9 with
-        | 0 -> List.rev p
-        | 1 -> List.filteri (fun i _ -> i <> 1) p
-        | 2 -> List.hd p :: p
-        | 3 -> p @ [ n + 5 ]
-        | 4 -> List.tl p
-        | 5 -> List.rev (List.tl (List.rev p))
-        | 6 -> [ List.hd p ]
-        | 7 -> p @ [ List.hd p ]
-        | _ -> []
-      in
-      let seeds =
-        List.concat_map
-          (fun p -> [ p; broken p ])
-          (Nettomo_measure.Paths.simple_candidates net)
-      in
       let counts () =
-        Nettomo_obs.Obs.Metrics.
-          (counter_value Solver.exact_rows, counter_value Solver.prefilter_rejects)
+        Nettomo_obs.Obs.Metrics.(
+          counter_value Solver.exact_rows + counter_value Solver.prefilter_rejects)
       in
-      let plan seed_paths =
-        let e0, r0 = counts () in
-        let p = Solver.independent_paths ~rng:(Prng.create seed) ~max_stall:0 ~seed_paths net in
-        let e1, r1 = counts () in
-        (p, e1 - e0, r1 - r0)
+      let before = counts () in
+      let plan = Solver.independent_paths ~rng:(Prng.create seed) ~max_stall:0 net in
+      let tested = counts () - before in
+      let space = Measurement.space g in
+      let basis = Basis.create (Measurement.n_links space) in
+      let reachable, kept =
+        List.fold_left
+          (fun (reachable, kept) (m1, m2) ->
+            match Traversal.shortest_path g m1 m2 with
+            | None -> (reachable, kept)
+            | Some p ->
+                ( reachable + 1,
+                  if Basis.add basis (Measurement.incidence_row space p) then p :: kept
+                  else kept ))
+          (0, []) (Net.monitor_pairs net)
       in
-      let a, ea, ra = plan seeds in
-      let b, eb, rb = plan (List.filter (Measurement.is_measurement_path net) seeds) in
-      a.Solver.rank = b.Solver.rank
-      && List.equal (List.equal Int.equal) a.Solver.paths b.Solver.paths
-      && ea = eb && ra = rb)
+      tested = reachable
+      && List.equal (List.equal Int.equal) plan.Solver.paths (List.rev kept)
+      && plan.Solver.rank = Basis.rank basis)
 
 let suite =
   [
@@ -174,5 +170,5 @@ let suite =
     Alcotest.test_case "no monitor pairs" `Quick test_no_monitor_pairs;
     QCheck_alcotest.to_alcotest prop_recover_roundtrip_mmp;
     QCheck_alcotest.to_alcotest prop_plan_paths_independent;
-    QCheck_alcotest.to_alcotest prop_invalid_seeds_skipped;
+    QCheck_alcotest.to_alcotest prop_layer1_matches_shortest_paths;
   ]

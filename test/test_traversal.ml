@@ -79,9 +79,12 @@ let test_shortest_path () =
   let g2 = Graph.of_edges [ (0, 1); (2, 3) ] in
   check cb "unreachable" true (Traversal.shortest_path g2 0 3 = None)
 
-(* One search per source must hand out the very path the per-pair
-   search finds, which is a shortest one; graphs are sometimes
-   disconnected so unreachable targets are covered too. *)
+(* The flat breadth-first tree ({!Csr.bfs}) the solver reads its
+   monitor-pair paths off must hold, for every target, the very path the
+   per-pair search finds, which is a shortest one; its depths are the
+   hop distances, and every tree link carries the number of the link it
+   crosses. Graphs are sometimes disconnected, so unreachable targets
+   are covered too. *)
 let prop_shortest_paths_from_matches_per_pair =
   QCheck2.Test.make ~name:"shortest_paths_from = shortest_path per pair"
     ~count:100
@@ -93,21 +96,34 @@ let prop_shortest_paths_from_matches_per_pair =
         if split then Graph.union g (Graph.of_edges [ (100, 101); (101, 102) ])
         else g
       in
+      let csr = Csr.of_graph g in
       let nodes = Graph.nodes g in
       List.for_all
         (fun s ->
-          let from_s = Traversal.shortest_paths_from g s in
+          let src = Csr.index csr s in
+          let tree = Csr.bfs csr src in
           let dist = Traversal.bfs_distances g s in
-          List.for_all
-            (fun d ->
-              let p = from_s d in
-              Option.equal (List.equal Int.equal) p (Traversal.shortest_path g s d)
-              &&
-              match (p, Graph.NodeMap.find_opt d dist) with
-              | Some p, Some k -> List.length p = k + 1
-              | None, None -> true
-              | Some _, None | None, Some _ -> false)
-            nodes)
+          let rec up x acc =
+            if x = src then csr.Csr.ids.(x) :: acc
+            else up tree.Csr.parent.(x) (csr.Csr.ids.(x) :: acc)
+          in
+          tree.Csr.reached = Graph.NodeMap.cardinal dist
+          && tree.Csr.order.(0) = src
+          && List.for_all
+               (fun d ->
+                 let x = Csr.index csr d in
+                 let p = if tree.Csr.depth.(x) < 0 then None else Some (up x []) in
+                 Option.equal (List.equal Int.equal) p (Traversal.shortest_path g s d)
+                 && (x = src || tree.Csr.parent.(x) < 0
+                    || Graph.edge_equal
+                         (Csr.edge csr tree.Csr.parent_eid.(x))
+                         (Graph.edge d csr.Csr.ids.(tree.Csr.parent.(x))))
+                 &&
+                 match (p, Graph.NodeMap.find_opt d dist) with
+                 | Some p, Some k -> List.length p = k + 1 && tree.Csr.depth.(x) = k
+                 | None, None -> true
+                 | Some _, None | None, Some _ -> false)
+               nodes)
         nodes)
 
 let test_spanning_tree () =
