@@ -398,6 +398,11 @@ let dispatch t req =
       let* names = field "queries" req in
       let* qs =
         match names with
+        | Jsonx.List items when List.length items > List.length queries ->
+            (* Every name is evaluated from scratch, so the list is
+               bounded by the query table: one of each kind at most. *)
+            bad_request "field \"queries\" lists %d names; a batch takes at most %d"
+              (List.length items) (List.length queries)
         | Jsonx.List items ->
             List.fold_left
               (fun acc item ->

@@ -6,7 +6,16 @@
     increases the rank. This structure maintains a row-echelon basis so
     each candidate costs one forward reduction, and also answers
     row-space membership queries, which is how per-link identifiability
-    ("is the i-th unit vector in the row space of R?") is decided. *)
+    ("is the i-th unit vector in the row space of R?") is decided.
+
+    Cost model: rows are stored sparse, as their nonzero entries after
+    the pivot, and a reduction is one left-to-right sweep over the
+    vector's columns that applies the row pivoted at each nonzero pivot
+    column. Its rational work follows the nonzeros of the rows it
+    applies, not the dimension; what grows with the dimension is one
+    dense copy of the vector and one cheap zero test per column. Every
+    stored row, residual and answer is the one a dense elimination in
+    the same pivot order gives. *)
 
 type t
 
@@ -44,3 +53,5 @@ val add : t -> Rational.t array -> bool
     retained. *)
 
 val copy : t -> t
+(** An independent basis with the same rows. Stored rows are never
+    modified, so the copy shares them: O(dimension). *)

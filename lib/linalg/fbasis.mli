@@ -12,11 +12,18 @@
     is 1, zero elsewhere — a measurement path's link columns. Rows are
     kept fully reduced (zero at every pivot but their own), so reducing
     a candidate subtracts only the rows pivoted on its own columns, and
-    only on the columns that are not yet pivots: the closer the basis is
-    to full rank, the cheaper a rejection. The residual lives in one
-    scratch vector owned by the basis, so testing or rejecting a
+    only on the columns that are not yet pivots. The residual lives in
+    one scratch vector owned by the basis, so testing or rejecting a
     candidate allocates nothing; only an accepted row is stored. Rank
     is kept as a field: {!rank} and {!is_full} are O(1).
+
+    Cost model: each row keeps the list of non-pivot columns where it is
+    nonzero, and a reduction reads only those entries of the rows it
+    subtracts, then clears and scans only the columns it wrote. Testing
+    a candidate costs the nonzeros it reads, not the dimension. An
+    {!add} still builds a dense row and scans every row once. Skipping
+    exact zeros leaves every nonzero value, and so every verdict and
+    every pivot, as a dense reduction gives them.
 
     Verdicts are approximate: a row whose residual max-norm does not
     exceed [epsilon] (default 1e-9) is reported dependent. For the 0/1

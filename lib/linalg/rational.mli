@@ -17,9 +17,9 @@
     {!compare} stay below 2{^61} and are exact in a 63-bit int; Bigint
     arithmetic and its gcd run only when an operand or a result leaves
     the small range. Eliminations over the 0/1 incidence rows of
-    measurement matrices stay small in practice: none of the ~1.1
-    million sums and products of a coverage pass over the Ebone, Exodus
-    and Tiscali maps produces a big value. *)
+    measurement matrices stay small in practice: none of the ~780,000
+    sums and products of a coverage pass over the Ebone, Exodus and
+    Tiscali maps produces a big value. *)
 
 type t
 

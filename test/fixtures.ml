@@ -144,3 +144,12 @@ let with_temp_dir name f =
   in
   rm_rf ();
   Fun.protect ~finally:rm_rf (fun () -> f dir)
+
+(* An ISP map from the bundled generator, monitored by the first
+   [frac m] of its [m] MMP monitors (smallest identifiers first). *)
+let isp_prefix name seed frac =
+  let spec = Option.get (Nettomo_topo.Isp.find name) in
+  let g = Nettomo_topo.Isp.generate (Nettomo_util.Prng.create seed) spec in
+  let mmp = Graph.NodeSet.elements (Nettomo_core.Mmp.place g) in
+  let k = frac (List.length mmp) in
+  Nettomo_core.Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp)

@@ -204,3 +204,74 @@ module Fbasis_ref = struct
 
   let copy t = { t with rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }
 end
+
+(* The exact basis on dense rows: rows kept as full-width rational
+   arrays in a list sorted by pivot, and elimination walking that list,
+   each applied row scanned across every column after its pivot. The
+   reference for the sparse-row basis, which must store the same rows
+   and give the same residuals and answers. *)
+module Basis_ref = struct
+  module Q = Rational
+
+  type t = { n : int; mutable rows : (int * Q.t array) list; mutable rank : int }
+
+  let create n = { n; rows = []; rank = 0 }
+  let rank t = t.rank
+
+  let eliminate t v rows =
+    List.iter
+      (fun (p, r) ->
+        if not (Q.is_zero v.(p)) then begin
+          let factor = v.(p) in
+          for j = p to t.n - 1 do
+            let rj = r.(j) in
+            if not (Q.is_zero rj) then v.(j) <- Q.sub v.(j) (Q.mul factor rj)
+          done
+        end)
+      rows
+
+  let reduce t v =
+    let v = Array.copy v in
+    eliminate t v t.rows;
+    v
+
+  let first_nonzero v =
+    let n = Array.length v in
+    let rec loop j = if j >= n then None else if Q.is_zero v.(j) then loop (j + 1) else Some j in
+    loop 0
+
+  let mem t v = first_nonzero (reduce t v) = None
+
+  let mem_unit t j =
+    let rec from = function
+      | [] -> false
+      | (p, _) :: rest when p < j -> from rest
+      | (p, r) :: later when p = j ->
+          let v = Array.copy r in
+          v.(j) <- Q.zero;
+          eliminate t v later;
+          first_nonzero v = None
+      | _ :: _ -> false
+    in
+    from t.rows
+
+  let add t v =
+    let res = reduce t v in
+    match first_nonzero res with
+    | None -> false
+    | Some p ->
+        let inv = Q.inv res.(p) in
+        for j = p to t.n - 1 do
+          if not (Q.is_zero res.(j)) then res.(j) <- Q.mul res.(j) inv
+        done;
+        let rec insert = function
+          | [] -> [ (p, res) ]
+          | (p', _) :: _ as rest when p < p' -> (p, res) :: rest
+          | x :: rest -> x :: insert rest
+        in
+        t.rows <- insert t.rows;
+        t.rank <- t.rank + 1;
+        true
+
+  let copy t = { t with rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }
+end

@@ -112,6 +112,80 @@ let prop_mem_unit_matches_mem =
           Basis.mem_unit b j = Basis.mem b unit)
         (List.init n Fun.id))
 
+(* The sparse-row basis against the dense reference it replaced: after
+   every add, the same answer and rank, the same residual for random
+   probes (which pins every stored row), the same [mem_unit] on every
+   column; then the same again on a copy of each, with the originals
+   left as they were. Rows are path-like 0/1 rows or sparse small
+   integers, and about a third are the sum of two earlier random rows,
+   so many are dependent. *)
+let prop_sparse_rows_match_dense_reference =
+  QCheck2.Test.make ~name:"sparse rows = dense reference" ~count:200
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 32) bool)
+    (fun (seed, n, binary) ->
+      (* Eliminating integer rows past ~16 columns runs into big
+         rationals, which only slow the test down. *)
+      let n = if binary then n else min n 16 in
+      let rng = Nettomo_util.Prng.create seed in
+      let module R = Oracles.Basis_ref in
+      let random_row () =
+        if binary then begin
+          let v = Array.make n Rational.zero in
+          for _ = 0 to Nettomo_util.Prng.int rng 6 do
+            v.(Nettomo_util.Prng.int rng n) <- Rational.one
+          done;
+          v
+        end
+        else
+          Array.init n (fun _ ->
+              if Nettomo_util.Prng.int rng 3 = 0 then
+                Rational.of_int (Nettomo_util.Prng.int_in rng (-3) 3)
+              else Rational.zero)
+      in
+      let drawn = ref [||] in
+      let next_row () =
+        let k = Array.length !drawn in
+        if k >= 2 && Nettomo_util.Prng.int rng 3 = 0 then
+          Array.map2 Rational.add
+            !drawn.(Nettomo_util.Prng.int rng k)
+            !drawn.(Nettomo_util.Prng.int rng k)
+        else begin
+          let v = random_row () in
+          drawn := Array.append !drawn [| v |];
+          v
+        end
+      in
+      let same_rows fast slow =
+        let probe = random_row () in
+        Array.for_all2 Rational.equal (Basis.reduce fast probe) (R.reduce slow probe)
+        && Basis.mem fast probe = R.mem slow probe
+        && List.for_all
+             (fun j -> Basis.mem_unit fast j = R.mem_unit slow j)
+             (List.init n Fun.id)
+      in
+      let agree fast slow =
+        let ok = ref true in
+        for _ = 1 to 2 * n do
+          let v = next_row () in
+          if
+            Basis.add fast v <> R.add slow v
+            || Basis.rank fast <> R.rank slow
+            || not (same_rows fast slow)
+          then ok := false
+        done;
+        !ok
+      in
+      let fast = Basis.create n and slow = R.create n in
+      let first = agree fast slow in
+      let rank = Basis.rank fast in
+      let probe = random_row () in
+      let residual = Basis.reduce fast probe in
+      let second = agree (Basis.copy fast) (R.copy slow) in
+      first && second
+      && Basis.rank fast = rank
+      && Array.for_all2 Rational.equal (Basis.reduce fast probe) residual
+      && same_rows fast slow)
+
 let suite =
   [
     Alcotest.test_case "empty basis" `Quick test_empty;
@@ -123,4 +197,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rank_matches_matrix;
     QCheck_alcotest.to_alcotest prop_mem_iff_rank_unchanged;
     QCheck_alcotest.to_alcotest prop_mem_unit_matches_mem;
+    QCheck_alcotest.to_alcotest prop_sparse_rows_match_dense_reference;
   ]

@@ -72,6 +72,66 @@ let prop_roundtrip_random =
       let g = Fixtures.random_connected rng n extra in
       Graph.equal g (Edgelist.of_string (Edgelist.to_string g)))
 
+(* Token soup: ids (decimal, signed, 0x/0b/0o/underscore forms,
+   out-of-range integers), the [node] keyword, comments, tabs, \r, NUL
+   and bytes >= 0x80, in lines that are mostly well-formed link or node
+   lines so that many inputs parse. [parse] must answer [Ok] or [Error]
+   without raising, and every graph it accepts must survive a round
+   trip through [to_string]. *)
+let edgelist_id =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, map string_of_int (int_range (-3) 12));
+        ( 2,
+          oneofl
+            [
+              "+3"; "-0"; "0x1f"; "0X1F"; "0b101"; "0o17"; "1_000"; "_1"; "0x"; "1e3"; "3.0";
+              "4611686018427387903"; "-4611686018427387904"; "4611686018427387904";
+              "99999999999999999999"; "0x7fffffffffffffff"; "--1"; "1-2";
+            ] );
+      ])
+
+let edgelist_token =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, edgelist_id);
+        (2, oneofl [ "node"; "#"; "# x y"; "\t"; "\r"; "\000"; "\x80"; "\xff"; "\xc3\xa9" ]);
+        (1, map (String.make 1) char);
+      ])
+
+let edgelist_blank = QCheck2.Gen.oneofl [ " "; "  "; "\t"; " \t " ]
+
+let edgelist_line =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map3 (fun u sep v -> u ^ sep ^ v) edgelist_id edgelist_blank edgelist_id);
+        (2, map2 (fun sep v -> "node" ^ sep ^ v) edgelist_blank edgelist_id);
+        (1, oneofl [ ""; "# comment"; "  # 1 2"; "\r" ]);
+        ( 2,
+          map
+            (fun toks -> String.concat "" (List.concat_map (fun (t, b) -> [ t; b ]) toks))
+            (list_size (int_bound 5) (pair edgelist_token (oneof [ edgelist_blank; return "" ]))) );
+      ])
+
+let edgelist_soup =
+  QCheck2.Gen.(
+    map
+      (fun lines -> String.concat "" (List.concat_map (fun (l, eol) -> [ l; eol ]) lines))
+      (list_size (int_bound 12) (pair edgelist_line (oneofl [ "\n"; "\r\n"; "\n"; " # \n" ]))))
+
+let prop_token_soup =
+  QCheck2.Test.make ~name:"token soup parses or errors, and round-trips" ~count:3000 edgelist_soup
+    (fun s ->
+      match Edgelist.parse s with
+      | Error _ -> true
+      | Ok g -> (
+          match Edgelist.parse (Edgelist.to_string g) with
+          | Ok g' -> Graph.equal g g'
+          | Error _ -> false))
+
 let suite =
   [
     Alcotest.test_case "parse basic" `Quick test_parse_basic;
@@ -81,4 +141,5 @@ let suite =
     Alcotest.test_case "string roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_token_soup;
   ]

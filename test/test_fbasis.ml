@@ -164,6 +164,44 @@ let prop_column_rows_match_reference_through_copy =
       && Fbasis.rank fast = rank
       && Fbasis.would_increase_rank fast probe = R.would_increase_rank slow (dense n probe))
 
+(* The rows the coverage fallback actually feeds the prefilter: the
+   spanning-tree seeds on the bench's ISP maps under a quarter and
+   three quarters of their MMP placement. Every probe and every add
+   must get the dense reference's decision, in order. *)
+let test_isp_seed_rows_match_reference () =
+  let module Csr = Nettomo_graph.Csr in
+  let module Net = Nettomo_core.Net in
+  let module R = Oracles.Fbasis_ref in
+  List.iter
+    (fun (name, seed) ->
+      List.iter
+        (fun (what, frac) ->
+          let net = Fixtures.isp_prefix name seed frac in
+          let csr = Csr.of_graph (Net.graph net) in
+          let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
+          let n = csr.Csr.m in
+          let fast = Fbasis.create n and slow = R.create n in
+          let steps = ref 0 and first_diff = ref None in
+          List.iter
+            (fun { Nettomo_core.Solver.cols; _ } ->
+              let dense_row = dense n cols in
+              let probe = Fbasis.would_increase_rank fast cols in
+              let step = Fbasis.add fast cols in
+              if
+                !first_diff = None
+                && (probe <> R.would_increase_rank slow dense_row
+                   || step <> R.add slow dense_row)
+              then first_diff := Some !steps;
+              incr steps)
+            (Nettomo_measure.Paths.simple_candidates csr ~monitor);
+          check (Alcotest.option ci)
+            (Printf.sprintf "%s, %s of its MMP monitors: first differing step of %d" name what
+               !steps)
+            None !first_diff;
+          check ci (name ^ " rank") (R.rank slow) (Fbasis.rank fast))
+        [ ("a quarter", fun m -> m / 4); ("three quarters", fun m -> 3 * m / 4) ])
+    [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
+
 let suite =
   [
     Alcotest.test_case "empty basis" `Quick test_empty;
@@ -174,4 +212,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rank_bounded;
     QCheck_alcotest.to_alcotest prop_matches_full_width_reference;
     QCheck_alcotest.to_alcotest prop_column_rows_match_reference_through_copy;
+    Alcotest.test_case "ISP seed rows match the dense reference" `Quick
+      test_isp_seed_rows_match_reference;
   ]

@@ -284,19 +284,12 @@ let prop_seed_rows_match_oracle =
       let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
       rows_equal (seed_rows net) (oracle_rows net))
 
-let isp_prefix name seed frac =
-  let spec = Option.get (Nettomo_topo.Isp.find name) in
-  let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
-  let mmp = Graph.NodeSet.elements (Mmp.place g) in
-  let k = frac (List.length mmp) in
-  Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp)
-
 let test_seed_rows_isp () =
   List.iter
     (fun (name, seed) ->
       List.iter
         (fun (what, frac) ->
-          let net = isp_prefix name seed frac in
+          let net = Fixtures.isp_prefix name seed frac in
           check cb
             (Printf.sprintf "%s, %s of its MMP monitors" name what)
             true
@@ -314,7 +307,7 @@ let test_simple_candidates_pinned () =
   in
   List.iter
     (fun (name, seed, count, digest) ->
-      let cands = Oracles.simple_candidates (isp_prefix name seed (fun m -> m / 4)) in
+      let cands = Oracles.simple_candidates (Fixtures.isp_prefix name seed (fun m -> m / 4)) in
       check ci (name ^ " candidate count") count (List.length cands);
       check Alcotest.string (name ^ " candidate digest") digest
         Nettomo_util.Checksum.(to_hex (fnv64 (render cands))))

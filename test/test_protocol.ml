@@ -135,6 +135,27 @@ let test_batch_suberror_code () =
         (Option.value (member_string "code" err_item) ~default:"<missing>")
   | Some _ | None -> Alcotest.fail "batch response lacks a two-item results list"
 
+(* A batch may list at most as many names as there are query kinds:
+   eight names are refused before any is evaluated, while all seven
+   kinds, and repeated names within the bound, are answered one result
+   per name. *)
+let test_batch_bounded_by_query_table () =
+  let s = fresh () in
+  expect_ok s ~name:"load" fig1_line;
+  let kinds = [ "identifiable"; "classify"; "mmp"; "plan"; "coverage"; "augment"; "solve" ] in
+  let batch names =
+    Printf.sprintf {|{"id":2,"op":"batch","queries":[%s]}|}
+      (String.concat "," (List.map (Printf.sprintf "%S") names))
+  in
+  expect_code s ~name:"eight names" ~code:"bad_request" (batch ("identifiable" :: kinds));
+  let results names =
+    match Jsonx.member "results" (parse_response (Protocol.handle_line s (batch names))) with
+    | Some (Jsonx.List items) -> List.length items
+    | Some _ | None -> -1
+  in
+  check Alcotest.int "all seven kinds" 7 (results kinds);
+  check Alcotest.int "repeated names" 3 (results [ "solve"; "identifiable"; "solve" ])
+
 let test_solve_op () =
   let s = fresh () in
   expect_ok s ~name:"load" fig1_line;
@@ -474,6 +495,8 @@ let suite =
     Alcotest.test_case "query_failed" `Quick test_query_failed;
     Alcotest.test_case "batch sub-error carries code" `Quick
       test_batch_suberror_code;
+    Alcotest.test_case "batch bounded by the query table" `Quick
+      test_batch_bounded_by_query_table;
     Alcotest.test_case "solve op recovers every link metric" `Quick
       test_solve_op;
     Alcotest.test_case "status op: stdin fallback snapshot" `Quick

@@ -235,6 +235,59 @@ let test_gc_dir_offline () =
         (removed + List.length (Store.entries dir));
       check cb "offline bound holds" true (total_bytes dir <= 400))
 
+(* Damaged entry files, beyond the five fixed corruption modes: random
+   bytes in place of the file, a single flipped byte anywhere, a
+   truncation at any length, and a forged length field on a valid blob.
+   [find] and [find_with] must return [None] or exactly the payload
+   that was put, and never raise. One store serves every case; each
+   case re-puts its payload and damages the one entry file. *)
+type damage = Random_bytes of string | Flip of int * int | Truncate of int | Forge_length of int64
+
+let damage_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun s -> Random_bytes s) (string_size (int_bound 80));
+        map2 (fun pos mask -> Flip (pos, mask)) (int_bound 10_000) (int_range 1 255);
+        map (fun k -> Truncate k) (int_bound 10_000);
+        map
+          (fun l -> Forge_length l)
+          (oneof
+             [
+               oneofl [ 0L; 1L; -1L; 20L; 21L; Int64.max_int; Int64.min_int; 0x7fffffffL ];
+               map Int64.of_int int;
+             ]);
+      ])
+
+let damaged raw = function
+  | Random_bytes s -> s
+  | Flip (pos, mask) ->
+      let b = Bytes.of_string raw in
+      let i = pos mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+      Bytes.to_string b
+  | Truncate k -> String.sub raw 0 (k mod String.length raw)
+  | Forge_length l ->
+      let b = Bytes.of_string raw in
+      Bytes.set_int64_le b 5 l;
+      Bytes.to_string b
+
+let test_fuzzed_entries () =
+  with_dir (fun dir ->
+      let t = Store.open_dir dir in
+      let prop =
+        QCheck2.Test.make ~name:"damaged entries read as a miss or the payload" ~count:3000
+          QCheck2.Gen.(pair (string_size (int_bound 64)) damage_gen)
+          (fun (payload, d) ->
+            Store.put t "victim" payload;
+            let e = only_entry dir in
+            write_file e.Store.file (damaged (read_file e.Store.file) d);
+            let ok = function None -> true | Some p -> String.equal p payload in
+            ok (Store.find t "victim")
+            && ok (Store.find_with t "victim" ~decode:Option.some))
+      in
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 19 |]) prop)
+
 let suite =
   [
     Alcotest.test_case "round trip and persistence" `Quick test_round_trip;
@@ -248,4 +301,5 @@ let suite =
       test_concurrent_writers;
     Alcotest.test_case "size-bound GC" `Quick test_gc_bound;
     Alcotest.test_case "offline gc_dir" `Quick test_gc_dir_offline;
+    Alcotest.test_case "fuzzed entry files" `Quick test_fuzzed_entries;
   ]
