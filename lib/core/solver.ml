@@ -1,6 +1,5 @@
 module Errors = Nettomo_util.Errors
 open Nettomo_graph
-module Q = Nettomo_linalg.Rational
 module Basis = Nettomo_linalg.Basis
 module Matrix = Nettomo_linalg.Matrix
 module Fbasis = Nettomo_linalg.Fbasis
@@ -20,43 +19,64 @@ type plan = {
 let exact_rows = Obs.Metrics.counter "solver_exact_rows_total"
 let prefilter_rejects = Obs.Metrics.counter "solver_prefilter_rejects_total"
 
-(* A candidate's link columns in increasing order when it is a
-   measurement path of the flattened network — at least two nodes, all
-   in the graph, none repeated, consecutive ones adjacent, both ends
-   monitors — and [None] otherwise. One pass over the path: the first
-   node is looked up in the CSR, every later one in its predecessor's
-   row, which also yields the link number; a repeat is caught by the
-   per-candidate stamp in [seen]. Csr numbers links in
+(* Sort the first [len] entries of [row] in place. Rows are a few
+   links long, so insertion sort. *)
+let sort_row (row : int array) len =
+  for i = 1 to len - 1 do
+    let x = row.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && row.(!j) > x do
+      row.(!j + 1) <- row.(!j);
+      decr j
+    done;
+    row.(!j + 1) <- x
+  done
+
+(* The exhaustive layer gives up on a monitor pair after this many
+   simple paths. *)
+let enumeration_limit = 200_000
+
+(* When [p] is a measurement path of the flattened network — at least
+   two nodes, all in the graph, none repeated, consecutive ones
+   adjacent, both ends monitors — writes its link columns into [row] in
+   increasing order and returns how many there are; returns -1
+   otherwise. One pass over the path: the first node is looked up in
+   the CSR, every later one in its predecessor's row, which also yields
+   the link number; a repeat is caught by the per-candidate stamp in
+   [seen], so at most one link per node is written. Csr numbers links in
    [Measurement.link_order], so link numbers are the measurement
    columns. *)
-let columns (csr : Csr.t) ~monitor ~seen ~stamp p =
-  let rec walk i cols = function
-    | [] -> if monitor.(i) then Some (List.sort Int.compare cols) else None
+let columns (csr : Csr.t) ~monitor ~seen ~stamp row p =
+  let rec walk i len = function
+    | [] ->
+        if monitor.(i) then begin
+          sort_row row len;
+          len
+        end
+        else -1
     | v :: rest -> (
         match Csr.half_edge csr i v with
-        | -1 -> None
+        | -1 -> -1
         | k ->
             let j = csr.adj.(k) in
-            if seen.(j) = stamp then None
+            if seen.(j) = stamp then -1
             else begin
               seen.(j) <- stamp;
-              walk j (csr.eid.(k) :: cols) rest
+              row.(len) <- csr.eid.(k);
+              walk j (len + 1) rest
             end)
   in
   match p with
   | v :: (_ :: _ as rest) -> (
       match Csr.find csr v with
-      | -1 -> None
-      | i when not monitor.(i) -> None
+      | -1 -> -1
+      | i when not monitor.(i) -> -1
       | i ->
           seen.(i) <- stamp;
-          walk i [] rest)
-  | [] | [ _ ] -> None
+          walk i 0 rest)
+  | [] | [ _ ] -> -1
 
-type seed = { src : int; cols : int list }
-
-let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
-    ?seeds net =
+let independent_paths_with_basis ?rng ?max_stall ?seeds net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
   let g = Net.graph net in
   let space = Measurement.space g in
@@ -71,23 +91,23 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
   (* Float prefilter: almost every candidate near full rank is
      dependent, and rejecting it against a float basis costs
      microseconds instead of an exact rational elimination. Only the
-     accepted rows are built over ℚ and confirmed exactly; [offer] says
-     whether the row entered the basis, and its caller then puts the
-     candidate's node path into the plan. *)
+     accepted rows are confirmed exactly; [offer] says whether the row
+     entered the basis, and its caller then puts the candidate's node
+     path into the plan. Every layer hands its rows over in [row], one
+     buffer: a simple path has at most one link per node. *)
   let fbasis = Fbasis.create n in
+  let row = Array.make csr.Csr.n 0 in
   let accepted = ref [] in
-  let offer cols =
-    if not (Fbasis.would_increase_rank fbasis cols) then begin
+  let offer cols len =
+    if not (Fbasis.would_increase_rank fbasis cols len) then begin
       Obs.Metrics.incr prefilter_rejects;
       false
     end
     else begin
-      let row = Array.make n Q.zero in
-      List.iter (fun j -> row.(j) <- Q.one) cols;
       Obs.Metrics.incr exact_rows;
-      Basis.add basis row
+      Basis.add_cols basis cols len
       && begin
-           ignore (Fbasis.add fbasis cols);
+           ignore (Fbasis.add fbasis cols len);
            true
          end
     end
@@ -96,24 +116,25 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
      path, ignored otherwise, so those layers may over-approximate. *)
   let offer_path p =
     incr stamp;
-    match columns csr ~monitor ~seen ~stamp:!stamp p with
-    | None -> false
-    | Some cols ->
-        offer cols
-        && begin
-             accepted := p :: !accepted;
-             true
-           end
+    let len = columns csr ~monitor ~seen ~stamp:!stamp row p in
+    len >= 0
+    && offer row len
+    && begin
+         accepted := p :: !accepted;
+         true
+       end
   in
   (* A row that starts at index [src], kept with its node path: from
      each node, the one link of the row not yet walked. Rows come from
      generators that only emit simple paths between monitors, so they
      are not validated again. *)
   let on_row = Array.make csr.Csr.m 0 in
-  let offer_row src cols =
-    if offer cols then begin
+  let offer_row src cols len =
+    if offer cols len then begin
       incr stamp;
-      List.iter (fun k -> on_row.(k) <- !stamp) cols;
+      for i = 0 to len - 1 do
+        on_row.(cols.(i)) <- !stamp
+      done;
       let rec walk x prev path =
         let next = ref (-1) in
         for h = csr.Csr.xadj.(x) to csr.Csr.xadj.(x + 1) - 1 do
@@ -137,9 +158,8 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
        within its stall budget. *)
     Option.iter
       (fun seeds ->
-        List.iter
-          (fun { src; cols } -> if not (Basis.is_full basis) then offer_row src cols)
-          (seeds csr ~monitor))
+        seeds csr ~monitor (fun src cols len ->
+            if not (Basis.is_full basis) then offer_row src cols len))
       seeds;
     (* Layer 1: shortest paths between all monitor pairs, in
        [monitor_pairs] order, read off one breadth-first tree per
@@ -148,11 +168,21 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
       | m1 :: (_ :: _ as rest) ->
           let src = Csr.index csr m1 in
           let { Csr.parent; parent_eid; depth; _ } = Csr.bfs csr src in
-          let rec up x cols = if x = src then cols else up parent.(x) (parent_eid.(x) :: cols) in
+          let rec up x len =
+            if x = src then len
+            else begin
+              row.(len) <- parent_eid.(x);
+              up parent.(x) (len + 1)
+            end
+          in
           List.iter
             (fun m2 ->
               let dst = Csr.index csr m2 in
-              if depth.(dst) >= 0 then offer_row src (List.sort Int.compare (up dst [])))
+              if depth.(dst) >= 0 then begin
+                let len = up dst 0 in
+                sort_row row len;
+                offer_row src row len
+              end)
             rest;
           layer1 rest
       | [] | [ _ ] -> ()
@@ -183,8 +213,8 @@ let independent_paths_with_basis ?rng ?max_stall ?(enumeration_limit = 200_000)
   end;
   ({ space; paths = List.rev !accepted; rank = Basis.rank basis }, basis)
 
-let independent_paths ?rng ?max_stall ?enumeration_limit ?seeds net =
-  fst (independent_paths_with_basis ?rng ?max_stall ?enumeration_limit ?seeds net)
+let independent_paths ?rng ?max_stall ?seeds net =
+  fst (independent_paths_with_basis ?rng ?max_stall ?seeds net)
 
 let full_rank net plan =
   plan.rank = Graph.n_edges (Net.graph net) && plan.rank = List.length plan.paths

@@ -19,45 +19,42 @@ type plan = {
   rank : int;  (** [= List.length paths] *)
 }
 
-type seed = {
-  src : int;  (** {!Nettomo_graph.Csr} index of the path's first node *)
-  cols : int list;  (** its link numbers, strictly ascending *)
-}
-(** A candidate handed to the search as a row: a simple path between two
-    distinct monitors of the flattened network, given by its link
-    numbers (the measurement columns) and the node it starts at. *)
-
 val independent_paths :
   ?rng:Nettomo_util.Prng.t ->
   ?max_stall:int ->
-  ?enumeration_limit:int ->
-  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> seed list) ->
+  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
   Net.t ->
   plan
 (** A maximal set of linearly independent measurement paths found by the
     layered search. [max_stall] (default [50 · (|L| + 1)]) bounds
     consecutive unproductive random candidates before falling back to
-    enumeration;
-    [enumeration_limit] (default 200,000 paths per monitor pair) bounds
-    the exhaustive fallback, which only runs on graphs of at most 16
-    nodes — so on larger networks the plan is maximal only with high
-    probability. On identifiable networks of moderate size the plan
-    reaches full rank.
+    enumeration, which only runs on graphs of at most 16 nodes and gives
+    up on a monitor pair after 200,000 paths — so on larger networks the
+    plan is maximal only with high probability. On identifiable
+    networks of moderate size the plan reaches full rank.
 
     [seeds] generates rows offered before any search layer. It is called
     once, on the flat graph the search builds and its monitor flags by
-    index; every row it returns must be a simple path between two
-    distinct monitors, which the search does not check again. Structured
-    rows — e.g. the spanning-tree families of
+    index, with a callback it calls once per row, in order:
+    [emit src cols len] offers the simple path between two distinct
+    monitors that starts at index [src] and whose link numbers are
+    [cols.(0)] < … < [cols.(len - 1)]. The search does not check again
+    that the row is such a path. [cols] is only read during the call,
+    so a generator can reuse one buffer for every row. Structured rows
+    — e.g. the spanning-tree families of
     [Measure.Paths.simple_candidates] — push the reached rank far beyond
     what the stall-bounded random layer finds on larger networks. An
     accepted seed enters the plan as its node path from [src]. *)
 
+val sort_row : int array -> int -> unit
+(** [sort_row row len] sorts [row.(0..len-1)] ascending in place: how a
+    generator puts a row's link numbers in the order [seeds] requires.
+    Insertion sort, for rows a few links long. *)
+
 val independent_paths_with_basis :
   ?rng:Nettomo_util.Prng.t ->
   ?max_stall:int ->
-  ?enumeration_limit:int ->
-  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> seed list) ->
+  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
   Net.t ->
   plan * Basis.t
 (** {!independent_paths} together with the exact row basis the search
@@ -71,18 +68,18 @@ val independent_paths_with_basis :
 
     The search runs on link numbers: the network is flattened once
     ({!Nettomo_graph.Csr}, whose link numbers are the measurement
-    columns). Seeds arrive as rows. The monitor-pair shortest paths are
-    read off one flat breadth-first tree per source monitor
-    ({!Nettomo_graph.Csr.bfs}) as rows, and each becomes a node path
-    only once it is accepted. Random and enumerated node paths are
-    validated and turned into their ascending column lists in one pass
-    over the flat rows. Every row goes through a float prefilter
-    ({!Fbasis}) first, which rejects it without allocating; the
-    rational row is built and eliminated only for the ones it accepts.
-    Each such exact elimination increments the
-    [solver_exact_rows_total] counter of the metrics registry, and each
-    candidate the prefilter rejects increments
-    [solver_prefilter_rejects_total]. *)
+    columns). Seeds arrive as rows and are offered as they arrive. The
+    monitor-pair shortest paths are read off one flat breadth-first
+    tree per source monitor ({!Nettomo_graph.Csr.bfs}) into one reused
+    row buffer, and each becomes a node path only once it is accepted.
+    Random and enumerated node paths are validated and written into the
+    same buffer as their ascending columns in one pass over the flat
+    rows. Every row goes through a float prefilter ({!Fbasis}) first,
+    which rejects it without allocating; only the ones it accepts are
+    eliminated exactly ({!Basis.add_cols}), with no dense row. Each such
+    exact elimination increments the [solver_exact_rows_total] counter
+    of the metrics registry, and each candidate the prefilter rejects
+    increments [solver_prefilter_rejects_total]. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
 (** [solver_exact_rows_total]: candidate rows eliminated exactly. *)

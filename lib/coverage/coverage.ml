@@ -317,10 +317,12 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
          Past [rank_node_limit] nodes a component's surviving links are
          conservatively reported unidentifiable — the report stays a
          sound lower bound, exactly like Sampled mode. The bound guards
-         the cost of the whole path search, which grows with the
-         component: seed generation, the float prefilter over every
-         candidate and the exact confirmation of each accepted row.
-         Lifting it changes answers. Within the bound, the
+         the path search's total work, which grows faster than the
+         component: up to 48 seed rows per link (8 roots, 3 detours per
+         orientation) through the float prefilter, one accepted row per
+         unit of rank, and for each an exact elimination whose sweep and
+         applied rows grow with the component's links and rank. Lifting
+         it changes answers. Within the bound, the
          sampled layer is seeded with the constructive spanning-tree
          candidates of [Measure.Paths] (tree monitor paths plus
          tree–chord–tree detours), which reach far higher rank than the
@@ -365,11 +367,11 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                    its price would be the stall budget, up to
                    50·(nodes+1) random paths through the float
                    prefilter per productive row, more than the exact
-                   elimination itself: on sparse rows a confirmed row
-                   costs about 11 µs at rank 300–400 on the
-                   300–390-link components of the coverage bench's ISP
-                   maps (2-vCPU Xeon). The cutoff stays because lifting
-                   it would change answers. *)
+                   elimination itself: a confirmed row costs about
+                   6 µs at rank 300–400 on the 300–390-link components
+                   of the coverage bench's ISP maps (2-vCPU Xeon). The
+                   cutoff stays because lifting it would change
+                   answers. *)
                 let max_stall =
                   if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
                 in

@@ -9,13 +9,19 @@
     ("is the i-th unit vector in the row space of R?") is decided.
 
     Cost model: rows are stored sparse, as their nonzero entries after
-    the pivot, and a reduction is one left-to-right sweep over the
-    vector's columns that applies the row pivoted at each nonzero pivot
-    column. Its rational work follows the nonzeros of the rows it
-    applies, not the dimension; what grows with the dimension is one
-    dense copy of the vector and one cheap zero test per column. Every
-    stored row, residual and answer is the one a dense elimination in
-    the same pivot order gives. *)
+    the pivot. Every elimination runs in one accumulator the basis owns
+    and keeps zero between calls: the input's nonzeros are loaded into
+    it, one left-to-right sweep from the first of them applies the row
+    pivoted at each nonzero pivot column, and only the residual's
+    nonzero columns, recorded by the sweep, are read back and cleared.
+    Its rational work follows the nonzeros of the rows it applies, not
+    the dimension; what grows with the dimension is one cheap zero test
+    per column the sweep passes. {!add_cols} and {!mem_unit} allocate
+    only the row they store; the dense {!reduce}, {!mem} and {!add} also
+    read every entry of their input. Every stored row, residual and
+    answer is the one a dense elimination in the same pivot order gives.
+    A basis is not safe to share between domains, since every query
+    writes its accumulator. *)
 
 type t
 
@@ -51,6 +57,14 @@ val add : t -> Rational.t array -> bool
 (** Add a vector. Returns [true] (and extends the basis) iff the vector
     was independent of the current span. The input array is not
     retained. *)
+
+val add_cols : t -> int array -> int -> bool
+(** [add_cols t cols len] is [add t v] for the 0/1 row [v] with ones at
+    [cols.(0)], …, [cols.(len - 1)] and zeros elsewhere — a measurement
+    path's link columns — without building [v]. Raises
+    [Invalid_argument] unless those columns are strictly ascending and
+    in [\[0, dimension)], as for {!Fbasis.add}; the basis is then left
+    as it was. [cols] is not retained. *)
 
 val copy : t -> t
 (** An independent basis with the same rows. Stored rows are never

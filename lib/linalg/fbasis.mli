@@ -8,22 +8,28 @@
     structure as a prefilter and confirms only the accepted rows
     exactly.
 
-    A row is given as its column list: the ascending columns where it
-    is 1, zero elsewhere — a measurement path's link columns. Rows are
-    kept fully reduced (zero at every pivot but their own), so reducing
-    a candidate subtracts only the rows pivoted on its own columns, and
-    only on the columns that are not yet pivots. The residual lives in
-    one scratch vector owned by the basis, so testing or rejecting a
-    candidate allocates nothing; only an accepted row is stored. Rank
-    is kept as a field: {!rank} and {!is_full} are O(1).
+    A row is given as [cols] and [len]: its ones are at the strictly
+    ascending columns [cols.(0)], …, [cols.(len - 1)], and it is zero
+    elsewhere — a measurement path's link columns, in a buffer the
+    caller may reuse once the call returns. Rows are kept fully reduced
+    (zero at every pivot but their own), so reducing a candidate
+    subtracts only the rows pivoted on its own columns, and only on the
+    columns that are not yet pivots. The residual lives in one scratch
+    vector owned by the basis, so testing or rejecting a candidate
+    allocates nothing. Rank is kept as a field: {!rank} and {!is_full}
+    are O(1).
 
-    Cost model: each row keeps the list of non-pivot columns where it is
-    nonzero, and a reduction reads only those entries of the rows it
-    subtracts, then clears and scans only the columns it wrote. Testing
-    a candidate costs the nonzeros it reads, not the dimension. An
-    {!add} still builds a dense row and scans every row once. Skipping
-    exact zeros leaves every nonzero value, and so every verdict and
-    every pivot, as a dense reduction gives them.
+    Cost model: each row is stored sparse, as its nonzero non-pivot
+    columns and its values there, and the basis keeps, for each
+    non-pivot column, the rows that may be nonzero there. A reduction
+    reads only the stored entries of the rows it subtracts, then clears
+    and scans only the columns it wrote: testing a candidate costs the
+    nonzeros it reads, not the dimension. An {!add} builds the new row
+    from the columns its reduction wrote and updates only the rows
+    listed at its pivot, each at the cost of its own and the new row's
+    entries; it allocates each row it stores. Skipping exact zeros
+    leaves every nonzero value, and so every verdict and every pivot, as
+    a dense reduction gives them.
 
     Verdicts are approximate: a row whose residual max-norm does not
     exceed [epsilon] (default 1e-9) is reported dependent. For the 0/1
@@ -42,14 +48,14 @@ val dimension : t -> int
 val rank : t -> int
 val is_full : t -> bool
 
-val would_increase_rank : t -> int list -> bool
-(** Whether the 0/1 row with ones at the given columns has a
-    numerically non-zero residual against the basis. Does not modify
-    the basis. Raises [Invalid_argument] unless the columns are strictly
-    ascending and in [\[0, dimension)]. *)
+val would_increase_rank : t -> int array -> int -> bool
+(** [would_increase_rank t cols len]: whether the 0/1 row with ones at
+    [cols.(0..len-1)] has a numerically non-zero residual against the
+    basis. Does not modify the basis. Raises [Invalid_argument] unless
+    those columns are strictly ascending and in [\[0, dimension)]. *)
 
-val add : t -> int list -> bool
-(** Add the 0/1 row with ones at the given columns; [true] iff it
+val add : t -> int array -> int -> bool
+(** Add the 0/1 row with ones at [cols.(0..len-1)]; [true] iff it
     (numerically) increased the rank. Same column requirements as
     {!would_increase_rank}. *)
 

@@ -136,48 +136,102 @@ let measure t w =
 let max_roots = 8
 let max_per_link = 3
 
-let simple_candidates (csr : Csr.t) ~monitor =
+let simple_candidates (csr : Csr.t) ~monitor emit =
   let monitors = List.filter (Array.get monitor) (List.init csr.n Fun.id) in
   let roots = List.filteri (fun i _ -> i < max_roots) monitors in
-  (* [on_stem.(x) = !stamp] marks the nodes of the current r → u stem.
-     Stem and tail are tree paths, each node-simple, so a detour is
-     simple iff its tail avoids the stem. *)
-  let on_stem = Array.make csr.n (-1) and stamp = ref 0 in
-  let acc = ref [] in
+  (* One buffer for every row: a simple path has at most one link per
+     node. *)
+  let row = Array.make csr.n 0 and len = ref 0 in
+  let push k =
+    row.(!len) <- k;
+    incr len
+  in
+  (* [firsts.(max_per_link * x + i)] is the i-th smallest monitor in the
+     subtree of [x], -1 past the last. *)
+  let firsts = Array.make (max_per_link * csr.n) (-1) in
+  let insert x b =
+    let rec go i b =
+      if i < max_per_link then begin
+        let slot = (max_per_link * x) + i in
+        let c = firsts.(slot) in
+        if c < 0 then firsts.(slot) <- b
+        else if b < c then begin
+          firsts.(slot) <- b;
+          go (i + 1) c
+        end
+        else go (i + 1) b
+      end
+    in
+    go 0 b
+  in
   List.iter
     (fun r ->
-      let { Csr.parent; parent_eid; depth; _ } = Csr.bfs csr r in
-      let emit cols = acc := { Solver.src = r; cols = List.sort Int.compare cols } :: !acc in
-      (* The links from [x] up to its ancestor [a], onto [links]. *)
-      let rec up x a links = if x = a then links else up parent.(x) a (parent_eid.(x) :: links) in
+      let { Csr.parent; parent_eid; depth; order; reached } = Csr.bfs csr r in
+      let emit_row () =
+        Solver.sort_row row !len;
+        emit r row !len;
+        len := 0
+      in
+      (* The links from [x] up to its ancestor [a]. *)
+      let rec up x a =
+        if x <> a then begin
+          push parent_eid.(x);
+          up parent.(x) a
+        end
+      in
       let rec lca a b =
         if a = b then a
         else if depth.(a) >= depth.(b) then lca parent.(a) b
         else lca a parent.(b)
       in
+      (* Subtrees are disjoint, so one bottom-up pass over the BFS order
+         merges each node's list into its parent's, children first. *)
+      for i = reached - 1 downto 0 do
+        let x = order.(i) in
+        if monitor.(x) then insert x x;
+        if parent.(x) >= 0 then
+          for s = max_per_link * x to (max_per_link * x) + max_per_link - 1 do
+            if firsts.(s) >= 0 then insert parent.(x) firsts.(s)
+          done
+      done;
       (* Tree paths to every other reachable monitor. *)
-      List.iter (fun b -> if b <> r && depth.(b) >= 0 then emit (up b r [])) monitors;
+      List.iter
+        (fun b ->
+          if b <> r && depth.(b) >= 0 then begin
+            up b r;
+            emit_row ()
+          end)
+        monitors;
       (* Tree–chord–tree detours r → u, (u,v), v → b across link [k].
-         The stem holds every ancestor of its nodes, so the tail meets
-         it iff the tail's top node, lca(v, b), is on it. *)
+         Stem and tail are tree paths, each node-simple, so a detour is
+         simple iff its tail avoids the stem r → u, which holds every
+         ancestor of its nodes: iff the tail's top node lca(v, b) is not
+         an ancestor of w = lca(u, v). That top node is an ancestor of
+         v, so it is off the stem exactly when it lies below w, which is
+         when b is in the subtree of w's child c on the way to v. The
+         first monitors of that subtree are the ones a scan in index
+         order would keep. In a BFS tree a non-tree link joins nodes
+         whose depths differ by at most one, neither the other's parent,
+         so neither is an ancestor of the other and c exists. *)
+      let rec below_lca x y =
+        if depth.(x) > depth.(y) then below_lca parent.(x) y
+        else if depth.(y) > depth.(x) then below_lca x parent.(y)
+        else if parent.(x) = parent.(y) then y
+        else below_lca parent.(x) parent.(y)
+      in
       let detour k u v =
-        incr stamp;
-        let rec mark x =
-          on_stem.(x) <- !stamp;
-          if x <> r then mark parent.(x)
-        in
-        mark u;
-        let emitted = ref 0 in
-        List.iter
-          (fun b ->
-            if !emitted < max_per_link && b <> r && depth.(b) >= 0 then begin
-              let a = lca v b in
-              if on_stem.(a) <> !stamp then begin
-                emit (up u r (k :: up v a (up b a [])));
-                incr emitted
-              end
-            end)
-          monitors
+        let c = below_lca u v in
+        for s = max_per_link * c to (max_per_link * c) + max_per_link - 1 do
+          let b = firsts.(s) in
+          if b >= 0 then begin
+            let a = lca v b in
+            up u r;
+            push k;
+            up v a;
+            up b a;
+            emit_row ()
+          end
+        done
       in
       for k = 0 to csr.m - 1 do
         let iu, iv = Csr.endpoints csr k in
@@ -187,9 +241,11 @@ let simple_candidates (csr : Csr.t) ~monitor =
           detour k iu iv;
           detour k iv iu
         end
+      done;
+      for i = 0 to reached - 1 do
+        Array.fill firsts (max_per_link * order.(i)) max_per_link (-1)
       done)
-    roots;
-  List.rev !acc
+    roots
 
 module Invariant = struct
   let check net t =

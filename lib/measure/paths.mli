@@ -73,21 +73,30 @@ val measure : t -> float array -> float array
     measurement campaign. [O(n + m)] via the tree potentials; with
     integer metrics the result is exactly the per-walk edge sum. *)
 
-val simple_candidates : Csr.t -> monitor:bool array -> Nettomo_core.Solver.seed list
+val simple_candidates :
+  Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit
 (** Deterministic {e simple} measurement-path candidates harvested from
     the same spanning-tree machinery, for rank lower bounds under the
     paper's simple-path model (the seeds of [Coverage]'s sampled
-    fallback). [simple_candidates csr ~monitor] walks the given flat
-    graph, whose monitors are the indices [i] with [monitor.(i)]. Per
-    monitor root [r] — the first 8 monitors, smallest
+    fallback). [simple_candidates csr ~monitor emit] walks the given
+    flat graph, whose monitors are the indices [i] with [monitor.(i)].
+    Per monitor root [r] — the first 8 monitors, smallest
     identifiers first — it emits the tree paths to every other
     reachable monitor, then the tree–chord–tree detours
     [r → u, (u,v), v → b] to other monitors [b] whose tail [v → b]
     avoids the stem [r → u], links in increasing order and each link
-    as [(u,v)] then [(v,u)], keeping at most 3 detours per link
-    orientation and root. Each candidate comes out as
-    a row: its link numbers in ascending order, starting at [r].
-    Duplicates are not removed. *)
+    as [(u,v)] then [(v,u)], keeping the first 3 such monitors in
+    increasing order per link orientation and root. Duplicates are not
+    removed.
+
+    Each candidate is one call [emit r cols len], in that order: its
+    link numbers are [cols.(0)] < … < [cols.(len - 1)], and it starts at
+    [r]. [cols] is one buffer the generator reuses for every row, so it
+    is only valid during the call — the contract of
+    {!Nettomo_core.Solver.independent_paths}'s [seeds]. A detour's
+    monitors are read off a per-root list of the 3 smallest monitors in
+    each subtree, so the work per root is one pass over the tree, one
+    LCA walk per detour and the links of the rows emitted. *)
 
 (** Structural verification of a plan against its network, gated by
     {!Nettomo_util.Invariant}: every walk is a genuine monitor-to-

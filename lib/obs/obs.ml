@@ -150,7 +150,17 @@ module Metrics = struct
   let gauge_value g =
     match g.own with Gauge a -> Atomic.get a | Counter _ | Histogram _ -> 0.
 
-  let default_buckets = [ 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. ]
+  (* Eight bounds per decade from 1e-6 to 8, then 10: each parsed from
+     its decimal form, so every bound is the double a literal gives and
+     the dump prints it the same on every run. *)
+  let default_buckets =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun m -> float_of_string (Printf.sprintf "%se%d" m e))
+          [ "1"; "1.5"; "2"; "3"; "4"; "5"; "6"; "8" ])
+      [ -6; -5; -4; -3; -2; -1; 0 ]
+    @ [ 10. ]
 
   let histogram ?(labels = []) ?(buckets = default_buckets) name =
     let bounds = Array.of_list buckets in

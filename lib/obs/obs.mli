@@ -67,8 +67,12 @@ module Metrics : sig
   val gauge_value : gauge -> float
 
   val default_buckets : float list
-  (** Latency-oriented upper bounds in seconds:
-      [1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.]. *)
+  (** Latency-oriented upper bounds in seconds, log-linear: eight per
+      decade, [m·10{^e}] for [m] in [1, 1.5, 2, 3, 4, 5, 6, 8] and [e]
+      from -6 to 0, then [10.]. Consecutive bounds are at most 1.5×
+      apart, so a quantile read off them (see {!histogram_quantile}) is
+      within that factor of the true value between 1e-6 and 10 s. Every
+      histogram created without [buckets] uses them. *)
 
   val histogram :
     ?labels:(string * string) list -> ?buckets:float list -> string -> histogram

@@ -186,6 +186,69 @@ let prop_sparse_rows_match_dense_reference =
       && Array.for_all2 Rational.equal (Basis.reduce fast probe) residual
       && same_rows fast slow)
 
+(* The column entry against the dense reference on 0/1 rows, with dense
+   adds in between so both entries share the accumulator: path-like
+   rows handed over as ascending columns in one reused buffer whose
+   entries past the row's length are junk, many of them dependent as
+   the rank nears n. After every add, the same answer and rank, the
+   same [reduce] residual for a random probe, and the same [mem_unit]
+   on every column. *)
+let prop_column_entry_matches_dense_reference =
+  QCheck2.Test.make ~name:"column entry = dense reference on 0/1 rows" ~count:200
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 40))
+    (fun (seed, n) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let module R = Oracles.Basis_ref in
+      let random_cols () =
+        List.sort_uniq Int.compare
+          (List.init
+             (1 + Nettomo_util.Prng.int rng 6)
+             (fun _ -> Nettomo_util.Prng.int rng n))
+      in
+      let dense cols =
+        Array.init n (fun j -> if List.mem j cols then Rational.one else Rational.zero)
+      in
+      let buf = Array.make (n + 1) 0 in
+      let fast = Basis.create n and slow = R.create n in
+      let ok = ref true in
+      for _ = 1 to 2 * n do
+        let cols = random_cols () in
+        let v = dense cols in
+        let added =
+          if Nettomo_util.Prng.int rng 4 = 0 then Basis.add fast v
+          else begin
+            let len = List.length cols in
+            List.iteri (fun i j -> buf.(i) <- j) cols;
+            buf.(len) <- Nettomo_util.Prng.int rng n;
+            Basis.add_cols fast buf len
+          end
+        in
+        let probe = dense (random_cols ()) in
+        if
+          added <> R.add slow v
+          || Basis.rank fast <> R.rank slow
+          || (not (Array.for_all2 Rational.equal (Basis.reduce fast probe) (R.reduce slow probe)))
+          || not
+               (List.for_all
+                  (fun j -> Basis.mem_unit fast j = R.mem_unit slow j)
+                  (List.init n Fun.id))
+        then ok := false
+      done;
+      !ok)
+
+let test_add_cols_rejects_bad_columns () =
+  let b = Basis.create 4 in
+  ignore (Basis.add_cols b [| 0; 2 |] 2);
+  List.iter
+    (fun cols ->
+      Alcotest.check_raises "columns must be ascending and in range"
+        (Invalid_argument "Basis.add_cols: columns must be ascending and below the dimension")
+        (fun () -> ignore (Basis.add_cols b cols (Array.length cols))))
+    [ [| 1; 0 |]; [| 2; 2 |]; [| 1; 4 |]; [| -1 |] ];
+  check ci "rank unchanged" 1 (Basis.rank b);
+  check cb "accumulator left clean" true (Basis.mem b (qrow [| 1; 0; 1; 0 |]));
+  check cb "still independent" true (Basis.add_cols b [| 1; 3 |] 2)
+
 let suite =
   [
     Alcotest.test_case "empty basis" `Quick test_empty;
@@ -198,4 +261,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mem_iff_rank_unchanged;
     QCheck_alcotest.to_alcotest prop_mem_unit_matches_mem;
     QCheck_alcotest.to_alcotest prop_sparse_rows_match_dense_reference;
+    QCheck_alcotest.to_alcotest prop_column_entry_matches_dense_reference;
+    Alcotest.test_case "column entry rejects bad columns" `Quick
+      test_add_cols_rejects_bad_columns;
   ]

@@ -224,9 +224,10 @@ let prop_constructed_matrix_full_rank =
 let seed_rows net =
   let csr = Csr.of_graph (Net.graph net) in
   let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
-  List.map
-    (fun { Solver.src; cols } -> (csr.Csr.ids.(src), cols))
-    (Measure_paths.simple_candidates csr ~monitor)
+  let rows = ref [] in
+  Measure_paths.simple_candidates csr ~monitor (fun src cols len ->
+      rows := (csr.Csr.ids.(src), Array.to_list (Array.sub cols 0 len)) :: !rows);
+  List.rev !rows
 
 let oracle_rows net =
   let space = Measurement.space (Net.graph net) in
@@ -281,6 +282,33 @@ let prop_seed_rows_match_oracle =
       let g = Fixtures.random_connected rng n extra in
       let nodes = Graph.node_array g in
       let k = if seed mod 2 = 0 then 2 + Prng.int rng 6 else n / 2 in
+      let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
+      rows_equal (seed_rows net) (oracle_rows net))
+
+(* A detour takes its monitors from a per-subtree list of the smallest
+   ones, which skips the most monitors when many nodes are monitors,
+   and a root reaches only its own component. Random nets of 13–40
+   nodes in one to three components on disjoint node ranges, with 2 up
+   to half the nodes as monitors. *)
+let prop_seed_rows_dense_monitors =
+  QCheck2.Test.make
+    ~name:"link-number seeds = node-list seeds (dense monitors, several components)"
+    ~count:100
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 13 40) (int_range 1 3))
+    (fun (seed, n, parts) ->
+      let rng = Prng.create seed in
+      let step = n / parts in
+      let edges =
+        List.concat
+          (List.init parts (fun i ->
+               let size = if i = parts - 1 then n - (i * step) else step in
+               List.map
+                 (fun (u, v) -> ((i * step) + u, (i * step) + v))
+                 (Graph.edges (Fixtures.random_connected rng size (Prng.int rng (2 * size))))))
+      in
+      let g = Graph.of_edges edges in
+      let nodes = Graph.node_array g in
+      let k = 2 + Prng.int rng ((Array.length nodes / 2) - 1) in
       let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
       rows_equal (seed_rows net) (oracle_rows net))
 
@@ -356,6 +384,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_constructed_matrix_full_rank;
     QCheck_alcotest.to_alcotest prop_simple_candidates_valid;
     QCheck_alcotest.to_alcotest prop_seed_rows_match_oracle;
+    QCheck_alcotest.to_alcotest prop_seed_rows_dense_monitors;
     Alcotest.test_case "link-number seeds = node-list seeds (ISP prefixes)" `Quick
       test_seed_rows_isp;
     Alcotest.test_case "simple candidates pinned (ISP prefixes)" `Quick

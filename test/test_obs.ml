@@ -193,6 +193,43 @@ let test_histogram_quantile () =
   check cf "q below 0 clamps" 1. (Obs.Metrics.histogram_quantile h (-3.));
   check cf "q above 1 clamps" 8. (Obs.Metrics.histogram_quantile h 7.)
 
+(* The default buckets resolve a latency to within one bucket ratio: a
+   20 ms p95 queue wait, which admission control compares against
+   --shed-wait-p95, reads as at most 25 ms rather than the next decade
+   edge; and the p50 and p95 of a known spread come out at or above the
+   true quantiles and less than one bucket ratio above them. *)
+let test_default_bucket_resolution () =
+  let h = Obs.Metrics.histogram "test_obs_default_resolution_seconds" in
+  for _ = 1 to 100 do
+    Obs.Metrics.observe h 0.02
+  done;
+  check Alcotest.bool "p95 of 100 × 20 ms reads at most 25 ms" true
+    (Obs.Metrics.histogram_quantile h 0.95 <= 0.025);
+  let bounds = Array.of_list Obs.Metrics.default_buckets in
+  let ratio = ref 1. in
+  for i = 1 to Array.length bounds - 1 do
+    ratio := Float.max !ratio (bounds.(i) /. bounds.(i - 1))
+  done;
+  (* 1000 samples spread log-uniformly over 10 µs … 2 s, observed out
+     of order. *)
+  let n = 1000 in
+  let samples =
+    Array.init n (fun i -> 10. ** (-5. +. (5.3 *. float_of_int i /. float_of_int (n - 1))))
+  in
+  let spread = Obs.Metrics.histogram "test_obs_default_spread_seconds" in
+  for i = 0 to n - 1 do
+    Obs.Metrics.observe spread samples.((i * 7919) mod n)
+  done;
+  List.iter
+    (fun q ->
+      let truth = samples.(int_of_float (Float.ceil (q *. float_of_int n)) - 1) in
+      let read = Obs.Metrics.histogram_quantile spread q in
+      check Alcotest.bool
+        (Printf.sprintf "p%.0f %g within one bucket ratio (%g) of %g" (100. *. q) read !ratio truth)
+        true
+        (truth <= read && read < truth *. !ratio))
+    [ 0.5; 0.95 ]
+
 let test_trace_ring_wrap () =
   (* The span ring holds 65536 events; the name-keyed aggregates and
      the recent-events window must both survive a wrap. *)
@@ -378,6 +415,8 @@ let suite =
       test_histogram_quantile;
     Alcotest.test_case "histogram rejects bad bucket bounds" `Quick
       test_histogram_rejects_bad_buckets;
+    Alcotest.test_case "default buckets resolve quantiles" `Quick
+      test_default_bucket_resolution;
     Alcotest.test_case "nested spans close in LIFO order" `Quick
       test_nested_spans_close_lifo;
     Alcotest.test_case "span records even when f raises" `Quick
