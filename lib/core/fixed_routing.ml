@@ -1,6 +1,5 @@
 module Errors = Nettomo_util.Errors
 open Nettomo_graph
-module Q = Nettomo_linalg.Rational
 module Basis = Nettomo_linalg.Basis
 
 (* BFS with smallest-identifier tie-breaking: parents are assigned in
@@ -40,15 +39,10 @@ let rank_of g ~monitors = Basis.rank (snd (basis_of g ~monitors))
 
 let identifiable_links g ~monitors =
   let space, basis = basis_of g ~monitors in
-  let n = Measurement.n_links space in
-  let order = Measurement.link_order space in
   let acc = ref Graph.EdgeSet.empty in
   Array.iteri
-    (fun j e ->
-      let unit = Array.make n Q.zero in
-      unit.(j) <- Q.one;
-      if Basis.mem basis unit then acc := Graph.EdgeSet.add e !acc)
-    order;
+    (fun j e -> if Basis.mem_unit basis j then acc := Graph.EdgeSet.add e !acc)
+    (Measurement.link_order space);
   !acc
 
 let max_rank g = rank_of g ~monitors:(Graph.nodes g)

@@ -1,6 +1,5 @@
 module Errors = Nettomo_util.Errors
 open Nettomo_graph
-module Q = Nettomo_linalg.Rational
 module Basis = Nettomo_linalg.Basis
 
 let require_connected fname net =
@@ -116,15 +115,10 @@ let identifiable_links_bruteforce net =
   let g = Net.graph net in
   let space = Measurement.space g in
   let basis = measurement_basis net in
-  let n = Measurement.n_links space in
-  let order = Measurement.link_order space in
   let acc = ref Graph.EdgeSet.empty in
   Array.iteri
-    (fun j e ->
-      let unit = Array.make n Q.zero in
-      unit.(j) <- Q.one;
-      if Basis.mem basis unit then acc := Graph.EdgeSet.add e !acc)
-    order;
+    (fun j e -> if Basis.mem_unit basis j then acc := Graph.EdgeSet.add e !acc)
+    (Measurement.link_order space);
   !acc
 
 let network_identifiable_bruteforce net =

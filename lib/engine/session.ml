@@ -101,8 +101,6 @@ type t = {
       (** per-block split, keyed by induced-subgraph fingerprint *)
   paircache : (int64, Graph.edge list) Hashtbl.t;
       (** per-block cut pairs, same key *)
-  decomp_memo : (int64, Triconnected.t) Hashtbl.t;
-      (** whole decomposition, keyed by the structure fingerprint *)
   m_identifiable : bool memo;
   m_classify : Classify.kind Graph.EdgeMap.t memo;
   m_mmp : Mmp.report memo;
@@ -134,7 +132,6 @@ let create ?(seed = 7) ?store net =
     seed;
     tricache = Hashtbl.create 64;
     paircache = Hashtbl.create 64;
-    decomp_memo = Hashtbl.create 64;
     m_identifiable = memo "identifiable";
     m_classify = memo "classify";
     m_mmp = memo "mmp";
@@ -664,52 +661,48 @@ let block_key (block : Biconnected.component) =
    the cheap linear biconnected pass always reruns, while the expensive
    per-block splits and cut-pair searches are looked up by the block's
    content fingerprint — so a delta only costs recomputation inside the
-   blocks it touched, and block merges/splits are plain cache misses. *)
+   blocks it touched, and block merges/splits are plain cache misses.
+   The whole decomposition is not memoised: its one caller, [mmp]'s
+   compute, runs only when [mmp]'s memo, keyed by the same structure
+   fingerprint, misses. *)
 let decomposition t =
-  let skey = t.fp.Fingerprint.structure in
-  match Hashtbl.find_opt t.decomp_memo skey with
-  | Some d -> d
-  | None ->
-      Obs.Trace.span "session.decomposition" @@ fun () ->
-      let g = Net.graph t.net in
-      (* One block's piece: the in-memory cache, else the store, else
-         [compute] on the block's induced subgraph. *)
-      let piece cache tag codec compute (block : Biconnected.component) =
-        let key = block_key block in
-        match Hashtbl.find_opt cache key with
-        | Some v -> (v, true)
-        | None ->
-            let v =
-              stored t (Codec.key tag [ key ] []) codec (fun () ->
-                  compute (Graph.induced g block.Biconnected.nodes))
-            in
-            Hashtbl.add cache key v;
-            (v, false)
-      in
-      let split block =
-        let comps, hit =
-          piece t.tricache "tri" Codec.components
-            Triconnected.split_biconnected block
+  Obs.Trace.span "session.decomposition" @@ fun () ->
+  let g = Net.graph t.net in
+  (* One block's piece: the in-memory cache, else the store, else
+     [compute] on the block's induced subgraph. *)
+  let piece cache tag codec compute (block : Biconnected.component) =
+    let key = block_key block in
+    match Hashtbl.find_opt cache key with
+    | Some v -> (v, true)
+    | None ->
+        let v =
+          stored t (Codec.key tag [ key ] []) codec (fun () ->
+              compute (Graph.induced g block.Biconnected.nodes))
         in
-        Obs.Metrics.incr
-          (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
-        Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
-        comps
-      in
-      let cut_pairs block =
-        fst (piece t.paircache "sep" Codec.edges Separation.cut_pairs block)
-      in
-      let d =
-        Triconnected.assemble (Biconnected.decompose g) ~split ~cut_pairs
-      in
-      Invariant.check (fun () ->
-          if not (equal_decomposition d (Triconnected.decompose g)) then
-            Invariant.violationf
-              "Session.decomposition: cached reassembly diverges from \
-               Triconnected.decompose (state %s)"
-              (Fingerprint.to_string t.fp));
-      Hashtbl.add t.decomp_memo skey d;
-      d
+        Hashtbl.add cache key v;
+        (v, false)
+  in
+  let split block =
+    let comps, hit =
+      piece t.tricache "tri" Codec.components Triconnected.split_biconnected
+        block
+    in
+    Obs.Metrics.incr
+      (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
+    Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
+    comps
+  in
+  let cut_pairs block =
+    fst (piece t.paircache "sep" Codec.edges Separation.cut_pairs block)
+  in
+  let d = Triconnected.assemble (Biconnected.decompose g) ~split ~cut_pairs in
+  Invariant.check (fun () ->
+      if not (equal_decomposition d (Triconnected.decompose g)) then
+        Invariant.violationf
+          "Session.decomposition: cached reassembly diverges from \
+           Triconnected.decompose (state %s)"
+          (Fingerprint.to_string t.fp));
+  d
 
 (* MMP ignores monitors, so it is keyed by the structure half alone. *)
 let mmp t =

@@ -30,8 +30,9 @@ val is_biconnected : Graph.t -> bool
 (**/**)
 
 (** Low-level entry points over {!Csr} rows, shared with {!Separation}
-    so that a sweep over every [G - v] flattens the graph once. Not part
-    of the stable API. *)
+    so that a sweep over every [G - v] flattens the graph once, and with
+    {!Bridges}, which reads the bridges off the single-link blocks. Not
+    part of the stable API. *)
 module Internal : sig
   val decompose_csr :
     Csr.t ->

@@ -33,18 +33,20 @@ let length p =
 
 exception Limit_exceeded
 
-let all_simple_paths ?(limit = 200_000) g src dst =
-  if src = dst then Errors.invalid_arg "Paths.all_simple_paths: equal endpoints";
+(* The one simple-path enumerator: backtracking DFS from [src] with
+   neighbours in increasing order, passing each path to [dst] to [found]
+   as a reversed node list. Returns the number of paths, and raises
+   {!Limit_exceeded} on path [limit + 1]. *)
+let simple_paths ~limit name g src dst found =
+  if src = dst then Errors.invalid_arg (name ^ ": equal endpoints");
   if not (Graph.mem_node g src && Graph.mem_node g dst) then
-    Errors.invalid_arg "Paths.all_simple_paths: unknown endpoint";
-  let acc = ref [] in
+    Errors.invalid_arg (name ^ ": unknown endpoint");
   let count = ref 0 in
-  (* DFS with an explicit visited set; [prefix] is reversed. *)
   let rec dfs v prefix visited =
     if v = dst then begin
       incr count;
       if !count > limit then raise Limit_exceeded;
-      acc := List.rev (v :: prefix) :: !acc
+      found (v :: prefix)
     end
     else
       NS.iter
@@ -54,25 +56,17 @@ let all_simple_paths ?(limit = 200_000) g src dst =
         (Graph.neighbors g v)
   in
   dfs src [] (NS.singleton src);
+  !count
+
+let all_simple_paths ?(limit = 200_000) g src dst =
+  let acc = ref [] in
+  ignore
+    (simple_paths ~limit "Paths.all_simple_paths" g src dst (fun rev ->
+         acc := List.rev rev :: !acc));
   List.rev !acc
 
 let count_simple_paths ?(limit = 5_000_000) g src dst =
-  if src = dst then Errors.invalid_arg "Paths.count_simple_paths: equal endpoints";
-  if not (Graph.mem_node g src && Graph.mem_node g dst) then
-    Errors.invalid_arg "Paths.count_simple_paths: unknown endpoint";
-  let count = ref 0 in
-  let rec dfs v visited =
-    if v = dst then begin
-      incr count;
-      if !count > limit then raise Limit_exceeded
-    end
-    else
-      NS.iter
-        (fun u -> if not (NS.mem u visited) then dfs u (NS.add u visited))
-        (Graph.neighbors g v)
-  in
-  dfs src (NS.singleton src);
-  !count
+  simple_paths ~limit "Paths.count_simple_paths" g src dst ignore
 
 let random_simple_path rng g src dst =
   if src = dst then Errors.invalid_arg "Paths.random_simple_path: equal endpoints";

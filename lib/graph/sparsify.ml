@@ -1,43 +1,17 @@
 module Errors = Nettomo_util.Errors
-module NS = Graph.NodeSet
 module ES = Graph.EdgeSet
-
-(* BFS spanning forest of the graph restricted to the links NOT in
-   [used]. *)
-let bfs_forest g ~used =
-  let seen = ref NS.empty in
-  let forest = ref ES.empty in
-  let visit root =
-    if not (NS.mem root !seen) then begin
-      seen := NS.add root !seen;
-      let q = Queue.create () in
-      Queue.add root q;
-      while not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        NS.iter
-          (fun u ->
-            if (not (NS.mem u !seen)) && not (ES.mem (Graph.edge u v) used) then begin
-              seen := NS.add u !seen;
-              forest := ES.add (Graph.edge u v) !forest;
-              Queue.add u q
-            end)
-          (Graph.neighbors g v)
-      done
-    end
-  in
-  Graph.iter_nodes visit g;
-  !forest
 
 let forest_partition g ~k =
   if k < 1 then Errors.invalid_arg "Sparsify.forest_partition: k must be >= 1";
-  let rec loop i used acc =
+  let rec loop i g acc =
     if i = 0 then List.rev acc
     else begin
-      let f = bfs_forest g ~used in
-      loop (i - 1) (ES.union used f) (f :: acc)
+      let f = Traversal.spanning_tree g in
+      let rest = ES.fold (fun (u, v) g -> Graph.remove_edge g u v) f g in
+      loop (i - 1) rest (f :: acc)
     end
   in
-  loop k ES.empty []
+  loop k g []
 
 let certificate g ~k =
   let forests = forest_partition g ~k in

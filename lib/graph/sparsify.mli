@@ -16,9 +16,9 @@
     effectively [O(|V|²)] regardless of density. *)
 
 val forest_partition : Graph.t -> k:int -> Graph.EdgeSet.t list
-(** The first [k] BFS spanning forests: [F₁] is a spanning forest of
-    [G], [F₂] of [G − F₁], and so on. Some trailing forests may be
-    empty. *)
+(** The first [k] BFS spanning forests: [F₁] is
+    {!Traversal.spanning_tree} of [G], [F₂] of [G − F₁], and so on. Some
+    trailing forests may be empty. *)
 
 val certificate : Graph.t -> k:int -> Graph.t
 (** Union of the first [k] forests, over the same node set. At most

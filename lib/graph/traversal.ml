@@ -27,8 +27,6 @@ let reachable ?(avoid_nodes = NS.empty) ?avoid_edge g start =
   in
   loop [ start ] (NS.singleton start)
 
-let component_of g v = reachable g v
-
 let components ?(avoid_nodes = NS.empty) g =
   let remaining = NS.diff (Graph.node_set g) avoid_nodes in
   let rec loop remaining acc =
@@ -50,81 +48,66 @@ let is_connected ?(avoid_nodes = NS.empty) ?avoid_edge g =
 
 let n_components ?avoid_nodes g = List.length (components ?avoid_nodes g)
 
+(* The breadth-first search behind distances, shortest paths and
+   spanning forests: from each root in turn that is not yet reached,
+   neighbours in increasing order, each node's parent fixed at its first
+   discovery (a root is its own parent). Returns the parents and the
+   nodes in reverse visit order, stopping as soon as [stop] is
+   discovered. *)
+let bfs g roots ~stop =
+  let parent = ref NM.empty and order = ref [] in
+  let q = Queue.create () in
+  let discover u p =
+    parent := NM.add u p !parent;
+    order := u :: !order;
+    Queue.add u q
+  in
+  let scan v u =
+    if not (NM.mem u !parent) then begin
+      discover u v;
+      match stop with
+      | Some s when s = u -> raise_notrace Exit
+      | Some _ | None -> ()
+    end
+  in
+  (try
+     List.iter
+       (fun root ->
+         if not (NM.mem root !parent) then begin
+           discover root root;
+           while not (Queue.is_empty q) do
+             let v = Queue.pop q in
+             NS.iter (scan v) (Graph.neighbors g v)
+           done
+         end)
+       roots
+   with Exit -> ());
+  (!parent, !order)
+
 let bfs_distances g src =
   if not (Graph.mem_node g src) then
     Errors.invalid_arg "Traversal.bfs_distances: unknown source";
-  let dist = ref (NM.singleton src 0) in
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    let d = NM.find v !dist in
-    NS.iter
-      (fun u ->
-        if not (NM.mem u !dist) then begin
-          dist := NM.add u (d + 1) !dist;
-          Queue.add u q
-        end)
-      (Graph.neighbors g v)
-  done;
-  !dist
-
-(* BFS parent pointers from [src] (which is its own parent), in
-   ascending-neighbour order, until [stop] is discovered; every node
-   discovered by then has the parent a full search gives it, so both
-   agree on the path to [stop]. *)
-let bfs_parents g src stop =
-  let parent = ref (NM.singleton src src) in
-  let q = Queue.create () in
-  Queue.add src q;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    NS.iter
-      (fun u ->
-        if not (NM.mem u !parent) then begin
-          parent := NM.add u v !parent;
-          if u = stop then found := true else Queue.add u q
-        end)
-      (Graph.neighbors g v)
-  done;
-  !parent
-
-let path_to parent src dst =
-  if not (NM.mem dst parent) then None
-  else begin
-    let rec build v acc =
-      if v = src then src :: acc else build (NM.find v parent) (v :: acc)
-    in
-    Some (build dst [])
-  end
+  let parent, order = bfs g [ src ] ~stop:None in
+  List.fold_left
+    (fun dist v ->
+      let p = NM.find v parent in
+      NM.add v (if p = v then 0 else NM.find p dist + 1) dist)
+    NM.empty (List.rev order)
 
 let shortest_path g src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then
     Errors.invalid_arg "Traversal.shortest_path: unknown endpoint";
   if src = dst then Some [ src ]
-  else path_to (bfs_parents g src dst) src dst
+  else
+    let parent, _ = bfs g [ src ] ~stop:(Some dst) in
+    let rec build v acc =
+      if v = src then src :: acc else build (NM.find v parent) (v :: acc)
+    in
+    if NM.mem dst parent then Some (build dst []) else None
 
 let spanning_tree g =
-  let seen = ref NS.empty in
-  let tree = ref Graph.EdgeSet.empty in
-  let visit root =
-    if not (NS.mem root !seen) then begin
-      seen := NS.add root !seen;
-      let q = Queue.create () in
-      Queue.add root q;
-      while not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        NS.iter
-          (fun u ->
-            if not (NS.mem u !seen) then begin
-              seen := NS.add u !seen;
-              tree := Graph.EdgeSet.add (Graph.edge u v) !tree;
-              Queue.add u q
-            end)
-          (Graph.neighbors g v)
-      done
-    end
-  in
-  Graph.iter_nodes visit g;
-  !tree
+  let parent, _ = bfs g (Graph.nodes g) ~stop:None in
+  NM.fold
+    (fun v p tree ->
+      if p = v then tree else Graph.EdgeSet.add (Graph.edge v p) tree)
+    parent Graph.EdgeSet.empty

@@ -1,10 +1,17 @@
 (** Basic graph traversals: reachability, connected components, BFS
-    distances. All functions treat the graph as undirected.
+    distances, shortest paths and spanning forests. All functions treat
+    the graph as undirected.
 
-    Several functions take [?avoid_nodes] / [?avoid_edge] parameters so
-    that callers can ask connectivity questions about [G - v] or [G - l]
-    without materializing the smaller graph — the identifiability tests of
-    Section 7.1 ask many such questions. *)
+    Reachability, components and connectivity share one set-only search.
+    Distances, shortest paths and spanning forests read one breadth-first
+    search that scans neighbours in increasing order and fixes each
+    node's parent at its first discovery.
+
+    [?avoid_nodes] and [?avoid_edge] ask about [G - S] or [G - l]
+    without building it. Only {!components} takes them in production,
+    with [?avoid_nodes]: to split a block along a separation pair
+    ({!Triconnected.split_biconnected}) and to test whether a cycle
+    leaves a monitor in every remaining component ([Classify]). *)
 
 val reachable :
   ?avoid_nodes:Graph.NodeSet.t ->
@@ -15,9 +22,6 @@ val reachable :
 (** Nodes reachable from the start node (inclusive) without entering any
     avoided node or crossing the avoided edge. The start node must not be
     avoided. *)
-
-val component_of : Graph.t -> Graph.node -> Graph.NodeSet.t
-(** Connected component containing the node. *)
 
 val components :
   ?avoid_nodes:Graph.NodeSet.t -> Graph.t -> Graph.NodeSet.t list

@@ -81,5 +81,3 @@ let decompose g =
   assemble (Biconnected.decompose g)
     ~split:(on_block split_biconnected)
     ~cut_pairs:(on_block Separation.cut_pairs)
-
-let components g = List.concat_map snd (decompose g).blocks

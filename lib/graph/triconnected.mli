@@ -51,6 +51,3 @@ val assemble :
     lookup that returns the same). Smaller blocks get no call. Every
     [split] runs first, in block order, then every [cut_pairs], in
     block order. *)
-
-val components : Graph.t -> component list
-(** Just the triconnected components across all blocks. *)

@@ -233,6 +233,37 @@ let test_incremental_shortcuts () =
       | Error m, _ -> Alcotest.fail m
       | _, Error m -> Alcotest.fail m)
 
+(* Revert cycle for MMP: the revisited structure answers from [mmp]'s
+   memo, keyed by the structure fingerprint, so no decomposition piece
+   is looked up or computed for it. *)
+let test_mmp_memo_on_revisit () =
+  Invariant.with_enabled true (fun () ->
+      let g = Fixtures.two_k4_by_pair in
+      let s = Session.create (Net.create g ~monitors:[ 0; 1; 4 ]) in
+      let apply d =
+        match Session.apply s d with Ok () -> () | Error m -> Alcotest.fail m
+      in
+      let r0 = Session.mmp s in
+      check cb "computed" true (Result.is_ok r0);
+      apply (Session.Remove_link (0, 1));
+      check cb "removed state computed" true (Result.is_ok (Session.mmp s));
+      apply (Session.Add_link (0, 1));
+      let before = Session.stats s in
+      check cb "blocks looked up so far" true
+        (before.Session.block_hits + before.Session.block_misses > 0);
+      let r1 = Session.mmp s in
+      let after = Session.stats s in
+      check cb "same answer after revert" true
+        (Session.equal_result Session.equal_report r0 r1);
+      check Alcotest.int "memo hit" (before.Session.memo_hits + 1)
+        after.Session.memo_hits;
+      check Alcotest.int "block hits unchanged" before.Session.block_hits
+        after.Session.block_hits;
+      check Alcotest.int "block misses unchanged" before.Session.block_misses
+        after.Session.block_misses;
+      check Alcotest.int "no full compute" before.Session.full_computes
+        after.Session.full_computes)
+
 (* ------------------------------------------------------------------ *)
 (* Solve: memo on revisit, store round-trip across sessions, and the   *)
 (* NETTOMO_CHECK differential vs the exact solver                      *)
@@ -445,6 +476,8 @@ let suite =
       test_invalid_deltas;
     Alcotest.test_case "memo hits and verdict carries" `Quick
       test_incremental_shortcuts;
+    Alcotest.test_case "mmp memo on a revisited structure" `Quick
+      test_mmp_memo_on_revisit;
     Alcotest.test_case "solve memo and store round-trip" `Quick
       test_solve_memo_and_store;
     Alcotest.test_case "solve rejects bad networks" `Quick test_solve_rejects;

@@ -95,6 +95,50 @@ let prop_enumerated_paths_simple_and_distinct =
       List.for_all (Paths.is_simple_path g) ps
       && List.length (List.sort_uniq compare ps) = List.length ps)
 
+(* Brute-force oracle for both enumerators, sharing no code with their
+   DFS: every ordered sequence of distinct intermediate nodes, counted
+   when [src], the sequence and [dst] are linked one to the next. *)
+let rec arrangements pool =
+  []
+  :: List.concat_map
+       (fun x ->
+         List.map (List.cons x) (arrangements (List.filter (( <> ) x) pool)))
+       pool
+
+let brute_force_count g src dst =
+  let rec linked = function
+    | a :: (b :: _ as rest) -> Graph.mem_edge g a b && linked rest
+    | [ _ ] | [] -> true
+  in
+  let inner = List.filter (fun v -> v <> src && v <> dst) (Graph.nodes g) in
+  List.length
+    (List.filter
+       (fun mid -> linked ((src :: mid) @ [ dst ]))
+       (arrangements inner))
+
+let prop_enumerators_match_brute_force =
+  QCheck2.Test.make ~name:"enumerators = brute-force count on <= 7 nodes"
+    ~count:200
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 2 7))
+    (fun (seed, n) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let p = Nettomo_util.Prng.int rng 101 in
+      let edges =
+        List.concat_map
+          (fun u ->
+            List.filter_map
+              (fun v ->
+                if Nettomo_util.Prng.int rng 100 < p then Some (u, v) else None)
+              (List.init (n - u - 1) (fun k -> u + k + 1)))
+          (List.init n Fun.id)
+      in
+      let g = Graph.of_edges ~nodes:(List.init n Fun.id) edges in
+      let src = Nettomo_util.Prng.int rng n in
+      let dst = (src + 1 + Nettomo_util.Prng.int rng (n - 1)) mod n in
+      let want = brute_force_count g src dst in
+      Paths.count_simple_paths g src dst = want
+      && List.length (Paths.all_simple_paths g src dst) = want)
+
 let suite =
   [
     Alcotest.test_case "is_simple_path" `Quick test_is_simple_path;
@@ -110,4 +154,5 @@ let suite =
     Alcotest.test_case "random simple path" `Quick test_random_simple_path;
     Alcotest.test_case "random path variety" `Quick test_random_path_variety;
     QCheck_alcotest.to_alcotest prop_enumerated_paths_simple_and_distinct;
+    QCheck_alcotest.to_alcotest prop_enumerators_match_brute_force;
   ]
