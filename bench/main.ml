@@ -776,9 +776,18 @@ let churn_workload cfg ~topology ~workload net0 stream =
     let w = { cg = Net.graph net0; cmon = Net.monitors net0 } in
     List.map (churn_apply w) stream
   in
+  (* Lowpoint searches and the half-edges they scanned over the timed
+     incremental run: deterministic work counts, gated by bench diff
+     where wall time cannot be. *)
+  let dfs_work () =
+    ( Obs.Metrics.counter_value Biconnected.dfs_runs,
+      Obs.Metrics.counter_value Biconnected.adjacency_scanned )
+  in
+  let dfs0, scanned0 = dfs_work () in
   let (incremental, stats), inc_s =
     wall_time (fun () -> Inv.with_enabled false (fun () -> run_incremental stream))
   in
+  let dfs1, scanned1 = dfs_work () in
   let scratch, scr_s =
     wall_time (fun () ->
         Inv.with_enabled false (fun () ->
@@ -817,6 +826,8 @@ let churn_workload cfg ~topology ~workload net0 stream =
          ("scratch_s", Jsonx.Float scr_s);
          ("speedup", Jsonx.Float speedup);
          ("answers_identical", Jsonx.Bool identical);
+         ("graph_lowpoint_dfs_total", Jsonx.Int (dfs1 - dfs0));
+         ("graph_adjacency_scanned_total", Jsonx.Int (scanned1 - scanned0));
        ])
 
 let churn cfg =

@@ -91,9 +91,10 @@ let independent_paths_with_basis ?rng ?max_stall ?seeds net =
   (* Float prefilter: almost every candidate near full rank is
      dependent, and rejecting it against a float basis costs
      microseconds instead of an exact rational elimination. Only the
-     accepted rows are confirmed exactly; [offer] says whether the row
-     entered the basis, and its caller then puts the candidate's node
-     path into the plan. Every layer hands its rows over in [row], one
+     accepted rows are confirmed exactly, and a confirmed row enters the
+     float basis from the residual its test left there; [offer] says
+     whether the row entered the basis, and its caller then puts the
+     candidate's node path into the plan. Every layer hands its rows over in [row], one
      buffer: a simple path has at most one link per node. *)
   let fbasis = Fbasis.create n in
   let row = Array.make csr.Csr.n 0 in
@@ -107,7 +108,7 @@ let independent_paths_with_basis ?rng ?max_stall ?seeds net =
       Obs.Metrics.incr exact_rows;
       Basis.add_cols basis cols len
       && begin
-           ignore (Fbasis.add fbasis cols len);
+           ignore (Fbasis.add_reduced fbasis);
            true
          end
     end

@@ -4,7 +4,6 @@ module Obs = Nettomo_obs.Obs
 open Nettomo_graph
 module Net = Nettomo_core.Net
 module Identifiability = Nettomo_core.Identifiability
-module Measurement = Nettomo_core.Measurement
 module Solver = Nettomo_core.Solver
 module Basis = Nettomo_linalg.Basis
 
@@ -33,151 +32,97 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Block-cut tree: which blocks carry monitor-to-monitor paths, and
-   through which terminals. *)
+(* Block-cut tree on the flat graph: which blocks carry monitor-to-
+   monitor paths, and through which terminals. *)
 
-type blocktree = {
-  blocks : Biconnected.component array;
-  cut_set : Graph.NodeSet.t;
-  cuts : Graph.node array;  (* ascending *)
-  block_cuts : int array array;  (* block index -> indices into [cuts] *)
-  cut_blocks : int array array;  (* cut index -> indices into [blocks] *)
+type tree = {
+  csr : Csr.t;
+  flat : Biconnected.flat;
+  links : int array array;  (* block -> its link numbers, ascending *)
+  nodes : int array array;  (* block -> its node indices, head first *)
 }
 
-let blocktree g =
-  let d = Biconnected.decompose g in
-  let blocks = Array.of_list d.Biconnected.components in
-  let cut_set = d.Biconnected.cut_vertices in
-  let cuts = Array.of_list (Graph.NodeSet.elements cut_set) in
-  let cut_ids =
-    let m = ref Graph.NodeMap.empty in
-    Array.iteri (fun i c -> m := Graph.NodeMap.add c i !m) cuts;
-    !m
+let tree csr =
+  let flat = Biconnected.decompose_flat csr in
+  let size = Array.make flat.n_blocks 0 in
+  Array.iter (fun b -> size.(b) <- size.(b) + 1) flat.block_of_link;
+  let links = Array.map (fun s -> Array.make s 0) size in
+  Array.fill size 0 flat.n_blocks 0;
+  Array.iteri
+    (fun k b ->
+      links.(b).(size.(b)) <- k;
+      size.(b) <- size.(b) + 1)
+    flat.block_of_link;
+  let seen = Array.make csr.n (-1) in
+  let nodes =
+    Array.mapi
+      (fun b ls ->
+        let h = flat.head.(b) in
+        seen.(h) <- b;
+        let rest = ref [] in
+        let note x =
+          if seen.(x) <> b then begin
+            seen.(x) <- b;
+            rest := x :: !rest
+          end
+        in
+        Array.iter
+          (fun k ->
+            let u, v = Csr.endpoints csr k in
+            note u;
+            note v)
+          ls;
+        Array.of_list (h :: List.rev !rest))
+      links
   in
-  let block_cuts =
-    Array.map
-      (fun (b : Biconnected.component) ->
-        Graph.NodeSet.inter b.nodes cut_set
-        |> Graph.NodeSet.elements
-        |> List.map (fun c -> Graph.NodeMap.find c cut_ids)
-        |> Array.of_list)
-      blocks
-  in
-  let cut_blocks =
-    let acc = Array.make (Array.length cuts) [] in
-    (* Reverse block order so each per-cut list comes out ascending. *)
-    for bi = Array.length blocks - 1 downto 0 do
-      Array.iter (fun ci -> acc.(ci) <- bi :: acc.(ci)) block_cuts.(bi)
-    done;
-    Array.map Array.of_list acc
-  in
-  { blocks; cut_set; cuts; block_cuts; cut_blocks }
+  { csr; flat; links; nodes }
 
-(* Terminals of every block under a given monitor predicate: the
-   non-cut monitors inside the block plus each of its cut vertices that
-   is a monitor or has a monitor strictly beyond it (away from the
-   block). A block lies on a measurement path iff it has >= 2
-   terminals, and then its measurement paths enter and leave exactly at
-   terminal pairs. Computed by one bottom-up pass over the (rooted)
-   block-cut tree per connected component. *)
-let terminals_of t is_mon =
-  let nb = Array.length t.blocks and nc = Array.length t.cuts in
-  let noncut_mon =
+(* Terminals of every block under the monitor flags [mon]: the block's
+   non-cut monitors plus each of its cut vertices that is a monitor or
+   has a monitor strictly beyond it (away from the block). A block lies
+   on a measurement path iff it has >= 2 terminals, and then its
+   measurement paths enter and leave exactly at terminal pairs.
+
+   The search roots the block-cut tree: a block's head is its one node
+   on the root side, and blocks are closed bottom-up. So one pass in
+   closing order counts, for each block, the monitors in it and below
+   it, its head excluded, and for each node the monitors in the blocks
+   it heads. A non-head node has monitors beyond it iff the blocks it
+   heads hold one (a non-cut node heads none); the head has them iff
+   its connected component holds one outside the block's side and
+   other than itself. *)
+let terminals t mon =
+  let flag x = if mon.(x) then 1 else 0 in
+  let below = Array.make t.csr.n 0 in
+  let side =
     Array.map
-      (fun (b : Biconnected.component) ->
-        Graph.NodeSet.fold
-          (fun v acc ->
-            if is_mon v && not (Graph.NodeSet.mem v t.cut_set) then acc + 1
-            else acc)
-          b.nodes 0)
-      t.blocks
+      (fun ns ->
+        let s = ref 0 in
+        for i = 1 to Array.length ns - 1 do
+          s := !s + flag ns.(i) + below.(ns.(i))
+        done;
+        below.(ns.(0)) <- below.(ns.(0)) + !s;
+        !s)
+      t.nodes
   in
-  let sub_block = Array.make nb 0 and sub_cut = Array.make nc 0 in
-  let parent_block = Array.make nb (-1) and parent_cut = Array.make nc (-1) in
-  let comp_total = Array.make nb 0 in
-  let seen_block = Array.make nb false and seen_cut = Array.make nc false in
-  for root = 0 to nb - 1 do
-    if not seen_block.(root) then begin
-      (* Pre-order DFS; prepending to [order] yields children before
-         parents, so one walk over it is a valid bottom-up schedule. *)
-      let order = ref [] in
-      let stack = ref [ `B root ] in
-      seen_block.(root) <- true;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | x :: rest ->
-            stack := rest;
-            order := x :: !order;
-            (match x with
-            | `B b ->
-                Array.iter
-                  (fun c ->
-                    if not seen_cut.(c) then begin
-                      seen_cut.(c) <- true;
-                      parent_cut.(c) <- b;
-                      stack := `C c :: !stack
-                    end)
-                  t.block_cuts.(b)
-            | `C c ->
-                Array.iter
-                  (fun b ->
-                    if not seen_block.(b) then begin
-                      seen_block.(b) <- true;
-                      parent_block.(b) <- c;
-                      stack := `B b :: !stack
-                    end)
-                  t.cut_blocks.(c))
+  let total = Array.make t.flat.n_components 0 in
+  Array.iteri
+    (fun x c -> total.(c) <- total.(c) + flag x)
+    t.flat.component;
+  Array.mapi
+    (fun b ns ->
+      let h = ns.(0) in
+      let keep = ref [] in
+      for i = Array.length ns - 1 downto 1 do
+        let x = ns.(i) in
+        if mon.(x) || below.(x) > 0 then keep := x :: !keep
       done;
-      List.iter
-        (function
-          | `B b ->
-              sub_block.(b) <-
-                noncut_mon.(b)
-                + Array.fold_left
-                    (fun acc c ->
-                      if parent_cut.(c) = b then acc + sub_cut.(c) else acc)
-                    0 t.block_cuts.(b)
-          | `C c ->
-              sub_cut.(c) <-
-                (if is_mon t.cuts.(c) then 1 else 0)
-                + Array.fold_left
-                    (fun acc b ->
-                      if parent_block.(b) = c then acc + sub_block.(b) else acc)
-                    0 t.cut_blocks.(c))
-        !order;
-      let total = sub_block.(root) in
-      List.iter
-        (function `B b -> comp_total.(b) <- total | `C _ -> ())
-        !order
-    end
-  done;
-  Array.mapi
-    (fun bi (b : Biconnected.component) ->
-      let base =
-        Graph.NodeSet.filter
-          (fun v -> is_mon v && not (Graph.NodeSet.mem v t.cut_set))
-          b.nodes
-      in
-      Array.fold_left
-        (fun acc ci ->
-          let c = t.cuts.(ci) in
-          let self = if is_mon c then 1 else 0 in
-          let beyond =
-            if parent_block.(bi) = ci then
-              comp_total.(bi) - sub_block.(bi) - self
-            else sub_cut.(ci) - self
-          in
-          if self = 1 || beyond > 0 then Graph.NodeSet.add c acc else acc)
-        base t.block_cuts.(bi))
-    t.blocks
+      Array.of_list
+        (if mon.(h) || total.(t.flat.component.(h)) - side.(b) - flag h > 0 then h :: !keep
+         else !keep))
+    t.nodes
 
-let relevant_blocks t terminals =
-  Array.mapi
-    (fun bi (b : Biconnected.component) ->
-      Graph.NodeSet.cardinal terminals.(bi) >= 2
-      && not (Graph.EdgeSet.is_empty b.edges))
-    t.blocks
+let degree (c : Csr.t) i = c.xadj.(i + 1) - c.xadj.(i)
 
 (* ------------------------------------------------------------------ *)
 
@@ -185,179 +130,175 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
   if Net.kappa net < 2 then
     Errors.invalid_arg "Coverage.classify: need at least two monitors";
   Obs.Trace.span "coverage.classify" @@ fun () ->
-  let g = Net.graph net in
-  let edges = Graph.edges g in
-  let finish mode verdicts =
-    let identifiable, unidentifiable =
-      Graph.EdgeMap.fold
-        (fun e (v : verdict) (yes, no) ->
-          if v.identifiable then (Graph.EdgeSet.add e yes, no)
-          else (yes, Graph.EdgeSet.add e no))
-        verdicts
-        (Graph.EdgeSet.empty, Graph.EdgeSet.empty)
-    in
-    { mode; verdicts; identifiable; unidentifiable }
+  let c = Csr.of_graph (Net.graph net) in
+  (* One verdict per link number, [None] while undecided. The report's
+     maps and sets are built once, at the end. *)
+  let verdicts = Array.make c.m None in
+  let finish mode =
+    let vs = ref Graph.EdgeMap.empty
+    and yes = ref Graph.EdgeSet.empty
+    and no = ref Graph.EdgeSet.empty in
+    Array.iteri
+      (fun k v ->
+        let (v : verdict) = Option.get v and e = Csr.edge c k in
+        vs := Graph.EdgeMap.add e v !vs;
+        if v.identifiable then yes := Graph.EdgeSet.add e !yes
+        else no := Graph.EdgeSet.add e !no)
+      verdicts;
+    { mode; verdicts = !vs; identifiable = !yes; unidentifiable = !no }
   in
-  if edges = [] then finish Structural Graph.EdgeMap.empty
-  else if Traversal.is_connected g && Identifiability.network_identifiable net
-  then
-    finish Structural
-      (List.fold_left
-         (fun acc e ->
-           Graph.EdgeMap.add e { identifiable = true; reason = Whole_network }
-             acc)
-         Graph.EdgeMap.empty edges)
-  else begin
-    let is_mon v = Net.is_monitor net v in
-    let t = blocktree g in
-    let terminals = terminals_of t is_mon in
-    let relevant = relevant_blocks t terminals in
-    let measurable =
-      let acc = ref Graph.EdgeSet.empty in
+  if c.m = 0 then finish Structural
+  else
+    let t = tree c in
+    if t.flat.n_components = 1 && Identifiability.network_identifiable net then begin
+      Array.fill verdicts 0 c.m (Some { identifiable = true; reason = Whole_network });
+      finish Structural
+    end
+    else begin
+      let mon = Array.map (Net.is_monitor net) c.ids in
+      let term = terminals t mon in
+      let relevant = Array.map (fun ts -> Array.length ts >= 2) term in
+      let measurable k = relevant.(t.flat.block_of_link.(k)) in
+      let low_degree x = (not mon.(x)) && degree c x < 3 in
+      let undecided = ref 0 in
+      let decide k identifiable reason =
+        verdicts.(k) <- Some { identifiable; reason };
+        decr undecided
+      in
+      (* First structural pass over every link. *)
+      for k = 0 to c.m - 1 do
+        let u, v = Csr.endpoints c k in
+        if mon.(u) && mon.(v) then
+          verdicts.(k) <- Some { identifiable = true; reason = Monitor_link }
+        else if low_degree u || low_degree v then
+          verdicts.(k) <- Some { identifiable = false; reason = Low_degree }
+        else if not (measurable k) then
+          verdicts.(k) <- Some { identifiable = false; reason = Unmeasurable }
+        else incr undecided
+      done;
+      (* Per-block stage. A measurement path crossing block B restricts,
+         on B's columns, to one simple path between two distinct
+         terminals of B, so the global row space projects into B's
+         terminal-pair measurement space — membership there is a
+         necessary condition for every block. When every terminal of B is
+         itself a real monitor the condition is also sufficient: the
+         within-B terminal-pair paths are complete measurement paths of
+         the full graph, so the block-local space embeds back into the
+         global one. Such blocks are decided outright — by the paper's
+         Theorem 3.1/3.3 verdict on the block net when it accepts the
+         whole block, by block-local exact rank when the block is small
+         enough to enumerate. Only a block one of those two tests
+         examines is built as a graph; its ascending links make its
+         j-th link column j of its measurement space. *)
       Array.iteri
-        (fun bi (b : Biconnected.component) ->
-          if relevant.(bi) then acc := Graph.EdgeSet.union b.edges !acc)
-        t.blocks;
-      !acc
-    in
-    let low_degree (u, v) =
-      (not (is_mon u)) && Graph.degree g u < 3
-      || ((not (is_mon v)) && Graph.degree g v < 3)
-    in
-    (* First structural pass over every link. *)
-    let verdicts, undecided =
-      List.fold_left
-        (fun (vs, und) e ->
-          let u, v = e in
-          if is_mon u && is_mon v then
-            ( Graph.EdgeMap.add e { identifiable = true; reason = Monitor_link }
-                vs,
-              und )
-          else if low_degree e then
-            ( Graph.EdgeMap.add e
-                { identifiable = false; reason = Low_degree }
-                vs,
-              und )
-          else if not (Graph.EdgeSet.mem e measurable) then
-            ( Graph.EdgeMap.add e
-                { identifiable = false; reason = Unmeasurable }
-                vs,
-              und )
-          else (vs, Graph.EdgeSet.add e und))
-        (Graph.EdgeMap.empty, Graph.EdgeSet.empty)
-        edges
-    in
-    (* Per-block stage. A measurement path crossing block B restricts,
-       on B's columns, to one simple path between two distinct
-       terminals of B, so the global row space projects into B's
-       terminal-pair measurement space — membership there is a
-       necessary condition for every block. When every terminal of B is
-       itself a real monitor the condition is also sufficient: the
-       within-B terminal-pair paths are complete measurement paths of
-       the full graph, so the block-local space embeds back into the
-       global one. Such blocks are decided outright — by the paper's
-       Theorem 3.1/3.3 verdict on the block net when it accepts the
-       whole block, by block-local exact rank when the block is small
-       enough to enumerate. *)
-    let verdicts, undecided =
-      let vs = ref verdicts and und = ref undecided in
-      Array.iteri
-        (fun bi (b : Biconnected.component) ->
-          let mine = Graph.EdgeSet.inter b.edges !und in
-          if relevant.(bi) && not (Graph.EdgeSet.is_empty mine) then begin
-            let term = terminals.(bi) in
-            let monitor_terminals =
-              Graph.NodeSet.for_all (Net.is_monitor net) term
-            in
-            let bg = Graph.of_edges (Graph.EdgeSet.elements b.edges) in
-            let bnet = Net.create bg ~monitors:(Graph.NodeSet.elements term) in
-            let decide e identifiable =
-              vs :=
-                Graph.EdgeMap.add e { identifiable; reason = Block_rank } !vs;
-              und := Graph.EdgeSet.remove e !und
-            in
-            if monitor_terminals && Identifiability.network_identifiable bnet
-            then
-              Graph.EdgeSet.iter
-                (fun e ->
-                  vs :=
-                    Graph.EdgeMap.add e
-                      { identifiable = true; reason = Block_theorem }
-                      !vs;
-                  und := Graph.EdgeSet.remove e !und)
-                mine
-            else if Graph.NodeSet.cardinal b.nodes <= exact_node_limit then begin
-              match Identifiability.measurement_basis bnet with
-              | exception Paths.Limit_exceeded ->
-                  (* Too many block paths to enumerate — leave the
-                     links to the global fallback. *)
-                  ()
-              | basis ->
-                  let space = Measurement.space bg in
-                  Graph.EdgeSet.iter
-                    (fun e ->
-                      let inside = Basis.mem_unit basis (Measurement.column space e) in
-                      if monitor_terminals then decide e inside
-                      else if not inside then decide e false)
-                    mine
+        (fun b ls ->
+          if relevant.(b) && Array.exists (fun k -> Option.is_none verdicts.(k)) ls then begin
+            let monitor_terminals = Array.for_all (fun x -> mon.(x)) term.(b) in
+            let small = Array.length t.nodes.(b) <= exact_node_limit in
+            if monitor_terminals || small then begin
+              let bnet =
+                Net.create
+                  (Graph.of_edges (Array.to_list (Array.map (Csr.edge c) ls)))
+                  ~monitors:(Array.to_list (Array.map (fun x -> c.ids.(x)) term.(b)))
+              in
+              if monitor_terminals && Identifiability.network_identifiable bnet then
+                Array.iter
+                  (fun k -> if Option.is_none verdicts.(k) then decide k true Block_theorem)
+                  ls
+              else if small then begin
+                match Identifiability.measurement_basis bnet with
+                | exception Paths.Limit_exceeded ->
+                    (* Too many block paths to enumerate — leave the
+                       links to the global fallback. *)
+                    ()
+                | basis ->
+                    Array.iteri
+                      (fun j k ->
+                        if Option.is_none verdicts.(k) then begin
+                          let inside = Basis.mem_unit basis j in
+                          if monitor_terminals then decide k inside Block_rank
+                          else if not inside then decide k false Block_rank
+                        end)
+                      ls
+              end
             end
           end)
-        t.blocks;
-      (!vs, !und)
-    in
-    if Graph.EdgeSet.is_empty undecided then finish Structural verdicts
-    else begin
-      (* Rank fallback on the pruned sub-network: the union of the
-         relevant blocks carries exactly the measurement paths of the
-         full graph, so row-space membership there equals membership in
-         the full measurement space. Measurement paths never cross
-         between connected components, so the fallback runs per
-         component — the size bounds apply to each piece, not to their
-         sum, and one oversized component no longer forfeits the rest.
-         Past [rank_node_limit] nodes a component's surviving links are
-         conservatively reported unidentifiable — the report stays a
-         sound lower bound, exactly like Sampled mode. The bound guards
-         the path search's total work, which grows faster than the
-         component: up to 48 seed rows per link (8 roots, 3 detours per
-         orientation) through the float prefilter, one accepted row per
-         unit of rank, and for each an exact elimination whose sweep and
-         applied rows grow with the component's links and rank. Lifting
-         it changes answers. Within the bound, the
-         sampled layer is seeded with the constructive spanning-tree
-         candidates of [Measure.Paths] (tree monitor paths plus
-         tree–chord–tree detours), which reach far higher rank than the
-         stall-bounded random search alone — this is what gives partial
-         placements a real lower bound instead of one near zero. *)
-      let gp = Graph.of_edges (Graph.EdgeSet.elements measurable) in
-      let mode = ref Structural in
-      let escalate m =
-        match (!mode, m) with
-        | Structural, _ -> mode := m
-        | Exact, Sampled -> mode := Sampled
-        | _ -> ()
-      in
-      let verdicts = ref verdicts in
-      let unresolved e =
-        verdicts :=
-          Graph.EdgeMap.add e { identifiable = false; reason = Unresolved }
-            !verdicts
-      in
-      Obs.Trace.span "coverage.rank_fallback" @@ fun () ->
-      List.iter
-        (fun nodes ->
-          let gc = Graph.induced gp nodes in
-          let mine = Graph.EdgeSet.inter (Graph.edge_set gc) undecided in
-          if not (Graph.EdgeSet.is_empty mine) then begin
-            let monitors =
-              List.filter (Graph.mem_node gc) (Net.monitor_list net)
-            in
-            let nc = Graph.n_nodes gc in
-            if nc > rank_node_limit || List.length monitors < 2 then begin
+        t.links;
+      if !undecided = 0 then finish Structural
+      else begin
+        (* Rank fallback on the pruned sub-network: the union of the
+           relevant blocks carries exactly the measurement paths of the
+           full graph, so row-space membership there equals membership in
+           the full measurement space. Measurement paths never cross
+           between connected components, so the fallback runs per
+           component — the size bounds apply to each piece, not to their
+           sum, and one oversized component no longer forfeits the rest.
+           Past [rank_node_limit] nodes a component's surviving links are
+           conservatively reported unidentifiable — the report stays a
+           sound lower bound, exactly like Sampled mode. The bound guards
+           the path search's total work, which grows faster than the
+           component: up to 48 seed rows per link (8 roots, 3 detours per
+           orientation) through the float prefilter, one accepted row per
+           unit of rank, and for each an exact elimination whose sweep and
+           applied rows grow with the component's links and rank. Lifting
+           it changes answers. Within the bound, the
+           sampled layer is seeded with the constructive spanning-tree
+           candidates of [Measure.Paths] (tree monitor paths plus
+           tree–chord–tree detours), which reach far higher rank than the
+           stall-bounded random search alone — this is what gives partial
+           placements a real lower bound instead of one near zero.
+
+           A component is found by a breadth-first search over
+           measurable links from an undecided one, and handed to the
+           solver as the graph of its ascending links, so its j-th link
+           is column j. *)
+        let mode = ref Structural in
+        let escalate m =
+          match (!mode, m) with
+          | Structural, _ -> mode := m
+          | Exact, Sampled -> mode := Sampled
+          | _ -> ()
+        in
+        Obs.Trace.span "coverage.rank_fallback" @@ fun () ->
+        let reached = Array.make c.n false and queue = Array.make c.n 0 in
+        for k0 = 0 to c.m - 1 do
+          if Option.is_none verdicts.(k0) then begin
+            let root = fst (Csr.endpoints c k0) in
+            reached.(root) <- true;
+            queue.(0) <- root;
+            let head = ref 0 and tail = ref 1 and mine = ref [] in
+            while !head < !tail do
+              let u = queue.(!head) in
+              incr head;
+              for q = c.xadj.(u) to c.xadj.(u + 1) - 1 do
+                let k = c.eid.(q) and v = c.adj.(q) in
+                if measurable k then begin
+                  if not reached.(v) then begin
+                    reached.(v) <- true;
+                    queue.(!tail) <- v;
+                    incr tail
+                  end;
+                  if u < v then mine := k :: !mine
+                end
+              done
+            done;
+            let links = Array.of_list !mine in
+            Array.sort Int.compare links;
+            let monitors = ref [] in
+            for i = !tail - 1 downto 0 do
+              let x = queue.(i) in
+              if mon.(x) then monitors := c.ids.(x) :: !monitors
+            done;
+            let nc = !tail in
+            if nc > rank_node_limit || List.length !monitors < 2 then begin
               escalate Sampled;
-              Graph.EdgeSet.iter unresolved mine
+              Array.iter
+                (fun k -> if Option.is_none verdicts.(k) then decide k false Unresolved)
+                links
             end
             else begin
-              let netc = Net.create gc ~monitors in
+              let gc = Graph.of_edges (Array.to_list (Array.map (Csr.edge c) links)) in
+              let netc = Net.create gc ~monitors:!monitors in
               let sampled () =
                 escalate Sampled;
                 (* On components beyond the exact-enumeration range the
@@ -373,7 +314,7 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                    cutoff stays because lifting it would change
                    answers. *)
                 let max_stall =
-                  if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
+                  if Array.length links > 150 then 0 else 50 * (nc + 1)
                 in
                 snd
                   (Solver.independent_paths_with_basis
@@ -392,23 +333,16 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                   with Paths.Limit_exceeded -> sampled ()
                 end
               in
-              let space = Measurement.space gc in
-              Graph.EdgeSet.iter
-                (fun e ->
-                  verdicts :=
-                    Graph.EdgeMap.add e
-                      {
-                        identifiable = Basis.mem_unit basis (Measurement.column space e);
-                        reason = Rank;
-                      }
-                      !verdicts)
-                mine
+              Array.iteri
+                (fun j k ->
+                  if Option.is_none verdicts.(k) then decide k (Basis.mem_unit basis j) Rank)
+                links
             end
-          end)
-        (Traversal.components gp);
-      finish !mode !verdicts
+          end
+        done;
+        finish !mode
+      end
     end
-  end
 
 let coverage r =
   let total = Graph.EdgeMap.cardinal r.verdicts in
@@ -452,25 +386,22 @@ type plan = {
 }
 
 (* Links not condemned by the sound structural rejects (low degree,
-   unmeasurable) under a candidate monitor set — the planner's marginal
+   unmeasurable) under the monitor flags [mon] — the planner's marginal
    coverage score. An over-approximation of the identifiable set, but
    its increments are exactly the links a candidate can free. *)
-let structural_ok g t mset =
-  let is_mon v = Graph.NodeSet.mem v mset in
-  let terminals = terminals_of t is_mon in
-  let relevant = relevant_blocks t terminals in
+let structural_ok t mon =
+  let term = terminals t mon in
+  let ok x = mon.(x) || degree t.csr x >= 3 in
   let count = ref 0 in
   Array.iteri
-    (fun bi (b : Biconnected.component) ->
-      if relevant.(bi) then
-        Graph.EdgeSet.iter
-          (fun (u, v) ->
-            if
-              (is_mon u || Graph.degree g u >= 3)
-              && (is_mon v || Graph.degree g v >= 3)
-            then incr count)
-          b.edges)
-    t.blocks;
+    (fun b ls ->
+      if Array.length term.(b) >= 2 then
+        Array.iter
+          (fun k ->
+            let u, v = Csr.endpoints t.csr k in
+            if ok u && ok v then incr count)
+          ls)
+    t.links;
   !count
 
 (* How far a monitor set is from satisfying MMP's rule set (Theorem
@@ -533,7 +464,7 @@ let augment ?(seed = 0) ~k net =
   if k < 0 then Errors.invalid_arg "Coverage.augment: k must be non-negative";
   Obs.Trace.span "coverage.augment" @@ fun () ->
   let g = Net.graph net in
-  let t = blocktree g in
+  let t = tree (Csr.of_graph g) in
   let tables = deficiency_tables g in
   let comps =
     List.filter_map
@@ -548,24 +479,25 @@ let augment ?(seed = 0) ~k net =
     if Net.kappa n < 2 then 0.0
     else coverage (classify ~seed n)
   in
+  (* The current monitor set, also as flags by node index. *)
+  let mset = ref (Net.monitors net) in
+  let mon = Array.map (Net.is_monitor net) t.csr.ids in
   (* Exact full-coverage test: cheap necessary screens first, then the
      paper's Theorem 3.1/3.3 verdict per connected component. *)
-  let full mset =
-    Graph.NodeSet.subset tables.low_nodes mset
-    && m_total = structural_ok g t mset
+  let full () =
+    Graph.NodeSet.subset tables.low_nodes !mset
+    && m_total = structural_ok t mon
     && List.for_all
          (fun (c, cg) ->
            Identifiability.network_identifiable
              (Net.create cg
                 ~monitors:
-                  (Graph.NodeSet.elements (Graph.NodeSet.inter c mset))))
+                  (Graph.NodeSet.elements (Graph.NodeSet.inter c !mset))))
          comps
   in
-  let nodes = Graph.nodes g in
-  let mset = ref (Net.monitors net) in
   let added = ref [] in
   let coverage_before = cov_of !mset in
-  let fully = ref (full !mset) in
+  let fully = ref (full ()) in
   let steps = ref 0 in
   while !steps < k && not !fully do
     incr steps;
@@ -573,27 +505,32 @@ let augment ?(seed = 0) ~k net =
       a1 > b1 || (a1 = b1 && (a2 > b2 || (a2 = b2 && a3 > b3)))
     in
     let best = ref None in
-    List.iter
-      (fun c ->
-        if not (Graph.NodeSet.mem c !mset) then begin
-          let m' = Graph.NodeSet.add c !mset in
-          let d = Graph.degree g c in
+    (* Candidates in increasing identifier order, so ties go to the
+       smallest. *)
+    Array.iteri
+      (fun i c ->
+        if not mon.(i) then begin
+          mon.(i) <- true;
+          let ok = structural_ok t mon in
+          mon.(i) <- false;
+          let d = degree t.csr i in
           let score =
-            ( structural_ok g t m',
-              -deficiency tables m',
+            ( ok,
+              -deficiency tables (Graph.NodeSet.add c !mset),
               if d >= 1 && d < 3 then 1 else 0 )
           in
           match !best with
-          | Some (_, bscore) when not (better score bscore) -> ()
-          | Some _ | None -> best := Some (c, score)
+          | Some (_, _, bscore) when not (better score bscore) -> ()
+          | Some _ | None -> best := Some (i, c, score)
         end)
-      nodes;
+      t.csr.ids;
     match !best with
     | None -> steps := k (* every node is already a monitor *)
-    | Some (c, _) ->
+    | Some (i, c, _) ->
         mset := Graph.NodeSet.add c !mset;
+        mon.(i) <- true;
         added := c :: !added;
-        fully := full !mset
+        fully := full ()
   done;
   let coverage_after = cov_of !mset in
   {
@@ -603,6 +540,12 @@ let augment ?(seed = 0) ~k net =
     coverage_after;
     full = !fully;
   }
+
+module Internal = struct
+  let structural_score net =
+    let t = tree (Csr.of_graph (Net.graph net)) in
+    structural_ok t (Array.map (Net.is_monitor net) t.csr.ids)
+end
 
 let pp_plan ppf p =
   Format.fprintf ppf

@@ -125,6 +125,21 @@ val classify :
     generated as link-number rows on the flat graph that search builds.
     Every rank verdict, exact or sampled, is read off its basis with
     {!Nettomo_linalg.Basis.mem_unit}.
+
+    Cost outside the rank tests: the network is flattened once
+    ({!Nettomo_graph.Csr.of_graph}); the block-cut tree and
+    connectivity come from one lowpoint DFS
+    ({!Nettomo_graph.Biconnected.decompose_flat}), the terminals of
+    every block from one pass over the blocks, the monitor-link,
+    low-degree and unmeasurable rules from one loop over link numbers,
+    and the fallback's components from one breadth-first search over
+    the measurable links. A graph is built only for a block that the
+    Theorem 3.1/3.3 test or the exact block rank examines, and once for
+    each component handed to the rank fallback, as the graph of its
+    ascending links so that its j-th link is column j. The report's
+    maps and sets are built once, at the end. The whole-network test
+    runs the paper's 3-vertex-connectivity sweep on the extended graph,
+    whose per-node step allocates nothing.
     Requires at least two monitors ([Invalid_argument] otherwise). *)
 
 val coverage : report -> float
@@ -169,3 +184,14 @@ val augment : ?seed:int -> k:int -> Nettomo_core.Net.t -> plan
     ([Invalid_argument] otherwise). Deterministic for fixed arguments. *)
 
 val pp_plan : Format.formatter -> plan -> unit
+
+(**/**)
+
+(** Exposed for the tests, which compare it with a reference. Not part
+    of the stable API. *)
+module Internal : sig
+  val structural_score : Nettomo_core.Net.t -> int
+  (** {!augment}'s marginal score of the net's own monitor set: the
+      links of blocks on a monitor-to-monitor path whose two endpoints
+      are each a monitor or of degree ≥ 3. *)
+end

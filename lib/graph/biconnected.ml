@@ -1,139 +1,244 @@
 module NS = Graph.NodeSet
 module ES = Graph.EdgeSet
+module Metrics = Nettomo_obs.Obs.Metrics
 
 type component = { nodes : NS.t; edges : ES.t }
 
 type result = { components : component list; cut_vertices : NS.t }
 
-(* Iterative Tarjan biconnected-components DFS over the Csr rows.
-   [skip_node] is an optional Csr index to pretend-delete so that
-   3-vertex-connectivity sweeps can test G - v in place.
+type flat = {
+  n_blocks : int;
+  block_of_link : int array;
+  head : int array;
+  is_cut : bool array;
+  component : int array;
+  n_components : int;
+}
 
-   Returns (blocks as index-edge lists, cut vertex indices, isolated
-   visited roots, number of connected components). *)
-let decompose_csr (c : Csr.t) ~skip_node =
-  let n = c.n in
-  let disc = Array.make n (-1) in
-  let low = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let parent_skipped = Array.make n false in
+(* Work counters of the lowpoint DFS: one run per search, and the
+   half-edges it scanned. Deterministic for a given input, so benches
+   gate on them where wall time is too noisy. *)
+let dfs_runs = Metrics.counter "graph_lowpoint_dfs_total"
+let adjacency_scanned = Metrics.counter "graph_adjacency_scanned_total"
+
+let count_run scanned =
+  Metrics.incr dfs_runs;
+  Metrics.incr ~by:scanned adjacency_scanned
+
+(* Iterative Tarjan biconnected-components DFS over the Csr rows, with
+   links on the edge stack by number. A link is skipped as the parent
+   link by number, which in a simple graph is the one half-edge back to
+   the parent. *)
+let decompose_csr (c : Csr.t) =
+  let n = c.n and m = c.m in
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let parent = Array.make n (-1) and parent_link = Array.make n (-1) in
   (* Position in [c.adj] of each node's next unscanned neighbour. *)
   let next = Array.sub c.xadj 0 n in
-  let children_of_root = Array.make n 0 in
-  let is_cut = Array.make n false in
-  let time = ref 0 in
-  let n_components = ref 0 in
-  let edge_stack = ref [] in
-  let blocks = ref [] in
-  let isolated_roots = ref [] in
-  let skipped v = match skip_node with Some s -> v = s | None -> false in
-  let pop_block (u, v) =
-    (* Pop stacked edges down to and including (u, v): one block. *)
-    let rec loop acc =
-      match !edge_stack with
-      | [] -> acc
-      | (a, b) :: rest ->
-          edge_stack := rest;
-          let acc = (a, b) :: acc in
-          if a = u && b = v then acc else loop acc
-    in
-    blocks := loop [] :: !blocks
-  in
-  let dfs_from root =
-    if disc.(root) >= 0 || skipped root then ()
-    else begin
+  let stack = Array.make n 0 and links = Array.make m 0 in
+  let block_of_link = Array.make m (-1) and head = Array.make m 0 in
+  let is_cut = Array.make n false and component = Array.make n (-1) in
+  let time = ref 0 and n_blocks = ref 0 and n_components = ref 0 in
+  let top = ref (-1) and n_links = ref 0 and scanned = ref 0 in
+  for root = 0 to n - 1 do
+    if disc.(root) < 0 then begin
+      let comp = !n_components in
       incr n_components;
-      let stack = ref [ root ] in
       disc.(root) <- !time;
       low.(root) <- !time;
+      component.(root) <- comp;
       incr time;
-      let root_had_edges = ref false in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-            if next.(u) < c.xadj.(u + 1) then begin
-              let v = c.adj.(next.(u)) in
-              next.(u) <- next.(u) + 1;
-              if skipped v then ()
-              else if v = parent.(u) && not parent_skipped.(u) then
-                parent_skipped.(u) <- true
+      let root_children = ref 0 in
+      top := 0;
+      stack.(0) <- root;
+      while !top >= 0 do
+        let u = stack.(!top) in
+        let q = next.(u) in
+        if q < c.xadj.(u + 1) then begin
+          next.(u) <- q + 1;
+          incr scanned;
+          let v = c.adj.(q) and k = c.eid.(q) in
+          if k = parent_link.(u) then ()
+          else if disc.(v) < 0 then begin
+            if u = root then incr root_children;
+            parent.(v) <- u;
+            parent_link.(v) <- k;
+            links.(!n_links) <- k;
+            incr n_links;
+            disc.(v) <- !time;
+            low.(v) <- !time;
+            component.(v) <- comp;
+            incr time;
+            incr top;
+            stack.(!top) <- v
+          end
+          else if disc.(v) < disc.(u) then begin
+            links.(!n_links) <- k;
+            incr n_links;
+            if disc.(v) < low.(u) then low.(u) <- disc.(v)
+          end
+        end
+        else begin
+          decr top;
+          let p = parent.(u) in
+          if p >= 0 then begin
+            if low.(u) < low.(p) then low.(p) <- low.(u);
+            if low.(u) >= disc.(p) then begin
+              (* (p, u) closes a block: the links stacked since it, down
+                 to and including it. p is a cut vertex unless it is the
+                 root, whose status depends on its child count. *)
+              if p <> root then is_cut.(p) <- true;
+              let b = !n_blocks in
+              let closing = parent_link.(u) and popping = ref true in
+              while !popping do
+                decr n_links;
+                let k = links.(!n_links) in
+                block_of_link.(k) <- b;
+                popping := k <> closing
+              done;
+              head.(b) <- p;
+              incr n_blocks
+            end
+          end
+        end
+      done;
+      if !root_children > 1 then is_cut.(root) <- true
+    end
+  done;
+  count_run !scanned;
+  {
+    n_blocks = !n_blocks;
+    block_of_link;
+    head = Array.sub head 0 !n_blocks;
+    is_cut;
+    component;
+    n_components = !n_components;
+  }
+
+(* The same lowpoint DFS cut down to cut vertices and connectivity, for
+   sweeps that ask about G − v for every v: it keeps no edge stack and
+   builds no block, and its buffers are allocated once per flattened
+   graph. [search ~early skip] marks the cut vertices of the graph minus
+   the index [skip] (-1 for none) in [is_cut] and returns its number of
+   connected components; with [~early] it stops at the first cut vertex
+   or the second component, and then returns 2. *)
+let cut_search (c : Csr.t) =
+  let n = c.n in
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let parent = Array.make n (-1) and stack = Array.make n 0 in
+  let next = Array.make n 0 and is_cut = Array.make n false in
+  let search ~early skip =
+    Array.fill disc 0 n (-1);
+    Array.fill is_cut 0 n false;
+    let time = ref 0 and scanned = ref 0 and components = ref 0 in
+    let stopped = ref false and root = ref 0 in
+    while (not !stopped) && !root < n do
+      let r = !root in
+      incr root;
+      if disc.(r) < 0 && r <> skip then begin
+        incr components;
+        if early && !components > 1 then stopped := true
+        else begin
+          disc.(r) <- !time;
+          low.(r) <- !time;
+          parent.(r) <- -1;
+          next.(r) <- c.xadj.(r);
+          incr time;
+          stack.(0) <- r;
+          let top = ref 0 and root_children = ref 0 in
+          while (not !stopped) && !top >= 0 do
+            let u = stack.(!top) in
+            let q = next.(u) in
+            if q < c.xadj.(u + 1) then begin
+              next.(u) <- q + 1;
+              incr scanned;
+              let v = c.adj.(q) in
+              if v = skip || v = parent.(u) then ()
               else if disc.(v) < 0 then begin
-                if u = root then root_had_edges := true;
+                if u = r then incr root_children;
                 parent.(v) <- u;
-                if u = root then children_of_root.(root) <- children_of_root.(root) + 1;
-                edge_stack := (u, v) :: !edge_stack;
                 disc.(v) <- !time;
                 low.(v) <- !time;
+                next.(v) <- c.xadj.(v);
                 incr time;
-                stack := v :: !stack
+                incr top;
+                stack.(!top) <- v
               end
-              else if disc.(v) < disc.(u) then begin
-                if u = root then root_had_edges := true;
-                edge_stack := (u, v) :: !edge_stack;
-                low.(u) <- min low.(u) disc.(v)
-              end
+              else if disc.(v) < low.(u) then low.(u) <- disc.(v)
             end
             else begin
-              stack := rest;
+              decr top;
               let p = parent.(u) in
               if p >= 0 then begin
-                low.(p) <- min low.(p) low.(u);
-                if low.(u) >= disc.(p) then begin
-                  (* (p, u) closes a block; p is a cut vertex unless it is
-                     the root, whose status depends on its child count. *)
-                  if p <> root then is_cut.(p) <- true;
-                  pop_block (p, u)
+                if low.(u) < low.(p) then low.(p) <- low.(u);
+                if p <> r && low.(u) >= disc.(p) then begin
+                  is_cut.(p) <- true;
+                  stopped := early
                 end
               end
+            end;
+            (* A root with a second child is a cut vertex. *)
+            if !root_children > 1 && not is_cut.(r) then begin
+              is_cut.(r) <- true;
+              stopped := early
             end
-      done;
-      if children_of_root.(root) > 1 then is_cut.(root) <- true;
-      if not !root_had_edges then isolated_roots := root :: !isolated_roots
-    end
+          done
+        end
+      end
+    done;
+    count_run !scanned;
+    if !stopped then 2 else !components
   in
-  for v = 0 to n - 1 do
-    dfs_from v
-  done;
-  (!blocks, is_cut, !isolated_roots, !n_components)
+  (search, is_cut)
+
+let cut_vertices_without c =
+  let search, is_cut = cut_search c in
+  (is_cut, fun skip -> search ~early:false skip)
+
+let connected_and_cut_free c =
+  let search, _ = cut_search c in
+  fun skip -> search ~early:true skip <= 1
 
 module Internal = struct
   let decompose_csr = decompose_csr
-
-  let connected_and_cut_free c skip_node =
-    let _, is_cut, _, n_components = decompose_csr c ~skip_node in
-    n_components <= 1 && Array.for_all not is_cut
+  let cut_vertices_without = cut_vertices_without
+  let connected_and_cut_free = connected_and_cut_free
 end
+
+let decompose_flat c =
+  Nettomo_obs.Obs.Trace.span "graph.biconnected" @@ fun () -> decompose_csr c
 
 let decompose g =
   Nettomo_obs.Obs.Trace.span "graph.biconnected" @@ fun () ->
   let c = Csr.of_graph g in
-  let blocks, is_cut, isolated, _ = decompose_csr c ~skip_node:None in
-  let component_of_block edge_idxs =
-    List.fold_left
-      (fun acc (a, b) ->
-        let e = Graph.edge c.ids.(a) c.ids.(b) in
-        {
-          nodes = NS.add (fst e) (NS.add (snd e) acc.nodes);
-          edges = ES.add e acc.edges;
-        })
-      { nodes = NS.empty; edges = ES.empty }
-      edge_idxs
+  let f = decompose_csr c in
+  let nodes = Array.make f.n_blocks NS.empty
+  and edges = Array.make f.n_blocks ES.empty in
+  for k = 0 to c.m - 1 do
+    let b = f.block_of_link.(k) in
+    let ((u, v) as e) = Csr.edge c k in
+    nodes.(b) <- NS.add u (NS.add v nodes.(b));
+    edges.(b) <- ES.add e edges.(b)
+  done;
+  (* Isolated nodes first, in increasing order, then the blocks, the
+     last one the search closed first. *)
+  let blocks =
+    List.init f.n_blocks (fun i ->
+        let b = f.n_blocks - 1 - i in
+        { nodes = nodes.(b); edges = edges.(b) })
   in
-  let components = List.map component_of_block blocks in
-  let components =
-    List.fold_left
-      (fun acc i ->
-        { nodes = NS.singleton c.ids.(i); edges = ES.empty } :: acc)
-      components isolated
-  in
+  let components = ref blocks in
+  for i = c.n - 1 downto 0 do
+    if c.xadj.(i) = c.xadj.(i + 1) then
+      components := { nodes = NS.singleton c.ids.(i); edges = ES.empty } :: !components
+  done;
   let cut_vertices = ref NS.empty in
   Array.iteri
     (fun i cut -> if cut then cut_vertices := NS.add c.ids.(i) !cut_vertices)
-    is_cut;
-  { components; cut_vertices = !cut_vertices }
+    f.is_cut;
+  { components = !components; cut_vertices = !cut_vertices }
 
 let cut_vertices g = (decompose g).cut_vertices
 
 let is_biconnected g =
-  Graph.n_nodes g >= 3 && Internal.connected_and_cut_free (Csr.of_graph g) None
+  Graph.n_nodes g >= 3 && connected_and_cut_free (Csr.of_graph g) (-1)

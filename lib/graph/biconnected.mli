@@ -27,24 +27,74 @@ val cut_vertices : Graph.t -> Graph.NodeSet.t
 val is_biconnected : Graph.t -> bool
 (** 2-vertex-connectivity: ≥ 3 nodes, connected, and no cut vertex. *)
 
+(** {1 On a flattened graph} *)
+
+(** The blocks with at least one link, by {!Csr} node index and link
+    number, as the one lowpoint depth-first search finds them: it takes
+    roots in increasing index order and scans each row in order. Blocks
+    are numbered in the order the search closes them, so a block comes
+    after every block that hangs below it in the block-cut tree rooted
+    at the search roots. *)
+type flat = {
+  n_blocks : int;
+  block_of_link : int array;  (** link number → its block *)
+  head : int array;
+      (** block → the node through which the search entered it: the one
+          node of the block that is not below it. Every other node of
+          the block is a descendant of the search's link out of its
+          head. *)
+  is_cut : bool array;  (** node index → whether it is a cut vertex *)
+  component : int array;
+      (** node index → its connected component, numbered in the order
+          of the search roots *)
+  n_components : int;
+      (** connected components, isolated nodes included *)
+}
+
+val decompose_flat : Csr.t -> flat
+(** The search behind {!decompose}, on a graph already flattened, run
+    under the same [graph.biconnected] span. Linear time. *)
+
+(** {1 Work counters} *)
+
+val dfs_runs : Nettomo_obs.Obs.Metrics.counter
+(** [graph_lowpoint_dfs_total]: lowpoint searches run — one per
+    {!decompose}, {!decompose_flat}, {!is_biconnected} and {!Bridges}
+    query, and one per graph that the cut-pair and
+    3-vertex-connectivity sweeps of {!Separation} search ([G] itself
+    and each [G - v] they try). *)
+
+val adjacency_scanned : Nettomo_obs.Obs.Metrics.counter
+(** [graph_adjacency_scanned_total]: the half-edges those searches
+    scanned; a search that stops early counts only what it scanned. Both counters are process-wide and deterministic
+    for a given input. *)
+
 (**/**)
 
-(** Low-level entry points over {!Csr} rows, shared with {!Separation}
-    so that a sweep over every [G - v] flattens the graph once, and with
-    {!Bridges}, which reads the bridges off the single-link blocks. Not
-    part of the stable API. *)
+(** Low-level entry points over {!Csr} rows: the search without its
+    span for {!Bridges}, which reads the bridges off the single-link
+    blocks, and the search cut down to cut vertices and connectivity for
+    {!Separation}'s sweeps over every [G - v], which flatten the graph
+    once. Each search adds one run to the [graph_lowpoint_dfs_total]
+    counter and the half-edges it scanned to
+    [graph_adjacency_scanned_total]. Not part of the stable API. *)
 module Internal : sig
-  val decompose_csr :
-    Csr.t ->
-    skip_node:int option ->
-    (int * int) list list * bool array * int list * int
-  (** [(blocks as Csr-index edge lists, is-cut-vertex array, isolated
-      visited roots, connected-component count)] of the graph minus the
-      skipped index. *)
+  val decompose_csr : Csr.t -> flat
+  (** {!decompose_flat} without the span. *)
 
-  val connected_and_cut_free : Csr.t -> int option -> bool
-  (** Whether the graph minus the skipped index is connected and has no
-      cut vertex (no constraint on its size) — the building block of the
-      3-vertex-connectivity sweep: [G] with ≥ 4 nodes is
-      3-vertex-connected iff this holds with every node skipped. *)
+  val cut_vertices_without : Csr.t -> bool array * (int -> int)
+  (** [let is_cut, search = cut_vertices_without c] allocates the
+      search's buffers once; [search skip] marks in [is_cut], by index,
+      the cut vertices of the graph minus the index [skip] ([-1] for
+      none) and returns its number of connected components. It keeps
+      no edge stack, builds no block and allocates nothing. The next
+      search overwrites [is_cut], so one search at a time. *)
+
+  val connected_and_cut_free : Csr.t -> int -> bool
+  (** The same search, stopping at the first cut vertex or second
+      component: whether the graph minus the index [skip] ([-1] for
+      none) is connected and has no cut vertex (no constraint on its
+      size). It is the step of the 3-vertex-connectivity sweep, since
+      [G] with ≥ 4 nodes is 3-vertex-connected iff this holds with
+      every node skipped. *)
 end

@@ -1,22 +1,23 @@
 module Errors = Nettomo_util.Errors
 
 (* In a simple graph a bridge is exactly a block with one link, so the
-   block DFS answers both questions. Returns the flat graph, the
-   single-link blocks as index pairs, and the number of DFS roots. *)
+   block DFS answers both questions. Returns the flat graph, the links
+   of the single-link blocks, and the number of DFS roots. *)
 let single_link_blocks g =
   let c = Csr.of_graph g in
-  let blocks, _, _, n_roots =
-    Biconnected.Internal.decompose_csr c ~skip_node:None
-  in
-  let singles =
-    List.filter_map (function [ link ] -> Some link | _ -> None) blocks
-  in
-  (c, singles, n_roots)
+  let f = Biconnected.Internal.decompose_csr c in
+  let size = Array.make f.n_blocks 0 in
+  Array.iter (fun b -> size.(b) <- size.(b) + 1) f.block_of_link;
+  let singles = ref [] in
+  for k = c.m - 1 downto 0 do
+    if size.(f.block_of_link.(k)) = 1 then singles := k :: !singles
+  done;
+  (c, !singles, f.n_components)
 
 let bridges g =
   let c, singles, _ = single_link_blocks g in
   List.fold_left
-    (fun acc (u, v) -> Graph.EdgeSet.add (Graph.edge c.ids.(u) c.ids.(v)) acc)
+    (fun acc k -> Graph.EdgeSet.add (Csr.edge c k) acc)
     Graph.EdgeSet.empty singles
 
 let is_two_edge_connected g =

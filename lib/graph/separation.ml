@@ -7,22 +7,19 @@ let sweep g ~f =
   let c = Csr.of_graph g in
   let n = c.n in
   if n >= 4 then begin
-    let _, is_cut0, _, _ = Biconnected.Internal.decompose_csr c ~skip_node:None in
+    let is_cut, search = Biconnected.Internal.cut_vertices_without c in
+    ignore (search (-1));
+    let is_cut0 = Array.copy is_cut in
     let continue_ = ref true in
     let v = ref 0 in
     while !continue_ && !v < n do
-      if not is_cut0.(!v) then begin
-        let _, is_cut, _, n_components =
-          Biconnected.Internal.decompose_csr c ~skip_node:(Some !v)
-        in
-        if n_components <= 1 then begin
-          let u = ref 0 in
-          while !continue_ && !u < n do
-            if is_cut.(!u) && not is_cut0.(!u) then
-              continue_ := f c.ids.(!v) c.ids.(!u);
-            incr u
-          done
-        end
+      if (not is_cut0.(!v)) && search !v <= 1 then begin
+        let u = ref 0 in
+        while !continue_ && !u < n do
+          if is_cut.(!u) && not is_cut0.(!u) then
+            continue_ := f c.ids.(!v) c.ids.(!u);
+          incr u
+        done
       end;
       incr v
     done
@@ -47,11 +44,11 @@ let is_three_vertex_connected g =
   Graph.n_nodes g >= 4
   &&
   let c = Csr.of_graph g in
+  let cut_free = Biconnected.Internal.connected_and_cut_free c in
   let ok = ref true in
   let v = ref 0 in
   while !ok && !v < c.n do
-    if not (Biconnected.Internal.connected_and_cut_free c (Some !v)) then
-      ok := false;
+    if not (cut_free !v) then ok := false;
     incr v
   done;
   !ok

@@ -202,8 +202,10 @@ let entry r j =
   in
   go 0
 
-let add t cols len =
-  reduce t cols len;
+(* The residual of the latest reduction, still in the scratch vector,
+   becomes a row: no second reduction of a row the caller has just
+   tested. *)
+let add_reduced t =
   let p = best_pivot t in
   if p < 0 then false
   else begin
@@ -239,6 +241,10 @@ let add t cols len =
     t.rank <- t.rank + 1;
     true
   end
+
+let add t cols len =
+  reduce t cols len;
+  add_reduced t
 
 let copy t =
   {

@@ -57,7 +57,16 @@ val would_increase_rank : t -> int array -> int -> bool
 val add : t -> int array -> int -> bool
 (** Add the 0/1 row with ones at [cols.(0..len-1)]; [true] iff it
     (numerically) increased the rank. Same column requirements as
-    {!would_increase_rank}. *)
+    {!would_increase_rank}. Equal to {!would_increase_rank} on the
+    row followed by {!add_reduced}. *)
+
+val add_reduced : t -> bool
+(** Add the row that the latest {!would_increase_rank} on this basis
+    tested, from the residual that test left in the scratch vector, so
+    the row is not reduced a second time; [true] iff it increased the
+    rank. The result, and every stored value, are those {!add} gives
+    the same row. Only valid when no other call on this basis came in
+    between. *)
 
 val copy : t -> t
 (** An independent basis with the same rows. *)

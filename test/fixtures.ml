@@ -103,6 +103,36 @@ let random_connected rng n extra =
   done;
   !g
 
+(* A random graph on nodes 0 … n-1 that need not be connected: up to
+   three pieces over consecutive node ranges, each a random tree, with
+   up to [extra] chords inside the pieces; a piece of one node is an
+   isolated node, and about a third of the graphs end in one. *)
+let random_graph rng n extra =
+  let open Nettomo_util in
+  let starts = Array.make n false in
+  for _ = 1 to Prng.int rng 3 do
+    if n > 1 then starts.(1 + Prng.int rng (n - 1)) <- true
+  done;
+  if n > 1 && Prng.int rng 3 = 0 then starts.(n - 1) <- true;
+  let first = Array.make n 0 in
+  let g = ref Graph.empty in
+  for v = 0 to n - 1 do
+    g := Graph.add_node !g v;
+    if v > 0 && not starts.(v) then begin
+      first.(v) <- first.(v - 1);
+      g := Graph.add_edge !g (first.(v) + Prng.int rng (v - first.(v))) v
+    end
+    else first.(v) <- v
+  done;
+  for _ = 1 to extra do
+    if n > 0 then begin
+      let v = Prng.int rng n in
+      let u = first.(v) + Prng.int rng (v - first.(v) + 1) in
+      if u <> v then g := Graph.add_edge !g u v
+    end
+  done;
+  !g
+
 let graph_testable =
   Alcotest.testable Graph.pp Graph.equal
 

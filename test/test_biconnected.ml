@@ -119,10 +119,13 @@ let prop_blocks_pairwise_share_at_most_one_node =
 
 let prop_2vc_matches_flow_oracle =
   QCheck2.Test.make ~name:"biconnectivity matches max-flow oracle" ~count:150
-    QCheck2.Gen.(triple (int_bound 100_000) (int_range 3 16) (int_range 0 12))
+    QCheck2.Gen.(
+      triple (int_bound 100_000)
+        (oneof [ int_range 1 4; int_range 5 16 ])
+        (int_range 0 20))
     (fun (seed, n, extra) ->
       let rng = Nettomo_util.Prng.create seed in
-      let g = Fixtures.random_connected rng n extra in
+      let g = Fixtures.random_graph rng n extra in
       Biconnected.is_biconnected g = Connectivity.is_k_vertex_connected g 2)
 
 let suite =

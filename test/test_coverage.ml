@@ -310,6 +310,122 @@ let test_augment_vs_mmp () =
   check cb "reaches full coverage" true plan.Coverage.full;
   check cb "within MMP + 2" true (2 + List.length plan.Coverage.added <= mmp + 2)
 
+(* The flat classifier against the Set-based reference in [Oracles]:
+   same mode, the same verdict and reason on every link, the same two
+   link sets. *)
+let same_report (a : Coverage.report) (b : Coverage.report) =
+  a.Coverage.mode = b.Coverage.mode
+  && Graph.EdgeMap.equal
+       (fun (x : Coverage.verdict) (y : Coverage.verdict) ->
+         Bool.equal x.identifiable y.identifiable && x.reason = y.reason)
+       a.Coverage.verdicts b.Coverage.verdicts
+  && Graph.EdgeSet.equal a.Coverage.identifiable b.Coverage.identifiable
+  && Graph.EdgeSet.equal a.Coverage.unidentifiable b.Coverage.unidentifiable
+
+(* A random net of 4–40 nodes for the differential test: 1–3 connected
+   components, each grown from blocks of 2–7 nodes (a random tree plus
+   random chords) glued at existing nodes, which makes those nodes cut
+   vertices, with an occasional chord across blocks that merges them;
+   then up to two isolated nodes. Node identifiers are spread over
+   three times the node count and shuffled, so index order and
+   discovery order differ from construction order. Monitors: about a
+   third of the cut vertices, about a sixth of the other nodes, then
+   random nodes up to two. *)
+let random_block_net rng =
+  let target = 4 + Prng.int rng 33 in
+  let n_comps = 1 + Prng.int rng 3 in
+  let edges = ref [] and n = ref 0 in
+  let fresh () =
+    incr n;
+    !n - 1
+  in
+  let link u v = if u <> v then edges := (u, v) :: !edges in
+  for c = 0 to n_comps - 1 do
+    let budget = max 2 ((target - !n) / (n_comps - c)) in
+    let members = ref [ fresh () ] and size = ref 1 in
+    while !size < budget do
+      let pick l = List.nth l (Prng.int rng (List.length l)) in
+      let k = min (2 + Prng.int rng 6) (budget - !size + 1) in
+      let block = Array.make k (pick !members) in
+      for i = 1 to k - 1 do
+        block.(i) <- fresh ();
+        link block.(Prng.int rng i) block.(i)
+      done;
+      let chords = Prng.int rng (1 + (k * (k - 1) / 2)) in
+      for _ = 1 to chords do
+        link block.(Prng.int rng k) block.(Prng.int rng k)
+      done;
+      members := Array.to_list (Array.sub block 1 (k - 1)) @ !members;
+      size := !size + k - 1;
+      if Prng.int rng 8 = 0 then link (pick !members) (pick !members)
+    done
+  done;
+  let isolated = List.init (Prng.int rng 3) (fun _ -> fresh ()) in
+  let ids = Prng.sample rng !n (Array.init (3 * !n) Fun.id) in
+  let g =
+    Graph.of_edges
+      ~nodes:(List.map (fun v -> ids.(v)) isolated)
+      (List.map (fun (u, v) -> (ids.(u), ids.(v))) !edges)
+  in
+  let cuts = Biconnected.cut_vertices g in
+  let monitors =
+    List.filter
+      (fun v ->
+        if Graph.NodeSet.mem v cuts then Prng.int rng 3 = 0 else Prng.int rng 6 = 0)
+      (Graph.nodes g)
+  in
+  let rec top_up ms =
+    if List.length ms >= 2 then ms
+    else
+      let v = (Graph.node_array g).(Prng.int rng (Graph.n_nodes g)) in
+      top_up (if List.mem v ms then ms else v :: ms)
+  in
+  Net.create g ~monitors:(top_up monitors)
+
+let prop_classify_matches_reference =
+  QCheck2.Test.make ~name:"classify = Set-based reference" ~count:300
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 1_000))
+    (fun (gen_seed, seed) ->
+      let net = random_block_net (Prng.create gen_seed) in
+      (* Small limits make components past the rank bound, so links
+         come out [Unresolved], and send small ones to the sampled
+         layer. *)
+      let exact_node_limit = Prng.int (Prng.create seed) 13
+      and rank_node_limit = Prng.int (Prng.create (seed + 1)) 16 in
+      same_report (Coverage.classify ~seed net) (Oracles.Coverage_ref.classify ~seed net)
+      && same_report
+           (Coverage.classify ~seed ~exact_node_limit ~rank_node_limit net)
+           (Oracles.Coverage_ref.classify ~seed ~exact_node_limit ~rank_node_limit net)
+      &&
+      let g = Net.graph net in
+      Coverage.Internal.structural_score net
+      = Oracles.Coverage_ref.(structural_ok g (blocktree g) (Net.monitors net)))
+
+(* Every budget point of the coverage bench's curves (MMP prefixes, k
+   from 2 to m in steps of about m/12): the report and augment's
+   structural score equal the reference's. *)
+let test_isp_budgets_match_reference () =
+  List.iter
+    (fun (name, seed) ->
+      let spec = Option.get (Nettomo_topo.Isp.find name) in
+      let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
+      let mmp = Graph.NodeSet.elements (Mmp.place g) in
+      let m = List.length mmp in
+      let step = max 1 ((m + 11) / 12) in
+      let rec budgets k = if k >= m then [ m ] else k :: budgets (k + step) in
+      let tree = Oracles.Coverage_ref.blocktree g in
+      List.iter
+        (fun k ->
+          let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
+          let at what = Printf.sprintf "%s with %d of %d MMP monitors: %s" name k m what in
+          check cb (at "report") true
+            (same_report (Coverage.classify net) (Oracles.Coverage_ref.classify net));
+          check ci (at "structural score")
+            (Oracles.Coverage_ref.structural_ok g tree (Net.monitors net))
+            (Coverage.Internal.structural_score net))
+        (budgets 2))
+    [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
+
 let suite =
   [
     Alcotest.test_case "fig1 full monitors: structural accept" `Quick
@@ -342,4 +458,7 @@ let suite =
       test_solver_basis_isp_prefixes;
     Alcotest.test_case "ISP budget answers pinned" `Quick
       test_isp_budget_answers_pinned;
+    QCheck_alcotest.to_alcotest prop_classify_matches_reference;
+    Alcotest.test_case "ISP budget points = Set-based reference" `Quick
+      test_isp_budgets_match_reference;
   ]

@@ -101,11 +101,14 @@ let prop_3vc_matches_oracle =
 
 let prop_3vc_matches_flow_oracle =
   QCheck2.Test.make ~name:"3-vertex-connectivity matches max-flow Menger"
-    ~count:150
-    QCheck2.Gen.(triple (int_bound 100_000) (int_range 4 14) (int_range 0 25))
+    ~count:1000
+    QCheck2.Gen.(
+      triple (int_bound 100_000)
+        (oneof [ int_range 1 4; int_range 5 14 ])
+        (int_range 0 40))
     (fun (seed, n, extra) ->
       let rng = Nettomo_util.Prng.create seed in
-      let g = Fixtures.random_connected rng n extra in
+      let g = Fixtures.random_graph rng n extra in
       Separation.is_three_vertex_connected g = Connectivity.is_k_vertex_connected g 3)
 
 let suite =
