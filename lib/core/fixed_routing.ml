@@ -47,8 +47,8 @@ let identifiable_links g ~monitors =
 
 let max_rank g = rank_of g ~monitors:(Graph.nodes g)
 
-let greedy_place ?target_rank g =
-  let target = match target_rank with Some t -> t | None -> max_rank g in
+let greedy_place g =
+  let target = max_rank g in
   let nodes = Graph.nodes g in
   let rec grow monitors rank =
     if rank >= target then List.rev monitors
@@ -85,12 +85,11 @@ let rec subsets_of_size k = function
         List.map (fun s -> x :: s) (subsets_of_size (k - 1) rest)
         @ subsets_of_size k rest
 
-let optimal_kappa_bruteforce ?max_kappa g =
+let optimal_kappa_bruteforce g =
   let target = max_rank g in
   let nodes = Graph.nodes g in
-  let cap = Option.value max_kappa ~default:(List.length nodes) in
   let rec try_kappa k =
-    if k > cap then None
+    if k > Graph.n_nodes g then None
     else if
       List.exists
         (fun monitors -> rank_of g ~monitors >= target)

@@ -33,17 +33,15 @@ val rank_of : Graph.t -> monitors:Graph.node list -> int
 val identifiable_links : Graph.t -> monitors:Graph.node list -> Graph.EdgeSet.t
 (** Links whose metric the placement determines uniquely. *)
 
-val greedy_place : ?target_rank:int -> Graph.t -> Graph.node list
+val greedy_place : Graph.t -> Graph.node list
 (** Greedy heuristic: repeatedly add the monitor that maximizes the rank
-    of the measurement matrix, until the target rank (default: the
-    maximum attainable with all nodes as monitors) is reached or no
+    of the measurement matrix, until {!max_rank} is reached or no
     candidate improves it. Returns monitors in selection order. *)
 
 val max_rank : Graph.t -> int
 (** Rank attained when every node is a monitor — the best fixed routing
     can ever do on this topology. *)
 
-val optimal_kappa_bruteforce : ?max_kappa:int -> Graph.t -> int option
+val optimal_kappa_bruteforce : Graph.t -> int option
 (** Smallest placement size attaining {!max_rank}, by exhaustive search
-    over all subsets up to [max_kappa] (default: all nodes). Exponential;
-    small graphs only. *)
+    over all subsets of nodes. Exponential; small graphs only. *)

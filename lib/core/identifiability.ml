@@ -35,10 +35,9 @@ let two_monitor_failures_connected ~stop_at_first gi m1 m2 =
            end)
          interior
      with Exit -> ());
-    (* Condition ②: G + m₁m₂ must be 3-vertex-connected. The sparse
-       certificate kicks in automatically on dense graphs. *)
+    (* Condition ②: G + m₁m₂ must be 3-vertex-connected. *)
     if (!failures = [] || not stop_at_first)
-       && not (Sparsify.is_three_vertex_connected (Graph.add_edge g m1 m2))
+       && not (Separation.is_three_vertex_connected (Graph.add_edge g m1 m2))
     then failures := Condition2 :: !failures;
     List.rev !failures
   end
@@ -88,24 +87,44 @@ let network_identifiable net =
       in
       degrees_ok
       &&
-      (* Theorem 3.3: Gex must be 3-vertex-connected (via the sparse
-         certificate when dense). *)
+      (* Theorem 3.3: Gex must be 3-vertex-connected. *)
       let ext = Extended.extend net in
-      Sparsify.is_three_vertex_connected ext.Extended.graph
+      Separation.is_three_vertex_connected ext.Extended.graph
 
 (* ------------------------------------------------------------------ *)
 (* Ground truth by exact rank                                          *)
 
+(* Each path is offered as its ascending link numbers on the flat
+   graph, which are the measurement columns. Once the basis is full the
+   rows are no longer built, but every pair's paths are still counted,
+   so [Paths.Limit_exceeded] is raised exactly as if they were. *)
 let measurement_basis net =
   let g = Net.graph net in
-  let space = Measurement.space g in
-  let basis = Basis.create (Measurement.n_links space) in
+  let c = Csr.of_graph g in
+  let basis = Basis.create c.Csr.m in
+  let cols = Array.make c.Csr.n 0 in
+  let rec walk i len = function
+    | [] -> len
+    | v :: rest ->
+        let h = Csr.half_edge c i v in
+        let k = c.Csr.eid.(h) in
+        let j = ref len in
+        while !j > 0 && cols.(!j - 1) > k do
+          cols.(!j) <- cols.(!j - 1);
+          decr j
+        done;
+        cols.(!j) <- k;
+        walk c.Csr.adj.(h) (len + 1) rest
+  in
+  let offer = function
+    | v :: rest when not (Basis.is_full basis) ->
+        ignore (Basis.add_cols basis cols (walk (Csr.index c v) 0 rest))
+    | _ -> ()
+  in
   (try
      List.iter
        (fun (m1, m2) ->
-         List.iter
-           (fun p -> ignore (Basis.add basis (Measurement.incidence_row space p)))
-           (Paths.all_simple_paths g m1 m2);
+         Paths.iter_simple_paths g m1 m2 offer;
          if Basis.is_full basis then raise Exit)
        (Net.monitor_pairs net)
    with Exit -> ());

@@ -57,9 +57,12 @@ val pp_failure : Format.formatter -> two_monitor_failure -> unit
 
 val measurement_basis : Net.t -> Nettomo_linalg.Basis.t
 (** Row-space basis of the measurement matrix over {e all} simple paths
-    between all monitor pairs. Exponential; raises
-    [Paths.Limit_exceeded] when one monitor pair has more than 200,000
-    simple paths. *)
+    between all monitor pairs, columns in [Measurement.link_order].
+    Pairs are taken in [Net.monitor_pairs] order and the search stops
+    after the pair that makes the basis full. Each path is eliminated
+    as the enumerator finds it, so no path list is held. Exponential;
+    raises [Paths.Limit_exceeded] when a pair it reaches has more than
+    200,000 simple paths. *)
 
 val identifiable_links_bruteforce : Net.t -> Graph.EdgeSet.t
 (** Exactly the identifiable links, by row-space membership of each unit

@@ -9,7 +9,6 @@ module Identifiability = Nettomo_core.Identifiability
 module Classify = Nettomo_core.Classify
 module Mmp = Nettomo_core.Mmp
 module Solver = Nettomo_core.Solver
-module Extended = Nettomo_core.Extended
 module Coverage = Nettomo_coverage.Coverage
 module Measurement = Nettomo_core.Measurement
 module Rational = Nettomo_linalg.Rational
@@ -643,11 +642,6 @@ let identifiable t =
          ~equal:Bool.equal)
       with
       fast = (fun () -> identifiable_fast t);
-      compute =
-        (fun () ->
-          run_catch (fun () ->
-              Sparsify.is_three_vertex_connected
-                (Extended.extend t.net).Extended.graph));
       after =
         (function
         | Ok v when Net.kappa t.net >= 3 -> t.verdict <- Some v

@@ -58,6 +58,9 @@ let simple_paths ~limit name g src dst found =
   dfs src [] (NS.singleton src);
   !count
 
+let iter_simple_paths g src dst found =
+  ignore (simple_paths ~limit:200_000 "Paths.iter_simple_paths" g src dst found)
+
 let all_simple_paths ?(limit = 200_000) g src dst =
   let acc = ref [] in
   ignore

@@ -27,6 +27,14 @@ val all_simple_paths :
     Raises {!Limit_exceeded} if more than [limit] (default 200,000) paths
     exist — enumeration is exponential, keep inputs small. *)
 
+val iter_simple_paths :
+  Graph.t -> Graph.node -> Graph.node -> (path -> unit) -> unit
+(** The enumeration behind {!all_simple_paths} at its default limit,
+    without the list: each path goes to the callback as the search
+    finds it, in the same order but reversed (the second endpoint
+    first). Raises {!Limit_exceeded} on path 200,001, after passing
+    the first 200,000. *)
+
 val count_simple_paths :
   ?limit:int -> Graph.t -> Graph.node -> Graph.node -> int
 (** Number of simple paths, same caveats. *)

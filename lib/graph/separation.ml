@@ -41,6 +41,7 @@ let first_cut_pair g =
   !found
 
 let is_three_vertex_connected g =
+  Nettomo_obs.Obs.Trace.span "graph.three_connectivity" @@ fun () ->
   Graph.n_nodes g >= 4
   &&
   let c = Csr.of_graph g in

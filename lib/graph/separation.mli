@@ -21,4 +21,5 @@ val first_cut_pair : Graph.t -> Graph.edge option
 val is_three_vertex_connected : Graph.t -> bool
 (** Whether the graph is 3-vertex-connected: at least 4 nodes, and
     [G - v] is connected and cut-vertex-free for every node [v]. This is
-    the test used for Condition ② of Theorem 3.2 and for Theorem 3.3. *)
+    the test used for Condition ② of Theorem 3.2 and for Theorem 3.3,
+    and it runs under the [graph.three_connectivity] span. *)

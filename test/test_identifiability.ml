@@ -222,6 +222,37 @@ let prop_theorem_3_1_random =
       (not (Identifiability.network_identifiable net))
       && not (Identifiability.network_identifiable_bruteforce net))
 
+(* The exact basis takes each path as its ascending link columns and
+   stops building rows once full; the reference offers every path of a
+   monitor pair as a dense rational row, pair by pair, and stops
+   between pairs once full. Same rank and the same identifiable links. *)
+let prop_measurement_basis_matches_dense_reference =
+  QCheck2.Test.make ~name:"measurement basis = dense per-pair reference"
+    ~count:150
+    QCheck2.Gen.(
+      quad (int_bound 1_000_000) (int_range 2 9) (int_range 0 10) (int_range 2 4))
+    (fun (seed, n, extra, kappa) ->
+      QCheck2.assume (kappa <= n);
+      let net = monitored_random seed n extra kappa in
+      let g = Net.graph net in
+      let space = Measurement.space g in
+      let module R = Oracles.Basis_ref in
+      let reference = R.create (Measurement.n_links space) in
+      (try
+         List.iter
+           (fun (m1, m2) ->
+             List.iter
+               (fun p -> ignore (R.add reference (Measurement.incidence_row space p)))
+               (Paths.all_simple_paths g m1 m2);
+             if R.rank reference = Measurement.n_links space then raise Exit)
+           (Net.monitor_pairs net)
+       with Exit -> ());
+      let basis = Identifiability.measurement_basis net in
+      Nettomo_linalg.Basis.rank basis = R.rank reference
+      && List.for_all
+           (fun j -> Nettomo_linalg.Basis.mem_unit basis j = R.mem_unit reference j)
+           (List.init (Measurement.n_links space) Fun.id))
+
 let test_fig6_sanity = ignore (ns [])
 
 let suite =
@@ -248,4 +279,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_theorem_3_2_matches_bruteforce;
     QCheck_alcotest.to_alcotest prop_corollary_4_1_random;
     QCheck_alcotest.to_alcotest prop_theorem_3_1_random;
+    QCheck_alcotest.to_alcotest prop_measurement_basis_matches_dense_reference;
   ]

@@ -69,6 +69,8 @@ let test_is_3vc_known () =
   check cb "k5" true (Separation.is_three_vertex_connected Fixtures.k5);
   check cb "wheel" true (Separation.is_three_vertex_connected Fixtures.wheel5);
   check cb "petersen" true (Separation.is_three_vertex_connected Fixtures.petersen);
+  check cb "complete K10" true
+    (Separation.is_three_vertex_connected (Nettomo_topo.Gen.complete 10));
   check cb "triangle (too small)" false
     (Separation.is_three_vertex_connected Fixtures.triangle);
   check cb "square" false (Separation.is_three_vertex_connected Fixtures.square);
@@ -101,11 +103,20 @@ let prop_3vc_matches_oracle =
 
 let prop_3vc_matches_flow_oracle =
   QCheck2.Test.make ~name:"3-vertex-connectivity matches max-flow Menger"
-    ~count:1000
+    ~count:1400
     QCheck2.Gen.(
-      triple (int_bound 100_000)
-        (oneof [ int_range 1 4; int_range 5 14 ])
-        (int_range 0 40))
+      frequency
+        [
+          ( 3,
+            triple (int_bound 100_000)
+              (oneof [ int_range 1 4; int_range 5 14 ])
+              (int_range 0 40) );
+          (* Dense draws, about a quarter of them with more than 3·|V|
+             links; the count keeps about 1000 sparse draws, which a
+             dropped root-children rule in the sweep's step needs to
+             fail reliably. *)
+          (1, triple (int_bound 100_000) (int_range 8 14) (int_range 60 160));
+        ])
     (fun (seed, n, extra) ->
       let rng = Nettomo_util.Prng.create seed in
       let g = Fixtures.random_graph rng n extra in

@@ -20,15 +20,6 @@ let test_reachable_avoid_node () =
   check Fixtures.nodeset_testable "path cut at 2" (ns [ 0; 1 ])
     (Traversal.reachable ~avoid_nodes:(ns [ 2 ]) g 0)
 
-let test_reachable_avoid_edge () =
-  let g = Fixtures.path_graph 5 in
-  check Fixtures.nodeset_testable "path cut at edge (2,3)" (ns [ 0; 1; 2 ])
-    (Traversal.reachable ~avoid_edge:(Graph.edge 3 2) g 0);
-  (* On a cycle, removing one edge keeps everything reachable. *)
-  check Fixtures.nodeset_testable "cycle minus edge stays connected"
-    (ns [ 0; 1; 2; 3; 4 ])
-    (Traversal.reachable ~avoid_edge:(Graph.edge 0 1) (Fixtures.cycle_graph 5) 0)
-
 let test_components () =
   let g = Graph.of_edges ~nodes:[ 7 ] [ (0, 1); (2, 3) ] in
   let comps = Traversal.components g in
@@ -47,26 +38,21 @@ let test_is_connected () =
     (Traversal.is_connected (Graph.add_node Graph.empty 0));
   check cb "path connected" true (Traversal.is_connected (Fixtures.path_graph 6));
   check cb "two parts" false
-    (Traversal.is_connected (Graph.of_edges [ (0, 1); (2, 3) ]));
-  check cb "path minus middle node" false
-    (Traversal.is_connected ~avoid_nodes:(ns [ 2 ]) (Fixtures.path_graph 5));
-  check cb "path minus middle edge" false
-    (Traversal.is_connected ~avoid_edge:(2, 3) (Fixtures.path_graph 5));
-  check cb "cycle minus edge" true
-    (Traversal.is_connected ~avoid_edge:(0, 1) (Fixtures.cycle_graph 5))
+    (Traversal.is_connected (Graph.of_edges [ (0, 1); (2, 3) ]))
 
+(* Hop distances of the search behind [shortest_path]: the lengths of
+   the paths it returns, the short way round the cycle. *)
 let test_bfs_distances () =
-  let d = Traversal.bfs_distances (Fixtures.cycle_graph 6) 0 in
-  check ci "dist to self" 0 (Graph.NodeMap.find 0 d);
-  check ci "dist to 1" 1 (Graph.NodeMap.find 1 d);
-  check ci "dist to 3 (opposite)" 3 (Graph.NodeMap.find 3 d);
-  check ci "dist to 5 (other way)" 1 (Graph.NodeMap.find 5 d)
-
-let test_bfs_unreachable_absent () =
-  let g = Graph.of_edges [ (0, 1); (2, 3) ] in
-  let d = Traversal.bfs_distances g 0 in
-  check cb "unreachable absent from map" true
-    (not (Graph.NodeMap.mem 2 d))
+  let g = Fixtures.cycle_graph 6 in
+  let dist d =
+    match Traversal.shortest_path g 0 d with
+    | Some p -> List.length p - 1
+    | None -> Alcotest.fail "cycle is connected"
+  in
+  check ci "dist to self" 0 (dist 0);
+  check ci "dist to 1" 1 (dist 1);
+  check ci "dist to 3 (opposite)" 3 (dist 3);
+  check ci "dist to 5 (other way)" 1 (dist 5)
 
 let test_shortest_path () =
   let g = Fixtures.cycle_graph 6 in
@@ -102,44 +88,26 @@ let prop_shortest_paths_from_matches_per_pair =
         (fun s ->
           let src = Csr.index csr s in
           let tree = Csr.bfs csr src in
-          let dist = Traversal.bfs_distances g s in
+          let reference = List.map (fun d -> (d, Traversal.shortest_path g s d)) nodes in
           let rec up x acc =
             if x = src then csr.Csr.ids.(x) :: acc
             else up tree.Csr.parent.(x) (csr.Csr.ids.(x) :: acc)
           in
-          tree.Csr.reached = Graph.NodeMap.cardinal dist
+          tree.Csr.reached = List.length (List.filter (fun (_, sp) -> sp <> None) reference)
           && tree.Csr.order.(0) = src
           && List.for_all
-               (fun d ->
+               (fun (d, sp) ->
                  let x = Csr.index csr d in
                  let p = if tree.Csr.depth.(x) < 0 then None else Some (up x []) in
-                 Option.equal (List.equal Int.equal) p (Traversal.shortest_path g s d)
+                 Option.equal (List.equal Int.equal) p sp
                  && (x = src || tree.Csr.parent.(x) < 0
                     || Graph.edge_equal
                          (Csr.edge csr tree.Csr.parent_eid.(x))
                          (Graph.edge d csr.Csr.ids.(tree.Csr.parent.(x))))
-                 &&
-                 match (p, Graph.NodeMap.find_opt d dist) with
-                 | Some p, Some k -> List.length p = k + 1 && tree.Csr.depth.(x) = k
-                 | None, None -> true
-                 | Some _, None | None, Some _ -> false)
-               nodes)
+                 && tree.Csr.depth.(x)
+                    = match sp with Some p -> List.length p - 1 | None -> -1)
+               reference)
         nodes)
-
-let test_spanning_tree () =
-  let g = Fixtures.k4 in
-  let t = Traversal.spanning_tree g in
-  check ci "tree has n-1 edges" 3 (Graph.EdgeSet.cardinal t);
-  let tree_graph =
-    Graph.EdgeSet.fold (fun (u, v) acc -> Graph.add_edge acc u v) t Graph.empty
-  in
-  check cb "tree connected" true (Traversal.is_connected tree_graph);
-  check ci "tree covers all nodes" 4 (Graph.n_nodes tree_graph)
-
-let test_spanning_forest () =
-  let g = Graph.of_edges [ (0, 1); (1, 2); (0, 2); (5, 6) ] in
-  let t = Traversal.spanning_tree g in
-  check ci "forest edges = n - #components" 3 (Graph.EdgeSet.cardinal t)
 
 (* Property: components partition the node set. *)
 let prop_components_partition =
@@ -158,30 +126,15 @@ let prop_components_partition =
       in
       total = Graph.n_nodes g && Graph.NodeSet.equal union (Graph.node_set g))
 
-(* Property: spanning tree always has n - c edges. *)
-let prop_spanning_tree_size =
-  QCheck2.Test.make ~name:"spanning forest size" ~count:200
-    QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 40))
-    (fun (seed, n) ->
-      let rng = Nettomo_util.Prng.create seed in
-      let g = Fixtures.random_connected rng n (n / 2) in
-      Graph.EdgeSet.cardinal (Traversal.spanning_tree g)
-      = Graph.n_nodes g - Traversal.n_components g)
-
 let suite =
   [
     Alcotest.test_case "reachable" `Quick test_reachable;
     Alcotest.test_case "reachable avoiding node" `Quick test_reachable_avoid_node;
-    Alcotest.test_case "reachable avoiding edge" `Quick test_reachable_avoid_edge;
     Alcotest.test_case "components" `Quick test_components;
     Alcotest.test_case "components avoiding nodes" `Quick test_components_avoiding;
     Alcotest.test_case "is_connected variants" `Quick test_is_connected;
     Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
-    Alcotest.test_case "bfs omits unreachable" `Quick test_bfs_unreachable_absent;
     Alcotest.test_case "shortest path" `Quick test_shortest_path;
-    Alcotest.test_case "spanning tree" `Quick test_spanning_tree;
-    Alcotest.test_case "spanning forest" `Quick test_spanning_forest;
     QCheck_alcotest.to_alcotest prop_components_partition;
-    QCheck_alcotest.to_alcotest prop_spanning_tree_size;
     QCheck_alcotest.to_alcotest prop_shortest_paths_from_matches_per_pair;
   ]
