@@ -63,6 +63,11 @@ let interior_identifiable_two net =
 
 let interior_two_failures net = two_monitor_failures ~stop_at_first:false net
 
+(* Theorem 3.3: with κ ≥ 3 monitors, every link is identifiable iff
+   Gex is 3-vertex-connected. *)
+let extended_three_connected net =
+  Separation.is_three_vertex_connected (Extended.extend net).Extended.graph
+
 let network_identifiable net =
   require_connected "Identifiability.network_identifiable" net;
   if Graph.n_edges (Net.graph net) = 0 then
@@ -85,11 +90,7 @@ let network_identifiable net =
       let degrees_ok =
         Graph.NodeSet.for_all (fun v -> Graph.degree g v >= 3) (Net.non_monitors net)
       in
-      degrees_ok
-      &&
-      (* Theorem 3.3: Gex must be 3-vertex-connected. *)
-      let ext = Extended.extend net in
-      Separation.is_three_vertex_connected ext.Extended.graph
+      degrees_ok && extended_three_connected net
 
 (* ------------------------------------------------------------------ *)
 (* Ground truth by exact rank                                          *)

@@ -28,8 +28,18 @@ val network_identifiable : Net.t -> bool
     graph with at least one link; raises [Invalid_argument] otherwise.
     With κ < 2 the answer is always [false]; with κ = 2 it is [true]
     only for the single-link network whose endpoints are the two
-    monitors (Theorem 3.1); with κ ≥ 3 it is Theorem 3.3's condition on
-    the extended graph. *)
+    monitors (Theorem 3.1); with κ ≥ 3 it is
+    {!extended_three_connected}, after a degree pass that rejects a
+    non-monitor of degree below 3 without building the extended
+    graph. *)
+
+val extended_three_connected : Net.t -> bool
+(** Theorem 3.3's condition: whether the extended graph [Gex]
+    ({!Extended.extend}) is 3-vertex-connected. On a connected network
+    with at least one link and κ ≥ 3 monitors this is
+    {!network_identifiable}; it checks none of those preconditions, for
+    callers that have settled them already. Raises [Invalid_argument]
+    when the network has no monitors. *)
 
 type two_monitor_failure =
   | Condition1 of Graph.edge

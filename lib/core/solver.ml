@@ -46,7 +46,7 @@ let enumeration_limit = 200_000
    [seen], so at most one link per node is written. Csr numbers links in
    [Measurement.link_order], so link numbers are the measurement
    columns. *)
-let columns (csr : Csr.t) ~monitor ~seen ~stamp row p =
+let columns (csr : Csr.t) ~monitor ~(seen : int array) ~stamp row p =
   let rec walk i len = function
     | [] ->
         if monitor.(i) then begin

@@ -501,7 +501,7 @@ let augment ?(seed = 0) ~k net =
   let steps = ref 0 in
   while !steps < k && not !fully do
     incr steps;
-    let better (a1, a2, a3) (b1, b2, b3) =
+    let better ((a1 : int), (a2 : int), (a3 : int)) (b1, b2, b3) =
       a1 > b1 || (a1 = b1 && (a2 > b2 || (a2 = b2 && a3 > b3)))
     in
     let best = ref None in

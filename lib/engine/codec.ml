@@ -19,8 +19,21 @@ module Solve = Nettomo_measure.Solve
 
 (* ---------- writer ---------- *)
 
+(* The decimal digits of [-n] for [n <= 0], most significant first:
+   counting on the non-positive side covers [min_int], whose negation
+   overflows. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.chr (Char.code '0' - (n mod 10)))
+
+(* Tokens are written digit by digit into the buffer, with no
+   intermediate string: the encode writes one per link. *)
 let add_int b n =
-  Buffer.add_string b (string_of_int n);
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n);
   Buffer.add_char b ' '
 
 let add_bool b v = add_int b (if v then 1 else 0)
@@ -42,10 +55,61 @@ let add_result add_ok b = function
       add_int b 0;
       add_str b m
 
+let hex_digits = "0123456789abcdef"
+
+(* The [d]-th hex digit, [d] = 1 … 13, of a float's 52-bit fraction. *)
+let nibble frac d = (frac lsr (4 * (13 - d))) land 0xF
+
+(* The digits a nonzero fraction keeps once its trailing zeros go. *)
+let rec frac_digits frac d =
+  if nibble frac d = 0 then frac_digits frac (d - 1) else d
+
 (* Hex float literals round-trip exactly, so float fields stay
-   byte-deterministic like everything else in the stream. *)
+   byte-deterministic like everything else in the stream. Each is the
+   string [Printf.sprintf "%h"] gives, read off the float's bits and
+   written as one length-prefixed token: [nan], [infinity], or
+   [0x<lead>.<fraction>p<exponent>] with the fraction's trailing zero
+   digits (and the point, when none is left) dropped, all after a ['-']
+   when the sign bit is set. *)
 let add_float b f =
-  add_str b (Printf.sprintf "%h" f)
+  let bits = Int64.bits_of_float f in
+  let neg = Int64.compare bits 0L < 0 in
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7FF in
+  let frac = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  let sign = if neg then 1 else 0 in
+  if biased = 0x7FF then begin
+    let word = if frac = 0 then "infinity" else "nan" in
+    add_int b (sign + String.length word);
+    if neg then Buffer.add_char b '-';
+    Buffer.add_string b word
+  end
+  else begin
+    let digits = if frac = 0 then 0 else frac_digits frac 13 in
+    (* zeros and subnormals lead with 0 at the smallest normal's
+       exponent, except that a zero's exponent reads 0 *)
+    let exp =
+      if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022
+    in
+    let aexp = abs exp in
+    let exp_len =
+      if aexp < 10 then 1 else if aexp < 100 then 2 else if aexp < 1000 then 3
+      else 4
+    in
+    add_int b
+      (sign + 3 + (if digits > 0 then 1 + digits else 0) + 2 + exp_len);
+    if neg then Buffer.add_char b '-';
+    Buffer.add_string b (if biased > 0 then "0x1" else "0x0");
+    if digits > 0 then begin
+      Buffer.add_char b '.';
+      for d = 1 to digits do
+        Buffer.add_char b hex_digits.[nibble frac d]
+      done
+    end;
+    Buffer.add_char b 'p';
+    Buffer.add_char b (if exp < 0 then '-' else '+');
+    add_digits b (-aexp)
+  end;
+  Buffer.add_char b ' '
 
 let add_nodes b ns = add_list add_int b (NS.elements ns)
 

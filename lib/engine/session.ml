@@ -182,15 +182,17 @@ let stored t key codec compute =
   | None ->
       let v = compute () in
       (* Encoded with or without a store. Skipping it without one makes
-         bench/suite's solve-scale 27% faster (11.2 → 14.1 op/s), and
-         its peak resident set then rises from 118 to 199 MiB (2-vCPU
-         Xeon), but the program is not at fault: with the suite's forced
-         full major before each set-up repetition removed, both builds
-         peak at 111–112 MiB. After a forced collection, a set-up repetition
-         that allocates little leaves OCaml 5.1.1 completing almost no
-         major cycle for the next ~100 operations while the heap grows.
-         The encode stays until the suite's set-up loop is changed in a
-         benchmark change of its own. *)
+         bench/suite's solve-scale 14–20% faster even with the codec's
+         own digit writers (16.3 → 18.6–19.7 op/s, seed 7; 27% before
+         them), and its peak resident set then rises from 123 to
+         199 MiB (2-vCPU host), but the program is not at fault: with
+         the suite's forced full major before each set-up repetition
+         removed, both builds peaked at 111–112 MiB. After a forced
+         collection, a set-up repetition that allocates little leaves
+         OCaml 5.1.1 completing almost no major cycle for the next ~100
+         operations while the heap grows. The encode stays until the
+         suite's set-up loop is changed in a benchmark change of its
+         own. *)
       let payload = Codec.encode codec v in
       Option.iter
         (fun s ->
@@ -633,6 +635,8 @@ let identifiable_fast t =
             Ok v)
           t.verdict
 
+(* The fast path settles connectivity, κ ≤ 2 and every non-monitor's
+   degree, so what reaches [compute] is Theorem 3.3's test alone. *)
 let identifiable t =
   run t
     {
@@ -642,6 +646,9 @@ let identifiable t =
          ~equal:Bool.equal)
       with
       fast = (fun () -> identifiable_fast t);
+      compute =
+        (fun () ->
+          run_catch (fun () -> Identifiability.extended_three_connected t.net));
       after =
         (function
         | Ok v when Net.kappa t.net >= 3 -> t.verdict <- Some v

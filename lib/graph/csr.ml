@@ -9,8 +9,9 @@ type t = {
 }
 
 (* Binary search for [v] among the increasing values [key lo] …
-   [key (hi - 1)]; its position, or -1 when absent. *)
-let search key lo hi v =
+   [key (hi - 1)]; its position, or -1 when absent. Typed on ints, so
+   each probe is one integer compare, not a polymorphic one. *)
+let search (key : int -> int) lo hi (v : int) =
   let rec go lo hi =
     if lo >= hi then -1
     else
@@ -120,6 +121,17 @@ let of_graph g =
      thus receives its lower neighbours, in increasing order, before its
      own scan appends the higher ones, so every row comes out sorted. *)
   let cursor = Array.sub xadj 0 n in
+  (* When the identifiers form one run of consecutive integers, as on
+     every generated map, a neighbour's index is its offset from the
+     first; otherwise it is searched for. Strictly increasing
+     identifiers span exactly [n - 1] only if they are consecutive (a
+     span past [max_int] wraps negative). *)
+  let index_of =
+    if n > 0 && ids.(n - 1) - ids.(0) = n - 1 then
+      let first = ids.(0) in
+      fun v -> v - first
+    else search (Array.get ids) 0 n
+  in
   let half i j k =
     adj.(cursor.(i)) <- j;
     eid.(cursor.(i)) <- k;
@@ -131,7 +143,7 @@ let of_graph g =
       Graph.NodeSet.iter
         (fun v ->
           if v > ids.(i) then begin
-            let j = search (Array.get ids) 0 n v in
+            let j = index_of v in
             half i j !k;
             half j i !k;
             ends.(2 * !k) <- i;

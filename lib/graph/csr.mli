@@ -28,9 +28,11 @@ type t = private {
 }
 
 val of_graph : Graph.t -> t
-(** One-shot conversion, [O(n + m log n)]. Under
-    {!Nettomo_util.Invariant} the result is verified with
-    {!Invariant.check}. *)
+(** One-shot conversion, [O(n + m log n)]. A neighbour's index is its
+    offset from the first identifier when the identifiers are
+    consecutive integers (every generated map), and is binary-searched
+    otherwise. Under {!Nettomo_util.Invariant} the result is verified
+    with {!Invariant.check}. *)
 
 val index : t -> Graph.node -> int
 (** Identifier → index, [O(log n)]. Raises [Invalid_argument] for a node

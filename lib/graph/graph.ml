@@ -6,12 +6,12 @@ module NodeMap = Map.Make (Int)
 
 type edge = node * node
 
-let edge u v =
+let edge (u : node) v =
   if u = v then Errors.invalid_arg "Graph.edge: self-loop"
   else if u < v then (u, v)
   else (v, u)
 
-let edge_other (u, v) x =
+let edge_other ((u : node), v) x =
   if x = u then v
   else if x = v then u
   else Errors.invalid_arg "Graph.edge_other: not an endpoint"

@@ -176,7 +176,7 @@ module Metrics = struct
 
   (* Inclusive upper bounds: v lands in the first bucket with v <= bound,
      else in the trailing +Inf bucket. *)
-  let bucket_index bounds v =
+  let bucket_index bounds (v : float) =
     let n = Array.length bounds in
     let rec go i = if i >= n then n else if v <= bounds.(i) then i else go (i + 1) in
     go 0

@@ -305,6 +305,126 @@ let prop_never_raises (Family f) =
         ((noise :: List.init n (String.sub s 0)) @ List.init n flip);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Token writers against a reference encoder                           *)
+
+(* The codec writes each int's digits and each float's [%h] literal
+   itself. The reference below writes them as the stdlib formats them,
+   [string_of_int] and [Printf.sprintf "%h"], inside the same token
+   stream; every [sol] and [aug] payload must come out byte for byte
+   the same. *)
+module Reference = struct
+  let add_int b n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+
+  let add_str b s =
+    add_int b (String.length s);
+    Buffer.add_string b s;
+    Buffer.add_char b ' '
+
+  let add_list add b xs =
+    add_int b (List.length xs);
+    List.iter (add b) xs
+
+  let add_float b f = add_str b (Printf.sprintf "%h" f)
+  let add_bool b v = add_int b (if v then 1 else 0)
+
+  let add_result add_ok b = function
+    | Ok v ->
+        add_int b 1;
+        add_ok b v
+    | Error m ->
+        add_int b 0;
+        add_str b m
+
+  let encode tag write v =
+    let b = Buffer.create 128 in
+    add_str b tag;
+    add_result write b v;
+    Buffer.contents b
+
+  let solution =
+    encode "sol1" (fun b (s : Solve.solution) ->
+        add_list
+          (fun b (u, v) ->
+            add_int b u;
+            add_int b v)
+          b (Array.to_list s.Solve.links);
+        add_list add_float b (Array.to_list s.Solve.metrics);
+        add_int b s.Solve.measurements)
+
+  let augment =
+    encode "aug1" (fun b (p : Coverage.plan) ->
+        add_int b p.Coverage.requested;
+        add_list add_int b p.Coverage.added;
+        add_float b p.Coverage.coverage_before;
+        add_float b p.Coverage.coverage_after;
+        add_bool b p.Coverage.full)
+end
+
+(* The int boundaries, small values of either sign and the whole range. *)
+let gen_token_int =
+  G.frequency
+    [
+      (1, G.oneofl [ 0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1; max_int - 1 ]);
+      (2, G.int_range (-1000) 1000);
+      (3, G.int);
+    ]
+
+(* Random 64-bit patterns (every sign, exponent and fraction), the
+   zeros, subnormals, the extremes and the non-finite values, and
+   floats with short fractions. *)
+let gen_token_float =
+  G.frequency
+    [
+      ( 1,
+        G.oneofl
+          [
+            0.0; -0.0; Float.min_float; -.Float.min_float; Int64.float_of_bits 1L;
+            Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+            Int64.float_of_bits 0x8000_0000_0000_0001L; max_float; -.max_float;
+            infinity; neg_infinity; nan; -.nan;
+            Int64.float_of_bits 0x7FF0_0000_0000_0001L; 1.0; -1.0; 0.1; 0.5;
+          ] );
+      (4, G.map Int64.float_of_bits G.int64);
+      ( 1,
+        G.map Int64.float_of_bits
+          (G.map (fun x -> Int64.logand x 0x800F_FFFF_FFFF_FFFFL) G.int64) );
+      (2, G.map2 (fun n d -> float_of_int n /. float_of_int d) G.int (G.int_range 1 64));
+    ]
+
+let gen_writer_cases =
+  let list g = G.list_size (G.int_bound 8) g in
+  G.pair
+    (gen_result
+       (G.map2
+          (fun pairs measurements ->
+            {
+              Solve.links = Array.of_list (List.map fst pairs);
+              metrics = Array.of_list (List.map snd pairs);
+              measurements;
+            })
+          (list (G.pair (G.pair gen_token_int gen_token_int) gen_token_float))
+          gen_token_int))
+    (gen_result
+       (G.map
+          (fun (requested, added, (coverage_before, coverage_after), full) ->
+            { Coverage.requested; added; coverage_before; coverage_after; full })
+          (G.quad gen_token_int (list gen_token_int)
+             (G.pair gen_token_float gen_token_float)
+             G.bool)))
+
+let prop_writers_match_reference =
+  QCheck2.Test.make ~count:10_000
+    ~name:"sol and aug payloads = string_of_int / %h reference"
+    ~print:(fun (s, a) ->
+      Printf.sprintf "%S\n%S" (Reference.solution s) (Reference.augment a))
+    gen_writer_cases
+    (fun (s, a) ->
+      String.equal (Codec.encode Codec.solution s) (Reference.solution s)
+      && String.equal (Codec.encode Codec.augment a) (Reference.augment a))
+
 let suite =
   Alcotest.test_case "pinned store keys and payloads" `Quick test_pinned_store
   :: List.concat_map
@@ -314,3 +434,4 @@ let suite =
            QCheck_alcotest.to_alcotest (prop_never_raises f);
          ])
        families
+  @ [ QCheck_alcotest.to_alcotest prop_writers_match_reference ]

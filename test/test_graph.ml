@@ -264,6 +264,73 @@ let prop_sparse_ids =
          || Bool.equal (identifiable h (List.map f monitors))
               (identifiable g monitors)))
 
+(* Identifier layouts for the flat form's two ways to index a
+   neighbour: runs of consecutive ids (read off as an offset from the
+   first) at zero, below zero, and at either end of the int range; and
+   ids with gaps (searched for), among them a set split between both
+   ends of the range, whose span wraps past [max_int]. *)
+let id_layouts n =
+  [
+    Array.init n Fun.id;
+    Array.init n (fun i -> i - n - 3);
+    Array.init n (fun i -> min_int + i);
+    Array.init n (fun i -> max_int - (n - 1) + i);
+    Array.init n (fun i -> 2 * i);
+    Array.init n (fun i -> if i < n / 2 then i else i + 1);
+    Array.init n (fun i -> -7 * (n - i));
+    Array.init n (fun i -> if i < n / 2 then min_int + i else max_int - (n - 1 - i));
+  ]
+
+(* The first position in [lo, hi) whose key is [v], or -1. *)
+let linear_scan key lo hi v =
+  let rec go k = if k >= hi then -1 else if key k = v then k else go (k + 1) in
+  go lo
+
+(* One random graph relabelled, in random order, onto every layout:
+   the flat form holds its invariant, and [find], [index] and
+   [half_edge] answer what a linear scan of [ids] and of each row
+   answers, for every node and for ids next to and outside the run. *)
+let prop_csr_index_paths =
+  QCheck2.Test.make ~name:"Csr lookups = linear scan on every id layout" ~count:300
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 20) (int_range 0 25))
+    (fun (seed, n, extra) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      List.for_all
+        (fun layout ->
+          let ids = Array.copy layout in
+          Nettomo_util.Prng.shuffle rng ids;
+          let h =
+            Graph.fold_edges
+              (fun (u, v) acc -> Graph.add_edge acc ids.(u) ids.(v))
+              g (Graph.of_edges ~nodes:(Array.to_list ids) [])
+          in
+          let csr = Csr.of_graph h in
+          Nettomo_util.Invariant.with_enabled true (fun () ->
+              Csr.Invariant.check h csr);
+          let lo = csr.ids.(0) and hi = csr.ids.(n - 1) in
+          let probes =
+            Array.to_list ids
+            @ [ min_int; max_int; 0; -1; 1; lo - 1; lo + 1; hi - 1; hi + 1; Graph.fresh_node h ]
+          in
+          let find_ref v = linear_scan (Array.get csr.ids) 0 n v in
+          List.for_all
+            (fun v ->
+              let i = find_ref v in
+              Csr.find csr v = i
+              && (match Csr.index csr v with
+                 | j -> j = i
+                 | exception Invalid_argument _ -> i = -1)
+              && List.for_all
+                   (fun i ->
+                     Csr.half_edge csr i v
+                     = linear_scan
+                         (fun k -> csr.ids.(csr.adj.(k)))
+                         csr.xadj.(i) csr.xadj.(i + 1) v)
+                   (List.init n Fun.id))
+            probes)
+        (id_layouts n))
+
 let suite =
   [
     Alcotest.test_case "edge normalization" `Quick test_edge_normalization;
@@ -295,4 +362,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_add_remove_edge;
     QCheck_alcotest.to_alcotest prop_handshake;
     QCheck_alcotest.to_alcotest prop_sparse_ids;
+    QCheck_alcotest.to_alcotest prop_csr_index_paths;
   ]

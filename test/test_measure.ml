@@ -155,6 +155,38 @@ let test_simulate_fig1_exact () =
           check ci "measurements" 11 sol.Measure_solve.measurements;
           check cb "metrics exact" true (metrics_match_truth sol truth ~tol:0.0))
 
+(* The ground truth is read in one in-order walk beside the link
+   numbers: metrics of links the graph does not have (below, between
+   and above its own) change nothing, and a missing first, middle or
+   last link raises [Measurement.weight]'s error. *)
+let test_simulate_truth_walk () =
+  let g = Fixtures.fig1 in
+  let truth =
+    Measurement.random_weights ~lo:1 ~hi:100 (Prng.create 14) g
+  in
+  let simulate truth = Measure_solve.simulate fig1_net truth in
+  let base =
+    match simulate truth with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let fresh = Graph.fresh_node g in
+  let padded =
+    List.fold_left
+      (fun acc e -> Graph.EdgeMap.add e (Nettomo_linalg.Rational.of_int 5) acc)
+      truth
+      [ Graph.edge (-2) (-1); Graph.edge 0 fresh; Graph.edge fresh (fresh + 1) ]
+  in
+  (match simulate padded with
+  | Ok s -> check cb "extra links ignored" true (Measure_solve.solution_equal base s)
+  | Error e -> Alcotest.fail e);
+  let links = Graph.edges g in
+  List.iter
+    (fun e ->
+      match simulate (Graph.EdgeMap.remove e truth) with
+      | _ -> Alcotest.failf "missing %d-%d accepted" (fst e) (snd e)
+      | exception Invalid_argument m ->
+          check Alcotest.string "error" "Measurement.weight: link without a metric" m)
+    [ List.hd links; List.nth links (List.length links / 2); List.nth links (List.length links - 1) ]
+
 let test_solutions_deterministic () =
   let truth =
     Measurement.random_weights ~lo:1 ~hi:100 (Prng.create 13) Fixtures.fig1
@@ -377,6 +409,8 @@ let suite =
     Alcotest.test_case "simulate exact on fig1" `Quick test_simulate_fig1_exact;
     Alcotest.test_case "solutions deterministic" `Quick
       test_solutions_deterministic;
+    Alcotest.test_case "simulate walks the truth in link order" `Quick
+      test_simulate_truth_walk;
     Alcotest.test_case "simple candidates (fig1)" `Quick
       test_simple_candidates_valid;
     QCheck_alcotest.to_alcotest prop_csr_invariant;
