@@ -190,7 +190,11 @@ let stored t key codec compute =
          removed, both builds peaked at 111–112 MiB. After a forced
          collection, a set-up repetition that allocates little leaves
          OCaml 5.1.1 completing almost no major cycle for the next ~100
-         operations while the heap grows. The encode stays until the
+         operations while the heap grows: a build that draws the truth
+         in link-number order ([Scratch.truth_of]) finished 2 major
+         cycles in its first 12 solve-scale ops while the heap grew
+         from 49 to 180 MB, where this build grows from 57 to 100 MB in
+         3 ops; both then settle near 70 MB. The encode stays until the
          suite's set-up loop is changed in a benchmark change of its
          own. *)
       let payload = Codec.encode codec v in
@@ -253,7 +257,12 @@ module Scratch = struct
 
   (* Ground truth is drawn deterministically from the seed, so the whole
      simulated campaign — truth, walks, values, recovered metrics — is a
-     pure function of (state, seed), like [plan]. *)
+     pure function of (state, seed), like [plan]. The boxed [EdgeMap]
+     costs as much as the solve on the suite's maps, but drawing the
+     truth straight into link-number order shelved over memory:
+     solve-scale 17.5 → 30.0 op/s with its peak 122.6 → 199.0 MiB
+     (three alternating 20 s pairs, seeds 3–5, 2-vCPU host), the
+     set-up-loop effect described at [stored]. *)
   let truth_of ~seed n =
     Measurement.random_weights (Prng.create seed) (Net.graph n)
 
@@ -693,6 +702,11 @@ let decomposition t =
     Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
     comps
   in
+  (* Its own sweep, though the split has just listed the same pairs:
+     handing that list over made core-churn 43% faster than the split
+     that swept every part (32% without it), but raised access-churn's
+     peak from 30.7 to 38.4 MiB (three alternating 20 s pairs, seeds
+     3–5, 2-vCPU host), the set-up-loop effect described at [stored]. *)
   let cut_pairs block =
     fst (piece t.paircache "sep" Codec.edges Separation.cut_pairs block)
   in

@@ -13,13 +13,19 @@
 
 val cut_pairs : Graph.t -> Graph.edge list
 (** All minimal 2-vertex cuts of a connected graph, as normalized node
-    pairs (which need not be links), in lexicographic order. *)
-
-val first_cut_pair : Graph.t -> Graph.edge option
-(** Some minimal 2-vertex cut, with early exit, or [None]. *)
+    pairs (which need not be links), in lexicographic order. Runs under
+    the [graph.separation.cut_pairs] span. *)
 
 val is_three_vertex_connected : Graph.t -> bool
 (** Whether the graph is 3-vertex-connected: at least 4 nodes, and
     [G - v] is connected and cut-vertex-free for every node [v]. This is
     the test used for Condition ② of Theorem 3.2 and for Theorem 3.3,
     and it runs under the [graph.three_connectivity] span. *)
+
+(**/**)
+
+(** {!cut_pairs} without its span, for {!Triconnected.split_biconnected},
+    whose sweep belongs to its own span. Not part of the stable API. *)
+module Internal : sig
+  val cut_pairs : Graph.t -> Graph.edge list
+end

@@ -24,27 +24,34 @@ let split_biconnected g0 =
   if not (Biconnected.is_biconnected g0) then
     Errors.invalid_arg "Triconnected.split_biconnected: input not biconnected";
   (* [virtuals] accumulates every virtual link minted so far; each
-     component intersects it with its own link set at the end. *)
-  let rec split g virtuals =
+     component intersects it with its own link set at the end. [pairs]
+     lists, in lexicographic order, the block's separation pairs that
+     may still separate [g]; a part's children get those after the pair
+     that cut it. *)
+  let rec split g virtuals pairs =
     if Graph.n_nodes g <= 3 || is_polygon g then [ component_of ~virtuals g ]
-    else
-      match Separation.first_cut_pair g with
-      | None -> [ component_of ~virtuals g ]
-      | Some (a, b) ->
-          let virtuals =
-            if Graph.mem_edge g a b then virtuals
-            else ES.add (Graph.edge a b) virtuals
-          in
-          let g = Graph.add_edge g a b in
-          let avoid_nodes = NS.of_list [ a; b ] in
-          let parts = Traversal.components ~avoid_nodes g in
-          List.concat_map
-            (fun part ->
-              let keep = NS.add a (NS.add b part) in
-              split (Graph.induced g keep) virtuals)
-            parts
+    else cut g virtuals pairs
+  and cut g virtuals = function
+    | [] -> [ component_of ~virtuals g ]
+    | (a, b) :: rest when not (Graph.mem_node g a && Graph.mem_node g b) ->
+        cut g virtuals rest
+    | (a, b) :: rest -> (
+        let avoid_nodes = NS.of_list [ a; b ] in
+        match Traversal.components ~avoid_nodes g with
+        | [] | [ _ ] -> cut g virtuals rest
+        | parts ->
+            let virtuals =
+              if Graph.mem_edge g a b then virtuals
+              else ES.add (Graph.edge a b) virtuals
+            in
+            let g = Graph.add_edge g a b in
+            List.concat_map
+              (fun part ->
+                let keep = NS.union avoid_nodes part in
+                split (Graph.induced g keep) virtuals rest)
+              parts)
   in
-  split g0 ES.empty
+  split g0 ES.empty (Separation.Internal.cut_pairs g0)
 
 type t = {
   blocks : (Biconnected.component * component list) list;

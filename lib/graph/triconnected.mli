@@ -20,7 +20,19 @@ type component = {
 val split_biconnected : Graph.t -> component list
 (** Triconnected components of a biconnected graph (≥ 3 nodes, no cut
     vertex). Raises [Invalid_argument] if the input has a cut vertex or is
-    disconnected. *)
+    disconnected.
+
+    One sweep lists the block's separation pairs in lexicographic order
+    ({!Separation.cut_pairs}, run inside this function's own
+    [graph.triconnected.split] span). A part that is neither a triangle
+    nor a polygon is cut along the first listed pair that still
+    separates it: both ends in the part, and the part falls apart
+    without them. A pair that fails is dropped, and the new parts get
+    only the pairs after the one that cut. Every separation pair of a
+    part is one of its parent's, so that pair is the part's
+    lexicographically smallest, the one a fresh sweep of the part that
+    stopped at its first pair would find: the components and their
+    order are those of sweeping every part afresh. *)
 
 type t = {
   blocks : (Biconnected.component * component list) list;

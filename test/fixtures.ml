@@ -133,6 +133,23 @@ let random_graph rng n extra =
   done;
   !g
 
+(* [n] distinct identifiers in random order, always including [min_int]
+   and [max_int], the rest drawn from a dense band around zero or from
+   the whole int range. *)
+let sparse_ids rng n =
+  let module Prng = Nettomo_util.Prng in
+  let seen = ref (Graph.NodeSet.of_list [ min_int; max_int ]) in
+  while Graph.NodeSet.cardinal !seen < n do
+    let v =
+      if Prng.bool rng then Prng.int_in rng (-50) 50
+      else Int64.to_int (Prng.bits64 rng)
+    in
+    seen := Graph.NodeSet.add v !seen
+  done;
+  let ids = Array.of_list (Graph.NodeSet.elements !seen) in
+  Prng.shuffle rng ids;
+  ids
+
 let graph_testable =
   Alcotest.testable Graph.pp Graph.equal
 

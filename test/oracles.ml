@@ -686,3 +686,74 @@ module Coverage_ref = struct
       t.blocks;
     !count
 end
+
+(* The triconnected split as it ran before each block's separation
+   pairs were listed once: at every step the pair sweep runs again on
+   the part it is given and stops at the first pair it finds. The
+   reference for [Triconnected.split_biconnected], whose components
+   must be these, in this order. *)
+module Split_ref = struct
+  open Nettomo_graph
+  module NS = Graph.NodeSet
+  module ES = Graph.EdgeSet
+
+  (* The sweep of [Separation.cut_pairs] with an early exit: v
+     ascending, then u ascending, so the first pair found is the
+     lexicographically smallest one, or [None]. *)
+  let first_cut_pair g =
+    let c = Csr.of_graph g in
+    let n = c.Csr.n in
+    let found = ref None in
+    if n >= 4 then begin
+      let is_cut, search = Biconnected.Internal.cut_vertices_without c in
+      ignore (search (-1));
+      let is_cut0 = Array.copy is_cut in
+      let v = ref 0 in
+      while Option.is_none !found && !v < n do
+        if (not is_cut0.(!v)) && search !v <= 1 then begin
+          let u = ref 0 in
+          while Option.is_none !found && !u < n do
+            if is_cut.(!u) && not is_cut0.(!u) then
+              found := Some (Graph.edge c.Csr.ids.(!v) c.Csr.ids.(!u));
+            incr u
+          done
+        end;
+        incr v
+      done
+    end;
+    !found
+
+  let component_of ~virtuals g =
+    {
+      Triconnected.nodes = Graph.node_set g;
+      edges = Graph.edge_set g;
+      virtuals = ES.inter virtuals (Graph.edge_set g);
+    }
+
+  let is_polygon g =
+    Graph.n_nodes g >= 3
+    && Graph.fold_nodes (fun v acc -> acc && Graph.degree g v = 2) g true
+
+  (* For a biconnected graph of 3 nodes or more. *)
+  let split_biconnected g0 =
+    let rec split g virtuals =
+      if Graph.n_nodes g <= 3 || is_polygon g then [ component_of ~virtuals g ]
+      else
+        match first_cut_pair g with
+        | None -> [ component_of ~virtuals g ]
+        | Some (a, b) ->
+            let virtuals =
+              if Graph.mem_edge g a b then virtuals
+              else ES.add (Graph.edge a b) virtuals
+            in
+            let g = Graph.add_edge g a b in
+            let avoid_nodes = NS.of_list [ a; b ] in
+            let parts = Traversal.components ~avoid_nodes g in
+            List.concat_map
+              (fun part ->
+                let keep = NS.add a (NS.add b part) in
+                split (Graph.induced g keep) virtuals)
+              parts
+    in
+    split g0 ES.empty
+end

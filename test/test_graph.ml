@@ -180,23 +180,6 @@ let prop_handshake =
       let sum = Graph.fold_nodes (fun v acc -> acc + Graph.degree g v) g 0 in
       sum = 2 * Graph.n_edges g)
 
-(* [n] distinct identifiers in random order, always including [min_int]
-   and [max_int], the rest drawn from a dense band around zero or from
-   the whole int range. *)
-let sparse_ids rng n =
-  let module Prng = Nettomo_util.Prng in
-  let seen = ref (Graph.NodeSet.of_list [ min_int; max_int ]) in
-  while Graph.NodeSet.cardinal !seen < n do
-    let v =
-      if Prng.bool rng then Prng.int_in rng (-50) 50
-      else Int64.to_int (Prng.bits64 rng)
-    in
-    seen := Graph.NodeSet.add v !seen
-  done;
-  let ids = Array.of_list (Graph.NodeSet.elements !seen) in
-  Prng.shuffle rng ids;
-  ids
-
 (* Every graph the separation sweep sees (an induced block) and every
    extended graph has gaps between its ids, so relabel random graphs
    one-to-one onto sparse ids: the flat form must hold its invariant,
@@ -210,7 +193,7 @@ let prop_sparse_ids =
       let open Nettomo_core in
       let rng = Nettomo_util.Prng.create seed in
       let g = Fixtures.random_connected rng n extra in
-      let ids = sparse_ids rng n in
+      let ids = Fixtures.sparse_ids rng n in
       let f v = ids.(v) in
       let h =
         Graph.fold_edges

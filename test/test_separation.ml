@@ -57,13 +57,6 @@ let test_cut_vertices_excluded () =
   check (Alcotest.list Fixtures.edge_testable) "bowtie has no minimal pairs" []
     (Separation.cut_pairs Fixtures.bowtie)
 
-let test_first_cut_pair () =
-  check cb "square has a pair" true
-    (Separation.first_cut_pair Fixtures.square <> None);
-  check cb "k4 has none" true (Separation.first_cut_pair Fixtures.k4 = None);
-  check cb "petersen has none" true
-    (Separation.first_cut_pair Fixtures.petersen = None)
-
 let test_is_3vc_known () =
   check cb "k4" true (Separation.is_three_vertex_connected Fixtures.k4);
   check cb "k5" true (Separation.is_three_vertex_connected Fixtures.k5);
@@ -129,7 +122,6 @@ let suite =
     Alcotest.test_case "shared pair of two K4s" `Quick test_two_k4_shared_pair;
     Alcotest.test_case "cut vertices excluded (minimality)" `Quick
       test_cut_vertices_excluded;
-    Alcotest.test_case "first_cut_pair" `Quick test_first_cut_pair;
     Alcotest.test_case "3-vertex-connectivity on known graphs" `Quick
       test_is_3vc_known;
     QCheck_alcotest.to_alcotest prop_cut_pairs_match_oracle;

@@ -317,6 +317,120 @@ let test_assemble_contract () =
         (render_pins t Graph.EdgeSet.empty))
     (("chain", chain) :: pinned_graphs ())
 
+(* The split lists each block's separation pairs once and cuts every
+   part along the first listed pair that still separates it, where the
+   recursive reference sweeps every part afresh. Both must give the
+   same components in the same order; inputs are rich in separation
+   pairs: cycles with chords, and pieces glued along pairs of nodes. *)
+let same_components a b =
+  List.equal
+    (fun (x : Triconnected.component) (y : Triconnected.component) ->
+      Graph.NodeSet.equal x.nodes y.nodes
+      && Graph.EdgeSet.equal x.edges y.edges
+      && Graph.EdgeSet.equal x.virtuals y.virtuals)
+    a b
+
+let cycle_with_chords rng ~first n chords =
+  let module Prng = Nettomo_util.Prng in
+  let g = ref (Graph.add_edge Graph.empty first (first + n - 1)) in
+  for i = 0 to n - 2 do
+    g := Graph.add_edge !g (first + i) (first + i + 1)
+  done;
+  for _ = 1 to chords do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then g := Graph.add_edge !g (first + u) (first + v)
+  done;
+  !g
+
+(* Pieces (cycles with chords, one in four a K4) glued one by one onto
+   two distinct nodes of the graph so far: each glue keeps the graph
+   biconnected and makes those two nodes a separation pair. *)
+let glued_pieces rng pieces =
+  let module Prng = Nettomo_util.Prng in
+  let piece first =
+    if Prng.int rng 4 = 0 then cycle_with_chords rng ~first 4 6
+    else
+      let n = Prng.int_in rng 3 8 in
+      cycle_with_chords rng ~first n (Prng.int rng n)
+  in
+  (* Two distinct positions in an array of [n] ≥ 2. *)
+  let two n =
+    let i = Prng.int rng n in
+    (i, (i + 1 + Prng.int rng (n - 1)) mod n)
+  in
+  let g = ref (piece 0) in
+  for _ = 2 to pieces do
+    let nodes = Graph.node_array !g in
+    let x, y = two (Array.length nodes) in
+    let p = piece (Graph.fresh_node !g) in
+    let ends = Graph.node_array p in
+    let i, j = two (Array.length ends) in
+    let glue v =
+      if v = ends.(i) then nodes.(x) else if v = ends.(j) then nodes.(y) else v
+    in
+    g :=
+      Graph.fold_edges
+        (fun (u, v) acc -> Graph.add_edge acc (glue u) (glue v))
+        p !g
+  done;
+  !g
+
+let prop_split_matches_reference =
+  QCheck2.Test.make ~name:"split = recursive reference" ~count:1200
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 0 3) (int_range 4 24))
+    (fun (seed, shape, size) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g =
+        if shape = 0 then
+          cycle_with_chords rng ~first:0 size
+            (Nettomo_util.Prng.int rng (size / 2 + 1))
+        else glued_pieces rng (2 + (size mod 5))
+      in
+      (* Every other input on shuffled sparse ids. *)
+      let g =
+        if seed mod 2 = 0 then g
+        else
+          let ids = Fixtures.sparse_ids rng (Graph.fresh_node g) in
+          Graph.fold_edges
+            (fun (u, v) acc -> Graph.add_edge acc ids.(u) ids.(v))
+            g Graph.empty
+      in
+      Biconnected.is_biconnected g
+      && Option.equal Graph.edge_equal
+           (Oracles.Split_ref.first_cut_pair g)
+           (List.nth_opt (Separation.cut_pairs g) 0)
+      && same_components
+           (Triconnected.split_biconnected g)
+           (Oracles.Split_ref.split_biconnected g))
+
+let test_split_matches_reference_pinned () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (b : Biconnected.component) ->
+          if Graph.NodeSet.cardinal b.nodes >= 3 then
+            let block = Graph.induced g b.nodes in
+            check cb
+              (Printf.sprintf "%s: block of %d nodes" name
+                 (Graph.NodeSet.cardinal b.nodes))
+              true
+              (same_components
+                 (Triconnected.split_biconnected block)
+                 (Oracles.Split_ref.split_biconnected block)))
+        (Biconnected.decompose g).components)
+    (pinned_graphs ())
+
+(* The reference's sweep, moved here from the separation tests: it
+   stops at the lexicographically smallest pair, the first one
+   [Separation.cut_pairs] lists. *)
+let test_first_cut_pair () =
+  let first = Oracles.Split_ref.first_cut_pair in
+  let pair = Alcotest.option Fixtures.edge_testable in
+  check pair "square" (Some (0, 2)) (first Fixtures.square);
+  check pair "two K4s" (Some (2, 3)) (first Fixtures.two_k4_by_pair);
+  check pair "k4 has none" None (first Fixtures.k4);
+  check pair "petersen has none" None (first Fixtures.petersen)
+
 let suite =
   [
     Alcotest.test_case "K4 stays whole" `Quick test_k4_single;
@@ -336,4 +450,8 @@ let suite =
       test_pinned_decompositions;
     Alcotest.test_case "assemble calls each block's pieces in order" `Quick
       test_assemble_contract;
+    QCheck_alcotest.to_alcotest prop_split_matches_reference;
+    Alcotest.test_case "split = recursive reference (pinned maps)" `Quick
+      test_split_matches_reference_pinned;
+    Alcotest.test_case "first_cut_pair (reference)" `Quick test_first_cut_pair;
   ]
