@@ -96,10 +96,9 @@ type t = {
       (** identifiability verdict carried across monotone deltas; only
           meaningful when κ ≥ 3 and the query preconditions hold *)
   seed : int;
-  tricache : (int64, Triconnected.component list) Hashtbl.t;
-      (** per-block split, keyed by induced-subgraph fingerprint *)
-  paircache : (int64, Graph.edge list) Hashtbl.t;
-      (** per-block cut pairs, same key *)
+  blockcache : (int64, Triconnected.component list * Graph.edge list) Hashtbl.t;
+      (** per-block split and separation pairs, keyed by induced-subgraph
+          fingerprint *)
   m_identifiable : bool memo;
   m_classify : Classify.kind Graph.EdgeMap.t memo;
   m_mmp : Mmp.report memo;
@@ -129,8 +128,7 @@ let create ?(seed = 7) ?store net =
     deg_lt3 = count_deg_lt3 net;
     verdict = None;
     seed;
-    tricache = Hashtbl.create 64;
-    paircache = Hashtbl.create 64;
+    blockcache = Hashtbl.create 64;
     m_identifiable = memo "identifiable";
     m_classify = memo "classify";
     m_mmp = memo "mmp";
@@ -667,50 +665,48 @@ let identifiable t =
 let block_key (block : Biconnected.component) =
   Fingerprint.of_component block.Biconnected.nodes block.Biconnected.edges
 
-(* Reassemble [Triconnected.decompose g] through the per-block caches:
+(* Reassemble [Triconnected.decompose g] through the per-block cache:
    the cheap linear biconnected pass always reruns, while the expensive
-   per-block splits and cut-pair searches are looked up by the block's
-   content fingerprint — so a delta only costs recomputation inside the
-   blocks it touched, and block merges/splits are plain cache misses.
-   The whole decomposition is not memoised: its one caller, [mmp]'s
-   compute, runs only when [mmp]'s memo, keyed by the same structure
-   fingerprint, misses. *)
+   per-block split (components and separation pairs) is looked up by the
+   block's content fingerprint — so a delta only costs recomputation
+   inside the blocks it touched, and block merges/splits are plain cache
+   misses. The whole decomposition is not memoised: its one caller,
+   [mmp]'s compute, runs only when [mmp]'s memo, keyed by the same
+   structure fingerprint, misses. *)
 let decomposition t =
   Obs.Trace.span "session.decomposition" @@ fun () ->
   let g = Net.graph t.net in
-  (* One block's piece: the in-memory cache, else the store, else
-     [compute] on the block's induced subgraph. *)
-  let piece cache tag codec compute (block : Biconnected.component) =
+  (* One block's split: the in-memory cache, else the store's [tri] entry
+     and, for blocks of 4 nodes or more, its [sep] entry; the block is
+     split at most once, and only when one of them is missing. *)
+  let split (block : Biconnected.component) =
     let key = block_key block in
-    match Hashtbl.find_opt cache key with
-    | Some v -> (v, true)
-    | None ->
-        let v =
-          stored t (Codec.key tag [ key ] []) codec (fun () ->
-              compute (Graph.induced g block.Biconnected.nodes))
-        in
-        Hashtbl.add cache key v;
-        (v, false)
-  in
-  let split block =
-    let comps, hit =
-      piece t.tricache "tri" Codec.components Triconnected.split_biconnected
-        block
-    in
+    let cached = Hashtbl.find_opt t.blockcache key in
+    let hit = Option.is_some cached in
     Obs.Metrics.incr
       (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
     Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
-    comps
+    match cached with
+    | Some piece -> piece
+    | None ->
+        let fresh =
+          lazy
+            (Triconnected.split_biconnected
+               (Graph.induced g block.Biconnected.nodes))
+        in
+        let entry tag codec half =
+          stored t (Codec.key tag [ key ] []) codec (fun () ->
+              half (Lazy.force fresh))
+        in
+        let comps = entry "tri" Codec.components fst in
+        let pairs =
+          if NS.cardinal block.Biconnected.nodes < 4 then []
+          else entry "sep" Codec.edges snd
+        in
+        Hashtbl.add t.blockcache key (comps, pairs);
+        (comps, pairs)
   in
-  (* Its own sweep, though the split has just listed the same pairs:
-     handing that list over made core-churn 43% faster than the split
-     that swept every part (32% without it), but raised access-churn's
-     peak from 30.7 to 38.4 MiB (three alternating 20 s pairs, seeds
-     3–5, 2-vCPU host), the set-up-loop effect described at [stored]. *)
-  let cut_pairs block =
-    fst (piece t.paircache "sep" Codec.edges Separation.cut_pairs block)
-  in
-  let d = Triconnected.assemble (Biconnected.decompose g) ~split ~cut_pairs in
+  let d = Triconnected.assemble (Biconnected.decompose g) ~split in
   Invariant.check (fun () ->
       if not (equal_decomposition d (Triconnected.decompose g)) then
         Invariant.violationf

@@ -14,18 +14,13 @@
 val cut_pairs : Graph.t -> Graph.edge list
 (** All minimal 2-vertex cuts of a connected graph, as normalized node
     pairs (which need not be links), in lexicographic order. Runs under
-    the [graph.separation.cut_pairs] span. *)
+    the [graph.separation.cut_pairs] span. {!Triconnected.split_biconnected}
+    runs this sweep once per block, so the span nests in
+    [graph.triconnected.split] and bench/suite's [graph.cut_pairs.*]
+    measures the split's own sweep. *)
 
 val is_three_vertex_connected : Graph.t -> bool
 (** Whether the graph is 3-vertex-connected: at least 4 nodes, and
     [G - v] is connected and cut-vertex-free for every node [v]. This is
     the test used for Condition ② of Theorem 3.2 and for Theorem 3.3,
     and it runs under the [graph.three_connectivity] span. *)
-
-(**/**)
-
-(** {!cut_pairs} without its span, for {!Triconnected.split_biconnected},
-    whose sweep belongs to its own span. Not part of the stable API. *)
-module Internal : sig
-  val cut_pairs : Graph.t -> Graph.edge list
-end

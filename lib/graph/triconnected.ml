@@ -27,7 +27,7 @@ let split_biconnected g0 =
      component intersects it with its own link set at the end. [pairs]
      lists, in lexicographic order, the block's separation pairs that
      may still separate [g]; a part's children get those after the pair
-     that cut it. *)
+     that cut it. The block's whole list is returned with its parts. *)
   let rec split g virtuals pairs =
     if Graph.n_nodes g <= 3 || is_polygon g then [ component_of ~virtuals g ]
     else cut g virtuals pairs
@@ -51,7 +51,8 @@ let split_biconnected g0 =
                 split (Graph.induced g keep) virtuals rest)
               parts)
   in
-  split g0 ES.empty (Separation.Internal.cut_pairs g0)
+  let pairs = Separation.cut_pairs g0 in
+  (split g0 ES.empty pairs, pairs)
 
 type t = {
   blocks : (Biconnected.component * component list) list;
@@ -60,19 +61,18 @@ type t = {
   separation_vertices : NS.t;
 }
 
-let assemble (bc : Biconnected.result) ~split ~cut_pairs =
-  let blocks =
-    List.map
-      (fun (block : Biconnected.component) ->
-        (block, if NS.cardinal block.nodes < 3 then [] else split block))
-      bc.components
+let assemble (bc : Biconnected.result) ~split =
+  let blocks, pairs =
+    List.split
+      (List.map
+         (fun (block : Biconnected.component) ->
+           let comps, pairs =
+             if NS.cardinal block.nodes < 3 then ([], []) else split block
+           in
+           ((block, comps), pairs))
+         bc.components)
   in
-  let separation_pairs =
-    List.concat_map
-      (fun ((block : Biconnected.component), _) ->
-        if NS.cardinal block.nodes < 4 then [] else cut_pairs block)
-      blocks
-  in
+  let separation_pairs = List.concat pairs in
   let separation_vertices =
     List.fold_left
       (fun acc (a, b) -> NS.add a (NS.add b acc))
@@ -82,9 +82,5 @@ let assemble (bc : Biconnected.result) ~split ~cut_pairs =
 
 let decompose g =
   Nettomo_obs.Obs.Trace.span "graph.triconnected.decompose" @@ fun () ->
-  let on_block f (block : Biconnected.component) =
-    f (Graph.induced g block.nodes)
-  in
-  assemble (Biconnected.decompose g)
-    ~split:(on_block split_biconnected)
-    ~cut_pairs:(on_block Separation.cut_pairs)
+  assemble (Biconnected.decompose g) ~split:(fun block ->
+      split_biconnected (Graph.induced g block.Biconnected.nodes))

@@ -17,14 +17,16 @@ type component = {
   virtuals : Graph.EdgeSet.t;  (** the virtual links among [edges] *)
 }
 
-val split_biconnected : Graph.t -> component list
+val split_biconnected : Graph.t -> component list * Graph.edge list
 (** Triconnected components of a biconnected graph (≥ 3 nodes, no cut
-    vertex). Raises [Invalid_argument] if the input has a cut vertex or is
+    vertex), with the graph's separation pairs. Raises
+    [Invalid_argument] if the input has a cut vertex or is
     disconnected.
 
     One sweep lists the block's separation pairs in lexicographic order
-    ({!Separation.cut_pairs}, run inside this function's own
-    [graph.triconnected.split] span). A part that is neither a triangle
+    ({!Separation.cut_pairs}, whose span nests in this function's
+    [graph.triconnected.split]); that list is the second half of the
+    result, empty for a triangle. A part that is neither a triangle
     nor a polygon is cut along the first listed pair that still
     separates it: both ends in the part, and the part falls apart
     without them. A pair that fails is dropped, and the new parts get
@@ -52,14 +54,12 @@ val decompose : Graph.t -> t
 
 val assemble :
   Biconnected.result ->
-  split:(Biconnected.component -> component list) ->
-  cut_pairs:(Biconnected.component -> Graph.edge list) ->
+  split:(Biconnected.component -> component list * Graph.edge list) ->
   t
 (** The decomposition built from per-block pieces: [split] gives the
-    triconnected components of each block of 3 nodes or more, and
-    [cut_pairs] the minimal 2-vertex cuts of each block of 4 nodes or
-    more ({!split_biconnected} and {!Separation.cut_pairs} on the
-    block's induced subgraph, as {!decompose} passes them, or any
-    lookup that returns the same). Smaller blocks get no call. Every
-    [split] runs first, in block order, then every [cut_pairs], in
-    block order. *)
+    triconnected components and the separation pairs of each block of
+    3 nodes or more ({!split_biconnected} on the block's induced
+    subgraph, as {!decompose} passes it, or any lookup that returns the
+    same). Smaller blocks get no call. [split] runs once per block, in
+    block order, and [separation_pairs] concatenates its pairs in that
+    order. *)

@@ -30,7 +30,6 @@ val of_int : int -> t
 val of_ints : int -> int -> t
 (** [of_ints n d] is [n/d]. Raises [Division_by_zero] if [d = 0]. *)
 
-val of_bigint : Bigint.t -> t
 val make : Bigint.t -> Bigint.t -> t
 (** [make num den], normalized. Raises [Division_by_zero] if [den] is
     zero. *)

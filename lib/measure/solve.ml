@@ -39,6 +39,8 @@ let recover (plan : Paths.t) values =
   done;
   { links = Array.init m (Csr.edge csr); metrics; measurements = m }
 
+(* Largest link count for which the exact rank check runs: it is
+   cubic. *)
 let check_rank_limit = 64
 
 (* Exact full-rank certificate: the walks' link-multiplicity matrix

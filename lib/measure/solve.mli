@@ -32,12 +32,8 @@ val simulate : Net.t -> Measurement.weights -> (solution, string) result
     (disconnected, or fewer than two monitors). Under
     {!Nettomo_util.Invariant} the walk family is structurally verified,
     its multiplicity matrix is checked exactly full-rank over ℚ (on
-    networks of at most {!val-check_rank_limit} links), and the
+    networks of at most 64 links: the check is cubic), and the
     recovered metrics are compared to the ground truth. *)
-
-val check_rank_limit : int
-(** Largest link count for which the [NETTOMO_CHECK] exact rank
-    verification runs (the check is cubic). *)
 
 val solution_equal : solution -> solution -> bool
 (** Structural equality, exact on the float metrics — solutions are

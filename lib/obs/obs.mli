@@ -166,15 +166,12 @@ module Ctx : sig
   val collecting : t -> bool
   val set_collect : t -> bool -> unit
 
-  val add_stat : t -> string -> float -> unit
-  (** Accumulate [v] under [name] in the context's per-request stat
-      table (thread-safe; shared across {!fork} copies). *)
-
   val add_ambient : string -> float -> unit
-  (** [add_stat] on the ambient context; a no-op when none is
-      installed.  This is how Session and Store report block-cache
-      hits, memo hits, store bytes, … without threading [t] through
-      their signatures. *)
+  (** Accumulate [v] under [name] in the ambient context's per-request
+      stat table (thread-safe; shared across {!fork} copies); a no-op
+      when none is installed.  This is how Session and Store report
+      block-cache hits, memo hits, store bytes, … without threading [t]
+      through their signatures. *)
 
   val stats : t -> (string * float) list
   (** Accumulated stats, sorted by name. *)
@@ -210,8 +207,6 @@ module Log : sig
   val level_of_string : string -> level option
   (** Case-insensitive; accepts ["debug"], ["info"], ["warn"],
       ["warning"], ["error"]. *)
-
-  val level_name : level -> string
 
   val set_level : level -> unit
   (** Minimum level written (default [Info]). *)

@@ -28,9 +28,6 @@ and t_float = float
 val to_string : t -> string
 (** Compact serialization (single line, no trailing newline). *)
 
-val to_channel : out_channel -> t -> unit
-(** [to_string] plus a trailing newline, written to the channel. *)
-
 val write_file : string -> t -> unit
 (** Serialize into a file, truncating it. Raises [Sys_error] on I/O
     failure. *)

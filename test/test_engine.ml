@@ -12,6 +12,7 @@ module Prng = Nettomo_util.Prng
 module Pool = Nettomo_util.Pool
 module Invariant = Nettomo_util.Invariant
 module Jsonx = Nettomo_util.Jsonx
+module Obs = Nettomo_obs.Obs
 module NS = Graph.NodeSet
 
 let check = Alcotest.check
@@ -146,6 +147,78 @@ let test_warm_store_replay () =
             (Printf.sprintf "stream %d: warm pass computes nothing" seed)
             0 (Session.stats warm).Session.full_computes)
         [ 1; 2; 3; 4 ])
+
+(* A partly warm store: the [mmp] answer and one family of block
+   entries ([tri-*] or [sep-*]) deleted. A fresh session must answer as
+   scratch does, split only the blocks that lost an entry, and
+   republish exactly the deleted entries, byte for byte. The map's
+   blocks: two K4s glued on the pair {2, 3} (6 nodes), a triangle on
+   the cut vertex 5, a bridge, and a square (4 nodes, two pairs). *)
+let test_partial_warm_store () =
+  let g =
+    List.fold_left
+      (fun g (u, v) -> Graph.add_edge g u v)
+      Fixtures.two_k4_by_pair
+      [ (5, 6); (6, 7); (5, 7); (7, 8); (8, 9); (9, 10); (10, 11); (11, 8) ]
+  in
+  let net = Net.create g ~monitors:[ 0; 1; 4 ] in
+  let splits f =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.disable ();
+        Obs.Trace.clear ())
+      (fun () ->
+        Obs.Trace.clear ();
+        Obs.Trace.enable ();
+        ignore (f ());
+        Option.fold ~none:0 ~some:fst
+          (List.assoc_opt "graph.triconnected.split" (Obs.Trace.summary ())))
+  in
+  List.iter
+    (fun (family, lost) ->
+      Fixtures.with_temp_dir ("partial-" ^ family) (fun dir ->
+          let store = Store.open_dir dir in
+          let entries () =
+            List.map
+              (fun (e : Store.entry) ->
+                ( Filename.basename e.file,
+                  In_channel.with_open_bin e.file In_channel.input_all ))
+              (Store.entries dir)
+          in
+          let drop () =
+            let doomed =
+              List.filter
+                (fun (name, _) ->
+                  String.starts_with ~prefix:"mmp-" name
+                  || String.starts_with ~prefix:(family ^ "-") name)
+                (entries ())
+            in
+            List.iter (fun (name, _) -> Sys.remove (Filename.concat dir name)) doomed;
+            List.length doomed
+          in
+          check cb "cold answer" true
+            (Result.is_ok (Session.mmp (Session.create ~store net)));
+          let full = entries () in
+          let dropped = drop () in
+          check Alcotest.int (family ^ ": the answer and its block entries")
+            (1 + lost) dropped;
+          let puts = (Store.stats store).Store.puts in
+          same (family ^ ": mmp") Session.equal_report
+            (Invariant.with_enabled true (fun () ->
+                 Session.mmp (Session.create ~store net)))
+            (Session.Scratch.mmp net);
+          check Alcotest.int (family ^ ": republished what was deleted") dropped
+            ((Store.stats store).Store.puts - puts);
+          check
+            Alcotest.(list (pair string string))
+            (family ^ ": store byte-identical") full (entries ());
+          (* Counted with the checks off: they decompose from scratch. *)
+          ignore (drop ());
+          check Alcotest.int (family ^ ": one split per block that lost an entry")
+            lost
+            (Invariant.with_enabled false (fun () ->
+                 splits (fun () -> Session.mmp (Session.create ~store net))))))
+    [ ("tri", 3); ("sep", 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Invalid deltas: error out and leave the session untouched           *)
@@ -489,6 +562,8 @@ let suite =
       test_batch_equals_single;
     Alcotest.test_case "warm store replay computes nothing" `Quick
       test_warm_store_replay;
+    Alcotest.test_case "partly warm store splits only what it lost" `Quick
+      test_partial_warm_store;
     Alcotest.test_case "dropped sessions release their metrics" `Quick
       test_dropped_sessions_release_metrics;
   ]

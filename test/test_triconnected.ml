@@ -21,20 +21,24 @@ let component_is_final (c : Triconnected.component) =
   || Graph.fold_nodes (fun v acc -> acc && Graph.degree g v = 2) g true
 
 let test_k4_single () =
-  let comps = Triconnected.split_biconnected Fixtures.k4 in
+  let comps, pairs = Triconnected.split_biconnected Fixtures.k4 in
+  check ci "no separation pairs" 0 (List.length pairs);
   check ci "one component" 1 (List.length comps);
   let c = List.hd comps in
   check cb "no virtual links" true (Graph.EdgeSet.is_empty c.virtuals)
 
 let test_cycle_polygon () =
-  let comps = Triconnected.split_biconnected (Fixtures.cycle_graph 8) in
+  let comps = fst (Triconnected.split_biconnected (Fixtures.cycle_graph 8)) in
   check ci "cycle stays whole" 1 (List.length comps);
   let c = List.hd comps in
   check ci "all nodes" 8 (Graph.NodeSet.cardinal c.nodes);
   check cb "no virtuals" true (Graph.EdgeSet.is_empty c.virtuals)
 
 let test_two_k4_split () =
-  let comps = Triconnected.split_biconnected Fixtures.two_k4_by_pair in
+  let comps, pairs = Triconnected.split_biconnected Fixtures.two_k4_by_pair in
+  check
+    (Alcotest.list Fixtures.edge_testable)
+    "the shared pair" [ (2, 3) ] pairs;
   check ci "two components" 2 (List.length comps);
   List.iter
     (fun (c : Triconnected.component) ->
@@ -51,7 +55,7 @@ let test_nonadjacent_pair_virtual () =
      and is non-adjacent, so a virtual link 0-2 must be minted, and the
      parts become polygons (triangles via the virtual edge). *)
   let g = Graph.of_edges [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 4); (4, 2); (2, 5); (5, 0) ] in
-  let comps = Triconnected.split_biconnected g in
+  let comps = fst (Triconnected.split_biconnected g) in
   check cb "at least two components" true (List.length comps >= 2);
   check cb "some virtual link exists" true
     (List.exists
@@ -63,7 +67,7 @@ let test_nonadjacent_pair_virtual () =
     comps
 
 let test_wheel_single () =
-  let comps = Triconnected.split_biconnected Fixtures.wheel5 in
+  let comps = fst (Triconnected.split_biconnected Fixtures.wheel5) in
   check ci "3-connected wheel stays whole" 1 (List.length comps)
 
 let test_decompose_full () =
@@ -137,7 +141,7 @@ let prop_components_final =
       match largest_block g with
       | None -> true
       | Some b ->
-          List.for_all component_is_final (Triconnected.split_biconnected b))
+          List.for_all component_is_final (fst (Triconnected.split_biconnected b)))
 
 let prop_real_edges_covered =
   QCheck2.Test.make
@@ -149,7 +153,7 @@ let prop_real_edges_covered =
       match largest_block g with
       | None -> true
       | Some b ->
-          let comps = Triconnected.split_biconnected b in
+          let comps = fst (Triconnected.split_biconnected b) in
           let real =
             List.fold_left
               (fun acc (c : Triconnected.component) ->
@@ -167,7 +171,7 @@ let prop_component_nodes_cover =
       match largest_block g with
       | None -> true
       | Some b ->
-          let comps = Triconnected.split_biconnected b in
+          let comps = fst (Triconnected.split_biconnected b) in
           let nodes =
             List.fold_left
               (fun acc (c : Triconnected.component) ->
@@ -264,22 +268,26 @@ let test_pinned_decompositions () =
     ]
     (List.map pin (pinned_graphs ()))
 
+(* A chain of K4, triangle, bridge, K4 and square. Its blocks of 4, 3,
+   2, 4 and 4 nodes tell the split's threshold (3 nodes) from the
+   separation pairs' (4), which no pinned map can: each has a single
+   block of 3 nodes or more. The square's two pairs cut nothing (a
+   polygon stays whole), where every pair of the pinned maps' blocks
+   cuts. *)
+let chain =
+  Graph.of_edges
+    [
+      (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3);
+      (3, 4); (3, 5); (4, 5); (5, 6);
+      (6, 7); (6, 8); (6, 9); (7, 8); (7, 9); (8, 9);
+      (9, 10); (10, 11); (11, 12); (12, 9);
+    ]
+
 (* [assemble]'s calling contract, which the engine's block counters
-   rely on: one [split] per block of 3 nodes or more, then one
-   [cut_pairs] per block of 4 nodes or more, each pass in block order.
-   Given the from-scratch pieces it builds exactly [decompose]'s
-   answer. Each pinned map has a single block of 3 or more nodes, so a
-   chain of K4, triangle, bridge and K4 is checked too: it tells the
-   two thresholds apart and needs both passes in order. *)
+   rely on: one [split] per block of 3 nodes or more, in block order.
+   Given the from-scratch split it builds exactly [decompose]'s
+   answer. *)
 let test_assemble_contract () =
-  let chain =
-    Graph.of_edges
-      [
-        (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3);
-        (3, 4); (3, 5); (4, 5); (5, 6);
-        (6, 7); (6, 8); (6, 9); (7, 8); (7, 9); (8, 9);
-      ]
-  in
   List.iter
     (fun (name, g) ->
       let bc = Biconnected.decompose g in
@@ -291,30 +299,43 @@ let test_assemble_contract () =
         go 0 bc.components
       in
       let calls = ref [] in
-      let piece tag f (block : Biconnected.component) =
-        calls := (tag, index_of block) :: !calls;
-        f (Graph.induced g block.nodes)
-      in
       let t =
-        Triconnected.assemble bc
-          ~split:(piece "split" Triconnected.split_biconnected)
-          ~cut_pairs:(piece "cut_pairs" Separation.cut_pairs)
-      in
-      let blocks tag min_nodes =
-        List.filter
-          (fun (b : Biconnected.component) ->
-            Graph.NodeSet.cardinal b.nodes >= min_nodes)
-          bc.components
-        |> List.map (fun b -> (tag, index_of b))
+        Triconnected.assemble bc ~split:(fun (block : Biconnected.component) ->
+            calls := index_of block :: !calls;
+            Triconnected.split_biconnected (Graph.induced g block.nodes))
       in
       check
-        Alcotest.(list (pair string int))
-        (name ^ ": calls in block order")
-        (blocks "split" 3 @ blocks "cut_pairs" 4)
+        Alcotest.(list int)
+        (name ^ ": one split per block of 3 nodes or more, in block order")
+        (List.filter
+           (fun (b : Biconnected.component) -> Graph.NodeSet.cardinal b.nodes >= 3)
+           bc.components
+        |> List.map index_of)
         (List.rev !calls);
       check Alcotest.string (name ^ ": equals decompose")
         (render_pins (Triconnected.decompose g) Graph.EdgeSet.empty)
         (render_pins t Graph.EdgeSet.empty))
+    (("chain", chain) :: pinned_graphs ())
+
+(* The decomposition's separation pairs without the split: one
+   [Separation.cut_pairs] sweep of each block of 4 nodes or more,
+   concatenated in block order. [decompose] reads its pairs off the
+   split, so a split that handed over only the pairs it cut, or none,
+   would still agree with [assemble]; it disagrees with this. *)
+let swept_pairs g =
+  List.concat_map
+    (fun (b : Biconnected.component) ->
+      if Graph.NodeSet.cardinal b.nodes < 4 then []
+      else Separation.cut_pairs (Graph.induced g b.nodes))
+    (Biconnected.decompose g).components
+
+let test_pairs_match_sweep () =
+  List.iter
+    (fun (name, g) ->
+      check
+        (Alcotest.list Fixtures.edge_testable)
+        (name ^ ": one sweep per block")
+        (swept_pairs g) (Triconnected.decompose g).separation_pairs)
     (("chain", chain) :: pinned_graphs ())
 
 (* The split lists each block's separation pairs once and cuts every
@@ -400,8 +421,27 @@ let prop_split_matches_reference =
            (Oracles.Split_ref.first_cut_pair g)
            (List.nth_opt (Separation.cut_pairs g) 0)
       && same_components
-           (Triconnected.split_biconnected g)
+           (fst (Triconnected.split_biconnected g))
            (Oracles.Split_ref.split_biconnected g))
+
+(* Two glued-piece graphs joined by a bridge: two blocks rich in
+   separation pairs, polygons among their parts, around a 2-node
+   block. *)
+let prop_pairs_match_sweep =
+  QCheck2.Test.make ~name:"separation pairs = one sweep per block (glued pieces)"
+    ~count:300
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 6) (int_range 1 6))
+    (fun (seed, left, right) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g = glued_pieces rng left in
+      let shift = Graph.fresh_node g in
+      let g =
+        Graph.fold_edges
+          (fun (u, v) acc -> Graph.add_edge acc (shift + u) (shift + v))
+          (glued_pieces rng right) (Graph.add_edge g 0 shift)
+      in
+      List.equal Graph.edge_equal (swept_pairs g)
+        (Triconnected.decompose g).separation_pairs)
 
 let test_split_matches_reference_pinned () =
   List.iter
@@ -415,7 +455,7 @@ let test_split_matches_reference_pinned () =
                  (Graph.NodeSet.cardinal b.nodes))
               true
               (same_components
-                 (Triconnected.split_biconnected block)
+                 (fst (Triconnected.split_biconnected block))
                  (Oracles.Split_ref.split_biconnected block)))
         (Biconnected.decompose g).components)
     (pinned_graphs ())
@@ -450,6 +490,9 @@ let suite =
       test_pinned_decompositions;
     Alcotest.test_case "assemble calls each block's pieces in order" `Quick
       test_assemble_contract;
+    Alcotest.test_case "separation pairs = one sweep per block (chain, pinned maps)"
+      `Quick test_pairs_match_sweep;
+    QCheck_alcotest.to_alcotest prop_pairs_match_sweep;
     QCheck_alcotest.to_alcotest prop_split_matches_reference;
     Alcotest.test_case "split = recursive reference (pinned maps)" `Quick
       test_split_matches_reference_pinned;
