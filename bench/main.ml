@@ -1039,17 +1039,38 @@ let coverage_churn cfg =
   in
   List.iter
     (fun (topology, g) ->
+      let mmp = Graph.NodeSet.elements (Mmp.place g) in
+      let m = List.length mmp in
+      let net0 = Net.create g ~monitors:mmp in
+      let stream =
+        core_stream (Prng.create (cfg.seed + 61 + Hashtbl.hash topology)) g rounds
+      in
+      let run_incremental stream =
+        let s = Session.create ~seed:cfg.seed net0 in
+        let answers =
+          List.map
+            (fun d ->
+              (match Session.apply s d with
+              | Ok () -> ()
+              | Error msg -> failwith ("coverage-churn: invalid delta: " ^ msg));
+              Session.coverage s)
+            stream
+        in
+        (answers, Session.stats s)
+      in
+      (* With NETTOMO_CHECK on, first replay a 12-round prefix of (b)
+         through the session's differential checks. *)
+      if Inv.enabled () then ignore (run_incremental (take 12 stream));
       (* Exact eliminations and prefilter rejects of the independent-
-         path search over this topology's whole run: deterministic work
-         counts (the pool only reorders atomic increments), gated by
-         bench diff where wall time cannot be. *)
+         path search over this topology's run, counted from here so the
+         checked prefix is left out: deterministic work counts (the pool
+         only reorders atomic increments), the same with the checks on
+         or off, gated by bench diff where wall time cannot be. *)
       let solver_work () =
         ( Obs.Metrics.counter_value Solver.exact_rows,
           Obs.Metrics.counter_value Solver.prefilter_rejects )
       in
       let exact0, rejects0 = solver_work () in
-      let mmp = Graph.NodeSet.elements (Mmp.place g) in
-      let m = List.length mmp in
       (* a) coverage as a function of the monitor budget: prefixes of
          the MMP placement, classified independently over the pool. *)
       let fractions = [| 0.25; 0.5; 0.75; 1.0 |] in
@@ -1069,24 +1090,6 @@ let coverage_churn cfg =
             topology f k m cov mode)
         points;
       (* b) session coverage under core churn, incremental vs scratch. *)
-      let net0 = Net.create g ~monitors:mmp in
-      let stream =
-        core_stream (Prng.create (cfg.seed + 61 + Hashtbl.hash topology)) g rounds
-      in
-      let run_incremental stream =
-        let s = Session.create ~seed:cfg.seed net0 in
-        let answers =
-          List.map
-            (fun d ->
-              (match Session.apply s d with
-              | Ok () -> ()
-              | Error msg -> failwith ("coverage-churn: invalid delta: " ^ msg));
-              Session.coverage s)
-            stream
-        in
-        (answers, Session.stats s)
-      in
-      if Inv.enabled () then ignore (run_incremental (take 12 stream));
       let nets =
         let w = { cg = Net.graph net0; cmon = Net.monitors net0 } in
         List.map (churn_apply w) stream

@@ -76,15 +76,15 @@ let columns (csr : Csr.t) ~monitor ~(seen : int array) ~stamp row p =
           walk i 0 rest)
   | [] | [ _ ] -> -1
 
-let independent_paths_with_basis ?rng ?max_stall ?seeds net =
-  Obs.Trace.span "solver.independent_paths" @@ fun () ->
+(* The layered search, returning the accepted rows' node paths in order
+   (none unless [keep]) and the exact basis they span. *)
+let search ~keep ?rng ?max_stall ?seeds net =
   let g = Net.graph net in
-  let space = Measurement.space g in
-  let n = Measurement.n_links space in
+  let csr = Csr.of_graph g in
+  let n = csr.Csr.m in
   let rng = match rng with Some r -> r | None -> Prng.create 0x6e65740a in
   let max_stall = Option.value max_stall ~default:(50 * (n + 1)) in
   let basis = Basis.create n in
-  let csr = Csr.of_graph g in
   let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
   let seen = Array.make csr.Csr.n 0 in
   let stamp = ref 0 in
@@ -94,8 +94,9 @@ let independent_paths_with_basis ?rng ?max_stall ?seeds net =
      accepted rows are confirmed exactly, and a confirmed row enters the
      float basis from the residual its test left there; [offer] says
      whether the row entered the basis, and its caller then puts the
-     candidate's node path into the plan. Every layer hands its rows over in [row], one
-     buffer: a simple path has at most one link per node. *)
+     candidate's node path into the plan when [keep]. Every layer hands
+     its rows over in [row], one buffer: a simple path has at most one
+     link per node. *)
   let fbasis = Fbasis.create n in
   let row = Array.make csr.Csr.n 0 in
   let accepted = ref [] in
@@ -121,17 +122,17 @@ let independent_paths_with_basis ?rng ?max_stall ?seeds net =
     len >= 0
     && offer row len
     && begin
-         accepted := p :: !accepted;
+         if keep then accepted := p :: !accepted;
          true
        end
   in
-  (* A row that starts at index [src], kept with its node path: from
-     each node, the one link of the row not yet walked. Rows come from
-     generators that only emit simple paths between monitors, so they
-     are not validated again. *)
+  (* A row that starts at index [src], kept with its node path when
+     [keep]: from each node, the one link of the row not yet walked.
+     Rows come from generators that only emit simple paths between
+     monitors, so they are not validated again. *)
   let on_row = Array.make csr.Csr.m 0 in
   let offer_row src cols len =
-    if offer cols len then begin
+    if offer cols len && keep then begin
       incr stamp;
       for i = 0 to len - 1 do
         on_row.(cols.(i)) <- !stamp
@@ -212,10 +213,17 @@ let independent_paths_with_basis ?rng ?max_stall ?seeds net =
             with Paths.Limit_exceeded -> ())
         pairs
   end;
-  ({ space; paths = List.rev !accepted; rank = Basis.rank basis }, basis)
+  (List.rev !accepted, basis)
 
 let independent_paths ?rng ?max_stall ?seeds net =
-  fst (independent_paths_with_basis ?rng ?max_stall ?seeds net)
+  Obs.Trace.span "solver.independent_paths" @@ fun () ->
+  let space = Measurement.space (Net.graph net) in
+  let paths, basis = search ~keep:true ?rng ?max_stall ?seeds net in
+  { space; paths; rank = Basis.rank basis }
+
+let basis ?rng ?max_stall ?seeds net =
+  Obs.Trace.span "solver.independent_paths" @@ fun () ->
+  snd (search ~keep:false ?rng ?max_stall ?seeds net)
 
 let full_rank net plan =
   plan.rank = Graph.n_edges (Net.graph net) && plan.rank = List.length plan.paths

@@ -44,27 +44,13 @@ val independent_paths :
     — e.g. the spanning-tree families of
     [Measure.Paths.simple_candidates] — push the reached rank far beyond
     what the stall-bounded random layer finds on larger networks. An
-    accepted seed enters the plan as its node path from [src]. *)
+    accepted seed enters the plan as its node path from [src].
 
-val sort_row : int array -> int -> unit
-(** [sort_row row len] sorts [row.(0..len-1)] ascending in place: how a
-    generator puts a row's link numbers in the order [seeds] requires.
-    Insertion sort, for rows a few links long. *)
-
-val independent_paths_with_basis :
-  ?rng:Nettomo_util.Prng.t ->
-  ?max_stall:int ->
-  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
-  Net.t ->
-  plan * Basis.t
-(** {!independent_paths} together with the exact row basis the search
-    built: the span of the plan's incidence rows, equal to the basis
-    obtained by adding [plan.paths]' rows to an empty {!Basis.t} in
-    order. Per-link identifiability ("is the unit vector in the row
-    space?") can be read off it directly ({!Basis.mem_unit}) instead of
-    eliminating the plan a second time. The basis is not part of
-    {!plan} because plans are also rebuilt from their paths alone (e.g.
-    decoded from a store).
+    A generator may leave out a row that lies in the span of the rows
+    it already emitted: the search keeps a row only when it raises the
+    rank, so such a row would have been turned away. The plan, the
+    basis and every later layer are the same without it; the work
+    counters below only lose that row's own count.
 
     The search runs on link numbers: the network is flattened once
     ({!Nettomo_graph.Csr}, whose link numbers are the measurement
@@ -80,6 +66,27 @@ val independent_paths_with_basis :
     exact elimination increments the [solver_exact_rows_total] counter
     of the metrics registry, and each candidate the prefilter rejects
     increments [solver_prefilter_rejects_total]. *)
+
+val sort_row : int array -> int -> unit
+(** [sort_row row len] sorts [row.(0..len-1)] ascending in place: how a
+    generator puts a row's link numbers in the order [seeds] requires.
+    Insertion sort, for rows a few links long. *)
+
+val basis :
+  ?rng:Nettomo_util.Prng.t ->
+  ?max_stall:int ->
+  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
+  Net.t ->
+  Basis.t
+(** The same search, arguments and work counts as {!independent_paths},
+    returning only the exact row basis it grows: the span of the plan's
+    incidence rows, equal to the basis obtained by adding
+    [plan.paths]' rows to an empty {!Basis.t} in order, with column [j]
+    the [j]-th link of {!Measurement.link_order}. Per-link
+    identifiability ("is the unit vector in the row space?") is read off
+    it directly ({!Basis.mem_unit}). No accepted row is turned back into
+    a node path and no {!Measurement.space} is built. Both entries open
+    the [solver.independent_paths] span. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
 (** [solver_exact_rows_total]: candidate rows eliminated exactly. *)

@@ -237,11 +237,13 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
            conservatively reported unidentifiable — the report stays a
            sound lower bound, exactly like Sampled mode. The bound guards
            the path search's total work, which grows faster than the
-           component: up to 48 seed rows per link (8 roots, 3 detours per
-           orientation) through the float prefilter, one accepted row per
-           unit of rank, and for each an exact elimination whose sweep and
-           applied rows grow with the component's links and rank. Lifting
-           it changes answers. Within the bound, the
+           component: per root (up to 8) a tree row per monitor and up to
+           6 detours per link (3 per orientation), less the ones the
+           generator proves dependent, through the float prefilter, one
+           accepted row per unit of rank, and for each an exact
+           elimination whose sweep and applied rows grow with the
+           component's links and rank. Lifting it changes answers.
+           Within the bound, the
            sampled layer is seeded with the constructive spanning-tree
            candidates of [Measure.Paths] (tree monitor paths plus
            tree–chord–tree detours), which reach far higher rank than the
@@ -316,10 +318,8 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
                 let max_stall =
                   if Array.length links > 150 then 0 else 50 * (nc + 1)
                 in
-                snd
-                  (Solver.independent_paths_with_basis
-                     ~rng:(Prng.create seed) ~max_stall
-                     ~seeds:Nettomo_measure.Paths.simple_candidates netc)
+                Solver.basis ~rng:(Prng.create seed) ~max_stall
+                  ~seeds:Nettomo_measure.Paths.simple_candidates netc
               in
               let basis =
                 if nc > exact_node_limit then sampled ()

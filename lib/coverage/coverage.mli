@@ -120,9 +120,11 @@ val classify :
     A small-but-dense component whose simple paths exceed the
     enumeration limit (e.g. K11 between two monitors) falls back to the
     sampled basis and the report to [Sampled]. The sampled basis is the
-    one {!Nettomo_core.Solver.independent_paths_with_basis} built during
-    its search, so each component is eliminated once; the seeds are
-    generated as link-number rows on the flat graph that search builds.
+    one {!Nettomo_core.Solver.basis} grows during its search, so each
+    component is eliminated once and no accepted row becomes a node
+    path; the seeds are generated as link-number rows on the flat graph
+    that search builds, less the detours the rows before them provably
+    span.
     Every rank verdict, exact or sampled, is read off its basis with
     {!Nettomo_linalg.Basis.mem_unit}.
 

@@ -14,10 +14,16 @@
 val cut_pairs : Graph.t -> Graph.edge list
 (** All minimal 2-vertex cuts of a connected graph, as normalized node
     pairs (which need not be links), in lexicographic order. Runs under
-    the [graph.separation.cut_pairs] span. {!Triconnected.split_biconnected}
-    runs this sweep once per block, so the span nests in
-    [graph.triconnected.split] and bench/suite's [graph.cut_pairs.*]
-    measures the split's own sweep. *)
+    the [graph.separation.cut_pairs] span. *)
+
+val block_pairs : Graph.t -> Graph.edge list option
+(** [Some (cut_pairs g)] when [g] is biconnected (at least 3 nodes,
+    connected, no cut vertex), [None] otherwise. The sweep's own first
+    search, of [g] itself, decides it, so a block costs one flattening
+    and [|V| + 1] lowpoint searches (one for a triangle), under the
+    same span. {!Triconnected.split_biconnected} runs this once per
+    block, so the span nests in [graph.triconnected.split] and
+    bench/suite's [graph.cut_pairs.*] measures the split's own sweep. *)
 
 val is_three_vertex_connected : Graph.t -> bool
 (** Whether the graph is 3-vertex-connected: at least 4 nodes, and

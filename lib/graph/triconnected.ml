@@ -21,8 +21,11 @@ let split_biconnected g0 =
   Nettomo_obs.Obs.Trace.span "graph.triconnected.split" @@ fun () ->
   if Graph.n_nodes g0 < 3 then
     Errors.invalid_arg "Triconnected.split_biconnected: fewer than 3 nodes";
-  if not (Biconnected.is_biconnected g0) then
-    Errors.invalid_arg "Triconnected.split_biconnected: input not biconnected";
+  let pairs =
+    match Separation.block_pairs g0 with
+    | Some pairs -> pairs
+    | None -> Errors.invalid_arg "Triconnected.split_biconnected: input not biconnected"
+  in
   (* [virtuals] accumulates every virtual link minted so far; each
      component intersects it with its own link set at the end. [pairs]
      lists, in lexicographic order, the block's separation pairs that
@@ -51,7 +54,6 @@ let split_biconnected g0 =
                 split (Graph.induced g keep) virtuals rest)
               parts)
   in
-  let pairs = Separation.cut_pairs g0 in
   (split g0 ES.empty pairs, pairs)
 
 type t = {

@@ -24,17 +24,18 @@ val split_biconnected : Graph.t -> component list * Graph.edge list
     disconnected.
 
     One sweep lists the block's separation pairs in lexicographic order
-    ({!Separation.cut_pairs}, whose span nests in this function's
-    [graph.triconnected.split]); that list is the second half of the
-    result, empty for a triangle. A part that is neither a triangle
-    nor a polygon is cut along the first listed pair that still
-    separates it: both ends in the part, and the part falls apart
-    without them. A pair that fails is dropped, and the new parts get
-    only the pairs after the one that cut. Every separation pair of a
-    part is one of its parent's, so that pair is the part's
-    lexicographically smallest, the one a fresh sweep of the part that
-    stopped at its first pair would find: the components and their
-    order are those of sweeping every part afresh. *)
+    and its first search checks the input ({!Separation.block_pairs},
+    whose span nests in this function's [graph.triconnected.split]);
+    that list is the second half of the result, empty for a triangle.
+    A part that is neither a triangle nor a polygon is cut along the
+    first listed pair that still separates it: both ends in the part,
+    and the part falls apart without them. A pair that fails is
+    dropped, and the new parts get only the pairs after the one that
+    cut. Every separation pair of a part is one of its parent's, so
+    that pair is the part's lexicographically smallest, the one a fresh
+    sweep of the part that stopped at its first pair would find: the
+    components and their order are those of sweeping every part
+    afresh. *)
 
 type t = {
   blocks : (Biconnected.component * component list) list;

@@ -132,7 +132,8 @@ let measure t w =
 (* Simple-path candidates for the paper's measurement model, used by the
    coverage sampled fallback: deterministic tree paths and tree–chord–
    tree detours between monitors, kept only when node-simple, each
-   emitted as its ascending link numbers. *)
+   emitted as its ascending link numbers, less the detours the rows
+   before them provably span. *)
 let max_roots = 8
 let max_per_link = 3
 
@@ -149,6 +150,18 @@ let simple_candidates (csr : Csr.t) ~monitor emit =
   (* [firsts.(max_per_link * x + i)] is the i-th smallest monitor in the
      subtree of [x], -1 past the last. *)
   let firsts = Array.make (max_per_link * csr.n) (-1) in
+  (* Union–find over the current root's tree nodes: [x] and [y] share a
+     class only when A_x − A_y lies in the span of the rows emitted for
+     that root, writing A_x for the tree path x → r (A_r = 0). *)
+  let uf = Array.make csr.n 0 in
+  let rec find x =
+    let p = uf.(x) in
+    if p = x then x
+    else begin
+      uf.(x) <- uf.(p);
+      find uf.(x)
+    end
+  in
   let insert x b =
     let rec go i b =
       if i < max_per_link then begin
@@ -194,12 +207,17 @@ let simple_candidates (csr : Csr.t) ~monitor emit =
             if firsts.(s) >= 0 then insert parent.(x) firsts.(s)
           done
       done;
-      (* Tree paths to every other reachable monitor. *)
+      for i = 0 to reached - 1 do
+        uf.(order.(i)) <- order.(i)
+      done;
+      (* Tree paths to every other reachable monitor: each row is A_b,
+         so the root and those monitors form one class. *)
       List.iter
         (fun b ->
           if b <> r && depth.(b) >= 0 then begin
             up b r;
-            emit_row ()
+            emit_row ();
+            uf.(b) <- r
           end)
         monitors;
       (* Tree–chord–tree detours r → u, (u,v), v → b across link [k].
@@ -212,24 +230,37 @@ let simple_candidates (csr : Csr.t) ~monitor emit =
          first monitors of that subtree are the ones a scan in index
          order would keep. In a BFS tree a non-tree link joins nodes
          whose depths differ by at most one, neither the other's parent,
-         so neither is an ancestor of the other and c exists. *)
+         so neither is an ancestor of the other and c exists.
+
+         The detour whose tail meets at a = lca(v, b) is the row
+         A_u + A_v + e_k + A_b − 2·A_a, in either orientation of k, and
+         its monitor b lies below c, off the root, so A_b is a tree row.
+         Two detours across k thus differ by A_b − A_b' − 2·(A_a − A_a'):
+         one whose meeting point shares a class with that of k's first
+         detour, [first], is spanned by the rows before it and is
+         skipped; emitting any other puts its meeting point in that
+         class. *)
       let rec below_lca x y =
         if depth.(x) > depth.(y) then below_lca parent.(x) y
         else if depth.(y) > depth.(x) then below_lca x parent.(y)
         else if parent.(x) = parent.(y) then y
         else below_lca parent.(x) parent.(y)
       in
+      let first = ref (-1) in
       let detour k u v =
         let c = below_lca u v in
         for s = max_per_link * c to (max_per_link * c) + max_per_link - 1 do
           let b = firsts.(s) in
           if b >= 0 then begin
             let a = lca v b in
-            up u r;
-            push k;
-            up v a;
-            up b a;
-            emit_row ()
+            if !first < 0 || find a <> find !first then begin
+              if !first < 0 then first := a else uf.(find a) <- find !first;
+              up u r;
+              push k;
+              up v a;
+              up b a;
+              emit_row ()
+            end
           end
         done
       in
@@ -238,6 +269,7 @@ let simple_candidates (csr : Csr.t) ~monitor emit =
         (* Skip tree links: the detour degenerates to a tree path. *)
         if depth.(iu) >= 0 && depth.(iv) >= 0 && parent.(iu) <> iv && parent.(iv) <> iu
         then begin
+          first := -1;
           detour k iu iv;
           detour k iv iu
         end

@@ -85,9 +85,27 @@ val simple_candidates :
     reachable monitor, then the tree–chord–tree detours
     [r → u, (u,v), v → b] to other monitors [b] whose tail [v → b]
     avoids the stem [r → u], links in increasing order and each link
-    as [(u,v)] then [(v,u)], keeping the first 3 such monitors in
-    increasing order per link orientation and root. Duplicates are not
-    removed.
+    as [(u,v)] then [(v,u)], taking the first 3 such monitors in
+    increasing order per link orientation and root.
+
+    Some detours are left out, each one spanned by the rows emitted
+    before it for the same root. Write [A_x] for the tree path
+    [x → r] as a row ([A_r = 0]) and [e_k] for link [k]'s. A detour
+    across [k] whose tail climbs from [v] to [a = lca(v, b)] and
+    descends to [b] is exactly [A_u + A_v + e_k + A_b − 2·A_a], in
+    either orientation of [k], and [A_b] is a tree row already
+    emitted. Two detours across [k] thus differ by a combination of
+    tree rows and [2·(A_a − A_a')]. A union–find over the tree's
+    nodes, reset per root, holds classes whose members' [A_x] differ
+    by spanned rows: the root and the monitors of the tree rows start
+    as one class, and each emitted detour across [k] after [k]'s first
+    merges its meeting point's class with that of the first's. A later
+    detour across [k] whose meeting point is already in the class of
+    [k]'s first meeting point is never built; every other is emitted.
+    What is left is the list above, in order, with some rows missing;
+    the rank of each root's rows, and the answers of
+    {!Nettomo_core.Solver}'s search seeded with them, are those of the
+    whole list. Duplicates the rule does not catch stay.
 
     Each candidate is one call [emit r cols len], in that order: its
     link numbers are [cols.(0)] < … < [cols.(len - 1)], and it starts at
@@ -96,7 +114,8 @@ val simple_candidates :
     {!Nettomo_core.Solver.independent_paths}'s [seeds]. A detour's
     monitors are read off a per-root list of the 3 smallest monitors in
     each subtree, so the work per root is one pass over the tree, one
-    LCA walk per detour and the links of the rows emitted. *)
+    LCA walk and class lookup per detour considered, and the links of
+    the rows emitted. *)
 
 (** Structural verification of a plan against its network, gated by
     {!Nettomo_util.Invariant}: every walk is a genuine monitor-to-

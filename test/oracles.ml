@@ -28,7 +28,9 @@ let unit_membership space basis =
    root (the first 8 monitors), the tree paths to every other monitor,
    then per link orientation (u,v) up to 3 node-simple detours
    r → u, (u,v), v → b. The reference for [Measure.Paths.simple_candidates],
-   whose rows must be these paths' link columns, in the same order. *)
+   whose rows must be these paths' link columns, in the same order, less
+   rows that lie in the span of the ones it emitted before them from
+   the same root. *)
 let simple_candidates net =
   let open Nettomo_graph in
   let csr = Csr.of_graph (Net.graph net) in
@@ -629,10 +631,8 @@ module Coverage_ref = struct
                   let max_stall =
                     if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
                   in
-                  snd
-                    (Solver.independent_paths_with_basis
-                       ~rng:(Prng.create seed) ~max_stall
-                       ~seeds:Nettomo_measure.Paths.simple_candidates netc)
+                  Solver.basis ~rng:(Prng.create seed) ~max_stall
+                    ~seeds:Nettomo_measure.Paths.simple_candidates netc
                 in
                 let basis =
                   if nc > exact_node_limit then sampled ()

@@ -270,7 +270,34 @@ let oracle_rows net =
           (List.map (Measurement.column space) (Nettomo_graph.Paths.path_edges p)) ))
     (Oracles.simple_candidates net)
 
-let rows_equal = List.equal (fun (a, r) (b, q) -> a = b && List.equal Int.equal r q)
+let row_equal (a, r) (b, q) = a = b && List.equal Int.equal r q
+
+(* The library's seeds are the oracle's rows, in order, with some left
+   out, and every row it leaves out lies in the exact rational span of
+   the rows it emitted before that one from the same root. A root's
+   rows are consecutive and start at the root, so the span starts over
+   whenever the first node changes. *)
+let seeds_follow_oracle net =
+  let n = Graph.n_edges (Net.graph net) in
+  let basis = ref (Nettomo_linalg.Basis.create n) and root = ref (-1) in
+  let dense cols =
+    let v = Array.make n Nettomo_linalg.Rational.zero in
+    List.iter (fun j -> v.(j) <- Nettomo_linalg.Rational.one) cols;
+    v
+  in
+  let rec go lib oracle =
+    match (lib, oracle) with
+    | _, [] -> lib = []
+    | _, (src, _) :: _ when src <> !root ->
+        root := src;
+        basis := Nettomo_linalg.Basis.create n;
+        go lib oracle
+    | l :: ls, o :: os when row_equal l o ->
+        ignore (Nettomo_linalg.Basis.add !basis (dense (snd o)));
+        go ls os
+    | _, o :: os -> Nettomo_linalg.Basis.mem !basis (dense (snd o)) && go lib os
+  in
+  go (seed_rows net) (oracle_rows net)
 
 let test_simple_candidates_valid () =
   let cands = Oracles.simple_candidates fig1_net in
@@ -280,8 +307,8 @@ let test_simple_candidates_valid () =
       check cb "candidate is a measurement path" true
         (Measurement.is_measurement_path fig1_net p))
     cands;
-  check cb "rows are the candidates' columns" true
-    (rows_equal (seed_rows fig1_net) (oracle_rows fig1_net))
+  check cb "rows are the candidates' columns, less spanned ones" true
+    (seeds_follow_oracle fig1_net)
 
 let prop_simple_candidates_valid =
   QCheck2.Test.make
@@ -297,13 +324,13 @@ let prop_simple_candidates_valid =
       List.for_all
         (fun p -> Measurement.is_measurement_path net p)
         (Oracles.simple_candidates net)
-      && rows_equal (seed_rows net) (oracle_rows net))
+      && seeds_follow_oracle net)
 
 (* The fallback's seeds are generated as rows on the flat graph; they
    must be the oracle's node-list seeds, as columns, in the same order,
-   starting at the same node. Random nets past the exact-enumeration
-   range, and one with every second node a monitor, so roots past the
-   eighth are skipped. *)
+   starting at the same node, less rows the ones before them span.
+   Random nets past the exact-enumeration range, and one with every
+   second node a monitor, so roots past the eighth are skipped. *)
 let prop_seed_rows_match_oracle =
   QCheck2.Test.make
     ~name:"link-number seeds = node-list seeds as rows (random nets > 12 nodes)"
@@ -315,7 +342,7 @@ let prop_seed_rows_match_oracle =
       let nodes = Graph.node_array g in
       let k = if seed mod 2 = 0 then 2 + Prng.int rng 6 else n / 2 in
       let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
-      rows_equal (seed_rows net) (oracle_rows net))
+      seeds_follow_oracle net)
 
 (* A detour takes its monitors from a per-subtree list of the smallest
    ones, which skips the most monitors when many nodes are monitors,
@@ -342,7 +369,28 @@ let prop_seed_rows_dense_monitors =
       let nodes = Graph.node_array g in
       let k = 2 + Prng.int rng ((Array.length nodes / 2) - 1) in
       let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
-      rows_equal (seed_rows net) (oracle_rows net))
+      seeds_follow_oracle net)
+
+(* The rows the library leaves out cannot change what the search
+   answers: with the oracle's full list as seeds and with the library's,
+   the same seed and stall budget give the same rank and the same
+   membership of every link's unit vector. The stall budget is the
+   coverage fallback's: the random layer runs up to 150 links. *)
+let search_answers_match net =
+  let oracle csr ~monitor:_ emit =
+    List.iter
+      (fun (src, cols) ->
+        emit (Csr.index csr src) (Array.of_list cols) (List.length cols))
+      (oracle_rows net)
+  in
+  let m = Graph.n_edges (Net.graph net) in
+  let max_stall = if m > 150 then 0 else 50 * (Graph.n_nodes (Net.graph net) + 1) in
+  let search seeds = Solver.basis ~rng:(Prng.create 5) ~max_stall ~seeds net in
+  let a = search oracle and b = search Measure_paths.simple_candidates in
+  Nettomo_linalg.Basis.rank a = Nettomo_linalg.Basis.rank b
+  && List.for_all
+       (fun j -> Nettomo_linalg.Basis.mem_unit a j = Nettomo_linalg.Basis.mem_unit b j)
+       (List.init m Fun.id)
 
 let test_seed_rows_isp () =
   List.iter
@@ -350,12 +398,27 @@ let test_seed_rows_isp () =
       List.iter
         (fun (what, frac) ->
           let net = Fixtures.isp_prefix name seed frac in
-          check cb
-            (Printf.sprintf "%s, %s of its MMP monitors" name what)
-            true
-            (rows_equal (seed_rows net) (oracle_rows net)))
+          let at check_what = Printf.sprintf "%s, %s of its MMP monitors: %s" name what check_what in
+          check cb (at "rows") true (seeds_follow_oracle net);
+          check cb (at "search answers") true (search_answers_match net))
         [ ("a quarter", fun m -> m / 4); ("three quarters", fun m -> 3 * m / 4) ])
     [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
+
+(* At most 20 links beyond a spanning tree: on nets of 16 nodes or
+   fewer the search ends with exhaustive enumeration, up to 200,000
+   paths per monitor pair, which takes seconds on dense ones. *)
+let prop_search_answers_match =
+  QCheck2.Test.make
+    ~name:"search answers: oracle seeds = library seeds (random nets > 12 nodes)"
+    ~count:40
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 13 40) (int_range 0 20))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let nodes = Graph.node_array g in
+      let k = 2 + Prng.int rng 8 in
+      let net = Net.create g ~monitors:(Array.to_list (Prng.sample rng k nodes)) in
+      search_answers_match net)
 
 (* The coverage fallback's answers depend on the exact candidate list,
    order included, so it is pinned on two ISP maps under a quarter of
@@ -421,6 +484,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_seed_rows_dense_monitors;
     Alcotest.test_case "link-number seeds = node-list seeds (ISP prefixes)" `Quick
       test_seed_rows_isp;
+    QCheck_alcotest.to_alcotest prop_search_answers_match;
     Alcotest.test_case "simple candidates pinned (ISP prefixes)" `Quick
       test_simple_candidates_pinned;
     Alcotest.test_case "simulate pinned (BA10k)" `Quick test_simulate_pinned;

@@ -100,11 +100,20 @@ let test_decompose_mixed () =
        t.blocks)
 
 let test_invalid_inputs () =
-  check cb "rejects non-biconnected" true
-    (try
-       ignore (Triconnected.split_biconnected Fixtures.bowtie);
-       false
-     with Invalid_argument _ -> true);
+  (* A cut vertex (bowtie, 3-node path) or a second component (two
+     triangles, each biconnected alone). *)
+  List.iter
+    (fun (what, g) ->
+      check cb ("rejects non-biconnected: " ^ what) true
+        (try
+           ignore (Triconnected.split_biconnected g);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("bowtie", Fixtures.bowtie);
+      ("disconnected", Graph.of_edges [ (0, 1); (1, 2); (0, 2); (3, 4); (4, 5); (3, 5) ]);
+      ("3-node path", Fixtures.path_graph 3);
+    ];
   check cb "rejects tiny graphs" true
     (try
        ignore (Triconnected.split_biconnected (Graph.of_edges [ (0, 1) ]));
