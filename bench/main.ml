@@ -750,32 +750,61 @@ let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
   | _ -> []
 
+(* The churn experiments' maps: a connected ER(150, 0.039) and Ebone;
+   coverage-churn adds Exodus. *)
+let churn_maps cfg =
+  [
+    ( "ER150",
+      let rng = Prng.create (cfg.seed + 41) in
+      Gen.until_connected (fun () -> Gen.erdos_renyi rng ~n:150 ~p:0.039) );
+    ("Ebone", Isp.generate (Prng.create (cfg.seed + 43)) (List.nth Isp.rocketfuel 1));
+  ]
+
+(* One pass of a churn experiment: a fresh session over [net0] applies
+   [stream], answering [query] after every delta. Returns the answers
+   and the session. *)
+let replay ~what ?store ~seed net0 query stream =
+  let s = Session.create ~seed ?store net0 in
+  let answers =
+    List.map
+      (fun d ->
+        (match Session.apply s d with
+        | Ok () -> ()
+        | Error m -> failwith (what ^ ": invalid delta: " ^ m));
+        query s)
+      stream
+  in
+  (answers, s)
+
+(* Under NETTOMO_CHECK, a pass over the stream's first 12 rounds runs
+   the session's differential checks before the timed passes. *)
+let check_prefix pass stream = if Inv.enabled () then ignore (pass (take 12 stream))
+
+(* The network after each delta of [stream], for the from-scratch
+   side. *)
+let scratch_nets net0 stream =
+  let w = { cg = Net.graph net0; cmon = Net.monitors net0 } in
+  List.map (churn_apply w) stream
+
+let identifiable_and_mmp s = (Session.identifiable s, Session.mmp s)
+
+let same_identifiable_and_mmp (i1, m1) (i2, m2) =
+  Session.equal_result Bool.equal i1 i2
+  && Session.equal_result Session.equal_report m1 m2
+
 let churn_workload cfg ~topology ~workload net0 stream =
-  let seed = cfg.seed in
   let run_incremental stream =
-    let s = Session.create ~seed net0 in
-    let answers =
-      List.map
-        (fun d ->
-          (match Session.apply s d with
-          | Ok () -> ()
-          | Error m -> failwith ("churn: invalid delta: " ^ m));
-          (Session.identifiable s, Session.mmp s))
-        stream
+    let answers, s =
+      replay ~what:"churn" ~seed:cfg.seed net0 identifiable_and_mmp stream
     in
     (answers, Session.stats s)
   in
-  (* With NETTOMO_CHECK on, first smoke a short prefix through the
-     session's own differential invariant... *)
-  if Inv.enabled () then ignore (run_incremental (take 12 stream));
-  (* ...then time both sides with the invariant layer forced off — the
+  check_prefix run_incremental stream;
+  (* Both sides are timed with the invariant layer forced off — the
      differential would otherwise make the incremental side recompute
      everything from scratch too. Answer equality is asserted below
      unconditionally, which is the same check minus the timing skew. *)
-  let nets =
-    let w = { cg = Net.graph net0; cmon = Net.monitors net0 } in
-    List.map (churn_apply w) stream
-  in
+  let nets = scratch_nets net0 stream in
   (* Lowpoint searches and the half-edges they scanned over the timed
      incremental run: deterministic work counts, gated by bench diff
      where wall time cannot be. *)
@@ -795,13 +824,7 @@ let churn_workload cfg ~topology ~workload net0 stream =
               (fun n -> (Session.Scratch.identifiable n, Session.Scratch.mmp n))
               nets))
   in
-  let identical =
-    List.for_all2
-      (fun (i1, m1) (i2, m2) ->
-        Session.equal_result Bool.equal i1 i2
-        && Session.equal_result Session.equal_report m1 m2)
-      incremental scratch
-  in
+  let identical = List.for_all2 same_identifiable_and_mmp incremental scratch in
   if not identical then
     Inv.violationf "churn %s/%s: incremental answers differ from scratch"
       topology workload;
@@ -835,14 +858,6 @@ let churn cfg =
     "Churn: session engine (incremental) vs from-scratch, per-round\n\
      identifiability + MMP placement under topology deltas";
   let rounds = if cfg.full then 240 else 60 in
-  let topologies =
-    [
-      ( "ER150",
-        let rng = Prng.create (cfg.seed + 41) in
-        Gen.until_connected (fun () -> Gen.erdos_renyi rng ~n:150 ~p:0.039) );
-      ("Ebone", Isp.generate (Prng.create (cfg.seed + 43)) (List.nth Isp.rocketfuel 1));
-    ]
-  in
   List.iter
     (fun (topology, g) ->
       let monitors = Graph.NodeSet.elements (Mmp.place g) in
@@ -852,7 +867,7 @@ let churn cfg =
         (access_stream rng g monitors rounds);
       let rng = Prng.create (cfg.seed + 53 + Hashtbl.hash topology) in
       churn_workload cfg ~topology ~workload:"core" net (core_stream rng g rounds))
-    topologies;
+    (churn_maps cfg);
   print_endline
     "access churn leaves the biconnected core intact (block cache hits +\n\
      O(1) degree/memo shortcuts); core churn rewrites the touched block\n\
@@ -889,14 +904,6 @@ let churn_warm cfg =
     "Churn-warm: cold vs warm persistent artifact store (fresh session per\n\
      pass, per-round identifiability + MMP under access churn)";
   let rounds = if cfg.full then 240 else 60 in
-  let topologies =
-    [
-      ( "ER150",
-        let rng = Prng.create (cfg.seed + 41) in
-        Gen.until_connected (fun () -> Gen.erdos_renyi rng ~n:150 ~p:0.039) );
-      ("Ebone", Isp.generate (Prng.create (cfg.seed + 43)) (List.nth Isp.rocketfuel 1));
-    ]
-  in
   List.iter
     (fun (topology, g) ->
       let monitors = Graph.NodeSet.elements (Mmp.place g) in
@@ -910,40 +917,26 @@ let churn_warm cfg =
       rm_store_dir dir;
       let run_pass stream =
         let store = Store.open_dir dir in
-        let s = Session.create ~seed:cfg.seed ~store net0 in
-        let answers =
-          List.map
-            (fun d ->
-              (match Session.apply s d with
-              | Ok () -> ()
-              | Error m -> failwith ("churn-warm: invalid delta: " ^ m));
-              (Session.identifiable s, Session.mmp s))
+        let answers, _ =
+          replay ~what:"churn-warm" ~store ~seed:cfg.seed net0 identifiable_and_mmp
             stream
         in
         (answers, Store.stats store)
       in
-      (* Under NETTOMO_CHECK, smoke a short prefix twice so warm store
-         hits pass through the session's differential invariant, then
-         reset the store and time with the invariant layer off (as the
-         churn experiment does). *)
-      if Inv.enabled () then begin
-        ignore (run_pass (take 12 stream));
-        ignore (run_pass (take 12 stream));
-        rm_store_dir dir
-      end;
+      (* The checked prefix runs twice, so warm store hits pass through
+         the session's differential invariant too; then the store is
+         reset and both passes are timed with the invariant layer off
+         (as the churn experiment does). *)
+      check_prefix run_pass stream;
+      check_prefix run_pass stream;
+      if Inv.enabled () then rm_store_dir dir;
       let (cold, cold_st), cold_s =
         wall_time (fun () -> Inv.with_enabled false (fun () -> run_pass stream))
       in
       let (warm, warm_st), warm_s =
         wall_time (fun () -> Inv.with_enabled false (fun () -> run_pass stream))
       in
-      let identical =
-        List.for_all2
-          (fun (i1, m1) (i2, m2) ->
-            Session.equal_result Bool.equal i1 i2
-            && Session.equal_result Session.equal_report m1 m2)
-          cold warm
-      in
+      let identical = List.for_all2 same_identifiable_and_mmp cold warm in
       if not identical then
         Inv.violationf "churn-warm %s: warm answers differ from cold" topology;
       let rate st =
@@ -1006,7 +999,7 @@ let churn_warm cfg =
       | None -> ());
       Store.put baseline_store key (Jsonx.to_string series);
       rm_store_dir dir)
-    topologies;
+    (churn_maps cfg);
   print_endline
     "the warm pass replaces every full analysis with a store read; the\n\
      residual time is deltas, O(1) shortcuts and payload decoding."
@@ -1028,15 +1021,6 @@ let coverage_churn cfg =
     "Coverage-churn: per-link identifiability (coverage) under topology\n\
      churn, and greedy monitor augmentation vs MMP";
   let rounds = if cfg.full then 120 else 40 in
-  let topologies =
-    [
-      ( "ER150",
-        let rng = Prng.create (cfg.seed + 41) in
-        Gen.until_connected (fun () -> Gen.erdos_renyi rng ~n:150 ~p:0.039) );
-      ("Ebone", Isp.generate (Prng.create (cfg.seed + 43)) (List.nth Isp.rocketfuel 1));
-      ("Exodus", Isp.generate (Prng.create (cfg.seed + 47)) (List.nth Isp.rocketfuel 3));
-    ]
-  in
   List.iter
     (fun (topology, g) ->
       let mmp = Graph.NodeSet.elements (Mmp.place g) in
@@ -1046,21 +1030,13 @@ let coverage_churn cfg =
         core_stream (Prng.create (cfg.seed + 61 + Hashtbl.hash topology)) g rounds
       in
       let run_incremental stream =
-        let s = Session.create ~seed:cfg.seed net0 in
-        let answers =
-          List.map
-            (fun d ->
-              (match Session.apply s d with
-              | Ok () -> ()
-              | Error msg -> failwith ("coverage-churn: invalid delta: " ^ msg));
-              Session.coverage s)
-            stream
+        let answers, s =
+          replay ~what:"coverage-churn" ~seed:cfg.seed net0 Session.coverage stream
         in
         (answers, Session.stats s)
       in
-      (* With NETTOMO_CHECK on, first replay a 12-round prefix of (b)
-         through the session's differential checks. *)
-      if Inv.enabled () then ignore (run_incremental (take 12 stream));
+      (* The checked prefix replays the first rounds of (b). *)
+      check_prefix run_incremental stream;
       (* Exact eliminations and prefilter rejects of the independent-
          path search over this topology's run, counted from here so the
          checked prefix is left out: deterministic work counts (the pool
@@ -1090,10 +1066,7 @@ let coverage_churn cfg =
             topology f k m cov mode)
         points;
       (* b) session coverage under core churn, incremental vs scratch. *)
-      let nets =
-        let w = { cg = Net.graph net0; cmon = Net.monitors net0 } in
-        List.map (churn_apply w) stream
-      in
+      let nets = scratch_nets net0 stream in
       let (incremental, stats), inc_s =
         wall_time (fun () ->
             Inv.with_enabled false (fun () -> run_incremental stream))
@@ -1159,7 +1132,8 @@ let coverage_churn cfg =
              ("solver_exact_rows_total", Jsonx.Int (exact1 - exact0));
              ("solver_prefilter_rejects_total", Jsonx.Int (rejects1 - rejects0));
            ]))
-    topologies;
+    (churn_maps cfg
+    @ [ ("Exodus", Isp.generate (Prng.create (cfg.seed + 47)) (List.nth Isp.rocketfuel 3)) ]);
   print_endline
     "the structural classifier keeps coverage queries cheap at scale (no\n\
      rational elimination outside small pruned subgraphs), so per-round\n\
@@ -1477,22 +1451,43 @@ let serve_soak cfg ~clients =
      pool runs at most one in-flight request per connection, so each\n\
      transcript reproduces serially."
 
-let all_ids =
-  [ "e1"; "e2"; "e3"; "e4"; "fig9"; "fig10"; "table2"; "fig11"; "table3";
-    "fig12"; "e11"; "ablation"; "churn"; "churn-warm"; "coverage-churn";
-    "solve-scale"; "serve-soak"; "perf" ]
+(* Every experiment by id, in the order a run without ids runs them.
+   Tables and their RMP figures share generated topologies: a figure
+   run without its table computes the table first. *)
+let experiments cfg ~clients =
+  let table2_pairs = ref None and table3_pairs = ref None in
+  let pairs memo table =
+    match !memo with
+    | Some p -> p
+    | None ->
+        let p = table cfg in
+        memo := Some p;
+        p
+  in
+  [
+    ("e1", fun () -> e1 cfg);
+    ("e2", fun () -> e2 cfg);
+    ("e3", fun () -> e3 cfg);
+    ("e4", fun () -> e4 cfg);
+    ("fig9", fun () -> fig9 cfg);
+    ("fig10", fun () -> fig10 cfg);
+    ("table2", fun () -> table2_pairs := Some (table2 cfg));
+    ("fig11", fun () -> fig11 cfg (pairs table2_pairs table2));
+    ("table3", fun () -> table3_pairs := Some (table3 cfg));
+    ("fig12", fun () -> fig12 cfg (pairs table3_pairs table3));
+    ("e11", fun () -> e11 cfg);
+    ("ablation", fun () -> ablation cfg);
+    ("churn", fun () -> churn cfg);
+    ("churn-warm", fun () -> churn_warm cfg);
+    ("coverage-churn", fun () -> coverage_churn cfg);
+    ("solve-scale", fun () -> solve_scale cfg);
+    ("serve-soak", fun () -> serve_soak cfg ~clients);
+    ("perf", fun () -> perf cfg);
+  ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
-  let int_opt flag default =
-    let rec find = function
-      | f :: v :: _ when String.equal f flag -> int_of_string v
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
-  in
   let str_opt flag =
     let rec find = function
       | f :: v :: _ when String.equal f flag -> Some v
@@ -1500,6 +1495,9 @@ let () =
       | [] -> None
     in
     find args
+  in
+  let int_opt flag default =
+    Option.fold ~none:default ~some:int_of_string (str_opt flag)
   in
   let seed = int_opt "--seed" 7 in
   let jobs = int_opt "--jobs" 1 in
@@ -1512,8 +1510,12 @@ let () =
   let pool = Pool.create ~jobs in
   let report = Report.create () in
   let cfg = { full; seed; pool; report } in
-  let selected = List.filter (fun a -> List.mem a all_ids) args in
-  let selected = if selected = [] then all_ids else selected in
+  let table = experiments cfg ~clients in
+  let selected =
+    match List.filter (fun a -> List.mem_assoc a table) args with
+    | [] -> List.map fst table
+    | ids -> ids
+  in
   Printf.printf "nettomo experiment harness (seed %d, %s volume, %d job%s)\n"
     seed
     (if full then "paper-scale" else "reduced")
@@ -1521,49 +1523,10 @@ let () =
     (if jobs = 1 then "" else "s");
   if Inv.enabled () then
     print_endline "NETTOMO_CHECK=1: runtime invariant verification enabled";
-  (* Tables and their RMP figures share generated topologies. *)
-  let table2_pairs = ref None and table3_pairs = ref None in
-  let timed id f = Report.timed report ~id f in
   Fun.protect
     ~finally:(fun () -> Pool.close pool)
     (fun () ->
-      List.iter
-        (fun id ->
-          match id with
-          | "e1" -> timed id (fun () -> e1 cfg)
-          | "e2" -> timed id (fun () -> e2 cfg)
-          | "e3" -> timed id (fun () -> e3 cfg)
-          | "e4" -> timed id (fun () -> e4 cfg)
-          | "fig9" -> timed id (fun () -> fig9 cfg)
-          | "fig10" -> timed id (fun () -> fig10 cfg)
-          | "table2" ->
-              table2_pairs := Some (timed id (fun () -> table2 cfg))
-          | "fig11" ->
-              timed id (fun () ->
-                  let pairs =
-                    match !table2_pairs with Some p -> p | None -> table2 cfg
-                  in
-                  table2_pairs := Some pairs;
-                  fig11 cfg pairs)
-          | "table3" ->
-              table3_pairs := Some (timed id (fun () -> table3 cfg))
-          | "fig12" ->
-              timed id (fun () ->
-                  let pairs =
-                    match !table3_pairs with Some p -> p | None -> table3 cfg
-                  in
-                  table3_pairs := Some pairs;
-                  fig12 cfg pairs)
-          | "e11" -> timed id (fun () -> e11 cfg)
-          | "ablation" -> timed id (fun () -> ablation cfg)
-          | "churn" -> timed id (fun () -> churn cfg)
-          | "churn-warm" -> timed id (fun () -> churn_warm cfg)
-          | "coverage-churn" -> timed id (fun () -> coverage_churn cfg)
-          | "solve-scale" -> timed id (fun () -> solve_scale cfg)
-          | "serve-soak" -> timed id (fun () -> serve_soak cfg ~clients)
-          | "perf" -> timed id (fun () -> perf cfg)
-          | _ -> ())
-        selected);
+      List.iter (fun id -> Report.timed report ~id (List.assoc id table)) selected);
   (match json_path with
   | None -> ()
   | Some path -> Report.write report ~path ~seed ~jobs ~full);

@@ -37,15 +37,18 @@ let two_monitors net =
   | [ m1; m2 ] -> (m1, m2)
   | _ -> Errors.invalid_arg "Classify: exactly two monitors required"
 
-(* Memoized simple-path enumeration. *)
-let path_cache limit g =
+(* Memoized simple-path enumeration, at most [path_limit] paths per
+   endpoint pair. *)
+let path_limit = 50_000
+
+let path_cache g =
   let tbl = Hashtbl.create 64 in
   fun src dst ->
     match Hashtbl.find_opt tbl (src, dst) with
     | Some ps -> ps
     | None ->
         let ps =
-          Paths.all_simple_paths ~limit g src dst
+          Paths.all_simple_paths ~limit:path_limit g src dst
           |> List.map (fun p -> (p, nodes_of p))
         in
         Hashtbl.replace tbl (src, dst) ps;
@@ -95,10 +98,10 @@ let find_cross_link paths m1 m2 a b =
    with Exit -> ());
   !result
 
-let classify ?(limit = 50_000) net =
+let classify net =
   let m1, m2 = two_monitors net in
   let g = Net.graph net in
-  let paths = path_cache limit g in
+  let paths = path_cache g in
   let interior = Interior.interior_links net in
   let kinds = ref Graph.EdgeMap.empty in
   let known = ref ES.empty in

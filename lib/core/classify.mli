@@ -31,11 +31,13 @@ type kind =
       (** No witness found — under Theorem 3.2's conditions this does
           not happen for interior links. *)
 
-val classify : ?limit:int -> Net.t -> kind Graph.EdgeMap.t
+val classify : Net.t -> kind Graph.EdgeMap.t
 (** Classification of every interior link of a 2-monitor network.
     Cross-links are found first; shortcuts are then closed under a
     fixpoint, allowing detours through links identified earlier. Raises
-    [Invalid_argument] unless the network has exactly two monitors. *)
+    [Invalid_argument] unless the network has exactly two monitors, and
+    {!Paths.Limit_exceeded} when more than 50,000 simple paths join
+    a monitor and a node. *)
 
 val identify : Net.t -> Measurement.weights ->
   (Graph.edge * Rational.t) list

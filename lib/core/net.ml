@@ -38,8 +38,3 @@ let monitor_pairs t =
   List.concat_map
     (fun m1 -> List.filter_map (fun m2 -> if m1 < m2 then Some (m1, m2) else None) ms)
     ms
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,monitors:" Graph.pp t.graph;
-  Graph.NodeSet.iter (fun m -> Format.fprintf ppf " %s" (label t m)) t.monitors;
-  Format.fprintf ppf "@]"

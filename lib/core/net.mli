@@ -29,5 +29,3 @@ val with_monitors : t -> Graph.node list -> t
 
 val monitor_pairs : t -> (Graph.node * Graph.node) list
 (** All unordered monitor pairs — the possible measurement endpoints. *)
-
-val pp : Format.formatter -> t -> unit

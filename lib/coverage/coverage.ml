@@ -126,7 +126,11 @@ let degree (c : Csr.t) i = c.xadj.(i + 1) - c.xadj.(i)
 
 (* ------------------------------------------------------------------ *)
 
-let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
+(* Past this many nodes a component's surviving links are [Unresolved];
+   see the rank fallback below. *)
+let rank_node_limit = 160
+
+let classify ?(seed = 0) ?(exact_node_limit = 12) net =
   if Net.kappa net < 2 then
     Errors.invalid_arg "Coverage.classify: need at least two monitors";
   Obs.Trace.span "coverage.classify" @@ fun () ->
@@ -348,8 +352,6 @@ let coverage r =
   let total = Graph.EdgeMap.cardinal r.verdicts in
   if total = 0 then 1.0
   else float_of_int (Graph.EdgeSet.cardinal r.identifiable) /. float_of_int total
-
-let identifiable_subnet r = Graph.of_edges (Graph.EdgeSet.elements r.identifiable)
 
 let reason_to_string = function
   | Whole_network -> "whole_network"

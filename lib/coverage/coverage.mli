@@ -103,15 +103,14 @@ type report = {
 val classify :
   ?seed:int ->
   ?exact_node_limit:int ->
-  ?rank_node_limit:int ->
   Nettomo_core.Net.t ->
   report
 (** Classify every link. [seed] (default 0) drives the sampled fallback
     so reports are deterministic; [exact_node_limit] (default 12) is
     the pruned-subgraph size up to which the fallback enumerates
-    exactly;
-    [rank_node_limit] (default 160) is the size past which the rank
-    fallback is skipped and surviving links become [Unresolved]. The
+    exactly; [rank_node_limit], fixed at 160, is the size past which
+    the rank fallback is skipped and surviving links become
+    [Unresolved]. The
     fallback runs per connected component of the pruned sub-network —
     the limits bound each component, not their union — and its sampled
     layer is seeded with the constructive spanning-tree candidates of
@@ -147,10 +146,6 @@ val classify :
 val coverage : report -> float
 (** Fraction of links identifiable, in [\[0, 1\]]; 1.0 for a network
     with no links. *)
-
-val identifiable_subnet : report -> Graph.t
-(** The maximal identifiable sub-network: exactly the identifiable
-    links and their endpoints. *)
 
 val reason_to_string : reason -> string
 val mode_to_string : mode -> string

@@ -27,8 +27,6 @@ let hash_edge u v =
 
 let hash_monitor v = mix64 (Int64.logxor monitor_tag (Int64.of_int v))
 
-let empty = { structure = 0L; monitors = 0L }
-
 let with_node t v = { t with structure = Int64.logxor t.structure (hash_node v) }
 
 let with_edge t u v =

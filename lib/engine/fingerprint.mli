@@ -21,9 +21,6 @@ open Nettomo_graph
 
 type t = { structure : int64; monitors : int64 }
 
-val empty : t
-(** Fingerprint of the empty network with no monitors. *)
-
 val with_node : t -> Graph.node -> t
 (** Toggle a node in the structure part (involutive). *)
 

@@ -56,9 +56,6 @@ type t = {
 let create ?pool ?(seed = 7) ?(emit_wall_ms = true) ?store ?slow_ms () =
   { pool; default_seed = seed; emit_wall_ms; store; slow_ms; session = None }
 
-let session t = t.session
-let slow_ms t = t.slow_ms
-
 (* Cheap single-field peeks for the socket dispatcher, which must
    route a line (status / scrape interception) without handing it to
    the pool. *)

@@ -105,12 +105,6 @@ val create :
     and per-layer breakdown pushed onto {!Nettomo_obs.Obs.Slow} and
     logged at [warn]. *)
 
-val session : t -> Session.t option
-(** The live session, once a [load] succeeded. *)
-
-val slow_ms : t -> float option
-(** The slow-capture threshold given to {!create}, if any. *)
-
 val handle_line : ?ctx:Nettomo_obs.Obs.Ctx.t -> t -> string -> string
 (** Process one request line into one response line (no trailing
     newline). Never raises on malformed input.

@@ -92,11 +92,14 @@ type t = {
 
 let default_max_line_bytes = 1 lsl 20
 
+(* The kernel accept queue of the listening socket. *)
+let backlog = 64
+
 let close_fd fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 let create ?(seed = 7) ?(emit_wall_ms = true) ?store ?(max_conns = 64)
-    ?(max_line_bytes = default_max_line_bytes) ?shed_wait_p95 ?slow_ms
-    ?(backlog = 64) ~pool listen =
+    ?(max_line_bytes = default_max_line_bytes) ?shed_wait_p95 ?slow_ms ~pool
+    listen =
   let bound fd k =
     match k () with
     | v -> v

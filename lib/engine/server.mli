@@ -73,7 +73,6 @@ val create :
   ?max_line_bytes:int ->
   ?shed_wait_p95:float ->
   ?slow_ms:float ->
-  ?backlog:int ->
   pool:Nettomo_util.Pool.t ->
   listen ->
   t
@@ -84,8 +83,8 @@ val create :
     {!Protocol.create}. [max_conns] (default 64) and [shed_wait_p95]
     (seconds; default off — and inert until the pool's queue-wait
     histogram has at least one observation) drive shedding;
-    [max_line_bytes] (default 1 MiB) bounds a single request line;
-    [backlog] (default 64) is the kernel accept queue.
+    [max_line_bytes] (default 1 MiB) bounds a single request line. The
+    kernel accept queue holds 64 connections.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val run : t -> unit

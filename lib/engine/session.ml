@@ -23,16 +23,6 @@ type delta =
   | Remove_link of Graph.node * Graph.node
   | Set_monitors of Graph.node list
 
-let pp_delta ppf = function
-  | Add_node v -> Format.fprintf ppf "add_node %d" v
-  | Remove_node v -> Format.fprintf ppf "remove_node %d" v
-  | Add_link (u, v) -> Format.fprintf ppf "add_link %d-%d" u v
-  | Remove_link (u, v) -> Format.fprintf ppf "remove_link %d-%d" u v
-  | Set_monitors ms ->
-      Format.fprintf ppf "set_monitors [%a]"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-        ms
-
 type stats = {
   deltas : int;
   queries : int;

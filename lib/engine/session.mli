@@ -52,8 +52,6 @@ type delta =
   | Set_monitors of Graph.node list
       (** replace the monitor set; members must be nodes, no duplicates *)
 
-val pp_delta : Format.formatter -> delta -> unit
-
 val create : ?seed:int -> ?store:Nettomo_store.Store.t -> Nettomo_core.Net.t -> t
 (** A fresh session over a network. [seed] (default 7) drives the
     deterministic generators of {!plan}, {!coverage}, {!augment} and

@@ -1,10 +1,4 @@
-let node_label labels v =
-  match Graph.NodeMap.find_opt v labels with
-  | Some s -> s
-  | None -> string_of_int v
-
-let to_dot ?(name = "G") ?(highlight = Graph.NodeSet.empty)
-    ?(labels = Graph.NodeMap.empty) ?(edge_labels = Graph.EdgeMap.empty) g =
+let to_dot ?(name = "G") ?(highlight = Graph.NodeSet.empty) g =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "graph %s {\n" name;
@@ -16,19 +10,14 @@ let to_dot ?(name = "G") ?(highlight = Graph.NodeSet.empty)
           " shape=box style=filled fillcolor=lightblue"
         else ""
       in
-      pf "  n%d [label=\"%s\"%s];\n" v (node_label labels v) attrs)
+      pf "  n%d [label=\"%d\"%s];\n" v v attrs)
     g;
-  Graph.iter_edges
-    (fun ((u, v) as e) ->
-      match Graph.EdgeMap.find_opt e edge_labels with
-      | Some l -> pf "  n%d -- n%d [label=\"%s\"];\n" u v l
-      | None -> pf "  n%d -- n%d;\n" u v)
-    g;
+  Graph.iter_edges (fun (u, v) -> pf "  n%d -- n%d;\n" u v) g;
   pf "}\n";
   Buffer.contents buf
 
-let write_file ?name ?highlight ?labels ?edge_labels file g =
+let write_file ?name ?highlight file g =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?name ?highlight ?labels ?edge_labels g))
+    (fun () -> output_string oc (to_dot ?name ?highlight g))

@@ -1,21 +1,9 @@
 (** Graphviz export, for inspecting topologies, monitor placements and
     decompositions. *)
 
-val to_dot :
-  ?name:string ->
-  ?highlight:Graph.NodeSet.t ->
-  ?labels:string Graph.NodeMap.t ->
-  ?edge_labels:string Graph.EdgeMap.t ->
-  Graph.t ->
-  string
-(** DOT source for the graph. Highlighted nodes (e.g. monitors) are drawn
-    as filled boxes. *)
+val to_dot : ?name:string -> ?highlight:Graph.NodeSet.t -> Graph.t -> string
+(** DOT source for the graph, each node labelled with its number.
+    Highlighted nodes (e.g. monitors) are drawn as filled boxes. *)
 
 val write_file :
-  ?name:string ->
-  ?highlight:Graph.NodeSet.t ->
-  ?labels:string Graph.NodeMap.t ->
-  ?edge_labels:string Graph.EdgeMap.t ->
-  string ->
-  Graph.t ->
-  unit
+  ?name:string -> ?highlight:Graph.NodeSet.t -> string -> Graph.t -> unit

@@ -11,11 +11,6 @@ let edge (u : node) v =
   else if u < v then (u, v)
   else (v, u)
 
-let edge_other ((u : node), v) x =
-  if x = u then v
-  else if x = v then u
-  else Errors.invalid_arg "Graph.edge_other: not an endpoint"
-
 let edge_compare (a1, b1) (a2, b2) =
   match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
@@ -131,10 +126,6 @@ let induced g keep =
     keep empty
 
 let remove_nodes g drop = NodeSet.fold (fun v acc -> remove_node acc v) drop g
-
-let union g1 g2 =
-  let g = fold_nodes (fun v acc -> add_node acc v) g2 g1 in
-  fold_edges (fun (u, v) acc -> add_edge acc u v) g2 g
 
 let min_degree g =
   if is_empty g then Errors.invalid_arg "Graph.min_degree: empty graph"

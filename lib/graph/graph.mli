@@ -25,10 +25,6 @@ val edge : node -> node -> edge
 (** [edge u v] is the normalized link between [u] and [v].
     Raises [Invalid_argument] if [u = v] (self-loops are not allowed). *)
 
-val edge_other : edge -> node -> node
-(** [edge_other e v] is the endpoint of [e] that is not [v].
-    Raises [Invalid_argument] if [v] is not an endpoint. *)
-
 val edge_compare : edge -> edge -> int
 val edge_equal : edge -> edge -> bool
 val pp_edge : Format.formatter -> edge -> unit
@@ -98,9 +94,6 @@ val induced : t -> NodeSet.t -> t
 
 val remove_nodes : t -> NodeSet.t -> t
 (** [G] minus a whole node set and all incident links. *)
-
-val union : t -> t -> t
-(** Graph union: union of node sets and of link sets. *)
 
 val min_degree : t -> int
 (** Smallest node degree; raises [Invalid_argument] on an empty graph. *)

@@ -35,8 +35,8 @@ exception Limit_exceeded
 
 (* The one simple-path enumerator: backtracking DFS from [src] with
    neighbours in increasing order, passing each path to [dst] to [found]
-   as a reversed node list. Returns the number of paths, and raises
-   {!Limit_exceeded} on path [limit + 1]. *)
+   as a reversed node list. Raises {!Limit_exceeded} on path
+   [limit + 1]. *)
 let simple_paths ~limit name g src dst found =
   if src = dst then Errors.invalid_arg (name ^ ": equal endpoints");
   if not (Graph.mem_node g src && Graph.mem_node g dst) then
@@ -55,21 +55,16 @@ let simple_paths ~limit name g src dst found =
             dfs u (v :: prefix) (NS.add u visited))
         (Graph.neighbors g v)
   in
-  dfs src [] (NS.singleton src);
-  !count
+  dfs src [] (NS.singleton src)
 
 let iter_simple_paths g src dst found =
-  ignore (simple_paths ~limit:200_000 "Paths.iter_simple_paths" g src dst found)
+  simple_paths ~limit:200_000 "Paths.iter_simple_paths" g src dst found
 
 let all_simple_paths ?(limit = 200_000) g src dst =
   let acc = ref [] in
-  ignore
-    (simple_paths ~limit "Paths.all_simple_paths" g src dst (fun rev ->
-         acc := List.rev rev :: !acc));
+  simple_paths ~limit "Paths.all_simple_paths" g src dst (fun rev ->
+      acc := List.rev rev :: !acc);
   List.rev !acc
-
-let count_simple_paths ?(limit = 5_000_000) g src dst =
-  simple_paths ~limit "Paths.count_simple_paths" g src dst ignore
 
 let random_simple_path rng g src dst =
   if src = dst then Errors.invalid_arg "Paths.random_simple_path: equal endpoints";

@@ -35,10 +35,6 @@ val iter_simple_paths :
     first). Raises {!Limit_exceeded} on path 200,001, after passing
     the first 200,000. *)
 
-val count_simple_paths :
-  ?limit:int -> Graph.t -> Graph.node -> Graph.node -> int
-(** Number of simple paths, same caveats. *)
-
 val random_simple_path :
   Nettomo_util.Prng.t -> Graph.t -> Graph.node -> Graph.node -> path option
 (** A simple path found by randomized depth-first search (random

@@ -38,8 +38,6 @@ let is_connected g =
   | [] -> true
   | v :: _ -> NS.cardinal (reachable g v) = Graph.n_nodes g
 
-let n_components g = List.length (components g)
-
 let shortest_path g src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then
     Errors.invalid_arg "Traversal.shortest_path: unknown endpoint";

@@ -22,8 +22,6 @@ val is_connected : Graph.t -> bool
 (** Whether the graph is connected. Graphs with zero or one node are
     connected. *)
 
-val n_components : Graph.t -> int
-
 val shortest_path :
   Graph.t -> Graph.node -> Graph.node -> Graph.node list option
 (** A shortest path as a node sequence (inclusive of both endpoints), or

@@ -249,17 +249,6 @@ let rec gcd a b =
   let a = abs a and b = abs b in
   if is_zero b then a else gcd b (rem a b)
 
-let pow a k =
-  if k < 0 then Errors.invalid_arg "Bigint.pow: negative exponent";
-  let rec loop acc base k =
-    if k = 0 then acc
-    else begin
-      let acc = if k land 1 = 1 then mul acc base else acc in
-      loop acc (mul base base) (k lsr 1)
-    end
-  in
-  loop one a k
-
 let to_int t =
   (* Fits if the magnitude has at most ⌈63/30⌉ limbs and the assembled
      value round-trips; min_int needs a special case because its
@@ -320,5 +309,3 @@ let to_float t =
     |> List.fold_left (fun acc limb -> (acc *. float_of_int base) +. float_of_int limb) 0.0
   in
   if t.sign < 0 then -.m else m
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

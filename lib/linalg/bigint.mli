@@ -45,8 +45,4 @@ val rem : t -> t -> t
 val gcd : t -> t -> t
 (** Non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 
-val pow : t -> int -> t
-(** [pow a k] for [k ≥ 0]. *)
-
 val to_float : t -> float
-val pp : Format.formatter -> t -> unit

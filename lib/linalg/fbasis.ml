@@ -6,9 +6,11 @@ module Errors = Nettomo_util.Errors
    that changes is replaced, never modified, so copies share rows. *)
 type row = { cols : int array; vals : float array }
 
+(* A residual entry counts as zero up to this magnitude. *)
+let epsilon = 1e-9
+
 type t = {
   n : int;
-  epsilon : float;
   rows : row option array;
       (* [rows.(p)] is the row whose pivot is column [p], scaled to 1.0
          there; [None] when column [p] is not a pivot. Every row is
@@ -40,11 +42,10 @@ type t = {
          list being built. *)
 }
 
-let create ?(epsilon = 1e-9) n =
+let create n =
   if n < 0 then Errors.invalid_arg "Fbasis.create: negative dimension";
   {
     n;
-    epsilon;
     rows = Array.make n None;
     users = Array.make n [||];
     users_len = Array.make n 0;
@@ -114,7 +115,7 @@ let reduce t cols len =
 let best_pivot t =
   let v = t.scratch in
   let best = ref (-1) in
-  let best_mag = ref t.epsilon in
+  let best_mag = ref epsilon in
   for k = 0 to t.n_touched - 1 do
     let j = t.touched.(k) in
     let m = Float.abs v.(j) in

@@ -32,7 +32,7 @@
     a dense reduction gives them.
 
     Verdicts are approximate: a row whose residual max-norm does not
-    exceed [epsilon] (default 1e-9) is reported dependent. For the 0/1
+    exceed 1e-9 is reported dependent. For the 0/1
     incidence rows of measurement matrices at realistic sizes this never
     misfires in practice, and the exact confirmation step keeps the
     final plan sound regardless. A basis is not safe to share between
@@ -40,7 +40,7 @@
 
 type t
 
-val create : ?epsilon:float -> int -> t
+val create : int -> t
 (** Basis of the zero subspace of ℝ{^n}. Raises [Invalid_argument] for
     negative [n]. *)
 

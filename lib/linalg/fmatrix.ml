@@ -1,10 +1,6 @@
 module Errors = Nettomo_util.Errors
 type t = { m : int; n : int; a : float array array }
 
-let make m n x =
-  if m <= 0 || n <= 0 then Errors.invalid_arg "Fmatrix.make: non-positive dimension";
-  { m; n; a = Array.init m (fun _ -> Array.make n x) }
-
 let init m n f =
   if m <= 0 || n <= 0 then Errors.invalid_arg "Fmatrix.init: non-positive dimension";
   { m; n; a = Array.init m (fun i -> Array.init n (f i)) }
@@ -113,17 +109,3 @@ let residual_norm t x b =
   let acc = ref 0.0 in
   Array.iteri (fun i v -> acc := !acc +. ((v -. b.(i)) ** 2.0)) ax;
   sqrt !acc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "@[<h>[";
-      Array.iteri
-        (fun j x ->
-          if j > 0 then Format.fprintf ppf " ";
-          Format.fprintf ppf "%g" x)
-        r;
-      Format.fprintf ppf "]@]@,")
-    t.a;
-  Format.fprintf ppf "@]"

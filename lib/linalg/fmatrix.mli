@@ -8,8 +8,6 @@
 
 type t
 
-val make : int -> int -> float -> t
-val init : int -> int -> (int -> int -> float) -> t
 val of_rows : float array array -> t
 val of_matrix : Matrix.t -> t
 (** Convert an exact matrix entrywise. *)
@@ -31,5 +29,3 @@ val least_squares : t -> float array -> float array option
 
 val residual_norm : t -> float array -> float array -> float
 (** ‖A·x − b‖₂. *)
-
-val pp : Format.formatter -> t -> unit

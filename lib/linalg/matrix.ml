@@ -5,14 +5,6 @@ type t = { m : int; n : int; a : Q.t array array }
 (* Invariant: a has m rows of n entries each; rows are never shared with
    callers (copied on the way in and out). *)
 
-let make m n x =
-  if m <= 0 || n <= 0 then Errors.invalid_arg "Matrix.make: non-positive dimension";
-  { m; n; a = Array.init m (fun _ -> Array.make n x) }
-
-let init m n f =
-  if m <= 0 || n <= 0 then Errors.invalid_arg "Matrix.init: non-positive dimension";
-  { m; n; a = Array.init m (fun i -> Array.init n (f i)) }
-
 let of_rows rows =
   let m = Array.length rows in
   if m = 0 then Errors.invalid_arg "Matrix.of_rows: no rows";
@@ -23,9 +15,6 @@ let of_rows rows =
   { m; n; a = Array.map Array.copy rows }
 
 let of_int_rows rows = of_rows (Array.map (Array.map Q.of_int) rows)
-
-let identity n =
-  init n n (fun i j -> if i = j then Q.one else Q.zero)
 
 let rows t = t.m
 let cols t = t.n
@@ -40,30 +29,6 @@ let row t i =
   Array.copy t.a.(i)
 
 let to_rows t = Array.map Array.copy t.a
-
-let transpose t = init t.n t.m (fun i j -> t.a.(j).(i))
-
-let mul x y =
-  if x.n <> y.m then Errors.invalid_arg "Matrix.mul: dimension mismatch";
-  init x.m y.n (fun i j ->
-      let acc = ref Q.zero in
-      for k = 0 to x.n - 1 do
-        acc := Q.add !acc (Q.mul x.a.(i).(k) y.a.(k).(j))
-      done;
-      !acc)
-
-let mul_vec t v =
-  if Array.length v <> t.n then Errors.invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init t.m (fun i ->
-      let acc = ref Q.zero in
-      for j = 0 to t.n - 1 do
-        acc := Q.add !acc (Q.mul t.a.(i).(j) v.(j))
-      done;
-      !acc)
-
-let equal x y =
-  x.m = y.m && x.n = y.n
-  && Array.for_all2 (fun r s -> Array.for_all2 Q.equal r s) x.a y.a
 
 (* Gauss–Jordan elimination in place on a working copy. Returns the
    working rows, the rank, and the pivot column of each pivot row. *)
@@ -110,10 +75,6 @@ let rank t =
   let _, rank, _ = eliminate t.a t.n in
   rank
 
-let rref t =
-  let a, _, _ = eliminate t.a t.n in
-  { t with a }
-
 let solve t b =
   if Array.length b <> t.m then Errors.invalid_arg "Matrix.solve: dimension mismatch";
   (* Augment with b, eliminate, and read the solution off the pivots. *)
@@ -130,71 +91,3 @@ let solve t b =
     List.iteri (fun i c -> x.(c) <- a.(i).(t.n)) pivots;
     Some x
   end
-
-let inverse t =
-  if t.m <> t.n then Errors.invalid_arg "Matrix.inverse: not square";
-  let aug =
-    Array.init t.m (fun i ->
-        Array.init (2 * t.n) (fun j ->
-            if j < t.n then t.a.(i).(j)
-            else if j - t.n = i then Q.one
-            else Q.zero))
-  in
-  let a, _, pivots = eliminate aug (2 * t.n) in
-  (* Invertible iff every pivot of the augmented elimination falls in the
-     left block (a singular left block leaks pivots into the identity
-     half). *)
-  let left_rank = List.length (List.filter (fun c -> c < t.n) pivots) in
-  if left_rank < t.n then None
-  else Some (init t.n t.n (fun i j -> a.(i).(j + t.n)))
-
-let det t =
-  if t.m <> t.n then Errors.invalid_arg "Matrix.det: not square";
-  (* Fraction-free-ish: plain elimination tracking the product of pivots
-     and row swaps. *)
-  let a = Array.map Array.copy t.a in
-  let n = t.n in
-  let det = ref Q.one in
-  (try
-     for col = 0 to n - 1 do
-       let pivot = ref (-1) in
-       for i = col to n - 1 do
-         if !pivot < 0 && not (Q.is_zero a.(i).(col)) then pivot := i
-       done;
-       if !pivot < 0 then begin
-         det := Q.zero;
-         raise Exit
-       end;
-       if !pivot <> col then begin
-         let tmp = a.(col) in
-         a.(col) <- a.(!pivot);
-         a.(!pivot) <- tmp;
-         det := Q.neg !det
-       end;
-       det := Q.mul !det a.(col).(col);
-       let inv = Q.inv a.(col).(col) in
-       for i = col + 1 to n - 1 do
-         if not (Q.is_zero a.(i).(col)) then begin
-           let factor = Q.mul a.(i).(col) inv in
-           for j = col to n - 1 do
-             a.(i).(j) <- Q.sub a.(i).(j) (Q.mul factor a.(col).(j))
-           done
-         end
-       done
-     done
-   with Exit -> ());
-  !det
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "@[<h>[";
-      Array.iteri
-        (fun j x ->
-          if j > 0 then Format.fprintf ppf " ";
-          Q.pp ppf x)
-        r;
-      Format.fprintf ppf "]@]@,")
-    t.a;
-  Format.fprintf ppf "@]"

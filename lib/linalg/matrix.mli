@@ -3,19 +3,15 @@
     This is the substrate for the linear-algebraic model of Section 2.1:
     the measurement matrix [R] is a 0/1 matrix over ℚ, the network is
     identifiable iff [rank R] equals the number of links, and metric
-    recovery solves [R·w = c]. *)
+    recovery solves [R·w = c]. Those two questions, {!rank} and
+    {!solve}, are all this module answers. *)
 
 type t
 
-val make : int -> int -> Rational.t -> t
-(** [make rows cols x] is a [rows × cols] matrix filled with [x]. *)
-
-val init : int -> int -> (int -> int -> Rational.t) -> t
 val of_rows : Rational.t array array -> t
 (** Copies its argument; rows must be non-empty and equally long. *)
 
 val of_int_rows : int array array -> t
-val identity : int -> t
 
 val rows : t -> int
 val cols : t -> int
@@ -26,29 +22,11 @@ val row : t -> int -> Rational.t array
 val to_rows : t -> Rational.t array array
 (** A fresh copy of the contents. *)
 
-val transpose : t -> t
-val mul : t -> t -> t
-(** Raises [Invalid_argument] on dimension mismatch. *)
-
-val mul_vec : t -> Rational.t array -> Rational.t array
-val equal : t -> t -> bool
-
 val rank : t -> int
 (** Exact rank over ℚ. *)
-
-val rref : t -> t
-(** Reduced row-echelon form. *)
 
 val solve : t -> Rational.t array -> Rational.t array option
 (** [solve a b] is some [x] with [a·x = b]. Requires [a] to have full
     column rank so that the solution, if any, is unique; returns [None]
     if the system is inconsistent. Raises [Invalid_argument] if [a] does
     not have full column rank or dimensions mismatch. *)
-
-val inverse : t -> t option
-(** [None] when singular. Raises [Invalid_argument] if not square. *)
-
-val det : t -> Rational.t
-(** Determinant of a square matrix. *)
-
-val pp : Format.formatter -> t -> unit

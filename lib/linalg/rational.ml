@@ -1,4 +1,3 @@
-module Errors = Nettomo_util.Errors
 
 (* Canonical representation: [Small (n, d)] iff |n| ≤ small_max and
    0 < d ≤ small_max, otherwise [Big]. Both forms are kept in lowest
@@ -24,7 +23,7 @@ let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 let of_native n d =
   if n = 0 then zero
   else begin
-    let g = if d = 1 then 1 else gcd_int (Stdlib.abs n) d in
+    let g = if d = 1 then 1 else gcd_int (abs n) d in
     let n = n / g and d = d / g in
     if fits n d then Small (n, d)
     else Big { num = Bigint.of_int n; den = Bigint.of_int d }
@@ -53,8 +52,6 @@ let make num den =
     of_reduced (Bigint.div num g) (Bigint.div den g)
   end
 
-let of_bigint n = of_reduced n Bigint.one
-
 let of_int n =
   if fits n 1 then Small (n, 1) else Big { num = Bigint.of_int n; den = Bigint.one }
 
@@ -80,10 +77,6 @@ let sign = function
 
 let is_zero = function Small (0, _) -> true | Small _ | Big _ -> false
 
-let is_integer = function
-  | Small (_, d) -> d = 1
-  | Big { den; _ } -> Bigint.equal den Bigint.one
-
 let compare a b =
   (* a/b vs c/d with b, d > 0: compare ad with cb. *)
   match (a, b) with
@@ -101,10 +94,6 @@ let equal a b =
 let neg = function
   | Small (n, d) -> Small (-n, d)
   | Big b -> Big { b with num = Bigint.neg b.num }
-
-let abs = function
-  | Small (n, d) -> Small (Stdlib.abs n, d)
-  | Big b -> Big { b with num = Bigint.abs b.num }
 
 let add a b =
   match (a, b) with
@@ -135,11 +124,6 @@ let inv = function
       if Bigint.sign num > 0 then Big { num = den; den = num }
       else Big { num = Bigint.neg den; den = Bigint.neg num }
 
-let div a b = mul a (inv b)
-
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
-
 let to_float = function
   | Small (n, d) -> float_of_int n /. float_of_int d
   | Big { num; den } -> Bigint.to_float num /. Bigint.to_float den
@@ -150,32 +134,6 @@ let to_string = function
   | Big { num; den } ->
       if Bigint.equal den Bigint.one then Bigint.to_string num
       else Bigint.to_string num ^ "/" ^ Bigint.to_string den
-
-let of_string s =
-  let fail () = Errors.invalid_arg "Rational.of_string: malformed rational" in
-  match String.index_opt s '/' with
-  | Some i ->
-      let n = String.sub s 0 i
-      and d = String.sub s (i + 1) (String.length s - i - 1) in
-      (try make (Bigint.of_string n) (Bigint.of_string d)
-       with Invalid_argument _ -> fail ())
-  | None -> (
-      match String.index_opt s '.' with
-      | None -> (
-          try of_bigint (Bigint.of_string s) with Invalid_argument _ -> fail ())
-      | Some i ->
-          (* Decimal: concatenating the digits keeps the sign in front,
-             and the denominator is a power of ten. *)
-          let int_part = String.sub s 0 i
-          and frac = String.sub s (i + 1) (String.length s - i - 1) in
-          if frac = "" then fail ();
-          let digits = int_part ^ frac in
-          if digits = "" || digits = "-" then fail ();
-          (try
-             let n = Bigint.of_string digits in
-             let d = Bigint.pow (Bigint.of_int 10) (String.length frac) in
-             make n d
-           with Invalid_argument _ -> fail ()))
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -30,10 +30,6 @@ val of_int : int -> t
 val of_ints : int -> int -> t
 (** [of_ints n d] is [n/d]. Raises [Division_by_zero] if [d = 0]. *)
 
-val make : Bigint.t -> Bigint.t -> t
-(** [make num den], normalized. Raises [Division_by_zero] if [den] is
-    zero. *)
-
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 (** Always positive. *)
@@ -42,29 +38,17 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
-val is_integer : t -> bool
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
-(** Raises [Division_by_zero]. *)
-
 val inv : t -> t
 (** Raises [Division_by_zero] on zero. *)
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 val to_float : t -> float
 val to_string : t -> string
 (** ["n/d"], or just ["n"] for integers. *)
-
-val of_string : string -> t
-(** Parses ["n"], ["n/d"] or decimal notation like ["3.25"]. Raises
-    [Invalid_argument] on malformed input. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -71,8 +71,6 @@ let plan net =
         Ok t
       end
 
-let n_measurements t = t.csr.m
-
 (* Tree path root → v as index and link-index lists, root side first. *)
 let down_nodes t v =
   let rec go v acc = if v < 0 then acc else go t.parent.(v) (v :: acc) in
@@ -94,8 +92,6 @@ let walk_indices t i =
   | Chord k ->
       let u, v = Csr.endpoints t.csr k in
       down_nodes t u @ List.rev (down_nodes t v) @ List.tl trunk
-
-let walk_nodes t i = List.map (fun ix -> t.csr.ids.(ix)) (walk_indices t i)
 
 let walk_eids t i =
   let trunk = down_eids t t.second in

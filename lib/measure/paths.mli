@@ -56,13 +56,6 @@ val plan : Nettomo_core.Net.t -> (t, string) result
     [measure.csr] span), then plan on its rows. [Error] when the network
     is disconnected or has fewer than two monitors. [O(n + m log n)]. *)
 
-val n_measurements : t -> int
-(** Always [Csr.m] — one measurement per link. *)
-
-val walk_nodes : t -> int -> Graph.node list
-(** The node sequence of measurement [i], in original identifiers;
-    starts at [r] and ends at [s]. *)
-
 val walk_eids : t -> int -> int list
 (** The link-index sequence of measurement [i] (one entry per traversed
     link, with repetitions). *)

@@ -33,22 +33,19 @@ let json_escape s =
   Buffer.contents b
 
 module Clock = struct
-  type mode =
-    | Real
-    | Fake of { start : float; step : float; ticks : int Atomic.t }
+  (* Fake mode: read [k] returns [k] fake milliseconds. *)
+  type mode = Real | Fake of int Atomic.t
 
   let mode = Atomic.make Real
 
   let now () =
     match Atomic.get mode with
     | Real -> Unix.gettimeofday ()
-    | Fake { start; step; ticks } ->
-        start +. (step *. float_of_int (Atomic.fetch_and_add ticks 1))
+    | Fake ticks -> 0.001 *. float_of_int (Atomic.fetch_and_add ticks 1)
 
   let use_real () = Atomic.set mode Real
 
-  let use_fake ?(start = 0.) ?(step = 0.001) () =
-    Atomic.set mode (Fake { start; step; ticks = Atomic.make 0 })
+  let use_fake () = Atomic.set mode (Fake (Atomic.make 0))
 
   let is_fake () =
     match Atomic.get mode with Real -> false | Fake _ -> true
@@ -82,20 +79,17 @@ module Metrics = struct
         sum = Atomic.make 0.;
       }
 
-  (* An empty cell of the same kind (and bounds). *)
+  (* An empty cell of the same kind. *)
   let fresh = function
     | Counter _ -> Counter (Atomic.make 0)
     | Gauge _ -> Gauge (Atomic.make 0.)
     | Histogram { bounds; _ } -> histogram_cell bounds
 
   (* Whether handles of these two cells can share one series: the same
-     kind, and for histograms the same bounds. *)
+     kind (every histogram has the default bounds). *)
   let compatible a b =
     match (a, b) with
-    | Counter _, Counter _ | Gauge _, Gauge _ -> true
-    | Histogram { bounds = x; _ }, Histogram { bounds = y; _ } ->
-        Array.length x = Array.length y
-        && Array.for_all2 (fun u v -> Float.compare u v = 0) x y
+    | Counter _, Counter _ | Gauge _, Gauge _ | Histogram _, Histogram _ -> true
     | (Counter _ | Gauge _ | Histogram _), _ -> false
 
   (* One cell per (name, sorted labels). Dropped handles leave their
@@ -106,7 +100,7 @@ module Metrics = struct
   let registry : (string * (string * string) list, cell) Hashtbl.t = Hashtbl.create 64
   let registry_mu = Mutex.create ()
 
-  (* A handle whose kind or bounds clash with the series already
+  (* A handle whose kind clashes with the series already
      registered under its key keeps a series of its own, outside the
      registry: the first registration decides what the dump shows. *)
   let register name labels own =
@@ -162,17 +156,8 @@ module Metrics = struct
       [ -6; -5; -4; -3; -2; -1; 0 ]
     @ [ 10. ]
 
-  let histogram ?(labels = []) ?(buckets = default_buckets) name =
-    let bounds = Array.of_list buckets in
-    Array.iteri
-      (fun i b ->
-        if i > 0 && Float.compare bounds.(i - 1) b >= 0 then
-          raise
-            (Invalid_argument
-               (Printf.sprintf "Obs.Metrics.histogram %s: buckets not increasing"
-                  name)))
-      bounds;
-    register name labels (histogram_cell bounds)
+  let histogram ?(labels = []) name =
+    register name labels (histogram_cell (Array.of_list default_buckets))
 
   (* Inclusive upper bounds: v lands in the first bucket with v <= bound,
      else in the trailing +Inf bucket. *)
@@ -226,7 +211,7 @@ module Metrics = struct
               if float_of_int cumulative >= rank then bounds.(i)
               else go (i + 1) cumulative
           in
-          if n = 0 then 0. else go 0 0
+          go 0 0
         end
 
   (* --- text exposition ------------------------------------------------- *)
@@ -351,15 +336,15 @@ module Ctx = struct
 
   let req_ids = Atomic.make 1
 
-  let make ?(conn = -1) ?(session = "") ?(op = "") ?(collect = false) () =
+  let make ?(conn = -1) ?(op = "") () =
     {
       req = Atomic.fetch_and_add req_ids 1;
       conn;
-      session;
+      session = "";
       op;
       parent = current_span_id ();
       queue = 0.;
-      collect;
+      collect = false;
       spans = ref [];
       stats = Hashtbl.create 8;
       mu = Mutex.create ();
@@ -588,7 +573,6 @@ module Log = struct
   let debug ?ctx name fields = event ?ctx Debug name fields
   let info ?ctx name fields = event ?ctx Info name fields
   let warn ?ctx name fields = event ?ctx Warn name fields
-  let error ?ctx name fields = event ?ctx Error name fields
 end
 
 module Slow = struct

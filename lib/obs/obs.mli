@@ -21,16 +21,16 @@ module Clock : sig
   val now : unit -> float
   (** Current time in seconds.  Real mode: [Unix.gettimeofday].  Fake
       mode: a deterministic counter — {e every read advances the
-      clock by [step]}, so successive reads are strictly increasing
+      clock by one fake millisecond}, so successive reads are strictly increasing
       and two identical runs observe identical timestamps. *)
 
   val use_real : unit -> unit
   (** Switch to the real clock (the default). *)
 
-  val use_fake : ?start:float -> ?step:float -> unit -> unit
+  val use_fake : unit -> unit
   (** Switch to the deterministic fake clock, resetting its tick
-      counter.  [start] defaults to [0.], [step] to [0.001] (one
-      fake millisecond per read). *)
+      counter: it starts at [0.] and each read advances it by
+      [0.001] (one fake millisecond). *)
 
   val is_fake : unit -> bool
 end
@@ -46,9 +46,9 @@ module Metrics : sig
       holds the sum over every handle ever registered under it (since
       the last {!reset}), and a dropped handle leaves nothing behind
       but its share of that sum, so creating and dropping instances
-      does not grow the registry.  A handle whose kind (or histogram
-      bounds) clashes with the series first registered under its name
-      and labels keeps its values to itself and stays out of {!dump}. *)
+      does not grow the registry.  A handle whose kind clashes with
+      the series first registered under its name and labels keeps its
+      values to itself and stays out of {!dump}. *)
 
   type counter
   type gauge
@@ -72,16 +72,14 @@ module Metrics : sig
       from -6 to 0, then [10.]. Consecutive bounds are at most 1.5×
       apart, so a quantile read off them (see {!histogram_quantile}) is
       within that factor of the true value between 1e-6 and 10 s. Every
-      histogram created without [buckets] uses them. *)
+      histogram uses them. *)
 
-  val histogram :
-    ?labels:(string * string) list -> ?buckets:float list -> string -> histogram
-  (** Fixed-bucket histogram.  [buckets] are {e inclusive} upper
-      bounds (Prometheus [le] convention): an observation [v] lands
-      in the first bucket whose bound [b] satisfies [v <= b], and
-      above the last bound it lands in the implicit [+Inf] bucket.
-      Bounds must be strictly increasing.
-      @raise Invalid_argument otherwise. *)
+  val histogram : ?labels:(string * string) list -> string -> histogram
+  (** Fixed-bucket histogram over {!default_buckets}, read as
+      {e inclusive} upper bounds (Prometheus [le] convention): an
+      observation [v] lands in the first bucket whose bound [b]
+      satisfies [v <= b], and above the last bound it lands in the
+      implicit [+Inf] bucket. *)
 
   val observe : histogram -> float -> unit
   val histogram_count : histogram -> int
@@ -124,13 +122,11 @@ module Ctx : sig
 
   type t
 
-  val make :
-    ?conn:int -> ?session:string -> ?op:string -> ?collect:bool -> unit -> t
-  (** Allocate a context with a fresh process-unique request id.
-      [conn] is the serve connection id ([-1], the default, means "not
-      a socket connection" — e.g. the stdin serve loop).  [collect]
-      turns on span collection into the context (the slow-request
-      capture path); default off. *)
+  val make : ?conn:int -> ?op:string -> unit -> t
+  (** Allocate a context with a fresh process-unique request id, no
+      session yet and span collection off.  [conn] is the serve
+      connection id ([-1], the default, means "not a socket
+      connection" — e.g. the stdin serve loop). *)
 
   val fork : t -> t
   (** A handle for shipping the request to another domain: same
@@ -148,13 +144,7 @@ module Ctx : sig
 
   val req : t -> int
   val conn : t -> int
-  val session : t -> string
   val op : t -> string
-
-  val parent : t -> int
-  (** Span id captured at {!make} / {!fork} time, [-1] when none was
-      open.  Used as the parent of the first span opened under this
-      context on a domain with an empty span stack. *)
 
   val queue : t -> float
   (** Seconds the request spent waiting for a pool slot (set by the
@@ -163,8 +153,10 @@ module Ctx : sig
   val set_session : t -> string -> unit
   val set_op : t -> string -> unit
   val set_queue : t -> float -> unit
-  val collecting : t -> bool
+
   val set_collect : t -> bool -> unit
+  (** Turn span collection into the context (the slow-request capture
+      path) on or off. *)
 
   val add_ambient : string -> float -> unit
   (** Accumulate [v] under [name] in the ambient context's per-request
@@ -177,7 +169,7 @@ module Ctx : sig
   (** Accumulated stats, sorted by name. *)
 
   val spans : t -> (string * float * float * int * int) list
-  (** Spans collected while [collecting]: [(name, start_s, dur_s, id,
+  (** Spans collected while collection is on: [(name, start_s, dur_s, id,
       parent)] in close order, across all domains that ran under this
       context (or a {!fork} of it). *)
 
@@ -226,15 +218,15 @@ module Log : sig
   (** Close the file sink, drop the buffer sink, forget rate-limit
       windows. *)
 
-  val event : ?ctx:Ctx.t -> level -> string -> (string * value) list -> unit
-  (** [event lvl name fields] writes one line.  The request/connection
-      fields come from [ctx] when given, else from the ambient
-      {!Ctx.current}; both absent means the line carries neither. *)
-
   val debug : ?ctx:Ctx.t -> string -> (string * value) list -> unit
+  (** [debug name fields] writes one line at level [Debug].  The
+      request/connection fields come from [ctx] when given, else from
+      the ambient {!Ctx.current}; both absent means the line carries
+      neither. *)
+
   val info : ?ctx:Ctx.t -> string -> (string * value) list -> unit
   val warn : ?ctx:Ctx.t -> string -> (string * value) list -> unit
-  val error : ?ctx:Ctx.t -> string -> (string * value) list -> unit
+  (** As {!debug}, at levels [Info] and [Warn]. *)
 end
 
 module Slow : sig
@@ -284,8 +276,8 @@ module Trace : sig
 
       Every span carries a process-unique id and its parent's id: the
       innermost open span of the recording domain, or — when the
-      domain's stack is empty — the {!Ctx.parent} captured when the
-      ambient context was forked to this domain.  Spans recorded
+      domain's stack is empty — the span that was innermost when the
+      ambient context was made or forked to this domain.  Spans recorded
       under an ambient {!Ctx} also carry the originating request and
       connection ids, which is what lets [nettomo obs check-trace]
       reassemble one parent–child tree per request across domains. *)

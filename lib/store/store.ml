@@ -184,9 +184,7 @@ let open_dir ?(max_bytes = default_max_bytes) dir =
   let bytes = if usable && max_bytes > 0 then dir_bytes dir else 0 in
   { dir; max_bytes; usable; c; lock = Mutex.create (); bytes }
 
-let dir t = t.dir
 let usable t = t.usable
-let max_bytes t = t.max_bytes
 
 let stats t =
   {

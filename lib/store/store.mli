@@ -49,9 +49,7 @@ val open_dir : ?max_bytes:int -> string -> t
     state ({!usable} is [false]) where every read misses and writes are
     dropped. *)
 
-val dir : t -> string
 val usable : t -> bool
-val max_bytes : t -> int
 
 val find : t -> string -> string option
 (** Look an artifact up by key. [None] on a miss {e or} on any read

@@ -69,7 +69,3 @@ let read_file file =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
-let write_file file g =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string g))

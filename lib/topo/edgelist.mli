@@ -22,4 +22,3 @@ val parse : string -> (Graph.t, string) result
 val to_string : Graph.t -> string
 
 val read_file : string -> Graph.t
-val write_file : string -> Graph.t -> unit

@@ -185,7 +185,9 @@ let () =
              "Gen.until_connected: no connected realization in %d tries" tries)
     | _ -> None)
 
-let until_connected ?(max_tries = 1000) draw =
+let max_tries = 1000
+
+let until_connected draw =
   let rec loop i =
     if i >= max_tries then raise (Retries_exhausted { tries = max_tries })
     else begin
@@ -208,15 +210,6 @@ let complete n =
 let ring n =
   check_n "ring" n 3;
   Graph.of_edges ((n - 1, 0) :: List.init (n - 1) (fun i -> (i, i + 1)))
-
-let path n =
-  check_n "path" n 1;
-  if n = 1 then with_nodes 1
-  else Graph.of_edges (List.init (n - 1) (fun i -> (i, i + 1)))
-
-let star k =
-  if k < 1 then Errors.invalid_arg "Gen.star: need at least one leaf";
-  Graph.of_edges (List.init k (fun i -> (0, i + 1)))
 
 let grid r c =
   if r < 1 || c < 1 then Errors.invalid_arg "Gen.grid: non-positive dimension";

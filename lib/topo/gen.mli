@@ -57,19 +57,15 @@ exception Retries_exhausted of { tries : int }
 (** No connected realization appeared within the retry budget — the
     generator parameters are too sparse for the requested size. *)
 
-val until_connected :
-  ?max_tries:int -> (unit -> Graph.t) -> Graph.t
+val until_connected : (unit -> Graph.t) -> Graph.t
 (** Repeatedly draw from the thunk until a connected realization appears
     (the paper discards disconnected realizations). Raises
-    {!Retries_exhausted} after [max_tries] (default 1000) attempts. *)
+    {!Retries_exhausted} after 1000 attempts. *)
 
 (** Deterministic fixtures. *)
 
 val complete : int -> Graph.t
 val ring : int -> Graph.t
-val path : int -> Graph.t
-val star : int -> Graph.t
-(** [star k]: hub [0] with [k] leaves [1 … k]. *)
 
 val grid : int -> int -> Graph.t
 (** [grid r c]: r×c mesh, node [i·c + j] at row [i], column [j]. *)

@@ -43,13 +43,3 @@ let degree_histogram g =
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | xs ->
-      let m = mean xs in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-        /. float_of_int (List.length xs)
-      in
-      sqrt var

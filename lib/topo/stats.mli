@@ -23,6 +23,3 @@ val degree_histogram : Graph.t -> (int * int) list
 
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)

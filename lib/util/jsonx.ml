@@ -81,13 +81,8 @@ let write_file path json =
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
+(* Raised inside the parser only; {!parse} turns it into its [Error]. *)
 exception Parse_error of { pos : int; message : string }
-
-let () =
-  Printexc.register_printer (function
-    | Parse_error { pos; message } ->
-        Some (Printf.sprintf "Jsonx: at byte %d: %s" pos message)
-    | _ -> None)
 
 let parse_error pos fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { pos; message })) fmt

@@ -34,20 +34,14 @@ val write_file : string -> t -> unit
 
 (** {1 Parsing} *)
 
-exception Parse_error of { pos : int; message : string }
-(** Malformed document; [pos] is a byte offset. A printer is
-    registered. *)
-
-val of_string : string -> t
+val parse : string -> (t, string) result
 (** Parse one complete JSON document. Whole numbers become {!Int}
     (degrading to {!Float} beyond the native range); numbers with a
     fraction or exponent become {!Float}. Object member order and
     duplicate keys are preserved. [\u]-escapes are decoded to UTF-8,
-    surrogate pairs combined; lone surrogates are rejected. Raises
-    {!Parse_error} on malformed input or nesting deeper than 512. *)
-
-val parse : string -> (t, string) result
-(** {!of_string} with the error as a value. *)
+    surrogate pairs combined; lone surrogates are rejected. [Error]
+    on malformed input or nesting deeper than 512, carrying the byte
+    offset ["at byte N: ..."]. *)
 
 (** {1 Accessors} *)
 

@@ -45,8 +45,6 @@ let jobs t = t.jobs
 
 let idle_slots t = t.metrics.m_idle_slots
 
-let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
-
 (* Run [task] on behalf of [slot], recording queue wait and busy time.
    The close side runs under [Fun.protect]: a raising task (captured
    upstream into the chunk's failure slot) still accounts for the time
@@ -183,7 +181,7 @@ let submit ?ctx pool task =
     Mutex.unlock pool.lock
   end
 
-let map ?chunk pool f items =
+let map pool f items =
   if pool.closed then Errors.invalid_arg "Pool.map: pool is closed";
   let n = Array.length items in
   if n = 0 then begin
@@ -191,16 +189,9 @@ let map ?chunk pool f items =
     [||]
   end
   else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-          if c <= 0 then Errors.invalid_arg "Pool.map: chunk must be positive";
-          c
-      | None ->
-          (* About four chunks per worker keeps the queue short while
-             still smoothing over uneven per-item cost. *)
-          max 1 ((n + (4 * pool.jobs) - 1) / (4 * pool.jobs))
-    in
+    (* About four chunks per worker keeps the queue short while still
+       smoothing over uneven per-item cost. *)
+    let chunk = max 1 ((n + (4 * pool.jobs) - 1) / (4 * pool.jobs)) in
     let results = Array.make n None in
     let n_chunks = (n + chunk - 1) / chunk in
     (* Slots that can never receive work this call: fewer chunks than
@@ -288,5 +279,5 @@ let map ?chunk pool f items =
           results
   end
 
-let map_reduce ?chunk pool ~map:f ~fold ~init items =
-  Array.fold_left fold init (map ?chunk pool f items)
+let map_reduce pool ~map:f ~fold ~init items =
+  Array.fold_left fold init (map pool f items)

@@ -7,8 +7,8 @@
 
     Determinism contract: {!map} and {!map_reduce} write each result
     into the slot of its input index and reduce serially in input
-    order, so for a pure [f] the outcome is independent of [jobs],
-    [chunk], and scheduling. Parallel Monte-Carlo sweeps rely on this:
+    order, so for a pure [f] the outcome is independent of [jobs] and
+    scheduling. Parallel Monte-Carlo sweeps rely on this:
     a run with [--jobs n] must be bit-identical to [--jobs 1].
 
     Exception contract: the first exception raised by [f] (in input
@@ -51,16 +51,11 @@ val running : t -> int
     endpoint. Instantaneous and approximate (an atomic read, not a
     synchronization point). *)
 
-val recommended_jobs : unit -> int
-(** The runtime's recommended domain count for this machine
-    ([Domain.recommended_domain_count]), at least 1. *)
-
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f items] is [Array.map f items], computed by the pool in
-    chunks of [chunk] consecutive items (default: items split about
-    four ways per worker, at least 1). Result order matches input
-    order regardless of scheduling. Raises [Invalid_argument] if
-    [chunk <= 0].
+    chunks of consecutive items: about four chunks per worker, at least
+    one item each, so up to [4·jobs] items go one per chunk. Result
+    order matches input order regardless of scheduling.
 
     When the calling domain has an ambient {!Nettomo_obs.Obs.Ctx}
     installed, it is {!Nettomo_obs.Obs.Ctx.fork}ed once at map entry
@@ -86,7 +81,6 @@ val submit : ?ctx:Nettomo_obs.Obs.Ctx.t -> t -> (unit -> unit) -> unit
     [Invalid_argument] on a closed pool. *)
 
 val map_reduce :
-  ?chunk:int ->
   t ->
   map:('a -> 'b) ->
   fold:('acc -> 'b -> 'acc) ->
@@ -96,7 +90,7 @@ val map_reduce :
 (** [map_reduce pool ~map ~fold ~init items] maps in parallel, then
     folds the results serially in input order: for pure functions it
     equals [Array.fold_left fold init (Array.map map items)] exactly,
-    for every [jobs] and [chunk]. *)
+    for every [jobs]. *)
 
 val close : t -> unit
 (** Shut the workers down and join them. Idempotent. Calling {!map} or

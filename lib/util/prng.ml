@@ -52,8 +52,6 @@ let of_key key =
     { s0 = 1L; s1; s2; s3 }
   else { s0; s1; s2; s3 }
 
-let split t = of_key (bits64 t)
-
 (* Stateless SplitMix64 finalizer: a bijection on 64-bit words with
    strong avalanche, used to key substreams. *)
 let mix64 z =
@@ -104,14 +102,14 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
-let gaussian ?(mu = 0.0) ?(sigma = 1.0) t =
+let gaussian ?(sigma = 1.0) t =
   (* Box–Muller; one of the pair is discarded to keep the state simple. *)
   let rec nonzero () =
     let u = float t 1.0 in
     if u > 0.0 then u else nonzero ()
   in
   let u1 = nonzero () and u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+  sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
@@ -137,8 +135,3 @@ let sample t k arr =
 let choose t arr =
   if Array.length arr = 0 then Errors.invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let pick_list t l =
-  match l with
-  | [] -> Errors.invalid_arg "Prng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))

@@ -6,8 +6,8 @@
 
     The implementation is xoshiro256** seeded through SplitMix64, a
     well-studied combination with 256 bits of state. The generator is
-    mutable; use {!split} to derive independent streams for concurrent or
-    per-trial use. *)
+    mutable; use {!substream} or {!split_n} to derive independent streams
+    for concurrent or per-trial use. *)
 
 type t
 
@@ -17,10 +17,6 @@ val create : int -> t
 
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
 
 val substream : t -> int -> t
 (** [substream t i] derives an independent child generator keyed by
@@ -55,8 +51,9 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val gaussian : ?mu:float -> ?sigma:float -> t -> float
-(** Normally distributed sample (Box–Muller), default standard normal. *)
+val gaussian : ?sigma:float -> t -> float
+(** Normally distributed sample (Box–Muller) with mean 0 and standard
+    deviation [sigma] (default 1). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
@@ -68,6 +65,3 @@ val sample : t -> int -> 'a array -> 'a array
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list (linear time). *)

@@ -129,7 +129,6 @@ module Qref = struct
     if Bigint.is_zero t.num then raise Division_by_zero;
     make t.den t.num
 
-  let div a b = mul a (inv b)
   let to_float t = Bigint.to_float t.num /. Bigint.to_float t.den
 
   let to_string t =
@@ -439,7 +438,8 @@ module Coverage_ref = struct
       t.blocks
 
 
-  let classify ?(seed = 0) ?(exact_node_limit = 12) ?(rank_node_limit = 160) net =
+  let classify ?(seed = 0) ?(exact_node_limit = 12) net =
+    let rank_node_limit = 160 in
     if Net.kappa net < 2 then
       Errors.invalid_arg "Coverage.classify: need at least two monitors";
     let g = Net.graph net in

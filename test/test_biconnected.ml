@@ -9,8 +9,8 @@ let ns = Graph.NodeSet.of_list
 let cut_vertices_oracle g =
   Graph.fold_nodes
     (fun v acc ->
-      let before = Traversal.n_components g in
-      let after = Traversal.n_components (Graph.remove_node g v) in
+      let before = List.length (Traversal.components g) in
+      let after = List.length (Traversal.components (Graph.remove_node g v)) in
       (* Removing an isolated node drops a component; a cut vertex
          strictly increases the count. *)
       if after > before - (if Graph.degree g v = 0 then 1 else 0) then

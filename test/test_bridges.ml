@@ -9,7 +9,9 @@ let es = Graph.EdgeSet.of_list
 let bridges_oracle g =
   Graph.fold_edges
     (fun (u, v) acc ->
-      if Traversal.n_components (Graph.remove_edge g u v) > Traversal.n_components g
+      if
+        List.length (Traversal.components (Graph.remove_edge g u v))
+        > List.length (Traversal.components g)
       then Graph.EdgeSet.add (u, v) acc
       else acc)
     g Graph.EdgeSet.empty

@@ -147,10 +147,12 @@ let prop_theorem_3_2_constructive =
       |> Graph.EdgeMap.for_all (fun _ kind -> kind <> Classify.Unclassified))
 
 let test_limit_guard () =
-  (* A tiny path limit makes enumeration fail loudly, not silently. *)
+  (* Past 50,000 simple paths from a monitor to a node (K10 has 109,601
+     between any two nodes) enumeration fails loudly, not silently. *)
+  let net = Net.create (Nettomo_topo.Gen.complete 10) ~monitors:[ 0; 1 ] in
   check cb "limit raises" true
     (try
-       ignore (Classify.classify ~limit:1 fig6_net);
+       ignore (Classify.classify net);
        false
      with Paths.Limit_exceeded -> true)
 

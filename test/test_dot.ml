@@ -24,14 +24,9 @@ let test_highlight () =
     (contains s "n1 [label=\"1\" shape=box")
 
 let test_labels () =
-  let labels = Graph.NodeMap.singleton 0 "m1" in
-  let s = Dot.to_dot ~labels Fixtures.triangle in
-  check cb "custom label used" true (contains s "label=\"m1\"")
-
-let test_edge_labels () =
-  let edge_labels = Graph.EdgeMap.singleton (Graph.edge 0 1) "l1" in
-  let s = Dot.to_dot ~edge_labels Fixtures.triangle in
-  check cb "edge label used" true (contains s "n0 -- n1 [label=\"l1\"]")
+  let s = Dot.to_dot (Graph.of_edges [ (3, 17) ]) in
+  check cb "each node labelled with its number" true
+    (contains s "n3 [label=\"3\"];" && contains s "n17 [label=\"17\"];")
 
 let test_name () =
   let s = Dot.to_dot ~name:"mmp" Fixtures.triangle in
@@ -61,7 +56,6 @@ let suite =
     Alcotest.test_case "basic render" `Quick test_basic_render;
     Alcotest.test_case "monitor highlighting" `Quick test_highlight;
     Alcotest.test_case "node labels" `Quick test_labels;
-    Alcotest.test_case "edge labels" `Quick test_edge_labels;
     Alcotest.test_case "graph name" `Quick test_name;
     Alcotest.test_case "write to file" `Quick test_write_file;
     Alcotest.test_case "isolated nodes rendered" `Quick test_isolated_nodes_rendered;

@@ -61,7 +61,8 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Edgelist.write_file file g;
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (Edgelist.to_string g));
       check Fixtures.graph_testable "file roundtrip" g (Edgelist.read_file file))
 
 let prop_roundtrip_random =

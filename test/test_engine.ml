@@ -70,6 +70,16 @@ let same name eq got want =
 
 (* One random delta stream, checking every answer against scratch on
    the shadow network; returns the session for its counters. *)
+let pp_delta ppf = function
+  | Session.Add_node v -> Format.fprintf ppf "add_node %d" v
+  | Session.Remove_node v -> Format.fprintf ppf "remove_node %d" v
+  | Session.Add_link (u, v) -> Format.fprintf ppf "add_link %d-%d" u v
+  | Session.Remove_link (u, v) -> Format.fprintf ppf "remove_link %d-%d" u v
+  | Session.Set_monitors ms ->
+      Format.fprintf ppf "set_monitors [%a]"
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
+        ms
+
 let run_stream ?store ~steps seed =
   let rng = Prng.create (0x5eed + (1000 * seed)) in
   let n = 8 + Prng.int rng 7 in
@@ -86,7 +96,7 @@ let run_stream ?store ~steps seed =
     | Ok () -> shadow_apply sh d
     | Error m ->
         Alcotest.failf "stream %d step %d: apply %a failed: %s" seed step
-          Session.pp_delta d m);
+          pp_delta d m);
     (* The session's network must mirror the shadow exactly. *)
     if not (Graph.equal (Net.graph (Session.net s)) sh.g) then
       Alcotest.failf "stream %d step %d: graphs diverge" seed step;

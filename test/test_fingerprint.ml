@@ -38,7 +38,7 @@ let test_order_independence () =
     let edges = shuffle rng (Array.of_list (Graph.edges g)) in
     (* Rebuild by incremental toggles in shuffled order; also flip the
        endpoint order of every other link — with_edge must normalize. *)
-    let fp = ref Fingerprint.empty in
+    let fp = ref { Fingerprint.structure = 0L; monitors = 0L } in
     Array.iter (fun v -> fp := Fingerprint.with_node !fp v) nodes;
     Array.iteri
       (fun i (u, v) ->

@@ -68,7 +68,7 @@ let prop_matches_exact_solver =
             Array.init n (fun _ -> Nettomo_util.Prng.int_in rng (-5) 5))
       in
       let exact = Matrix.of_int_rows entries in
-      QCheck2.assume (not (Rational.is_zero (Matrix.det exact)));
+      QCheck2.assume (Matrix.rank exact = n);
       let b = Array.init n (fun i -> float_of_int (i + 1)) in
       let bq = Array.map (fun x -> Rational.of_ints (int_of_float x) 1) b in
       match (Fmatrix.solve (Fmatrix.of_matrix exact) b, Matrix.solve exact bq) with

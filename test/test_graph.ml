@@ -10,10 +10,6 @@ let test_edge_normalization () =
   Alcotest.check_raises "self-loop rejected" (Invalid_argument "Graph.edge: self-loop")
     (fun () -> ignore (Graph.edge 3 3))
 
-let test_edge_other () =
-  check ci "other of (2,5) from 2" 5 (Graph.edge_other (2, 5) 2);
-  check ci "other of (2,5) from 5" 2 (Graph.edge_other (2, 5) 5)
-
 let test_empty () =
   check cb "empty is empty" true (Graph.is_empty Graph.empty);
   check ci "no nodes" 0 (Graph.n_nodes Graph.empty);
@@ -103,12 +99,6 @@ let test_induced_keeps_isolated () =
   let sub = Graph.induced g (Graph.NodeSet.of_list [ 0; 5 ]) in
   check ci "both nodes kept" 2 (Graph.n_nodes sub);
   check ci "no edges" 0 (Graph.n_edges sub)
-
-let test_union () =
-  let g1 = Graph.of_edges [ (0, 1) ] in
-  let g2 = Graph.of_edges [ (1, 2) ] in
-  check Fixtures.graph_testable "union" (Graph.of_edges [ (0, 1); (1, 2) ])
-    (Graph.union g1 g2)
 
 let test_degrees () =
   check ci "min degree of star" 1 (Graph.min_degree (Fixtures.star 4));
@@ -317,7 +307,6 @@ let prop_csr_index_paths =
 let suite =
   [
     Alcotest.test_case "edge normalization" `Quick test_edge_normalization;
-    Alcotest.test_case "edge_other" `Quick test_edge_other;
     Alcotest.test_case "empty graph" `Quick test_empty;
     Alcotest.test_case "add/remove node" `Quick test_add_remove_node;
     Alcotest.test_case "add_edge adds endpoints" `Quick test_add_edge_implicit_nodes;
@@ -335,7 +324,6 @@ let suite =
     Alcotest.test_case "induced subgraph" `Quick test_induced;
     Alcotest.test_case "induced keeps isolated nodes" `Quick
       test_induced_keeps_isolated;
-    Alcotest.test_case "union" `Quick test_union;
     Alcotest.test_case "min/max degree" `Quick test_degrees;
     Alcotest.test_case "fresh_node" `Quick test_fresh_node;
     Alcotest.test_case "fold_edges visits each edge once" `Quick

@@ -159,11 +159,10 @@ let test_differential_serial_vs_parallel () =
     serial_truth serial_theory;
   Nettomo_util.Pool.with_pool ~jobs:3 (fun pool ->
       let par_theory =
-        Nettomo_util.Pool.map ~chunk:4 pool Identifiability.network_identifiable
-          nets
+        Nettomo_util.Pool.map pool Identifiability.network_identifiable nets
       in
       let par_truth =
-        Nettomo_util.Pool.map ~chunk:4 pool
+        Nettomo_util.Pool.map pool
           (fun net -> Identifiability.network_identifiable_bruteforce net)
           nets
       in

@@ -84,7 +84,7 @@ let test_plan_counts_fig1 () =
   | Error e -> Alcotest.fail e
   | Ok plan ->
       check ci "one measurement per link" (Graph.n_edges Fixtures.fig1)
-        (Measure_paths.n_measurements plan);
+        (Array.length plan.Measure_paths.kinds);
       Invariant.with_enabled true (fun () ->
           Measure_paths.Invariant.check fig1_net plan)
 
@@ -105,20 +105,21 @@ let test_walks_are_walks () =
   | Ok plan ->
       let g = Fixtures.fig1 in
       let monitors = Net.monitors fig1_net in
-      for i = 0 to Measure_paths.n_measurements plan - 1 do
-        let nodes = Measure_paths.walk_nodes plan i in
-        let first = List.hd nodes
-        and last = List.nth nodes (List.length nodes - 1) in
-        check cb "starts at a monitor" true (Graph.NodeSet.mem first monitors);
-        check cb "ends at a monitor" true (Graph.NodeSet.mem last monitors);
-        check cb "distinct endpoints" true (first <> last);
-        let rec adjacent = function
-          | x :: (y :: _ as rest) ->
-              check cb "consecutive nodes adjacent" true (Graph.mem_edge g x y);
-              adjacent rest
-          | _ -> ()
-        in
-        adjacent nodes
+      let csr = plan.Measure_paths.csr in
+      (* Walk measurement [i]'s links from the root: each must be a
+         link of the graph at the node the walk has reached. *)
+      let step x k =
+        let a, b = Csr.endpoints csr k in
+        check cb "consecutive nodes adjacent" true
+          ((x = a || x = b) && Graph.mem_edge g csr.ids.(a) csr.ids.(b));
+        if x = a then b else a
+      in
+      for i = 0 to Array.length plan.Measure_paths.kinds - 1 do
+        let first = plan.Measure_paths.root in
+        let last = List.fold_left step first (Measure_paths.walk_eids plan i) in
+        check cb "starts at a monitor" true (Graph.NodeSet.mem csr.ids.(first) monitors);
+        check cb "ends at a monitor" true (Graph.NodeSet.mem csr.ids.(last) monitors);
+        check cb "distinct endpoints" true (first <> last)
       done
 
 let test_measure_equals_walk_sums () =

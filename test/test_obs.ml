@@ -27,14 +27,14 @@ let contains haystack needle =
 (* Run [f] with the fake clock and tracing enabled, then restore the
    real clock, disable tracing and clear all recorded spans whatever
    happens. *)
-let with_fake_tracing ?start ?step f =
+let with_fake_tracing f =
   Fun.protect
     ~finally:(fun () ->
       Obs.Clock.use_real ();
       Obs.Trace.disable ();
       Obs.Trace.clear ())
     (fun () ->
-      Obs.Clock.use_fake ?start ?step ();
+      Obs.Clock.use_fake ();
       Obs.Trace.clear ();
       Obs.Trace.enable ();
       f ())
@@ -46,11 +46,12 @@ let with_fake_tracing ?start ?step f =
 let test_histogram_bucket_edges () =
   (* Bounds are inclusive: an observation exactly equal to a bound
      lands in that bound's bucket, strictly above it spills into the
-     next one, and above the last bound into +Inf. We probe each edge
-     with its own fresh histogram so count/sum isolate one value. *)
+     next one, and above the last bound (10) into +Inf. We probe each
+     edge with its own fresh histogram so count/sum isolate one
+     value. *)
   let probe v =
     let h =
-      Obs.Metrics.histogram ~buckets:[ 1.0; 2.0 ]
+      Obs.Metrics.histogram
         ~labels:[ ("edge", string_of_float v) ]
         "test_obs_bucket_edges_seconds"
     in
@@ -60,13 +61,13 @@ let test_histogram_bucket_edges () =
   let h_low = probe 1.0 in
   let h_mid = probe 1.000001 in
   let h_edge = probe 2.0 in
-  let h_inf = probe 3.0 in
+  let h_inf = probe 11.0 in
   check ci "each probe recorded once" 4
     (List.fold_left
        (fun acc h -> acc + Obs.Metrics.histogram_count h)
        0
        [ h_low; h_mid; h_edge; h_inf ]);
-  check cf "sum reflects the observed values" (1.0 +. 1.000001 +. 2.0 +. 3.0)
+  check cf "sum reflects the observed values" (1.0 +. 1.000001 +. 2.0 +. 11.0)
     (List.fold_left
        (fun acc h -> acc +. Obs.Metrics.histogram_sum h)
        0.
@@ -82,23 +83,8 @@ let test_histogram_bucket_edges () =
     (has {|test_obs_bucket_edges_seconds_bucket{edge="1.000001",le="1"} 0|});
   check Alcotest.bool "v=2.0 counted at le=2 (inclusive)" true
     (has {|test_obs_bucket_edges_seconds_bucket{edge="2.",le="2"} 1|});
-  check Alcotest.bool "v=3.0 only in +Inf" true
-    (has {|test_obs_bucket_edges_seconds_bucket{edge="3.",le="2"} 0|})
-
-let test_histogram_rejects_bad_buckets () =
-  let rejects buckets =
-    match Obs.Metrics.histogram ~buckets "test_obs_bad_buckets" with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  check Alcotest.bool "non-increasing bounds rejected" true
-    (rejects [ 1.0; 1.0 ]);
-  check Alcotest.bool "decreasing bounds rejected" true (rejects [ 2.0; 1.0 ]);
-  (* No explicit bounds is legal: the histogram degenerates to the
-     implicit +Inf bucket, i.e. count/sum only. *)
-  let h = Obs.Metrics.histogram ~buckets:[] "test_obs_no_bounds" in
-  Obs.Metrics.observe h 5.0;
-  check ci "boundless histogram still counts" 1 (Obs.Metrics.histogram_count h)
+  check Alcotest.bool "v=11.0 only in +Inf" true
+    (has {|test_obs_bucket_edges_seconds_bucket{edge="11.",le="10"} 0|})
 
 let test_nested_spans_close_lifo () =
   with_fake_tracing (fun () ->
@@ -133,7 +119,7 @@ let test_span_closes_on_exception () =
 
 let test_fake_clock_deterministic_trace () =
   let run () =
-    with_fake_tracing ~start:0. ~step:0.001 (fun () ->
+    with_fake_tracing (fun () ->
         Obs.Trace.span "a" (fun () ->
             Obs.Trace.span ~attrs:[ ("k", "v") ] "b" (fun () -> ()));
         Obs.Trace.span "c" (fun () -> ());
@@ -171,27 +157,24 @@ let test_summary_survives_clear_boundary () =
       | None -> Alcotest.fail "span name missing from summary")
 
 let test_histogram_quantile () =
-  let h =
-    Obs.Metrics.histogram
-      ~buckets:[ 1.0; 2.0; 4.0; 8.0 ]
-      "test_obs_quantile_seconds"
-  in
+  let h = Obs.Metrics.histogram "test_obs_quantile_seconds" in
   check cf "empty histogram reads 0" 0. (Obs.Metrics.histogram_quantile h 0.5);
-  (* One observation per bucket: 0.5→le1, 1.5→le2, 3→le4, 100→+Inf. *)
+  (* One observation per bucket of the default bounds: 0.5→le0.5,
+     1.5→le1.5, 3→le3, 100→+Inf. *)
   List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 3.0; 100.0 ];
-  check cf "p25 hits the first bucket" 1.
+  check cf "p25 hits the first bucket" 0.5
     (Obs.Metrics.histogram_quantile h 0.25);
-  check cf "p50 hits the second bucket" 2.
+  check cf "p50 hits the second bucket" 1.5
     (Obs.Metrics.histogram_quantile h 0.5);
-  check cf "p75 hits the third bucket" 4.
+  check cf "p75 hits the third bucket" 3.
     (Obs.Metrics.histogram_quantile h 0.75);
   (* The +Inf bucket reports the largest finite bound: a deliberate
      under-estimate so threshold comparisons err on the safe side. *)
-  check cf "p100 under-estimates to the last finite bound" 8.
+  check cf "p100 under-estimates to the last finite bound" 10.
     (Obs.Metrics.histogram_quantile h 1.0);
-  (* q is clamped. *)
-  check cf "q below 0 clamps" 1. (Obs.Metrics.histogram_quantile h (-3.));
-  check cf "q above 1 clamps" 8. (Obs.Metrics.histogram_quantile h 7.)
+  (* q is clamped: q = 0 reads the first bound, 1e-6, empty or not. *)
+  check cf "q below 0 clamps" 1e-6 (Obs.Metrics.histogram_quantile h (-3.));
+  check cf "q above 1 clamps" 10. (Obs.Metrics.histogram_quantile h 7.)
 
 (* The default buckets resolve a latency to within one bucket ratio: a
    20 ms p95 queue wait, which admission control compares against
@@ -287,7 +270,7 @@ let with_log_buffer f =
       Obs.Log.set_rate_limit 200;
       Obs.Clock.use_real ())
     (fun () ->
-      Obs.Clock.use_fake ~start:0. ~step:0.001 ();
+      Obs.Clock.use_fake ();
       Obs.Log.to_buffer buf;
       f buf)
 
@@ -378,11 +361,12 @@ let test_slow_ring_bounded () =
 let test_cross_domain_parent_links () =
   let run jobs =
     Pool.with_pool ~jobs (fun pool ->
-        let ctx = Obs.Ctx.make ~collect:true () in
+        let ctx = Obs.Ctx.make () in
+        Obs.Ctx.set_collect ctx true;
         Obs.Ctx.with_ctx ctx (fun () ->
             Obs.Trace.span "outer" (fun () ->
                 ignore
-                  (Pool.map ~chunk:1 pool
+                  (Pool.map pool
                      (fun i -> Obs.Trace.span "chunk" (fun () -> i * i))
                      (Array.init 16 (fun i -> i)))));
         Obs.Ctx.spans ctx)
@@ -413,8 +397,6 @@ let suite =
       test_histogram_bucket_edges;
     Alcotest.test_case "histogram quantile estimation" `Quick
       test_histogram_quantile;
-    Alcotest.test_case "histogram rejects bad bucket bounds" `Quick
-      test_histogram_rejects_bad_buckets;
     Alcotest.test_case "default buckets resolve quantiles" `Quick
       test_default_bucket_resolution;
     Alcotest.test_case "nested spans close in LIFO order" `Quick

@@ -1,10 +1,11 @@
 (* Property tests for the Domain worker pool.
 
    The contract under test: map/map_reduce equal their serial
-   equivalents for every jobs/chunk combination (positional results +
-   in-order fold), worker exceptions propagate to the caller, a
-   one-job pool degenerates to serial caller-side execution, and the
-   NETTOMO_CHECK invariant layer stays usable inside worker tasks. *)
+   equivalents for every jobs count and input size, hence every chunk
+   size the pool picks (positional results + in-order fold), worker
+   exceptions propagate to the caller, a one-job pool degenerates to
+   serial caller-side execution, and the NETTOMO_CHECK invariant layer
+   stays usable inside worker tasks. *)
 
 open Nettomo_util
 
@@ -13,31 +14,23 @@ let ci = Alcotest.int
 let cia = Alcotest.array Alcotest.int
 
 let jobs_grid = [ 1; 2; 3; 4 ]
-let chunk_grid = [ None; Some 1; Some 2; Some 3; Some 7; Some 1000 ]
+
+(* The pool cuts [n] items into about four chunks per job: one item per
+   chunk up to [4·jobs] items, larger chunks past that, so input sizes
+   up to 60 reach chunks of 1 to 15 items. *)
 
 let test_map_equals_serial () =
   let rng = Prng.create 101 in
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              for _ = 1 to 5 do
-                let n = Prng.int rng 60 in
-                let items = Array.init n (fun _ -> Prng.int_in rng (-50) 50) in
-                let expected = Array.map (fun x -> (x * x) - (3 * x)) items in
-                let got =
-                  Pool.map ?chunk pool (fun x -> (x * x) - (3 * x)) items
-                in
-                check cia
-                  (Printf.sprintf "jobs=%d chunk=%s n=%d" jobs
-                     (match chunk with
-                     | None -> "auto"
-                     | Some c -> string_of_int c)
-                     n)
-                  expected got
-              done)
-            chunk_grid))
+          for _ = 1 to 30 do
+            let n = Prng.int rng 60 in
+            let items = Array.init n (fun _ -> Prng.int_in rng (-50) 50) in
+            let expected = Array.map (fun x -> (x * x) - (3 * x)) items in
+            let got = Pool.map pool (fun x -> (x * x) - (3 * x)) items in
+            check cia (Printf.sprintf "jobs=%d n=%d" jobs n) expected got
+          done))
     jobs_grid
 
 let test_map_reduce_equals_serial_fold () =
@@ -45,18 +38,15 @@ let test_map_reduce_equals_serial_fold () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              let n = 1 + Prng.int rng 80 in
-              let items = Array.init n (fun _ -> Prng.int_in rng (-9) 9) in
-              (* A non-commutative fold: order mistakes can't cancel. *)
-              let fold acc x = (31 * acc) + x in
-              let expected = Array.fold_left fold 17 (Array.map succ items) in
-              let got =
-                Pool.map_reduce ?chunk pool ~map:succ ~fold ~init:17 items
-              in
-              check ci "non-commutative fold matches serial" expected got)
-            chunk_grid))
+          for _ = 1 to 6 do
+            let n = 1 + Prng.int rng 80 in
+            let items = Array.init n (fun _ -> Prng.int_in rng (-9) 9) in
+            (* A non-commutative fold: order mistakes can't cancel. *)
+            let fold acc x = (31 * acc) + x in
+            let expected = Array.fold_left fold 17 (Array.map succ items) in
+            let got = Pool.map_reduce pool ~map:succ ~fold ~init:17 items in
+            check ci "non-commutative fold matches serial" expected got
+          done))
     jobs_grid
 
 let test_empty_input () =
@@ -72,19 +62,19 @@ let test_exception_propagates () =
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           List.iter
-            (fun chunk ->
+            (fun n ->
               let raised =
                 try
                   ignore
-                    (Pool.map ?chunk pool
+                    (Pool.map pool
                        (fun i -> if i = 13 then raise (Boom i) else i)
-                       (Array.init 40 Fun.id));
+                       (Array.init n Fun.id));
                   None
                 with Boom i -> Some i
               in
               check (Alcotest.option ci) "Boom reaches the caller" (Some 13)
                 raised)
-            chunk_grid))
+            [ 14; 16; 40; 1000 ]))
     jobs_grid
 
 let test_pool_still_usable_after_failure () =
@@ -101,7 +91,7 @@ let test_single_job_degenerates_to_serial () =
       let self = Domain.self () in
       let order = ref [] in
       let got =
-        Pool.map ~chunk:2 pool
+        Pool.map pool
           (fun i ->
             check Alcotest.bool "runs in the caller's domain" true
               (Domain.self () = self);
@@ -116,11 +106,7 @@ let test_single_job_degenerates_to_serial () =
 let test_invalid_arguments () =
   Alcotest.check_raises "jobs = 0"
     (Invalid_argument "Pool.create: jobs must be in [1, 128], got 0") (fun () ->
-      ignore (Pool.create ~jobs:0));
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "chunk = 0"
-        (Invalid_argument "Pool.map: chunk must be positive") (fun () ->
-          ignore (Pool.map ~chunk:0 pool Fun.id [| 1 |])))
+      ignore (Pool.create ~jobs:0))
 
 let test_closed_pool_rejected () =
   let pool = Pool.create ~jobs:2 in
@@ -137,26 +123,24 @@ let test_invariant_layer_inside_workers () =
   Invariant.with_enabled true (fun () ->
       Pool.with_pool ~jobs:4 (fun pool ->
           let ran = Atomic.make 0 in
+          (* 16 items on 4 jobs: one item per chunk. *)
           ignore
-            (Pool.map ~chunk:1 pool
+            (Pool.map pool
                (fun i ->
                  Invariant.check (fun () -> Atomic.incr ran);
                  i)
-               (Array.init 32 Fun.id));
-          check ci "verifiers ran in workers" 32 (Atomic.get ran);
+               (Array.init 16 Fun.id));
+          check ci "verifiers ran in workers" 16 (Atomic.get ran);
           Alcotest.check_raises "Violation propagates"
             (Invariant.Violation "from a worker") (fun () ->
               ignore
-                (Pool.map ~chunk:1 pool
+                (Pool.map pool
                    (fun i ->
                      if i = 7 then
                        Invariant.check (fun () ->
                            Invariant.violation "from a worker");
                      i)
                    (Array.init 16 Fun.id)))))
-
-let test_recommended_jobs_positive () =
-  check Alcotest.bool "at least one" true (Pool.recommended_jobs () >= 1)
 
 let test_idle_slots_reported () =
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -167,8 +151,8 @@ let test_idle_slots_reported () =
       check cia "map result still correct" [| 10; 20 |] got;
       check ci "2 items on 4 domains leave 2 slots idle" 2
         (Pool.idle_slots pool);
-      (* Enough chunks saturate the pool. *)
-      ignore (Pool.map ~chunk:1 pool Fun.id (Array.init 16 Fun.id));
+      (* Enough chunks saturate the pool: 16 items make 16 chunks. *)
+      ignore (Pool.map pool Fun.id (Array.init 16 Fun.id));
       check ci "saturated pool has no idle slots" 0 (Pool.idle_slots pool);
       (* An empty map uses no slots at all. *)
       ignore (Pool.map pool Fun.id [||]);
@@ -262,8 +246,6 @@ let suite =
       test_closed_pool_rejected;
     Alcotest.test_case "invariant layer usable in workers" `Quick
       test_invariant_layer_inside_workers;
-    Alcotest.test_case "recommended_jobs >= 1" `Quick
-      test_recommended_jobs_positive;
     Alcotest.test_case "idle slots reported per map" `Quick
       test_idle_slots_reported;
     Alcotest.test_case "submit runs every task once" `Quick

@@ -98,21 +98,10 @@ let test_sample_covers () =
   done;
   check cb "all hit" true (Array.for_all Fun.id seen)
 
-let test_split_independent () =
-  let a = Prng.create 12 in
-  let b = Prng.split a in
-  let equal = ref 0 in
-  for _ = 1 to 64 do
-    if Prng.bits64 a = Prng.bits64 b then incr equal
-  done;
-  check ci "streams differ" 0 !equal
-
-let test_choose_pick () =
+let test_choose () =
   let rng = Prng.create 13 in
   check cb "choose member" true
-    (Array.mem (Prng.choose rng [| 1; 2; 3 |]) [| 1; 2; 3 |]);
-  check cb "pick_list member" true
-    (List.mem (Prng.pick_list rng [ 4; 5; 6 ]) [ 4; 5; 6 ])
+    (Array.mem (Prng.choose rng [| 1; 2; 3 |]) [| 1; 2; 3 |])
 
 let suite =
   [
@@ -126,6 +115,5 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sample without replacement" `Quick test_sample;
     Alcotest.test_case "sample covers support" `Quick test_sample_covers;
-    Alcotest.test_case "split independence" `Quick test_split_independent;
-    Alcotest.test_case "choose / pick_list" `Quick test_choose_pick;
+    Alcotest.test_case "choose" `Quick test_choose;
   ]

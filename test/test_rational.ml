@@ -19,9 +19,7 @@ let test_arith () =
   check q "1/2 + 1/3" (Rational.of_ints 5 6) (Rational.add half third);
   check q "1/2 - 1/3" (Rational.of_ints 1 6) (Rational.sub half third);
   check q "1/2 * 1/3" (Rational.of_ints 1 6) (Rational.mul half third);
-  check q "1/2 ÷ 1/3" (Rational.of_ints 3 2) (Rational.div half third);
   check q "neg" (Rational.of_ints (-1) 2) (Rational.neg half);
-  check q "abs" half (Rational.abs (Rational.neg half));
   check q "inv" (Rational.of_int 2) (Rational.inv half);
   Alcotest.check_raises "inv zero" Division_by_zero (fun () ->
       ignore (Rational.inv Rational.zero))
@@ -29,27 +27,15 @@ let test_arith () =
 let test_compare () =
   check cb "1/2 < 2/3" true Rational.(compare (of_ints 1 2) (of_ints 2 3) < 0);
   check cb "-1/2 < 1/3" true Rational.(compare (of_ints (-1) 2) (of_ints 1 3) < 0);
-  check cb "equal" true Rational.(compare (of_ints 2 4) (of_ints 1 2) = 0);
-  check q "min" (Rational.of_ints 1 3) Rational.(min (of_ints 1 2) (of_ints 1 3));
-  check q "max" (Rational.of_ints 1 2) Rational.(max (of_ints 1 2) (of_ints 1 3))
+  check cb "equal" true Rational.(compare (of_ints 2 4) (of_ints 1 2) = 0)
 
 let test_predicates () =
   check cb "is_zero" true (Rational.is_zero Rational.zero);
-  check cb "sign of -3/4" true (Rational.sign (Rational.of_ints (-3) 4) = -1);
-  check cb "is_integer 4/2" true (Rational.is_integer (Rational.of_ints 4 2));
-  check cb "is_integer 1/2" false (Rational.is_integer (Rational.of_ints 1 2))
+  check cb "sign of -3/4" true (Rational.sign (Rational.of_ints (-3) 4) = -1)
 
 let test_strings () =
   check cs "integer render" "5" (Rational.to_string (Rational.of_int 5));
-  check cs "fraction render" "-3/4" (Rational.to_string (Rational.of_ints 3 (-4)));
-  check q "parse int" (Rational.of_int 12) (Rational.of_string "12");
-  check q "parse fraction" (Rational.of_ints 7 3) (Rational.of_string "7/3");
-  check q "parse decimal" (Rational.of_ints 13 4) (Rational.of_string "3.25");
-  check q "parse negative decimal" (Rational.of_ints (-1) 2)
-    (Rational.of_string "-0.5");
-  Alcotest.check_raises "malformed"
-    (Invalid_argument "Rational.of_string: malformed rational") (fun () ->
-      ignore (Rational.of_string "1/2/3"))
+  check cs "fraction render" "-3/4" (Rational.to_string (Rational.of_ints 3 (-4)))
 
 let test_to_float () =
   check (Alcotest.float 1e-12) "to_float" 0.75
@@ -167,7 +153,6 @@ let differentials =
     binary_differential "add" Rational.add Qref.add;
     binary_differential "sub" Rational.sub Qref.sub;
     binary_differential "mul" Rational.mul Qref.mul;
-    binary_differential "div" Rational.div Qref.div;
     unary_differential "inv" Rational.inv Qref.inv;
     unary_differential "neg" Rational.neg Qref.neg;
     prop_compare_differential;
@@ -191,18 +176,14 @@ let test_boundary () =
   check cb "(2^30-1)^2 is big" false (small big);
   check cs "(2^30-1)^2 exact" "1152921502459363329" (Rational.to_string big);
   check cb "big / big back to small" true
-    (small (Rational.div big (Rational.of_int m)));
+    (small (Rational.mul big (Rational.inv (Rational.of_int m))));
   check q "big - big = 0" Rational.zero (Rational.sub big big);
   check cb "zero is small" true (small (Rational.sub big big));
   check q "min_int / min_int = 1" Rational.one (Rational.of_ints min_int min_int);
   check cs "max_int render" (string_of_int max_int)
     (Rational.to_string (Rational.of_int max_int));
   check cs "min_int render" (string_of_int min_int)
-    (Rational.to_string (Rational.of_int min_int));
-  check cb "parsed boundary value is small" true
-    (small (Rational.of_string (string_of_int m)));
-  check cb "parsed value past it is big" false
-    (small (Rational.of_string (string_of_int (m + 1) ^ "/3")))
+    (Rational.to_string (Rational.of_int min_int))
 
 let prop_field_axioms =
   QCheck2.Test.make ~name:"field identities" ~count:300
@@ -220,10 +201,6 @@ let prop_inverse =
       QCheck2.assume (not (Rational.is_zero a));
       Rational.(equal (mul a (inv a)) one))
 
-let prop_string_roundtrip =
-  QCheck2.Test.make ~name:"to_string/of_string roundtrip" ~count:300 gen_q
-    (fun a -> Rational.equal a (Rational.of_string (Rational.to_string a)))
-
 let prop_compare_consistent_with_sub =
   QCheck2.Test.make ~name:"compare consistent with subtraction sign" ~count:300
     (QCheck2.Gen.pair gen_q gen_q) (fun (a, b) ->
@@ -239,7 +216,6 @@ let suite =
     Alcotest.test_case "to_float" `Quick test_to_float;
     QCheck_alcotest.to_alcotest prop_field_axioms;
     QCheck_alcotest.to_alcotest prop_inverse;
-    QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_compare_consistent_with_sub;
     Alcotest.test_case "small/big boundary" `Quick test_boundary;
   ]

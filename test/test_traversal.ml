@@ -23,8 +23,7 @@ let test_reachable_avoid_node () =
 let test_components () =
   let g = Graph.of_edges ~nodes:[ 7 ] [ (0, 1); (2, 3) ] in
   let comps = Traversal.components g in
-  check ci "three components" 3 (List.length comps);
-  check ci "count matches" 3 (Traversal.n_components g)
+  check ci "three components" 3 (List.length comps)
 
 let test_components_avoiding () =
   let comps =
@@ -79,7 +78,7 @@ let prop_shortest_paths_from_matches_per_pair =
       let rng = Nettomo_util.Prng.create seed in
       let g = Fixtures.random_connected rng n (Nettomo_util.Prng.int rng 12) in
       let g =
-        if split then Graph.union g (Graph.of_edges [ (100, 101); (101, 102) ])
+        if split then Graph.of_edges (Graph.edges g @ [ (100, 101); (101, 102) ])
         else g
       in
       let csr = Csr.of_graph g in
