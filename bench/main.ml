@@ -1257,39 +1257,18 @@ module Protocol = Nettomo_engine.Protocol
 
 let soak_req fields = Jsonx.to_string (Jsonx.Obj fields)
 
-let soak_send_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-let soak_recv_all fd =
-  let buf = Bytes.create 65536 in
-  let b = Buffer.create 65536 in
-  let rec go () =
-    let n = Unix.read fd buf 0 (Bytes.length buf) in
-    if n > 0 then begin
-      Buffer.add_subbytes b buf 0 n;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents b
-
 (* Pipelined client: send every request, half-close, read the whole
    transcript. The server never blocks on a writer, so this cannot
    deadlock at any workload size. *)
 let soak_client path requests =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ic, oc = Unix.open_connection (Unix.ADDR_UNIX path) in
   Fun.protect
-    ~finally:(fun () ->
-      try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+    ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      soak_send_all fd (String.concat "\n" requests ^ "\n");
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      soak_recv_all fd)
+      output_string oc (String.concat "\n" requests ^ "\n");
+      flush oc;
+      Unix.shutdown_connection ic;
+      In_channel.input_all ic)
 
 let serve_soak cfg ~clients =
   section

@@ -6,8 +6,8 @@
      decompose  biconnected / triconnected structure, cuts, 2-vertex cuts
      check      identifiability of a monitor placement (Theorems 3.1-3.3)
      place      minimum monitor placement (Algorithm 1, MMP)
-     solve      simulate delays and recover them from path measurements
-     coverage   structural per-link coverage and greedy monitor augmentation
+     solve      simulate delays and recover them from walk measurements
+     coverage   per-link coverage and greedy monitor augmentation
      routing    fixed shortest-path-routing baseline vs MMP
      robust     single-failure robustness of a placement
      experiment RMP Monte-Carlo sweep (parallel via --jobs, JSON via --json)
@@ -15,8 +15,10 @@
      bench      utilities over nettomo-bench/1 reports (bench diff A B)
      dot        Graphviz export
 
-   Topologies are read and written in the edge-list format of
-   Nettomo_topo.Edgelist ("u v" per line, "#" comments). *)
+   place, solve and coverage print the response lines of the serve
+   protocol (one line per request, as `nettomo serve --no-wall-time`
+   answers them). Topologies are read and written in the edge-list
+   format of Nettomo_topo.Edgelist ("u v" per line, "#" comments). *)
 
 open Cmdliner
 open Nettomo_graph
@@ -25,10 +27,9 @@ open Nettomo_core
 module Prng = Nettomo_util.Prng
 module Pool = Nettomo_util.Pool
 module Jsonx = Nettomo_util.Jsonx
-module Q = Nettomo_linalg.Rational
 module Store = Nettomo_store.Store
 module Obs = Nettomo_obs.Obs
-module Coverage = Nettomo_coverage.Coverage
+module Protocol = Nettomo_engine.Protocol
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
@@ -49,7 +50,32 @@ let output_arg =
   let doc = "Output file (default: standard output)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-let load file = Edgelist.read_file file
+(* The topology file, parsed. A file that does not parse is a usage
+   error (exit 124) carrying the parser's line-numbered message. *)
+let graph_arg =
+  let parse file =
+    match Edgelist.read_file file with
+    | g -> `Ok g
+    | exception Edgelist.Parse_error { line; message } ->
+        `Error (false, Printf.sprintf "%s: line %d: %s" file line message)
+  in
+  Term.(ret (const parse $ topology_arg))
+
+(* The topology with --monitors, or with MMP's placement under --mmp. *)
+let placement_arg =
+  let mmp_arg =
+    Arg.(
+      value & flag
+      & info [ "mmp" ] ~doc:"Ignore --monitors and use MMP's placement.")
+  in
+  let pick g monitors mmp =
+    if not mmp then `Ok (g, monitors)
+    else
+      match Mmp.place g with
+      | placed -> `Ok (g, Graph.NodeSet.elements placed)
+      | exception Invalid_argument m -> `Error (false, m)
+  in
+  Term.(ret (const pick $ graph_arg $ monitors_arg $ mmp_arg))
 
 let emit output s =
   match output with
@@ -160,8 +186,7 @@ let gen_cmd =
 (* stats                                                               *)
 
 let stats_cmd =
-  let run file =
-    let g = load file in
+  let run g =
     Format.printf "%a@." Stats.pp (Stats.summary g);
     Format.printf "degree histogram:@.";
     List.iter
@@ -170,14 +195,13 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Degree and connectivity summary of a topology.")
-    Term.(const run $ topology_arg)
+    Term.(const run $ graph_arg)
 
 (* ------------------------------------------------------------------ *)
 (* decompose                                                           *)
 
 let decompose_cmd =
-  let run file =
-    let g = load file in
+  let run g =
     let t = Triconnected.decompose g in
     let show set =
       Graph.NodeSet.elements set |> List.map string_of_int |> String.concat " "
@@ -202,174 +226,128 @@ let decompose_cmd =
   Cmd.v
     (Cmd.info "decompose"
        ~doc:"Biconnected and triconnected decomposition with separation vertices.")
-    Term.(const run $ topology_arg)
+    Term.(const run $ graph_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
 let check_cmd =
-  let run file monitors =
-    let g = load file in
+  let run g monitors =
     match net_of g monitors with
     | `Error _ as e -> e
-    | `Ok net ->
-        let kappa = Net.kappa net in
-        Format.printf "monitors: %d@." kappa;
-        (if kappa = 2 then begin
-           Format.printf
-             "full network identifiable: %b (Theorem 3.1: impossible beyond a \
-              single link)@."
-             (Identifiability.network_identifiable net);
-           Format.printf "interior links identifiable (Theorem 3.2): %b@."
-             (Identifiability.interior_identifiable_two net);
-           List.iter
-             (fun f ->
-               Format.printf "  failure: %a@." Identifiability.pp_failure f)
-             (Identifiability.interior_two_failures net)
-         end
-         else
-           Format.printf "full network identifiable (Theorem 3.3): %b@."
-             (Identifiability.network_identifiable net));
-        `Ok ()
+    | `Ok net -> (
+        (* The theorems need a connected network; the library rejects
+           any other with Invalid_argument. *)
+        match Identifiability.network_identifiable net with
+        | exception Invalid_argument m -> `Error (false, m)
+        | full ->
+            let kappa = Net.kappa net in
+            Format.printf "monitors: %d@." kappa;
+            (if kappa = 2 then begin
+               Format.printf
+                 "full network identifiable: %b (Theorem 3.1: impossible \
+                  beyond a single link)@."
+                 full;
+               Format.printf "interior links identifiable (Theorem 3.2): %b@."
+                 (Identifiability.interior_identifiable_two net);
+               List.iter
+                 (fun f ->
+                   Format.printf "  failure: %a@." Identifiability.pp_failure f)
+                 (Identifiability.interior_two_failures net)
+             end
+             else
+               Format.printf "full network identifiable (Theorem 3.3): %b@."
+                 full);
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Test identifiability of a monitor placement (Section 7.1).")
-    Term.(ret (const run $ topology_arg $ monitors_arg))
+    Term.(ret (const run $ graph_arg $ monitors_arg))
 
 (* ------------------------------------------------------------------ *)
-(* place                                                               *)
+(* place, solve, coverage: questions the serve protocol answers        *)
 
-let place_cmd =
-  let random_arg =
-    Arg.(
-      value & flag
-      & info [ "random-choice" ]
-          ~doc:
-            "Where the algorithm may choose any eligible node, choose \
-             uniformly at random (seeded) instead of smallest-id.")
+(* A serve protocol request line. *)
+let request op fields =
+  Jsonx.to_string (Jsonx.Obj (("op", Jsonx.String op) :: fields))
+
+(* A fresh protocol server loads the topology file with [monitors] and
+   answers [requests]; each response line is printed as [nettomo serve
+   --no-wall-time] sends it. The first error response, the load's
+   included, is printed and ends the command (exit 124). *)
+let ask file seed monitors requests =
+  let server = Protocol.create ?seed ~emit_wall_ms:false () in
+  let load =
+    request "load"
+      [
+        ("edges", Jsonx.String (In_channel.with_open_bin file In_channel.input_all));
+        ("monitors", Jsonx.List (List.map (fun v -> Jsonx.Int v) monitors));
+      ]
   in
-  let run file random seed =
-    let g = load file in
-    let rng = if random then Some (Prng.create seed) else None in
-    match Mmp.place_report ?rng g with
-    | exception Invalid_argument m -> `Error (false, m)
-    | r ->
-        let show set =
-          Graph.NodeSet.elements set |> List.map string_of_int |> String.concat " "
+  let rec go = function
+    | [] -> `Ok ()
+    | (req, show) :: rest -> (
+        let line = Protocol.handle_line server req in
+        let resp = Result.to_option (Jsonx.parse line) in
+        let field name =
+          Option.bind (Option.bind resp (Jsonx.member name)) Jsonx.to_string_opt
         in
-        Format.printf "monitors (%d of %d nodes): %s@."
-          (Graph.NodeSet.cardinal r.Mmp.monitors)
-          (Graph.n_nodes g) (show r.Mmp.monitors);
-        Format.printf "  by degree rule  : %s@." (show r.Mmp.by_degree);
-        Format.printf "  by triconnected : %s@." (show r.Mmp.by_triconnected);
-        Format.printf "  by biconnected  : %s@." (show r.Mmp.by_biconnected);
-        Format.printf "  top-up          : %s@." (show r.Mmp.top_up);
-        `Ok ()
+        match field "status" with
+        | Some "error" ->
+            print_endline line;
+            `Error (false, Option.value (field "error") ~default:line)
+        | Some _ | None ->
+            if show then print_endline line;
+            go rest)
   in
-  Cmd.v
-    (Cmd.info "place"
-       ~doc:"Minimum monitor placement — Algorithm 1 (MMP) of the paper.")
-    Term.(ret (const run $ topology_arg $ random_arg $ seed_arg))
+  go ((load, false) :: List.map (fun req -> (req, true)) requests)
 
-(* ------------------------------------------------------------------ *)
-(* solve                                                               *)
-
-let solve_cmd =
-  let auto_arg =
-    Arg.(
-      value & flag
-      & info [ "mmp" ] ~doc:"Ignore --monitors and use MMP's placement.")
-  in
-  let exact_arg =
-    Arg.(
-      value & flag
-      & info [ "exact" ]
-          ~doc:
-            "Use the exact rational solver over randomly searched simple \
-             paths (the paper's measurement model) instead of the default \
-             constructive walk planner. Exponentially slower; answers in \
-             exact rationals.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "summary" ]
-          ~doc:"Print only the campaign summary, not every link metric.")
-  in
-  let run file monitors use_mmp exact summary seed =
-    let g = load file in
-    let monitors =
-      if use_mmp then Graph.NodeSet.elements (Mmp.place g) else monitors
+let query_cmds =
+  let seeded = Term.(const Option.some $ seed_arg) in
+  let augment_arg =
+    let doc =
+      "Also run the greedy planner: add up to $(docv) monitors maximizing \
+       marginal coverage."
     in
-    match net_of g monitors with
-    | `Error _ as e -> e
-    | `Ok net ->
-        let rng = Prng.create seed in
-        let truth = Measurement.random_weights ~lo:1 ~hi:100 rng g in
-        if exact then (
-          match Solver.recover ~rng net truth with
-          | None ->
-              Format.printf
-                "network is not identifiable with these monitors (no \
-                 full-rank path set found)@.";
-              `Ok ()
-          | Some recovered ->
-              Format.printf
-                "recovered %d link metrics from %d end-to-end paths:@."
-                (List.length recovered) (List.length recovered);
-              if not summary then
-                List.iter
-                  (fun ((u, v), w) ->
-                    Format.printf "  %d-%d: %s (true %s)@." u v (Q.to_string w)
-                      (Q.to_string (Measurement.weight truth (u, v))))
-                  recovered;
-              `Ok ())
-        else
-          (* The constructive fast path: one BFS spanning tree, exactly
-             |E| walk measurements, linear-time recovery — scales to
-             10^4-node topologies where the exact path search cannot. *)
-          match Nettomo_measure.Solve.simulate net truth with
-          | Error m -> `Error (false, m)
-          | Ok sol ->
-              Format.printf
-                "recovered %d link metrics from %d constructive walk \
-                 measurements:@."
-                (Array.length sol.Nettomo_measure.Solve.metrics)
-                sol.Nettomo_measure.Solve.measurements;
-              if not summary then
-                Array.iteri
-                  (fun i (u, v) ->
-                    Format.printf "  %d-%d: %g (true %s)@." u v
-                      sol.Nettomo_measure.Solve.metrics.(i)
-                      (Q.to_string (Measurement.weight truth (u, v))))
-                  sol.Nettomo_measure.Solve.links;
-              `Ok ()
+    Arg.(value & opt (some int) None & info [ "k"; "augment" ] ~docv:"K" ~doc)
   in
-  Cmd.v
-    (Cmd.info "solve"
-       ~doc:
-        "Simulate hidden link delays and recover them from end-to-end \
-         measurements — constructively planned monitor walks by default \
-         (linear-time recovery), or the exact rational path solver with \
-         --exact.")
-    Term.(
-      ret
-        (const run $ topology_arg $ monitors_arg $ auto_arg $ exact_arg
-       $ quiet_arg $ seed_arg))
+  let coverage_requests k =
+    request "coverage" []
+    :: List.map (fun k -> request "augment" [ ("k", Jsonx.Int k) ]) (Option.to_list k)
+  in
+  List.map
+    (fun (name, doc, seed, monitors, requests) ->
+      Cmd.v (Cmd.info name ~doc)
+        Term.(ret (const ask $ topology_arg $ seed $ monitors $ requests)))
+    [
+      ( "place",
+        "Minimum monitor placement — Algorithm 1 (MMP) of the paper: serve's \
+         mmp response, the monitors and the rule that placed each.",
+        Term.const None,
+        Term.const [],
+        Term.const [ request "mmp" [] ] );
+      ( "solve",
+        "Simulate hidden link delays (drawn from --seed) and recover every \
+         link metric from constructively planned monitor walks: serve's \
+         solve response.",
+        seeded,
+        Term.(const snd $ placement_arg),
+        Term.const [ request "solve" [] ] );
+      ( "coverage",
+        "Per-link identifiability under the current monitors, each link \
+         with its reason (serve's coverage response), and with --augment a \
+         greedy monitor-augmentation plan (its augment response).",
+        seeded,
+        monitors_arg,
+        Term.(const coverage_requests $ augment_arg) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* robust                                                              *)
 
 let robust_cmd =
-  let mmp_arg =
-    Arg.(value & flag & info [ "mmp" ] ~doc:"Ignore --monitors and use MMP's placement.")
-  in
-  let run file monitors use_mmp =
-    let g = load file in
-    let monitors =
-      if use_mmp then Graph.NodeSet.elements (Mmp.place g) else monitors
-    in
+  let run (g, monitors) =
     match net_of g monitors with
     | `Error _ as e -> e
     | `Ok net ->
@@ -394,76 +372,13 @@ let robust_cmd =
        ~doc:
          "Single-failure robustness: which link/node failures break the \
           placement's identifiability.")
-    Term.(ret (const run $ topology_arg $ monitors_arg $ mmp_arg))
-
-(* ------------------------------------------------------------------ *)
-(* coverage                                                            *)
-
-let coverage_cmd =
-  let links_arg =
-    Arg.(
-      value & flag
-      & info [ "links" ]
-          ~doc:"Print the per-link verdict (reason) for every link.")
-  in
-  let augment_arg =
-    let doc =
-      "Also run the greedy planner: add up to $(docv) monitors maximizing \
-       marginal coverage."
-    in
-    Arg.(value & opt (some int) None & info [ "k"; "augment" ] ~docv:"K" ~doc)
-  in
-  let run file monitors seed links k =
-    let g = load file in
-    match net_of g monitors with
-    | `Error _ as e -> e
-    | `Ok net -> (
-        match Coverage.classify ~seed net with
-        | exception Invalid_argument m -> `Error (false, m)
-        | r ->
-            Format.printf "%a@." Coverage.pp r;
-            if links then
-              Graph.EdgeMap.iter
-                (fun (u, v) (vd : Coverage.verdict) ->
-                  Format.printf "  %d-%d: %s (%s)@." u v
-                    (if vd.Coverage.identifiable then "identifiable"
-                     else "unidentifiable")
-                    (Coverage.reason_to_string vd.Coverage.reason))
-                r.Coverage.verdicts
-            else if
-              not (Graph.EdgeSet.is_empty r.Coverage.unidentifiable)
-            then begin
-              Format.printf "unidentifiable links:";
-              Graph.EdgeSet.iter
-                (fun (u, v) -> Format.printf " %d-%d" u v)
-                r.Coverage.unidentifiable;
-              Format.printf "@."
-            end;
-            (match k with
-            | None -> `Ok ()
-            | Some k -> (
-                match Coverage.augment ~seed ~k net with
-                | exception Invalid_argument m -> `Error (false, m)
-                | plan ->
-                    Format.printf "%a@." Coverage.pp_plan plan;
-                    `Ok ())))
-  in
-  Cmd.v
-    (Cmd.info "coverage"
-       ~doc:
-         "Per-link identifiability under the current monitors (structural \
-          rules + rank fallback), the maximal identifiable sub-network, and \
-          optionally a greedy monitor-augmentation plan.")
-    Term.(
-      ret (const run $ topology_arg $ monitors_arg $ seed_arg $ links_arg
-         $ augment_arg))
+    Term.(ret (const run $ placement_arg))
 
 (* ------------------------------------------------------------------ *)
 (* routing                                                             *)
 
 let routing_cmd =
-  let run file =
-    let g = load file in
+  let run g =
     let max_rank = Fixed_routing.max_rank g in
     Format.printf
       "fixed shortest-path routing: best attainable rank %d of %d links@."
@@ -489,7 +404,7 @@ let routing_cmd =
        ~doc:
          "Uncontrollable-routing baseline: greedy monitor placement under \
           fixed shortest-path routing, vs MMP.")
-    Term.(const run $ topology_arg)
+    Term.(const run $ graph_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
@@ -516,8 +431,7 @@ let experiment_cmd =
     let doc = "Also write the sweep as a JSON report to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run file kappas runs jobs seed json =
-    let g = load file in
+  let run file g kappas runs jobs seed json =
     if kappas = [] then `Error (false, "at least one --kappa budget is required")
     else
       match
@@ -580,8 +494,8 @@ let experiment_cmd =
           (--json).")
     Term.(
       ret
-        (const run $ topology_arg $ kappa_arg $ runs_arg $ jobs_arg $ seed_arg
-       $ json_arg))
+        (const run $ topology_arg $ graph_arg $ kappa_arg $ runs_arg $ jobs_arg
+       $ seed_arg $ json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -592,6 +506,16 @@ let flag_or_env flag var =
   | Some _, _ -> flag
   | None, (None | Some "") -> None
   | None, Some v -> Some v
+
+(* A setting only the environment gives: unset or empty is [None], and a
+   value [parse] rejects is a usage error naming the variable. *)
+let env_setting var ~expected parse =
+  match Sys.getenv_opt var with
+  | None | Some "" -> Ok None
+  | Some s -> (
+      match parse s with
+      | Some v -> Ok (Some v)
+      | None -> Error (Printf.sprintf "%s=%s: expected %s" var s expected))
 
 let serve_cmd =
   let jobs_arg =
@@ -688,31 +612,6 @@ let serve_cmd =
   in
   let run jobs seed no_wall_time store_dir trace listen tcp max_conns
       shed_wait_p95 max_line_bytes log_file slow_ms =
-    let log_file = flag_or_env log_file "NETTOMO_LOG" in
-    (match Sys.getenv_opt "NETTOMO_LOG_LEVEL" with
-    | None | Some "" -> ()
-    | Some s -> (
-        match Obs.Log.level_of_string s with
-        | Some l -> Obs.Log.set_level l
-        | None -> ()));
-    (match log_file with None -> () | Some file -> Obs.Log.to_file file);
-    let trace = flag_or_env trace "NETTOMO_TRACE" in
-    (* The one place the store environment is read: every session this
-       server creates shares the handle, so stats and status see it. *)
-    let store_dir = flag_or_env store_dir "NETTOMO_STORE" in
-    let max_bytes =
-      Option.bind (Sys.getenv_opt "NETTOMO_STORE_MAX_BYTES") int_of_string_opt
-    in
-    if Option.is_some trace then Obs.Trace.enable ();
-    let write_trace () =
-      match trace with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Obs.Trace.to_chrome_json ()))
-    in
     let socket_listen =
       match (listen, tcp) with
       | Some _, Some _ -> Error "--listen and --tcp are mutually exclusive"
@@ -720,9 +619,32 @@ let serve_cmd =
       | None, Some port -> Ok (Some (Nettomo_engine.Server.Tcp port))
       | None, None -> Ok None
     in
-    match socket_listen with
-    | Error m -> `Error (false, m)
-    | Ok socket_listen -> (
+    match
+      ( env_setting "NETTOMO_LOG_LEVEL" Obs.Log.level_of_string
+          ~expected:"debug, info, warn or error",
+        env_setting "NETTOMO_STORE_MAX_BYTES" int_of_string_opt
+          ~expected:"a byte count",
+        socket_listen )
+    with
+    | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (false, m)
+    | Ok level, Ok max_bytes, Ok socket_listen -> (
+        Option.iter Obs.Log.set_level level;
+        Option.iter Obs.Log.to_file (flag_or_env log_file "NETTOMO_LOG");
+        let trace = flag_or_env trace "NETTOMO_TRACE" in
+        (* The one place the store environment is read (its size bound
+           above): every session this server creates shares the handle,
+           so stats and status see it. *)
+        let store_dir = flag_or_env store_dir "NETTOMO_STORE" in
+        if Option.is_some trace then Obs.Trace.enable ();
+        let write_trace () =
+          match trace with
+          | None -> ()
+          | Some file ->
+              let oc = open_out file in
+              Fun.protect
+                ~finally:(fun () -> close_out oc)
+                (fun () -> output_string oc (Obs.Trace.to_chrome_json ()))
+        in
         match
           Fun.protect ~finally:write_trace (fun () ->
               Pool.with_pool ~jobs (fun pool ->
@@ -732,10 +654,10 @@ let serve_cmd =
                   match socket_listen with
                   | None ->
                       let server =
-                        Nettomo_engine.Protocol.create ~pool ~seed
+                        Protocol.create ~pool ~seed
                           ~emit_wall_ms:(not no_wall_time) ?store ?slow_ms ()
                       in
-                      Nettomo_engine.Protocol.serve server stdin stdout
+                      Protocol.serve server stdin stdout
                   | Some listen ->
                       let server =
                         Nettomo_engine.Server.create ~seed
@@ -1030,49 +952,16 @@ let obs_cmd =
       match addr with
       | Error m -> `Error (false, m)
       | Ok addr -> (
-          let domain =
-            match addr with
-            | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
-            | Unix.ADDR_INET _ -> Unix.PF_INET
-          in
-          let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
           match
+            let ic, oc = Unix.open_connection addr in
             Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              ~finally:(fun () -> close_in_noerr ic)
               (fun () ->
-                Unix.connect fd addr;
-                let req =
-                  Jsonx.to_string
-                    (Jsonx.Obj
-                       [
-                         ("id", Jsonx.Int 0);
-                         ("op", Jsonx.String "slow");
-                         ("limit", Jsonx.Int limit);
-                       ])
-                  ^ "\n"
-                in
-                let rec write_all off =
-                  if off < String.length req then
-                    write_all
-                      (off
-                      + Unix.write_substring fd req off
-                          (String.length req - off))
-                in
-                write_all 0;
-                let buf = Buffer.create 4096 in
-                let chunk = Bytes.create 4096 in
-                let rec read_line () =
-                  if not (String.contains (Buffer.contents buf) '\n') then
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> ()
-                    | n ->
-                        Buffer.add_subbytes buf chunk 0 n;
-                        read_line ()
-                in
-                read_line ();
-                match String.index_opt (Buffer.contents buf) '\n' with
-                | Some i -> String.sub (Buffer.contents buf) 0 i
-                | None -> Buffer.contents buf)
+                output_string oc
+                  (request "slow" [ ("id", Jsonx.Int 0); ("limit", Jsonx.Int limit) ]
+                  ^ "\n");
+                flush oc;
+                Option.value (In_channel.input_line ic) ~default:"")
           with
           | line ->
               print_endline line;
@@ -1266,15 +1155,14 @@ let bench_cmd =
 (* dot                                                                 *)
 
 let dot_cmd =
-  let run file monitors output =
-    let g = load file in
+  let run g monitors output =
     let highlight = Graph.NodeSet.of_list monitors in
     emit output (Dot.to_dot ~highlight g);
     `Ok ()
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export the topology as Graphviz DOT.")
-    Term.(ret (const run $ topology_arg $ monitors_arg $ output_arg))
+    Term.(ret (const run $ graph_arg $ monitors_arg $ output_arg))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1293,8 +1181,9 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            gen_cmd; stats_cmd; decompose_cmd; check_cmd; place_cmd; solve_cmd;
-            coverage_cmd; routing_cmd; robust_cmd; experiment_cmd;
-            serve_cmd; store_cmd; obs_cmd; bench_cmd; dot_cmd;
-          ]))
+          ([ gen_cmd; stats_cmd; decompose_cmd; check_cmd ]
+          @ query_cmds
+          @ [
+              routing_cmd; robust_cmd; experiment_cmd; serve_cmd; store_cmd;
+              obs_cmd; bench_cmd; dot_cmd;
+            ])))

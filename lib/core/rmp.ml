@@ -30,9 +30,9 @@ let success_fraction_par ?pool rng g ~kappa ~runs =
   let one i = if trial streams.(i) g ~kappa then 1 else 0 in
   let indices = Array.init runs Fun.id in
   let hits =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 ->
-        Pool.map_reduce pool ~map:one ~fold:( + ) ~init:0 indices
-    | Some _ | None -> Array.fold_left (fun acc i -> acc + one i) 0 indices
+    Array.fold_left ( + ) 0
+      (match pool with
+      | Some pool -> Pool.map pool one indices
+      | None -> Array.map one indices)
   in
   float_of_int hits /. float_of_int runs

@@ -27,9 +27,9 @@ val success_fraction_par :
   float
 (** Fraction of [runs] independent trials achieving identifiability.
     Trial [i] draws from [Nettomo_util.Prng.substream] [i] of the
-    generator's state, and the trials run on [pool] when one with more
-    than one job is given, serially otherwise. The result is a function
-    of the generator state, [kappa] and [runs] only: every job count —
-    including no pool at all — returns the same fraction, and the
-    caller's generator advances exactly once either way. Raises
-    [Invalid_argument] unless [runs] is positive. *)
+    generator's state, and the trials run on [pool] when one is given
+    (a one-job pool runs them in the caller), serially otherwise. The
+    result is a function of the generator state, [kappa] and [runs]
+    only: every job count — including no pool at all — returns the
+    same fraction, and the caller's generator advances exactly once
+    either way. Raises [Invalid_argument] unless [runs] is positive. *)

@@ -278,6 +278,3 @@ let map pool f items =
             | None -> Errors.error "Pool.map: unfilled result slot")
           results
   end
-
-let map_reduce pool ~map:f ~fold ~init items =
-  Array.fold_left fold init (map pool f items)

@@ -5,10 +5,9 @@
     every task in the caller — the degenerate case is serial execution,
     byte-for-byte.
 
-    Determinism contract: {!map} and {!map_reduce} write each result
-    into the slot of its input index and reduce serially in input
-    order, so for a pure [f] the outcome is independent of [jobs] and
-    scheduling. Parallel Monte-Carlo sweeps rely on this:
+    Determinism contract: {!map} writes each result into the slot of
+    its input index, so for a pure [f] the outcome is independent of
+    [jobs] and scheduling. Parallel Monte-Carlo sweeps rely on this:
     a run with [--jobs n] must be bit-identical to [--jobs 1].
 
     Exception contract: the first exception raised by [f] (in input
@@ -31,13 +30,13 @@ val jobs : t -> int
 (** Parallel width of the pool, as given to {!create}. *)
 
 val idle_slots : t -> int
-(** Number of slots the most recent {!map} / {!map_reduce} call could
-    not put to work (fewer chunks than workers): [jobs - min jobs
-    n_chunks], or [jobs] after a map over an empty array. Also
-    exported as the [pool_slots_idle] gauge on the Obs registry.
-    [0] before the first map. {!submit} maintains the same instrument
-    as [jobs] minus the number of currently-running submitted tasks,
-    so a fully drained server reads [idle_slots = jobs]. *)
+(** Number of slots the most recent {!map} call could not put to work
+    (fewer chunks than workers): [jobs - min jobs n_chunks], or [jobs]
+    after a map over an empty array. Also exported as the
+    [pool_slots_idle] gauge on the Obs registry. [0] before the first
+    map. {!submit} maintains the same instrument as [jobs] minus the
+    number of currently-running submitted tasks, so a fully drained
+    server reads [idle_slots = jobs]. *)
 
 val queue_wait : t -> Nettomo_obs.Obs.Metrics.histogram
 (** The pool's queue-wait histogram (seconds between enqueue and the
@@ -80,21 +79,9 @@ val submit : ?ctx:Nettomo_obs.Obs.Ctx.t -> t -> (unit -> unit) -> unit
     [submit] for tasks that handle their own errors. Raises
     [Invalid_argument] on a closed pool. *)
 
-val map_reduce :
-  t ->
-  map:('a -> 'b) ->
-  fold:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** [map_reduce pool ~map ~fold ~init items] maps in parallel, then
-    folds the results serially in input order: for pure functions it
-    equals [Array.fold_left fold init (Array.map map items)] exactly,
-    for every [jobs]. *)
-
 val close : t -> unit
-(** Shut the workers down and join them. Idempotent. Calling {!map} or
-    {!map_reduce} on a closed pool raises [Invalid_argument]. *)
+(** Shut the workers down and join them. Idempotent. Calling {!map} on
+    a closed pool raises [Invalid_argument]. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool, closing it on the

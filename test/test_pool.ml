@@ -1,11 +1,10 @@
 (* Property tests for the Domain worker pool.
 
-   The contract under test: map/map_reduce equal their serial
-   equivalents for every jobs count and input size, hence every chunk
-   size the pool picks (positional results + in-order fold), worker
-   exceptions propagate to the caller, a one-job pool degenerates to
-   serial caller-side execution, and the NETTOMO_CHECK invariant layer
-   stays usable inside worker tasks. *)
+   The contract under test: map equals its serial equivalent for every
+   jobs count and input size, hence every chunk size the pool picks
+   (positional results), worker exceptions propagate to the caller, a
+   one-job pool degenerates to serial caller-side execution, and the
+   NETTOMO_CHECK invariant layer stays usable inside worker tasks. *)
 
 open Nettomo_util
 
@@ -33,27 +32,9 @@ let test_map_equals_serial () =
           done))
     jobs_grid
 
-let test_map_reduce_equals_serial_fold () =
-  let rng = Prng.create 202 in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          for _ = 1 to 6 do
-            let n = 1 + Prng.int rng 80 in
-            let items = Array.init n (fun _ -> Prng.int_in rng (-9) 9) in
-            (* A non-commutative fold: order mistakes can't cancel. *)
-            let fold acc x = (31 * acc) + x in
-            let expected = Array.fold_left fold 17 (Array.map succ items) in
-            let got = Pool.map_reduce pool ~map:succ ~fold ~init:17 items in
-            check ci "non-commutative fold matches serial" expected got
-          done))
-    jobs_grid
-
 let test_empty_input () =
   Pool.with_pool ~jobs:3 (fun pool ->
-      check cia "map []" [||] (Pool.map pool (fun x -> x * 2) [||]);
-      check ci "map_reduce [] = init" 42
-        (Pool.map_reduce pool ~map:Fun.id ~fold:( + ) ~init:42 [||]))
+      check cia "map []" [||] (Pool.map pool (fun x -> x * 2) [||]))
 
 exception Boom of int
 
@@ -231,8 +212,6 @@ let suite =
   [
     Alcotest.test_case "map = serial map (all jobs x chunks)" `Quick
       test_map_equals_serial;
-    Alcotest.test_case "map_reduce = serial fold (non-commutative)" `Quick
-      test_map_reduce_equals_serial_fold;
     Alcotest.test_case "empty input" `Quick test_empty_input;
     Alcotest.test_case "worker exception propagates" `Quick
       test_exception_propagates;
