@@ -664,7 +664,7 @@ let ablation cfg =
     (texact /. Float.max 1e-9 tfloat);
   print_endline
     "exactness is kept for identifiability (a rank property); floats serve\n\
-     only the statistical estimators and the candidate-path prefilter."
+     only the statistical estimators."
 
 (* ------------------------------------------------------------------ *)
 (* Churn: the incremental session engine vs from-scratch recomputation *)
@@ -1037,16 +1037,18 @@ let coverage_churn cfg =
       in
       (* The checked prefix replays the first rounds of (b). *)
       check_prefix run_incremental stream;
-      (* Exact eliminations and prefilter rejects of the independent-
-         path search over this topology's run, counted from here so the
-         checked prefix is left out: deterministic work counts (the pool
-         only reorders atomic increments), the same with the checks on
-         or off, gated by bench diff where wall time cannot be. *)
+      (* Rows that raised the rank, dependent rows, and searches whose
+         basis switched to rationals, over this topology's run, counted
+         from here so the checked prefix is left out: deterministic work
+         counts (the pool only reorders atomic increments), the same
+         with the checks on or off, gated by bench diff where wall time
+         cannot be. *)
       let solver_work () =
         ( Obs.Metrics.counter_value Solver.exact_rows,
-          Obs.Metrics.counter_value Solver.prefilter_rejects )
+          Obs.Metrics.counter_value Solver.prefilter_rejects,
+          Obs.Metrics.counter_value Solver.rational_fallbacks )
       in
-      let exact0, rejects0 = solver_work () in
+      let exact0, rejects0, fallbacks0 = solver_work () in
       (* a) coverage as a function of the monitor budget: prefixes of
          the MMP placement, classified independently over the pool. *)
       let fractions = [| 0.25; 0.5; 0.75; 1.0 |] in
@@ -1103,7 +1105,7 @@ let coverage_churn cfg =
          %.3f) in %.1f s\n"
         topology m greedy_total plan.Coverage.full plan.Coverage.coverage_before
         plan.Coverage.coverage_after plan_s;
-      let exact1, rejects1 = solver_work () in
+      let exact1, rejects1, fallbacks1 = solver_work () in
       Report.add_trials cfg.report (rounds + Array.length fractions);
       Report.add_series cfg.report
         (Jsonx.Obj
@@ -1131,6 +1133,7 @@ let coverage_churn cfg =
              ("coverage_after", Jsonx.Float plan.Coverage.coverage_after);
              ("solver_exact_rows_total", Jsonx.Int (exact1 - exact0));
              ("solver_prefilter_rejects_total", Jsonx.Int (rejects1 - rejects0));
+             ("solver_rational_fallbacks_total", Jsonx.Int (fallbacks1 - fallbacks0));
            ]))
     (churn_maps cfg
     @ [ ("Exodus", Isp.generate (Prng.create (cfg.seed + 47)) (List.nth Isp.rocketfuel 3)) ]);

@@ -163,14 +163,20 @@ let gen_cmd =
               | None -> Error (Printf.sprintf "unknown AS %S" name)))
       | other -> Error (Printf.sprintf "unknown model %S" other)
     in
-    match draw () with
-    | Error m -> `Error (false, m)
-    | Ok g ->
-        let g =
+    (* A generator's precondition failure, or parameters too sparse to
+       ever connect, is a usage error like any other bad option. *)
+    match
+      Result.map
+        (fun g ->
           if connected && not (Traversal.is_connected g) then
             Gen.until_connected (fun () -> Result.get_ok (draw ()))
-          else g
-        in
+          else g)
+        (draw ())
+    with
+    | Error m | (exception Invalid_argument m) -> `Error (false, m)
+    | exception Gen.Retries_exhausted { tries } ->
+        `Error (false, Printf.sprintf "no connected realization in %d draws" tries)
+    | Ok g ->
         emit output (Edgelist.to_string g);
         `Ok ()
   in
@@ -1156,9 +1162,11 @@ let bench_cmd =
 
 let dot_cmd =
   let run g monitors output =
-    let highlight = Graph.NodeSet.of_list monitors in
-    emit output (Dot.to_dot ~highlight g);
-    `Ok ()
+    match List.find_opt (fun v -> not (Graph.mem_node g v)) monitors with
+    | Some v -> `Error (false, Printf.sprintf "monitor %d is not a node of the graph" v)
+    | None ->
+        emit output (Dot.to_dot ~highlight:(Graph.NodeSet.of_list monitors) g);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export the topology as Graphviz DOT.")

@@ -1,8 +1,7 @@
 module Errors = Nettomo_util.Errors
 open Nettomo_graph
-module Basis = Nettomo_linalg.Basis
 module Matrix = Nettomo_linalg.Matrix
-module Fbasis = Nettomo_linalg.Fbasis
+module Zbasis = Nettomo_linalg.Zbasis
 module Prng = Nettomo_util.Prng
 module Obs = Nettomo_obs.Obs
 
@@ -12,12 +11,13 @@ type plan = {
   rank : int;
 }
 
-(* Work counters for the search's exact layer: rows confirmed by exact
-   elimination, and candidates the float prefilter turned away before
-   any rational row was built. Deterministic for a given net and seed,
-   so benches can gate on them where wall time is too noisy. *)
+(* Work counters for the search's basis: rows that raised the rank,
+   rows it turned away as dependent, and searches whose basis left the
+   native integers for rationals. Deterministic for a given net and
+   seed, so benches can gate on them where wall time is too noisy. *)
 let exact_rows = Obs.Metrics.counter "solver_exact_rows_total"
 let prefilter_rejects = Obs.Metrics.counter "solver_prefilter_rejects_total"
+let rational_fallbacks = Obs.Metrics.counter "solver_rational_fallbacks_total"
 
 (* Sort the first [len] entries of [row] in place. Rows are a few
    links long, so insertion sort. *)
@@ -84,35 +84,20 @@ let search ~keep ?rng ?max_stall ?seeds net =
   let n = csr.Csr.m in
   let rng = match rng with Some r -> r | None -> Prng.create 0x6e65740a in
   let max_stall = Option.value max_stall ~default:(50 * (n + 1)) in
-  let basis = Basis.create n in
+  let basis = Zbasis.create n in
   let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
   let seen = Array.make csr.Csr.n 0 in
   let stamp = ref 0 in
-  (* Float prefilter: almost every candidate near full rank is
-     dependent, and rejecting it against a float basis costs
-     microseconds instead of an exact rational elimination. Only the
-     accepted rows are confirmed exactly, and a confirmed row enters the
-     float basis from the residual its test left there; [offer] says
-     whether the row entered the basis, and its caller then puts the
-     candidate's node path into the plan when [keep]. Every layer hands
-     its rows over in [row], one buffer: a simple path has at most one
-     link per node. *)
-  let fbasis = Fbasis.create n in
+  (* Each row is offered to the exact basis once; [offer] says whether
+     it entered the basis, and its caller then puts the candidate's node
+     path into the plan when [keep]. Every layer hands its rows over in
+     [row], one buffer: a simple path has at most one link per node. *)
   let row = Array.make csr.Csr.n 0 in
   let accepted = ref [] in
   let offer cols len =
-    if not (Fbasis.would_increase_rank fbasis cols len) then begin
-      Obs.Metrics.incr prefilter_rejects;
-      false
-    end
-    else begin
-      Obs.Metrics.incr exact_rows;
-      Basis.add_cols basis cols len
-      && begin
-           ignore (Fbasis.add_reduced fbasis);
-           true
-         end
-    end
+    let added = Zbasis.add_cols basis cols len in
+    Obs.Metrics.incr (if added then exact_rows else prefilter_rejects);
+    added
   in
   (* A node path from layers 2 and 3: offered when it is a measurement
      path, ignored otherwise, so those layers may over-approximate. *)
@@ -161,7 +146,7 @@ let search ~keep ?rng ?max_stall ?seeds net =
     Option.iter
       (fun seeds ->
         seeds csr ~monitor (fun src cols len ->
-            if not (Basis.is_full basis) then offer_row src cols len))
+            if not (Zbasis.is_full basis) then offer_row src cols len))
       seeds;
     (* Layer 1: shortest paths between all monitor pairs, in
        [monitor_pairs] order, read off one breadth-first tree per
@@ -193,7 +178,7 @@ let search ~keep ?rng ?max_stall ?seeds net =
     (* Layer 2: randomized simple paths until full rank or stall. *)
     let pair_arr = Array.of_list pairs in
     let stall = ref 0 in
-    while (not (Basis.is_full basis)) && !stall < max_stall do
+    while (not (Zbasis.is_full basis)) && !stall < max_stall do
       let m1, m2 = pair_arr.(Prng.int rng (Array.length pair_arr)) in
       match Paths.random_simple_path rng g m1 m2 with
       | Some p -> if offer_path p then stall := 0 else incr stall
@@ -202,10 +187,10 @@ let search ~keep ?rng ?max_stall ?seeds net =
     (* Layer 3: exhaustive enumeration as a completeness fallback —
        only on small graphs, where the number of simple paths is
        tractable. *)
-    if (not (Basis.is_full basis)) && Graph.n_nodes g <= 16 then
+    if (not (Zbasis.is_full basis)) && Graph.n_nodes g <= 16 then
       List.iter
         (fun (m1, m2) ->
-          if not (Basis.is_full basis) then
+          if not (Zbasis.is_full basis) then
             try
               List.iter
                 (fun p -> ignore (offer_path p))
@@ -213,13 +198,14 @@ let search ~keep ?rng ?max_stall ?seeds net =
             with Paths.Limit_exceeded -> ())
         pairs
   end;
+  if Zbasis.rational basis then Obs.Metrics.incr rational_fallbacks;
   (List.rev !accepted, basis)
 
 let independent_paths ?rng ?max_stall ?seeds net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
   let space = Measurement.space (Net.graph net) in
   let paths, basis = search ~keep:true ?rng ?max_stall ?seeds net in
-  { space; paths; rank = Basis.rank basis }
+  { space; paths; rank = Zbasis.rank basis }
 
 let basis ?rng ?max_stall ?seeds net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->

@@ -2,7 +2,7 @@
     paths, measure them, and recover every link metric exactly — the
     workflow of the Section 2.3 example, automated.
 
-    Path construction grows an exact row basis ({!Nettomo_linalg.Basis})
+    Path construction grows an exact row basis ({!Nettomo_linalg.Zbasis})
     from candidate simple paths: shortest paths between every monitor
     pair first, then randomized simple paths, then (on small networks)
     exhaustive enumeration as a completeness fallback. When the network
@@ -60,12 +60,13 @@ val independent_paths :
     row buffer, and each becomes a node path only once it is accepted.
     Random and enumerated node paths are validated and written into the
     same buffer as their ascending columns in one pass over the flat
-    rows. Every row goes through a float prefilter ({!Fbasis}) first,
-    which rejects it without allocating; only the ones it accepts are
-    eliminated exactly ({!Basis.add_cols}), with no dense row. Each such
-    exact elimination increments the [solver_exact_rows_total] counter
-    of the metrics registry, and each candidate the prefilter rejects
-    increments [solver_prefilter_rejects_total]. *)
+    rows. Every row is offered once to the exact integer basis
+    ({!Zbasis.add_cols}), which rejects a dependent row without
+    allocating; no float decides a rank. Each row that raises the rank
+    increments the [solver_exact_rows_total] counter of the metrics
+    registry, each dependent one [solver_prefilter_rejects_total], and
+    each search whose basis switched to rationals
+    [solver_rational_fallbacks_total]. *)
 
 val sort_row : int array -> int -> unit
 (** [sort_row row len] sorts [row.(0..len-1)] ascending in place: how a
@@ -77,24 +78,28 @@ val basis :
   ?max_stall:int ->
   ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
   Net.t ->
-  Basis.t
+  Zbasis.t
 (** The same search, arguments and work counts as {!independent_paths},
     returning only the exact row basis it grows: the span of the plan's
-    incidence rows, equal to the basis obtained by adding
-    [plan.paths]' rows to an empty {!Basis.t} in order, with column [j]
-    the [j]-th link of {!Measurement.link_order}. Per-link
-    identifiability ("is the unit vector in the row space?") is read off
-    it directly ({!Basis.mem_unit}). No accepted row is turned back into
+    incidence rows, with column [j] the [j]-th link of
+    {!Measurement.link_order}. Per-link identifiability ("is the unit
+    vector in the row space?") is read off it directly
+    ({!Zbasis.mem_unit}, O(1)). No accepted row is turned back into
     a node path and no {!Measurement.space} is built. Both entries open
     the [solver.independent_paths] span. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
-(** [solver_exact_rows_total]: candidate rows eliminated exactly. *)
+(** [solver_exact_rows_total]: candidate rows that raised the rank. *)
 
 val prefilter_rejects : Nettomo_obs.Obs.Metrics.counter
-(** [solver_prefilter_rejects_total]: candidates the float prefilter
-    rejected. Both counters are process-wide and deterministic for a
-    given input and seed. *)
+(** [solver_prefilter_rejects_total]: candidate rows found dependent.
+    The name is kept from the float prefilter that used to reject
+    them. *)
+
+val rational_fallbacks : Nettomo_obs.Obs.Metrics.counter
+(** [solver_rational_fallbacks_total]: searches whose basis switched to
+    rationals on integer overflow. All three counters are process-wide
+    and deterministic for a given input and seed. *)
 
 val full_rank : Net.t -> plan -> bool
 (** Whether the plan has as many paths as the network has links. *)

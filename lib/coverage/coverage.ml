@@ -6,6 +6,7 @@ module Net = Nettomo_core.Net
 module Identifiability = Nettomo_core.Identifiability
 module Solver = Nettomo_core.Solver
 module Basis = Nettomo_linalg.Basis
+module Zbasis = Nettomo_linalg.Zbasis
 
 type mode = Structural | Exact | Sampled
 
@@ -243,10 +244,10 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
            the path search's total work, which grows faster than the
            component: per root (up to 8) a tree row per monitor and up to
            6 detours per link (3 per orientation), less the ones the
-           generator proves dependent, through the float prefilter, one
-           accepted row per unit of rank, and for each an exact
-           elimination whose sweep and applied rows grow with the
-           component's links and rank. Lifting it changes answers.
+           generator proves dependent, each reduced once against the
+           exact basis, and one accepted row per unit of rank, whose
+           update of the basis grows with the component's links and
+           rank. Lifting it changes answers.
            Within the bound, the
            sampled layer is seeded with the constructive spanning-tree
            candidates of [Measure.Paths] (tree monitor paths plus
@@ -312,20 +313,17 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
                    near-maximal membership, so the random layer only
                    runs on components of at most 150 links. Past that
                    its price would be the stall budget, up to
-                   50·(nodes+1) random paths through the float
-                   prefilter per productive row, more than the exact
-                   elimination itself: a confirmed row costs about
-                   6 µs at rank 300–400 on the 300–390-link components
-                   of the coverage bench's ISP maps (2-vCPU Xeon). The
-                   cutoff stays because lifting it would change
-                   answers. *)
+                   50·(nodes+1) random paths reduced against the basis
+                   per productive row. The cutoff stays because lifting
+                   it would change answers. *)
                 let max_stall =
                   if Array.length links > 150 then 0 else 50 * (nc + 1)
                 in
-                Solver.basis ~rng:(Prng.create seed) ~max_stall
-                  ~seeds:Nettomo_measure.Paths.simple_candidates netc
+                Zbasis.mem_unit
+                  (Solver.basis ~rng:(Prng.create seed) ~max_stall
+                     ~seeds:Nettomo_measure.Paths.simple_candidates netc)
               in
-              let basis =
+              let mem_unit =
                 if nc > exact_node_limit then sampled ()
                 else begin
                   escalate Exact;
@@ -333,13 +331,13 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
                      the enumeration limit (K11 between two monitors
                      has ~10^6): degrade it to the sampled lower bound
                      instead of failing the whole report. *)
-                  try Identifiability.measurement_basis netc
-                  with Paths.Limit_exceeded -> sampled ()
+                  match Identifiability.measurement_basis netc with
+                  | basis -> Basis.mem_unit basis
+                  | exception Paths.Limit_exceeded -> sampled ()
                 end
               in
               Array.iteri
-                (fun j k ->
-                  if Option.is_none verdicts.(k) then decide k (Basis.mem_unit basis j) Rank)
+                (fun j k -> if Option.is_none verdicts.(k) then decide k (mem_unit j) Rank)
                 links
             end
           end

@@ -124,8 +124,9 @@ val classify :
     path; the seeds are generated as link-number rows on the flat graph
     that search builds, less the detours the rows before them provably
     span.
-    Every rank verdict, exact or sampled, is read off its basis with
-    {!Nettomo_linalg.Basis.mem_unit}.
+    Every rank verdict is read off its basis: an exact one with
+    {!Nettomo_linalg.Basis.mem_unit}, a sampled one in O(1) with
+    {!Nettomo_linalg.Zbasis.mem_unit}.
 
     Cost outside the rank tests: the network is flattened once
     ({!Nettomo_graph.Csr.of_graph}); the block-cut tree and

@@ -63,8 +63,8 @@ val add_cols : t -> int array -> int -> bool
     [cols.(0)], …, [cols.(len - 1)] and zeros elsewhere — a measurement
     path's link columns — without building [v]. Raises
     [Invalid_argument] unless those columns are strictly ascending and
-    in [\[0, dimension)], as for {!Fbasis.add}; the basis is then left
-    as it was. [cols] is not retained. *)
+    in [\[0, dimension)]; the basis is then left as it was. [cols] is
+    not retained. *)
 
 val copy : t -> t
 (** An independent basis with the same rows. Stored rows are never

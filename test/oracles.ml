@@ -141,71 +141,6 @@ module Qref = struct
     Bigint.equal (Rational.num q) r.num && Bigint.equal (Rational.den q) r.den
 end
 
-(* The float prefilter basis on dense rows, with every reduction
-   visiting every row and every reduction and row update spanning all n
-   columns: the reference for the column-row basis, which subtracts only
-   the rows pivoted on a candidate's columns, only on the free columns,
-   and must reach the same verdicts. *)
-module Fbasis_ref = struct
-  type t = { n : int; epsilon : float; mutable rows : (int * float array) list }
-
-  let create ?(epsilon = 1e-9) n = { n; epsilon; rows = [] }
-  let rank t = List.length t.rows
-
-  let reduce t v =
-    let v = Array.copy v in
-    List.iter
-      (fun (p, r) ->
-        let factor = v.(p) in
-        if Float.abs factor > 0.0 then
-          for j = 0 to t.n - 1 do
-            v.(j) <- v.(j) -. (factor *. r.(j))
-          done)
-      t.rows;
-    v
-
-  let best_pivot t v =
-    let best = ref (-1) in
-    let best_mag = ref t.epsilon in
-    Array.iteri
-      (fun j x ->
-        let m = Float.abs x in
-        if m > !best_mag then begin
-          best := j;
-          best_mag := m
-        end)
-      v;
-    if !best < 0 then None else Some !best
-
-  let would_increase_rank t v = best_pivot t (reduce t v) <> None
-
-  let add t v =
-    let res = reduce t v in
-    match best_pivot t res with
-    | None -> false
-    | Some p ->
-        let inv = 1.0 /. res.(p) in
-        Array.iteri (fun j x -> res.(j) <- x *. inv) res;
-        res.(p) <- 1.0;
-        List.iter
-          (fun (_, r) ->
-            let factor = r.(p) in
-            if Float.abs factor > 0.0 then
-              for j = 0 to t.n - 1 do
-                r.(j) <- r.(j) -. (factor *. res.(j))
-              done)
-          t.rows;
-        let rec insert = function
-          | [] -> [ (p, res) ]
-          | (p', _) :: _ as rest when p < p' -> (p, res) :: rest
-          | x :: rest -> x :: insert rest
-        in
-        t.rows <- insert t.rows;
-        true
-
-  let copy t = { t with rows = List.map (fun (p, r) -> (p, Array.copy r)) t.rows }
-end
-
 (* The exact basis on dense rows: rows kept as full-width rational
    arrays in a list sorted by pivot, and elimination walking that list,
    each applied row scanned across every column after its pivot. The
@@ -576,10 +511,10 @@ module Coverage_ref = struct
            sound lower bound, exactly like Sampled mode. The bound guards
            the path search's total work, which grows faster than the
            component: up to 48 seed rows per link (8 roots, 3 detours per
-           orientation) through the float prefilter, one accepted row per
-           unit of rank, and for each an exact elimination whose sweep and
-           applied rows grow with the component's links and rank. Lifting
-           it changes answers. Within the bound, the
+           orientation), each reduced once against the exact basis, and
+           one accepted row per unit of rank, whose update of the basis
+           grows with the component's links and rank. Lifting it changes
+           answers. Within the bound, the
            sampled layer is seeded with the constructive spanning-tree
            candidates of [Measure.Paths] (tree monitor paths plus
            tree–chord–tree detours), which reach far higher rank than the
@@ -621,20 +556,17 @@ module Coverage_ref = struct
                      near-maximal membership, so the random layer only
                      runs on components of at most 150 links. Past that
                      its price would be the stall budget, up to
-                     50·(nodes+1) random paths through the float
-                     prefilter per productive row, more than the exact
-                     elimination itself: a confirmed row costs about
-                     6 µs at rank 300–400 on the 300–390-link components
-                     of the coverage bench's ISP maps (2-vCPU Xeon). The
-                     cutoff stays because lifting it would change
-                     answers. *)
+                     50·(nodes+1) random paths reduced against the
+                     basis per productive row. The cutoff stays because
+                     lifting it would change answers. *)
                   let max_stall =
                     if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
                   in
-                  Solver.basis ~rng:(Prng.create seed) ~max_stall
-                    ~seeds:Nettomo_measure.Paths.simple_candidates netc
+                  Nettomo_linalg.Zbasis.mem_unit
+                    (Solver.basis ~rng:(Prng.create seed) ~max_stall
+                       ~seeds:Nettomo_measure.Paths.simple_candidates netc)
                 in
-                let basis =
+                let mem_unit =
                   if nc > exact_node_limit then sampled ()
                   else begin
                     escalate Exact;
@@ -642,8 +574,9 @@ module Coverage_ref = struct
                        the enumeration limit (K11 between two monitors
                        has ~10^6): degrade it to the sampled lower bound
                        instead of failing the whole report. *)
-                    try Identifiability.measurement_basis netc
-                    with Paths.Limit_exceeded -> sampled ()
+                    match Identifiability.measurement_basis netc with
+                    | basis -> Basis.mem_unit basis
+                    | exception Paths.Limit_exceeded -> sampled ()
                   end
                 in
                 let space = Measurement.space gc in
@@ -652,7 +585,7 @@ module Coverage_ref = struct
                     verdicts :=
                       Graph.EdgeMap.add e
                         {
-                          identifiable = Basis.mem_unit basis (Measurement.column space e);
+                          identifiable = mem_unit (Measurement.column space e);
                           reason = Rank;
                         }
                         !verdicts)

@@ -388,9 +388,9 @@ let search_answers_match net =
   let max_stall = if m > 150 then 0 else 50 * (Graph.n_nodes (Net.graph net) + 1) in
   let search seeds = Solver.basis ~rng:(Prng.create 5) ~max_stall ~seeds net in
   let a = search oracle and b = search Measure_paths.simple_candidates in
-  Nettomo_linalg.Basis.rank a = Nettomo_linalg.Basis.rank b
+  Nettomo_linalg.Zbasis.rank a = Nettomo_linalg.Zbasis.rank b
   && List.for_all
-       (fun j -> Nettomo_linalg.Basis.mem_unit a j = Nettomo_linalg.Basis.mem_unit b j)
+       (fun j -> Nettomo_linalg.Zbasis.mem_unit a j = Nettomo_linalg.Zbasis.mem_unit b j)
        (List.init m Fun.id)
 
 let test_seed_rows_isp () =

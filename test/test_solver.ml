@@ -117,7 +117,7 @@ let test_no_monitor_pairs () =
    incidence row extends an exact basis. With no seeds, no random layer
    and more than 16 nodes (no enumeration) the plan is layer 1 alone:
    it must hold the same node paths in the same order, and every
-   reachable pair must have cost one prefilter or exact test. Some nets
+   reachable pair must have cost one offer to the basis. Some nets
    get a second component, so some pairs are unreachable. *)
 let prop_layer1_matches_shortest_paths =
   QCheck2.Test.make ~name:"layer-1 rows and plan = shortest_path per pair" ~count:60
@@ -157,6 +157,52 @@ let prop_layer1_matches_shortest_paths =
       && List.equal (List.equal Int.equal) plan.Solver.paths (List.rev kept)
       && plan.Solver.rank = Basis.rank basis)
 
+(* The plan, rank and unit-row membership the search gives, plain and
+   from the coverage fallback's seeds. *)
+let answers ?max_stall ~seed net =
+  let plan = Solver.independent_paths ~rng:(Prng.create seed) ?max_stall net in
+  let basis =
+    Solver.basis ~rng:(Prng.create seed) ~max_stall:0
+      ~seeds:Nettomo_measure.Paths.simple_candidates net
+  in
+  ( plan.Solver.paths,
+    plan.Solver.rank,
+    List.init (Graph.n_edges (Net.graph net)) (Zbasis.mem_unit basis) )
+
+let same_answers (paths, rank, mem) (paths', rank', mem') =
+  List.equal (List.equal Int.equal) paths paths'
+  && rank = rank'
+  && List.equal Bool.equal mem mem'
+
+(* With the overflow bound forced to 1 the basis switches to rationals
+   part-way through most searches; what the search answers must not
+   move. *)
+let prop_forced_switch_same_answers =
+  QCheck2.Test.make ~name:"forced switch keeps every answer" ~count:30
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 17 30) (int_range 0 30))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let kappa = 2 + Prng.int rng 4 in
+      let monitors = Array.to_list (Prng.sample rng kappa (Graph.node_array g)) in
+      let net = Net.create g ~monitors in
+      same_answers (answers ~seed net)
+        (Zbasis.Testing.with_bound 1 (fun () -> answers ~seed net)))
+
+(* Ebone under a quarter of its MMP placement, without the random
+   layer: both searches stay on integers under the default bound and
+   switch under a bound of 1, each switch counted once, and give the
+   same answers either way. *)
+let test_forced_switch_counted () =
+  let net = Fixtures.isp_prefix "Ebone" 50 (fun m -> m / 4) in
+  let count () = Nettomo_obs.Obs.Metrics.counter_value Solver.rational_fallbacks in
+  let c0 = count () in
+  let plain = answers ~max_stall:0 ~seed:3 net in
+  check ci "no switch under the default bound" c0 (count ());
+  let forced = Zbasis.Testing.with_bound 1 (fun () -> answers ~max_stall:0 ~seed:3 net) in
+  check ci "both searches switched" (c0 + 2) (count ());
+  check cb "same plan, rank and membership" true (same_answers plain forced)
+
 let suite =
   [
     Alcotest.test_case "fig1 plan reaches full rank" `Quick test_plan_full_rank_fig1;
@@ -172,4 +218,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_recover_roundtrip_mmp;
     QCheck_alcotest.to_alcotest prop_plan_paths_independent;
     QCheck_alcotest.to_alcotest prop_layer1_matches_shortest_paths;
+    QCheck_alcotest.to_alcotest prop_forced_switch_same_answers;
+    Alcotest.test_case "forced switch counted" `Quick test_forced_switch_counted;
   ]
