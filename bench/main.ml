@@ -1037,18 +1037,19 @@ let coverage_churn cfg =
       in
       (* The checked prefix replays the first rounds of (b). *)
       check_prefix run_incremental stream;
-      (* Rows that raised the rank, dependent rows, and searches whose
-         basis switched to rationals, over this topology's run, counted
-         from here so the checked prefix is left out: deterministic work
-         counts (the pool only reorders atomic increments), the same
-         with the checks on or off, gated by bench diff where wall time
-         cannot be. *)
+      (* Rows that raised the rank, dependent rows, searches whose basis
+         switched to rationals, and stored basis rows rewritten by
+         accepted ones, over this topology's run, counted from here so
+         the checked prefix is left out: deterministic work counts (the
+         pool only reorders atomic increments), the same with the checks
+         on or off, gated by bench diff where wall time cannot be. *)
       let solver_work () =
         ( Obs.Metrics.counter_value Solver.exact_rows,
           Obs.Metrics.counter_value Solver.prefilter_rejects,
-          Obs.Metrics.counter_value Solver.rational_fallbacks )
+          Obs.Metrics.counter_value Solver.rational_fallbacks,
+          Obs.Metrics.counter_value Solver.eliminations )
       in
-      let exact0, rejects0, fallbacks0 = solver_work () in
+      let exact0, rejects0, fallbacks0, elims0 = solver_work () in
       (* a) coverage as a function of the monitor budget: prefixes of
          the MMP placement, classified independently over the pool. *)
       let fractions = [| 0.25; 0.5; 0.75; 1.0 |] in
@@ -1105,7 +1106,7 @@ let coverage_churn cfg =
          %.3f) in %.1f s\n"
         topology m greedy_total plan.Coverage.full plan.Coverage.coverage_before
         plan.Coverage.coverage_after plan_s;
-      let exact1, rejects1, fallbacks1 = solver_work () in
+      let exact1, rejects1, fallbacks1, elims1 = solver_work () in
       Report.add_trials cfg.report (rounds + Array.length fractions);
       Report.add_series cfg.report
         (Jsonx.Obj
@@ -1134,6 +1135,7 @@ let coverage_churn cfg =
              ("solver_exact_rows_total", Jsonx.Int (exact1 - exact0));
              ("solver_prefilter_rejects_total", Jsonx.Int (rejects1 - rejects0));
              ("solver_rational_fallbacks_total", Jsonx.Int (fallbacks1 - fallbacks0));
+             ("solver_eliminations_total", Jsonx.Int (elims1 - elims0));
            ]))
     (churn_maps cfg
     @ [ ("Exodus", Isp.generate (Prng.create (cfg.seed + 47)) (List.nth Isp.rocketfuel 3)) ]);

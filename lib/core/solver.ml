@@ -18,6 +18,9 @@ type plan = {
 let exact_rows = Obs.Metrics.counter "solver_exact_rows_total"
 let prefilter_rejects = Obs.Metrics.counter "solver_prefilter_rejects_total"
 let rational_fallbacks = Obs.Metrics.counter "solver_rational_fallbacks_total"
+let eliminations = Obs.Metrics.counter "solver_eliminations_total"
+
+type seeds = Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> int list
 
 (* Sort the first [len] entries of [row] in place. Rows are a few
    links long, so insertion sort. *)
@@ -76,16 +79,16 @@ let columns (csr : Csr.t) ~monitor ~(seen : int array) ~stamp row p =
           walk i 0 rest)
   | [] | [ _ ] -> -1
 
-(* The layered search, returning the accepted rows' node paths in order
-   (none unless [keep]) and the exact basis they span. *)
-let search ~keep ?rng ?max_stall ?seeds net =
-  let g = Net.graph net in
-  let csr = Csr.of_graph g in
+(* The layered search on the flat graph [csr] with monitor flags
+   [monitor], returning the accepted rows' node paths in order (none
+   unless [keep]) and the exact basis they span. [graph] is the
+   persistent form of [csr], forced only by the random and exhaustive
+   layers. *)
+let search ~keep ~graph ?rng ?max_stall ?seeds (csr : Csr.t) ~monitor =
   let n = csr.Csr.m in
   let rng = match rng with Some r -> r | None -> Prng.create 0x6e65740a in
   let max_stall = Option.value max_stall ~default:(50 * (n + 1)) in
   let basis = Zbasis.create n in
-  let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
   let seen = Array.make csr.Csr.n 0 in
   let stamp = ref 0 in
   (* Each row is offered to the exact basis once; [offer] says whether
@@ -136,24 +139,39 @@ let search ~keep ?rng ?max_stall ?seeds net =
       accepted := walk src (-1) [ csr.Csr.ids.(src) ] :: !accepted
     end
   in
-  let pairs = Net.monitor_pairs net in
+  (* The monitors by index, which is identifier order, and every pair
+     of them in [Net.monitor_pairs] order, as identifiers. *)
+  let monitors = List.filter (Array.get monitor) (List.init csr.Csr.n Fun.id) in
+  let pairs =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if i < j then Some (csr.Csr.ids.(i), csr.Csr.ids.(j)) else None)
+          monitors)
+      monitors
+  in
   if pairs <> [] && n > 0 then begin
     (* Layer 0: ready-made rows from the caller (e.g. the constructive
        spanning-tree candidates of [Measure.Paths.simple_candidates]),
        generated on this search's flat graph — structured rows that
        cover far more of the space than the random layer reaches
-       within its stall budget. *)
+       within its stall budget. The generator names the roots whose
+       breadth-first tree rows it emitted in full. *)
+    let rooted = Array.make csr.Csr.n false in
     Option.iter
       (fun seeds ->
-        seeds csr ~monitor (fun src cols len ->
-            if not (Zbasis.is_full basis) then offer_row src cols len))
+        List.iter
+          (fun r -> rooted.(r) <- true)
+          (seeds csr ~monitor (fun src cols len ->
+               if not (Zbasis.is_full basis) then offer_row src cols len)))
       seeds;
     (* Layer 1: shortest paths between all monitor pairs, in
        [monitor_pairs] order, read off one breadth-first tree per
-       source monitor. *)
+       source monitor. A seed root's rows are that same tree's, all
+       offered already, so its tree is not searched again. *)
     let rec layer1 = function
-      | m1 :: (_ :: _ as rest) ->
-          let src = Csr.index csr m1 in
+      | src :: rest when rooted.(src) -> layer1 rest
+      | src :: (_ :: _ as rest) ->
           let { Csr.parent; parent_eid; depth; _ } = Csr.bfs csr src in
           let rec up x len =
             if x = src then len
@@ -163,8 +181,7 @@ let search ~keep ?rng ?max_stall ?seeds net =
             end
           in
           List.iter
-            (fun m2 ->
-              let dst = Csr.index csr m2 in
+            (fun dst ->
               if depth.(dst) >= 0 then begin
                 let len = up dst 0 in
                 sort_row row len;
@@ -174,42 +191,50 @@ let search ~keep ?rng ?max_stall ?seeds net =
           layer1 rest
       | [] | [ _ ] -> ()
     in
-    layer1 (Net.monitor_list net);
+    layer1 monitors;
     (* Layer 2: randomized simple paths until full rank or stall. *)
     let pair_arr = Array.of_list pairs in
     let stall = ref 0 in
     while (not (Zbasis.is_full basis)) && !stall < max_stall do
       let m1, m2 = pair_arr.(Prng.int rng (Array.length pair_arr)) in
-      match Paths.random_simple_path rng g m1 m2 with
+      match Paths.random_simple_path rng (Lazy.force graph) m1 m2 with
       | Some p -> if offer_path p then stall := 0 else incr stall
       | None -> incr stall
     done;
     (* Layer 3: exhaustive enumeration as a completeness fallback —
        only on small graphs, where the number of simple paths is
        tractable. *)
-    if (not (Zbasis.is_full basis)) && Graph.n_nodes g <= 16 then
+    if (not (Zbasis.is_full basis)) && csr.Csr.n <= 16 then
       List.iter
         (fun (m1, m2) ->
           if not (Zbasis.is_full basis) then
             try
               List.iter
                 (fun p -> ignore (offer_path p))
-                (Paths.all_simple_paths ~limit:enumeration_limit g m1 m2)
+                (Paths.all_simple_paths ~limit:enumeration_limit (Lazy.force graph) m1 m2)
             with Paths.Limit_exceeded -> ())
         pairs
   end;
   if Zbasis.rational basis then Obs.Metrics.incr rational_fallbacks;
+  Obs.Metrics.incr ~by:(Zbasis.eliminations basis) eliminations;
   (List.rev !accepted, basis)
 
 let independent_paths ?rng ?max_stall ?seeds net =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
-  let space = Measurement.space (Net.graph net) in
-  let paths, basis = search ~keep:true ?rng ?max_stall ?seeds net in
-  { space; paths; rank = Zbasis.rank basis }
+  let g = Net.graph net in
+  let csr = Csr.of_graph g in
+  let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
+  let paths, basis =
+    search ~keep:true ~graph:(Lazy.from_val g) ?rng ?max_stall ?seeds csr ~monitor
+  in
+  { space = Measurement.space g; paths; rank = Zbasis.rank basis }
 
-let basis ?rng ?max_stall ?seeds net =
+let basis ?rng ?max_stall ?seeds csr ~monitor =
   Obs.Trace.span "solver.independent_paths" @@ fun () ->
-  snd (search ~keep:false ?rng ?max_stall ?seeds net)
+  let graph =
+    lazy (Graph.of_edges ~nodes:(Array.to_list csr.Csr.ids) (List.init csr.Csr.m (Csr.edge csr)))
+  in
+  snd (search ~keep:false ~graph ?rng ?max_stall ?seeds csr ~monitor)
 
 let full_rank net plan =
   plan.rank = Graph.n_edges (Net.graph net) && plan.rank = List.length plan.paths

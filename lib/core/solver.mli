@@ -19,12 +19,12 @@ type plan = {
   rank : int;  (** [= List.length paths] *)
 }
 
+type seeds = Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> int list
+(** A generator of rows offered before any search layer; see
+    {!independent_paths}. *)
+
 val independent_paths :
-  ?rng:Nettomo_util.Prng.t ->
-  ?max_stall:int ->
-  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
-  Net.t ->
-  plan
+  ?rng:Nettomo_util.Prng.t -> ?max_stall:int -> ?seeds:seeds -> Net.t -> plan
 (** A maximal set of linearly independent measurement paths found by the
     layered search. [max_stall] (default [50 · (|L| + 1)]) bounds
     consecutive unproductive random candidates before falling back to
@@ -34,7 +34,7 @@ val independent_paths :
     networks of moderate size the plan reaches full rank.
 
     [seeds] generates rows offered before any search layer. It is called
-    once, on the flat graph the search builds and its monitor flags by
+    once, on the flat graph the search runs on and its monitor flags by
     index, with a callback it calls once per row, in order:
     [emit src cols len] offers the simple path between two distinct
     monitors that starts at index [src] and whose link numbers are
@@ -46,27 +46,37 @@ val independent_paths :
     what the stall-bounded random layer finds on larger networks. An
     accepted seed enters the plan as its node path from [src].
 
+    The generator returns its {e roots}: monitor indices [r] for which
+    it emitted the path from [r] to every other monitor reachable from
+    it in the tree [Nettomo_graph.Csr.bfs csr r]. Those include every
+    row the monitor-pair layer would offer from source [r], so that
+    layer skips such a source, breadth-first search included. A
+    generator that claims no root returns [[]].
+
     A generator may leave out a row that lies in the span of the rows
     it already emitted: the search keeps a row only when it raises the
     rank, so such a row would have been turned away. The plan, the
     basis and every later layer are the same without it; the work
-    counters below only lose that row's own count.
+    counters below only lose that row's own count. Skipping a root's
+    monitor-pair rows is the same case.
 
     The search runs on link numbers: the network is flattened once
     ({!Nettomo_graph.Csr}, whose link numbers are the measurement
-    columns). Seeds arrive as rows and are offered as they arrive. The
-    monitor-pair shortest paths are read off one flat breadth-first
-    tree per source monitor ({!Nettomo_graph.Csr.bfs}) into one reused
-    row buffer, and each becomes a node path only once it is accepted.
-    Random and enumerated node paths are validated and written into the
-    same buffer as their ascending columns in one pass over the flat
-    rows. Every row is offered once to the exact integer basis
-    ({!Zbasis.add_cols}), which rejects a dependent row without
-    allocating; no float decides a rank. Each row that raises the rank
-    increments the [solver_exact_rows_total] counter of the metrics
-    registry, each dependent one [solver_prefilter_rejects_total], and
-    each search whose basis switched to rationals
-    [solver_rational_fallbacks_total]. *)
+    columns), and {!basis} takes the flat graph itself. Seeds arrive as
+    rows and are offered as they arrive. The monitor-pair shortest
+    paths are read off one flat breadth-first tree per source monitor
+    ({!Nettomo_graph.Csr.bfs}) into one reused row buffer, and each
+    becomes a node path only once it is accepted. Random and enumerated
+    node paths are validated and written into the same buffer as their
+    ascending columns in one pass over the flat rows. Every row is
+    offered once to the exact integer basis ({!Zbasis.add_cols}), which
+    rejects a dependent row without allocating; no float decides a
+    rank. Each row that raises the rank increments the
+    [solver_exact_rows_total] counter of the metrics registry, each
+    dependent one [solver_prefilter_rejects_total], each search whose
+    basis switched to rationals [solver_rational_fallbacks_total], and
+    each search adds its basis's {!Zbasis.eliminations} to
+    [solver_eliminations_total]. *)
 
 val sort_row : int array -> int -> unit
 (** [sort_row row len] sorts [row.(0..len-1)] ascending in place: how a
@@ -76,17 +86,22 @@ val sort_row : int array -> int -> unit
 val basis :
   ?rng:Nettomo_util.Prng.t ->
   ?max_stall:int ->
-  ?seeds:(Nettomo_graph.Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit) ->
-  Net.t ->
+  ?seeds:seeds ->
+  Csr.t ->
+  monitor:bool array ->
   Zbasis.t
-(** The same search, arguments and work counts as {!independent_paths},
-    returning only the exact row basis it grows: the span of the plan's
-    incidence rows, with column [j] the [j]-th link of
-    {!Measurement.link_order}. Per-link identifiability ("is the unit
-    vector in the row space?") is read off it directly
-    ({!Zbasis.mem_unit}, O(1)). No accepted row is turned back into
-    a node path and no {!Measurement.space} is built. Both entries open
-    the [solver.independent_paths] span. *)
+(** [basis csr ~monitor] is the same search, arguments and work counts
+    as {!independent_paths} on the network whose flat graph is [csr]
+    and whose monitors are the indices [i] with [monitor.(i)], returning
+    only the exact row basis it grows: the span of the plan's incidence
+    rows, with column [j] link number [j] of [csr], which is the [j]-th
+    link of {!Measurement.link_order}. Per-link identifiability ("is the
+    unit vector in the row space?") is read off it directly
+    ({!Zbasis.mem_unit}, O(1)). No accepted row is turned back into a
+    node path and no {!Measurement.space} is built. The persistent graph
+    the random and exhaustive layers walk is rebuilt from [csr] only
+    when one of them runs. Both entries open the
+    [solver.independent_paths] span. *)
 
 val exact_rows : Nettomo_obs.Obs.Metrics.counter
 (** [solver_exact_rows_total]: candidate rows that raised the rank. *)
@@ -98,8 +113,13 @@ val prefilter_rejects : Nettomo_obs.Obs.Metrics.counter
 
 val rational_fallbacks : Nettomo_obs.Obs.Metrics.counter
 (** [solver_rational_fallbacks_total]: searches whose basis switched to
-    rationals on integer overflow. All three counters are process-wide
-    and deterministic for a given input and seed. *)
+    rationals on integer overflow. *)
+
+val eliminations : Nettomo_obs.Obs.Metrics.counter
+(** [solver_eliminations_total]: stored basis rows rewritten by
+    accepted rows ({!Zbasis.eliminations}), summed over searches. All
+    four counters are process-wide and deterministic for a given input
+    and seed. *)
 
 val full_rank : Net.t -> plan -> bool
 (** Whether the plan has as many paths as the network has links. *)

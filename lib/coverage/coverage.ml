@@ -155,16 +155,28 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
   if c.m = 0 then finish Structural
   else
     let t = tree c in
-    if t.flat.n_components = 1 && Identifiability.network_identifiable net then begin
+    let mon = Array.map (Net.is_monitor net) c.ids in
+    let low_degree x = (not mon.(x)) && degree c x < 3 in
+    (* Theorems 3.1 and 3.3 on the whole network, on the flat graph: one
+       component proves it connected, and with κ ≥ 3 a non-monitor of
+       degree below 3 keeps that degree in the extended graph, which
+       then is not 3-connected. Only a network past both screens builds
+       the extended graph. κ = 2 takes Theorem 3.1's own test. *)
+    let rec no_low_degree x = x = c.n || ((not (low_degree x)) && no_low_degree (x + 1)) in
+    let whole_network =
+      t.flat.n_components = 1
+      &&
+      if Net.kappa net = 2 then Identifiability.network_identifiable net
+      else no_low_degree 0 && Identifiability.extended_three_connected net
+    in
+    if whole_network then begin
       Array.fill verdicts 0 c.m (Some { identifiable = true; reason = Whole_network });
       finish Structural
     end
     else begin
-      let mon = Array.map (Net.is_monitor net) c.ids in
       let term = terminals t mon in
       let relevant = Array.map (fun ts -> Array.length ts >= 2) term in
       let measurable k = relevant.(t.flat.block_of_link.(k)) in
-      let low_degree x = (not mon.(x)) && degree c x < 3 in
       let undecided = ref 0 in
       let decide k identifiable reason =
         verdicts.(k) <- Some { identifiable; reason };
@@ -245,9 +257,12 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
            component: per root (up to 8) a tree row per monitor and up to
            6 detours per link (3 per orientation), less the ones the
            generator proves dependent, each reduced once against the
-           exact basis, and one accepted row per unit of rank, whose
-           update of the basis grows with the component's links and
-           rank. Lifting it changes answers.
+           exact basis; one shortest-path row per monitor pair whose
+           first monitor is not a seed root; and one accepted row per
+           unit of rank, which rewrites the stored rows listed at its
+           pivot (the basis pivots where the fewest are listed), each
+           rewrite up to the component's link count long. Lifting it
+           changes answers.
            Within the bound, the
            sampled layer is seeded with the constructive spanning-tree
            candidates of [Measure.Paths] (tree monitor paths plus
@@ -257,8 +272,10 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
 
            A component is found by a breadth-first search over
            measurable links from an undecided one, and handed to the
-           solver as the graph of its ascending links, so its j-th link
-           is column j. *)
+           solver as the restriction of [c] to its ascending links
+           ([Csr.restrict]), so its j-th link is column j; no persistent
+           graph is built unless the search's random layer runs or the
+           component is small enough for exact rank. *)
         let mode = ref Structural in
         let escalate m =
           match (!mode, m) with
@@ -304,8 +321,10 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
                 links
             end
             else begin
-              let gc = Graph.of_edges (Array.to_list (Array.map (Csr.edge c) links)) in
-              let netc = Net.create gc ~monitors:!monitors in
+              let graph () = Graph.of_edges (Array.to_list (Array.map (Csr.edge c) links)) in
+              let sub = Csr.restrict c links in
+              Nettomo_util.Invariant.check (fun () -> Csr.Invariant.check (graph ()) sub);
+              let smon = Array.map (fun v -> mon.(Csr.index c v)) sub.ids in
               let sampled () =
                 escalate Sampled;
                 (* On components beyond the exact-enumeration range the
@@ -321,7 +340,7 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
                 in
                 Zbasis.mem_unit
                   (Solver.basis ~rng:(Prng.create seed) ~max_stall
-                     ~seeds:Nettomo_measure.Paths.simple_candidates netc)
+                     ~seeds:Nettomo_measure.Paths.simple_candidates sub ~monitor:smon)
               in
               let mem_unit =
                 if nc > exact_node_limit then sampled ()
@@ -331,7 +350,9 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
                      the enumeration limit (K11 between two monitors
                      has ~10^6): degrade it to the sampled lower bound
                      instead of failing the whole report. *)
-                  match Identifiability.measurement_basis netc with
+                  match
+                    Identifiability.measurement_basis (Net.create (graph ()) ~monitors:!monitors)
+                  with
                   | basis -> Basis.mem_unit basis
                   | exception Paths.Limit_exceeded -> sampled ()
                 end

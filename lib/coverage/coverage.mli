@@ -121,9 +121,10 @@ val classify :
     sampled basis and the report to [Sampled]. The sampled basis is the
     one {!Nettomo_core.Solver.basis} grows during its search, so each
     component is eliminated once and no accepted row becomes a node
-    path; the seeds are generated as link-number rows on the flat graph
-    that search builds, less the detours the rows before them provably
-    span.
+    path; the seeds are generated as link-number rows on the component's
+    flat graph, less the detours the rows before them provably span,
+    and the search's monitor-pair layer skips the seeds' roots, whose
+    tree rows are already offered.
     Every rank verdict is read off its basis: an exact one with
     {!Nettomo_linalg.Basis.mem_unit}, a sampled one in O(1) with
     {!Nettomo_linalg.Zbasis.mem_unit}.
@@ -135,13 +136,19 @@ val classify :
     every block from one pass over the blocks, the monitor-link,
     low-degree and unmeasurable rules from one loop over link numbers,
     and the fallback's components from one breadth-first search over
-    the measurable links. A graph is built only for a block that the
-    Theorem 3.1/3.3 test or the exact block rank examines, and once for
-    each component handed to the rank fallback, as the graph of its
-    ascending links so that its j-th link is column j. The report's
-    maps and sets are built once, at the end. The whole-network test
-    runs the paper's 3-vertex-connectivity sweep on the extended graph,
-    whose per-node step allocates nothing.
+    the measurable links. Each component goes to the search as the
+    restriction of the flat graph to its ascending links
+    ({!Nettomo_graph.Csr.restrict}), so that its j-th link is column j;
+    a persistent graph is built for it only when the search's random
+    layer runs or the component is small enough for exact rank, and
+    otherwise only for a block that the Theorem 3.1/3.3 test or the
+    exact block rank examines. The report's maps and sets are built
+    once, at the end. The whole-network test reads connectivity off the
+    block–cut search and, with κ ≥ 3, rejects a network with a
+    non-monitor of degree below 3 on the flat graph; only a network
+    past both screens builds the extended graph for the paper's
+    3-vertex-connectivity sweep, whose per-node step allocates
+    nothing.
     Requires at least two monitors ([Invalid_argument] otherwise). *)
 
 val coverage : report -> float

@@ -35,6 +35,60 @@ let half_edge t i v = search (fun k -> t.ids.(t.adj.(k))) t.xadj.(i) t.xadj.(i +
 let endpoints t k = (t.ends.(2 * k), t.ends.((2 * k) + 1))
 let edge t k = (t.ids.(t.ends.(2 * k)), t.ids.(t.ends.((2 * k) + 1)))
 
+(* The restriction's nodes are its links' endpoints, numbered in index
+   order; a half-edge of such a node's row is kept when its link is
+   listed, so the kept rows stay sorted, and the listed links keep their
+   relative (lexicographic) order. [number] and [local] map old link
+   numbers and node indices to new ones, -1 outside. *)
+let restrict t links =
+  let m = Array.length links in
+  let number = Array.make t.m (-1) and local = Array.make t.n (-1) in
+  let nodes = Array.make (2 * m) 0 and n = ref 0 in
+  let mark x =
+    if local.(x) < 0 then begin
+      local.(x) <- 0;
+      nodes.(!n) <- x;
+      incr n
+    end
+  in
+  Array.iteri
+    (fun i k ->
+      if k < 0 || k >= t.m || (i > 0 && k <= links.(i - 1)) then
+        Nettomo_util.Errors.invalid_arg "Csr.restrict: links must be ascending link numbers";
+      number.(k) <- i;
+      mark t.ends.(2 * k);
+      mark t.ends.((2 * k) + 1))
+    links;
+  let nodes = Array.sub nodes 0 !n in
+  Array.sort Int.compare nodes;
+  Array.iteri (fun i x -> local.(x) <- i) nodes;
+  let n = !n in
+  let xadj = Array.make (n + 1) 0
+  and adj = Array.make (2 * m) 0
+  and eid = Array.make (2 * m) 0 in
+  Array.iteri
+    (fun i x ->
+      let pos = ref xadj.(i) in
+      for h = t.xadj.(x) to t.xadj.(x + 1) - 1 do
+        let k = number.(t.eid.(h)) in
+        if k >= 0 then begin
+          adj.(!pos) <- local.(t.adj.(h));
+          eid.(!pos) <- k;
+          incr pos
+        end
+      done;
+      xadj.(i + 1) <- !pos)
+    nodes;
+  {
+    n;
+    m;
+    ids = Array.map (Array.get t.ids) nodes;
+    xadj;
+    adj;
+    eid;
+    ends = Array.init (2 * m) (fun h -> local.(t.ends.((2 * links.(h / 2)) + (h mod 2))));
+  }
+
 type tree = {
   parent : int array;
   parent_eid : int array;

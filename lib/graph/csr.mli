@@ -55,6 +55,18 @@ val endpoints : t -> int -> int * int
 val edge : t -> int -> Graph.edge
 (** Link number → the normalized link in identifiers. *)
 
+val restrict : t -> int array -> t
+(** [restrict t links] is the flat form of the subgraph made of the
+    links numbered [links], which must be strictly ascending: its nodes
+    are those links' endpoints, in index order, and link [links.(i)]
+    becomes its link [i]. Index order is identifier order and link
+    numbers are lexicographic, so this equals [of_graph] of that
+    subgraph ([Graph.of_edges] of its links), built without a
+    persistent graph: two index maps as long as [t]'s node and link
+    counts, then [O(d + n' log n')] for the [n'] nodes kept, whose rows
+    in [t] hold [d] half-edges. Raises [Invalid_argument] unless
+    [links] are strictly ascending link numbers of [t]. *)
+
 (** A breadth-first search tree, by index. *)
 type tree = {
   parent : int array;  (** tree parent; [-1] at the root and off the tree *)

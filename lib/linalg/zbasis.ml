@@ -28,6 +28,7 @@ type t = {
          every row that is, and possibly rows that no longer are.
          Checked when visited. *)
   mutable rank : int;
+  mutable eliminations : int;  (* Stored rows rewritten by accepted rows. *)
   mutable accepted : int array list;
       (* The accepted rows' columns, latest first: what a switch to
          rationals replays. *)
@@ -55,6 +56,7 @@ let create n =
     users = Array.make n [||];
     users_len = Array.make n 0;
     rank = 0;
+    eliminations = 0;
     accepted = [];
     fallback = None;
     scratch = Array.make n 0;
@@ -70,6 +72,7 @@ let dimension t = t.n
 let rank t = match t.fallback with Some b -> Basis.rank b | None -> t.rank
 let is_full t = rank t = t.n
 let rational t = Option.is_some t.fallback
+let eliminations t = t.eliminations
 
 let checked t x = if x > t.limit || x < -t.limit then raise Overflow else x
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
@@ -124,17 +127,24 @@ let reduce t cols len =
     end
   done
 
-(* Smallest-magnitude nonzero residual entry, lowest column on ties, or
-   -1 when the residual is zero: a small pivot keeps the updates of
-   other rows small, and 0/1 rows mostly pivot on a 1. *)
+(* The pivot of the residual, or -1 when it is zero: among its
+   smallest-magnitude nonzero entries, the column with the fewest listed
+   users, then the lowest. A small pivot keeps the updates of other rows
+   small, and 0/1 rows mostly pivot on a 1; every listed user is a row
+   the acceptance may have to rewrite. The interface says why the
+   choice moves no answer. *)
 let best_pivot t =
-  let best = ref (-1) and best_mag = ref max_int in
+  let best = ref (-1) and best_mag = ref max_int and best_users = ref max_int in
   for k = 0 to t.n_touched - 1 do
     let j = t.touched.(k) in
     let m = abs t.scratch.(j) in
-    if m > 0 && (m < !best_mag || (m = !best_mag && j < !best)) then begin
-      best := j;
-      best_mag := m
+    if m > 0 && m <= !best_mag then begin
+      let u = t.users_len.(j) in
+      if m < !best_mag || u < !best_users || (u = !best_users && j < !best) then begin
+        best := j;
+        best_mag := m;
+        best_users := u
+      end
     end
   done;
   !best
@@ -242,7 +252,10 @@ let add_int t cols len =
          let q = t.users.(p).(i) in
          let r = t.rows.(q) in
          let e = entry r p in
-         if e <> 0 then t.rows.(q) <- eliminate t q r e p fresh
+         if e <> 0 then begin
+           t.rows.(q) <- eliminate t q r e p fresh;
+           t.eliminations <- t.eliminations + 1
+         end
        done;
        t.users.(p) <- [||];
        t.users_len.(p) <- 0;

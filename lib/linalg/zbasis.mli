@@ -3,14 +3,23 @@
     identifiability ("is e{_j} in the row space?") read off it.
 
     Every row is a primitive integer vector (entries' gcd 1) with a
-    positive entry at its pivot, chosen at the residual's
-    smallest-magnitude entry (lowest column on ties), and rows are kept
-    fully reduced: zero at every pivot but their own. So a candidate
-    subtracts only the rows pivoted on its own columns, and e{_j} is in
-    the span iff the row pivoted at [j] has no free entries, which makes
-    {!mem_unit} O(1). A row is given as the strictly ascending columns
-    [cols.(0..len-1)] where it is 1 — a measurement path's link columns,
-    in a buffer the caller may reuse.
+    positive entry at its pivot, and rows are kept fully reduced: zero
+    at every pivot but their own. So a candidate subtracts only the rows
+    pivoted on its own columns, and e{_j} is in the span iff the row
+    pivoted at [j] has no free entries, which makes {!mem_unit} O(1). A
+    row is given as the strictly ascending columns [cols.(0..len-1)]
+    where it is 1 — a measurement path's link columns, in a buffer the
+    caller may reuse.
+
+    Pivot rule: among the residual's smallest-magnitude entries, the
+    column that the fewest stored rows are listed at, then the lowest
+    column — Markowitz's sparse-elimination rule on one row. Every row
+    listed at the pivot may have to be rewritten when the row is
+    accepted, so this keeps {!eliminations} low. No answer depends on
+    the choice: in any fully reduced basis, e{_j} is in the span iff the
+    row pivoted at [j] has no free entries, and whether a row is
+    accepted depends only on the span. Ranks, verdicts and {!mem_unit}
+    are those of any other pivot order.
 
     Cost model: each row is stored sparse, over its nonzero free
     columns, and each free column lists the rows that may be nonzero
@@ -47,6 +56,12 @@ val mem_unit : t -> int -> bool
 
 val rational : t -> bool
 (** Whether an overflow switched this basis to rationals. *)
+
+val eliminations : t -> int
+(** Stored rows rewritten so far to keep the basis fully reduced: one
+    per row listed at an accepted row's pivot that was nonzero there.
+    Deterministic for a given sequence of rows; it stops counting once
+    the basis has switched to rationals. *)
 
 (** A lower overflow bound for tests, so the switch to rationals
     happens mid-sequence on small inputs. *)

@@ -129,7 +129,8 @@ let measure t w =
    coverage sampled fallback: deterministic tree paths and tree–chord–
    tree detours between monitors, kept only when node-simple, each
    emitted as its ascending link numbers, less the detours the rows
-   before them provably span. *)
+   before them provably span. Returns the roots, whose tree rows are
+   emitted in full. *)
 let max_roots = 8
 let max_per_link = 3
 
@@ -273,7 +274,8 @@ let simple_candidates (csr : Csr.t) ~monitor emit =
       for i = 0 to reached - 1 do
         Array.fill firsts (max_per_link * order.(i)) max_per_link (-1)
       done)
-    roots
+    roots;
+  roots
 
 module Invariant = struct
   let check net t =

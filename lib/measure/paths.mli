@@ -67,7 +67,7 @@ val measure : t -> float array -> float array
     integer metrics the result is exactly the per-walk edge sum. *)
 
 val simple_candidates :
-  Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> unit
+  Csr.t -> monitor:bool array -> (int -> int array -> int -> unit) -> int list
 (** Deterministic {e simple} measurement-path candidates harvested from
     the same spanning-tree machinery, for rank lower bounds under the
     paper's simple-path model (the seeds of [Coverage]'s sampled
@@ -108,7 +108,12 @@ val simple_candidates :
     monitors are read off a per-root list of the 3 smallest monitors in
     each subtree, so the work per root is one pass over the tree, one
     LCA walk and class lookup per detour considered, and the links of
-    the rows emitted. *)
+    the rows emitted.
+
+    It returns the roots, in order. Each root's tree rows are all
+    emitted, read off [Csr.bfs csr r], so they include every row
+    {!Nettomo_core.Solver}'s monitor-pair layer would offer from that
+    source, and the search skips it there (the [seeds] contract). *)
 
 (** Structural verification of a plan against its network, gated by
     {!Nettomo_util.Invariant}: every walk is a genuine monitor-to-

@@ -200,3 +200,14 @@ let isp_prefix name seed frac =
   let mmp = Graph.NodeSet.elements (Nettomo_core.Mmp.place g) in
   let k = frac (List.length mmp) in
   Nettomo_core.Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp)
+
+(* A network's flat graph and its monitor flags by index: the input of
+   [Solver.basis]. *)
+let flat net =
+  let csr = Csr.of_graph (Nettomo_core.Net.graph net) in
+  (csr, Array.map (Nettomo_core.Net.is_monitor net) csr.Csr.ids)
+
+(* [Solver.basis] on a network, through its flat form. *)
+let solver_basis ?rng ?max_stall ?seeds net =
+  let csr, monitor = flat net in
+  Nettomo_core.Solver.basis ?rng ?max_stall ?seeds csr ~monitor

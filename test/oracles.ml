@@ -563,7 +563,7 @@ module Coverage_ref = struct
                     if Graph.n_edges gc > 150 then 0 else 50 * (nc + 1)
                   in
                   Nettomo_linalg.Zbasis.mem_unit
-                    (Solver.basis ~rng:(Prng.create seed) ~max_stall
+                    (Fixtures.solver_basis ~rng:(Prng.create seed) ~max_stall
                        ~seeds:Nettomo_measure.Paths.simple_candidates netc)
                 in
                 let mem_unit =

@@ -158,14 +158,16 @@ let test_dense_component_degrades () =
             (Graph.EdgeSet.subset r.Coverage.identifiable allowed))
     [ 11; 12 ]
 
-(* The rank fallback reads membership off the basis-only search; the
-   oracle rebuilds a basis from the plan the same search finishes,
-   whose paths (seeds included, rebuilt from their rows) must all be
-   measurement paths. Both must give the same unit-row membership. *)
+(* The rank fallback reads membership off the basis-only search on a
+   flat graph; the oracle rebuilds a basis from the plan the same search
+   finishes on the network, whose paths (seeds included, rebuilt from
+   their rows) must all be measurement paths. Both must give the same
+   unit-row membership. *)
 let solver_basis_matches_rebuild ?max_stall ?seeds ~seed net =
   let space = Measurement.space (Net.graph net) in
   let plan = Solver.independent_paths ~rng:(Prng.create seed) ?max_stall ?seeds net in
-  let basis = Solver.basis ~rng:(Prng.create seed) ?max_stall ?seeds net in
+  let csr, monitor = Fixtures.flat net in
+  let basis = Solver.basis ~rng:(Prng.create seed) ?max_stall ?seeds csr ~monitor in
   let rebuilt = Oracles.basis_of_plan space plan in
   List.for_all (Measurement.is_measurement_path net) plan.Solver.paths
   && Nettomo_linalg.Zbasis.rank basis = plan.Solver.rank
@@ -212,10 +214,10 @@ let test_solver_basis_isp_prefixes () =
 (* Coverage answers on the coverage bench's maps, pinned at a subset of
    their MMP-prefix budgets (k from 2 to m in steps of about m/12):
    mode, number of identifiable links, FNV-1a digest of those links, and
-   the solver's counts of rows that raised the rank and of dependent
-   rows (exact rows and prefilter rejects) for the report. A
-   change to the path search's representation must not move one of
-   them. *)
+   the solver's counts of rows that raised the rank, of dependent rows
+   (exact rows and prefilter rejects) and of stored basis rows rewritten
+   (eliminations) for the report. A change to the path search's
+   representation must not move one of them. *)
 let test_isp_budget_answers_pinned () =
   let mode_name = function
     | Coverage.Structural -> "structural"
@@ -233,9 +235,10 @@ let test_isp_budget_answers_pinned () =
       let g = Nettomo_topo.Isp.generate (Prng.create seed) spec in
       let mmp = Graph.NodeSet.elements (Mmp.place g) in
       List.iter
-        (fun (k, mode, size, digest, exact, rejects) ->
+        (fun (k, mode, size, digest, (exact, rejects, elims)) ->
           let net = Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp) in
           let exact0 = count Solver.exact_rows and rejects0 = count Solver.prefilter_rejects in
+          let elims0 = count Solver.eliminations in
           let r = Coverage.classify net in
           let at what = Printf.sprintf "%s with %d MMP monitors: %s" name k what in
           check Alcotest.string (at "mode") mode (mode_name r.Coverage.mode);
@@ -243,33 +246,34 @@ let test_isp_budget_answers_pinned () =
           check Alcotest.string (at "identifiable digest") digest
             Nettomo_util.Checksum.(to_hex (fnv64 (render r.Coverage.identifiable)));
           check ci (at "exact rows") exact (count Solver.exact_rows - exact0);
-          check ci (at "prefilter rejects") rejects (count Solver.prefilter_rejects - rejects0))
+          check ci (at "prefilter rejects") rejects (count Solver.prefilter_rejects - rejects0);
+          check ci (at "eliminations") elims (count Solver.eliminations - elims0))
         points)
     [
       ( "Ebone",
         50,
         [
-          (8, "sampled", 191, "927e2a019d876008", 285, 922);
-          (26, "sampled", 257, "f699033ff138bef1", 315, 1813);
-          (50, "sampled", 329, "1e3d4c64863f6617", 353, 3113);
-          (56, "sampled", 1, "38cb24f11110b389", 0, 0);
-          (65, "structural", 381, "2b8061596f304c9a", 0, 0);
+          (8, "sampled", 191, "927e2a019d876008", (285, 894, 408));
+          (26, "sampled", 257, "f699033ff138bef1", (315, 1641, 413));
+          (50, "sampled", 329, "1e3d4c64863f6617", (353, 2749, 498));
+          (56, "sampled", 1, "38cb24f11110b389", (0, 0, 0));
+          (65, "structural", 381, "2b8061596f304c9a", (0, 0, 0));
         ] );
       ( "Exodus",
         54,
         [
-          (2, "sampled", 88, "856c1581356f7e75", 254, 66);
-          (26, "sampled", 339, "fa03fac05609a5c5", 358, 2089);
-          (58, "sampled", 0, "cbf29ce484222325", 0, 0);
-          (95, "structural", 434, "e78f2cd397a852c8", 0, 0);
+          (2, "sampled", 88, "856c1581356f7e75", (254, 65, 577));
+          (26, "sampled", 339, "fa03fac05609a5c5", (358, 1917, 551));
+          (58, "sampled", 0, "cbf29ce484222325", (0, 0, 0));
+          (95, "structural", 434, "e78f2cd397a852c8", (0, 0, 0));
         ] );
       ( "Tiscali",
         56,
         [
-          (2, "sampled", 18, "c7f8898a9a730bbd", 137, 15);
-          (38, "sampled", 267, "a400b1c1f50d938d", 286, 2193);
-          (74, "sampled", 0, "cbf29ce484222325", 0, 0);
-          (142, "structural", 404, "0573b4d2ed22699e", 0, 0);
+          (2, "sampled", 18, "c7f8898a9a730bbd", (137, 14, 219));
+          (38, "sampled", 267, "a400b1c1f50d938d", (286, 1925, 413));
+          (74, "sampled", 0, "cbf29ce484222325", (0, 0, 0));
+          (142, "structural", 404, "0573b4d2ed22699e", (0, 0, 0));
         ] );
     ]
 

@@ -237,6 +237,49 @@ let prop_sparse_ids =
          || Bool.equal (identifiable h (List.map f monitors))
               (identifiable g monitors)))
 
+(* The restriction of a flat graph to some of its links is the flat
+   form of the graph those links make, as the coverage fallback hands a
+   component to the path search: on random graphs relabelled onto
+   sparse ids, with random link subsets (the whole set and the empty
+   one among them), it equals [of_graph] of that graph field by field
+   and holds its invariant; links out of order are refused. *)
+let prop_csr_restrict =
+  QCheck2.Test.make ~name:"Csr.restrict = of_graph of its links' graph (sparse ids)"
+    ~count:200
+    QCheck2.Gen.(quad (int_bound 1_000_000) (int_range 2 25) (int_range 0 30) (int_range 0 4))
+    (fun (seed, n, extra, sparsity) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g = Fixtures.random_connected rng n extra in
+      let ids = Fixtures.sparse_ids rng n in
+      let h =
+        Graph.fold_edges
+          (fun (u, v) acc -> Graph.add_edge acc ids.(u) ids.(v))
+          g (Graph.of_edges ~nodes:(Array.to_list ids) [])
+      in
+      let csr = Csr.of_graph h in
+      let links =
+        Array.of_list
+          (List.filter
+             (fun _ -> sparsity > 0 && Nettomo_util.Prng.int rng sparsity = 0)
+             (List.init csr.m Fun.id))
+      in
+      let sub = Csr.restrict csr links in
+      let gs = Graph.of_edges (Array.to_list (Array.map (Csr.edge csr) links)) in
+      let expected = Csr.of_graph gs in
+      Nettomo_util.Invariant.with_enabled true (fun () -> Csr.Invariant.check gs sub);
+      let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+      sub.n = expected.n && sub.m = expected.m
+      && same sub.ids expected.ids
+      && same sub.xadj expected.xadj
+      && same sub.adj expected.adj
+      && same sub.eid expected.eid
+      && same sub.ends expected.ends
+      && (csr.m < 2
+         ||
+         match Csr.restrict csr [| 1; 0 |] with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 (* Identifier layouts for the flat form's two ways to index a
    neighbour: runs of consecutive ids (read off as an offset from the
    first) at zero, below zero, and at either end of the int range; and
@@ -334,4 +377,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_handshake;
     QCheck_alcotest.to_alcotest prop_sparse_ids;
     QCheck_alcotest.to_alcotest prop_csr_index_paths;
+    QCheck_alcotest.to_alcotest prop_csr_restrict;
   ]

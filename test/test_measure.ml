@@ -258,8 +258,9 @@ let seed_rows net =
   let csr = Csr.of_graph (Net.graph net) in
   let monitor = Array.map (Net.is_monitor net) csr.Csr.ids in
   let rows = ref [] in
-  Measure_paths.simple_candidates csr ~monitor (fun src cols len ->
-      rows := (csr.Csr.ids.(src), Array.to_list (Array.sub cols 0 len)) :: !rows);
+  ignore
+    (Measure_paths.simple_candidates csr ~monitor (fun src cols len ->
+         rows := (csr.Csr.ids.(src), Array.to_list (Array.sub cols 0 len)) :: !rows));
   List.rev !rows
 
 let oracle_rows net =
@@ -382,11 +383,13 @@ let search_answers_match net =
     List.iter
       (fun (src, cols) ->
         emit (Csr.index csr src) (Array.of_list cols) (List.length cols))
-      (oracle_rows net)
+      (oracle_rows net);
+    []
   in
   let m = Graph.n_edges (Net.graph net) in
   let max_stall = if m > 150 then 0 else 50 * (Graph.n_nodes (Net.graph net) + 1) in
-  let search seeds = Solver.basis ~rng:(Prng.create 5) ~max_stall ~seeds net in
+  let csr, monitor = Fixtures.flat net in
+  let search seeds = Solver.basis ~rng:(Prng.create 5) ~max_stall ~seeds csr ~monitor in
   let a = search oracle and b = search Measure_paths.simple_candidates in
   Nettomo_linalg.Zbasis.rank a = Nettomo_linalg.Zbasis.rank b
   && List.for_all

@@ -162,7 +162,7 @@ let prop_layer1_matches_shortest_paths =
 let answers ?max_stall ~seed net =
   let plan = Solver.independent_paths ~rng:(Prng.create seed) ?max_stall net in
   let basis =
-    Solver.basis ~rng:(Prng.create seed) ~max_stall:0
+    Fixtures.solver_basis ~rng:(Prng.create seed) ~max_stall:0
       ~seeds:Nettomo_measure.Paths.simple_candidates net
   in
   ( plan.Solver.paths,

@@ -67,6 +67,31 @@ let membership_sequence ~switches b =
 
 let test_membership () = membership_sequence ~switches:false (Zbasis.create 4)
 
+(* The pivot goes to the column the fewest stored rows are listed at,
+   not to the lowest one. e0 + e1 is pivoted at 0 and listed at column
+   1; the residual of e1 + e2 has two unit entries, and column 2, with
+   no row listed, wins over column 1, whose pivot would rewrite the
+   first row. A repeated row is turned away, and e1, free in both
+   stored rows, rewrites both. Every verdict, rank and unit-row
+   membership stays the rational basis's. *)
+let test_fewest_users_pivot () =
+  let b = Zbasis.create 3 and slow = Basis.create 3 in
+  List.iter
+    (fun (cols, added, eliminations) ->
+      let a = Array.of_list cols in
+      let what = String.concat "+" (List.map (Printf.sprintf "e%d") cols) in
+      check cb (what ^ " added") added (Zbasis.add_cols b a (Array.length a));
+      ignore (Basis.add_cols slow a (Array.length a));
+      check ci (what ^ ": rows rewritten") eliminations (Zbasis.eliminations b);
+      check ci (what ^ ": rank") (Basis.rank slow) (Zbasis.rank b);
+      List.iter
+        (fun j ->
+          check cb
+            (Printf.sprintf "%s: e%d in the span" what j)
+            (Basis.mem_unit slow j) (Zbasis.mem_unit b j))
+        [ 0; 1; 2 ])
+    [ ([ 0; 1 ], true, 0); ([ 1; 2 ], true, 0); ([ 0; 1 ], false, 0); ([ 1 ], true, 2) ]
+
 (* Every verdict, rank and unit-row membership of the integer basis,
    after every add, against the rational basis fed the same rows; with
    the overflow bound lowered to [bound] when given, so the switch to
@@ -140,12 +165,13 @@ let test_isp_seed_rows () =
           let n = csr.Csr.m in
           let fast = Zbasis.create n and slow = Basis.create n in
           let steps = ref 0 and first_diff = ref None in
-          Nettomo_measure.Paths.simple_candidates csr ~monitor (fun _ cols len ->
-              if
-                (not (Bool.equal (Zbasis.add_cols fast cols len) (Basis.add_cols slow cols len)))
-                && Option.is_none !first_diff
-              then first_diff := Some !steps;
-              incr steps);
+          ignore
+            (Nettomo_measure.Paths.simple_candidates csr ~monitor (fun _ cols len ->
+                 if
+                   (not (Bool.equal (Zbasis.add_cols fast cols len) (Basis.add_cols slow cols len)))
+                   && Option.is_none !first_diff
+                 then first_diff := Some !steps;
+                 incr steps));
           let at s = Printf.sprintf "%s, %s of its MMP monitors: %s" name what s in
           check (Alcotest.option ci) (at (Printf.sprintf "first differing of %d" !steps)) None
             !first_diff;
@@ -164,6 +190,7 @@ let suite =
     Alcotest.test_case "empty basis" `Quick test_empty;
     Alcotest.test_case "add and reject" `Quick test_add_and_reject;
     Alcotest.test_case "unit-row membership" `Quick test_membership;
+    Alcotest.test_case "pivot where the fewest rows are listed" `Quick test_fewest_users_pivot;
     QCheck_alcotest.to_alcotest prop_agrees_with_rational;
     Alcotest.test_case "forced switch to rationals" `Quick test_forced_switch;
     Alcotest.test_case "ISP seed rows = rational basis" `Quick test_isp_seed_rows;
