@@ -249,7 +249,11 @@ let check_cmd =
         | full ->
             let kappa = Net.kappa net in
             Format.printf "monitors: %d@." kappa;
-            (if kappa = 2 then begin
+            (if kappa < 2 then
+               Format.printf
+                 "full network identifiable: false (fewer than 2 monitors: \
+                  no measurement path)@."
+             else if kappa = 2 then begin
                Format.printf
                  "full network identifiable: %b (Theorem 3.1: impossible \
                   beyond a single link)@."
@@ -356,22 +360,24 @@ let robust_cmd =
   let run (g, monitors) =
     match net_of g monitors with
     | `Error _ as e -> e
-    | `Ok net ->
-        let r = Robustness.analyze net in
-        Format.printf "%a@." Robustness.pp r;
-        if not (Graph.EdgeSet.is_empty r.Robustness.critical_links) then begin
-          Format.printf "critical links:";
-          Graph.EdgeSet.iter
-            (fun (u, v) -> Format.printf " %d-%d" u v)
-            r.Robustness.critical_links;
-          Format.printf "@."
-        end;
-        if not (Graph.NodeSet.is_empty r.Robustness.critical_nodes) then begin
-          Format.printf "critical nodes:";
-          Graph.NodeSet.iter (fun v -> Format.printf " %d" v) r.Robustness.critical_nodes;
-          Format.printf "@."
-        end;
-        `Ok ()
+    | `Ok net -> (
+        match Robustness.analyze net with
+        | exception Invalid_argument m -> `Error (false, m)
+        | r ->
+            Format.printf "%a@." Robustness.pp r;
+            if not (Graph.EdgeSet.is_empty r.Robustness.critical_links) then begin
+              Format.printf "critical links:";
+              Graph.EdgeSet.iter
+                (fun (u, v) -> Format.printf " %d-%d" u v)
+                r.Robustness.critical_links;
+              Format.printf "@."
+            end;
+            if not (Graph.NodeSet.is_empty r.Robustness.critical_nodes) then begin
+              Format.printf "critical nodes:";
+              Graph.NodeSet.iter (fun v -> Format.printf " %d" v) r.Robustness.critical_nodes;
+              Format.printf "@."
+            end;
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "robust"

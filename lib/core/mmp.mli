@@ -32,14 +32,35 @@ val place : ?rng:Nettomo_util.Prng.t -> Graph.t -> Graph.NodeSet.t
     monitor. *)
 
 val place_report : ?rng:Nettomo_util.Prng.t -> Graph.t -> report
-(** The placement together with which rule selected each monitor. *)
+(** The placement together with which rule selected each monitor:
+    {!place_flat} on the flattened graph, each block split afresh
+    ({!Triconnected.split_biconnected} of its induced subgraph). *)
 
-val place_report_decomposed :
-  ?rng:Nettomo_util.Prng.t -> Graph.t -> Triconnected.t -> report
-(** {!place_report} against a decomposition the caller already holds —
-    the incremental engine reuses cached per-block decompositions this
-    way. The decomposition must be [Triconnected.decompose g] (or equal
-    to it); answers are unspecified otherwise. *)
+val place_flat :
+  ?rng:Nettomo_util.Prng.t ->
+  Csr.t ->
+  split:
+    (nodes:int array ->
+    links:int array ->
+    Triconnected.component list * Graph.edge list) ->
+  report
+(** The one implementation of the placement, on a flattened graph
+    whose blocks are split by the caller. One lowpoint search
+    ({!Biconnected.decompose_flat}) gives connectivity, the blocks and
+    the cut vertices; {!Biconnected.members} gives each block's nodes
+    and ascending links; degrees are read off the rows. [split] runs
+    once per block of 3 nodes or more, in {!Biconnected.decompose}'s
+    block order (the last block the search closes first), with that
+    block's node indices and link numbers, and must return what
+    {!Triconnected.split_biconnected} returns on the block's induced
+    subgraph — the session answers it from its per-block cache. The
+    separation vertices are then a flag per node: the cut vertices and
+    both ends of every block's separation pairs. Rules (iii) and (iv)
+    visit the blocks in the same order, and every pick draws from
+    ascending identifiers, so the report (and the generator's draws)
+    are those of the placement over {!Triconnected.decompose}. Raises
+    [Invalid_argument] on an empty or disconnected graph, before any
+    [split]. *)
 
 val as_net : ?rng:Nettomo_util.Prng.t -> Graph.t -> Net.t
 (** The graph equipped with MMP's placement. *)

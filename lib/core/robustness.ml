@@ -39,6 +39,9 @@ type report = {
 
 let analyze net =
   let g = Net.graph net in
+  if not (identifiable_possibly_disconnected g (Net.monitors net)) then
+    Errors.invalid_arg
+      "Robustness.analyze: the placement does not identify the intact network";
   let critical_links =
     Graph.fold_edges
       (fun e acc ->

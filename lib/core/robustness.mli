@@ -34,7 +34,9 @@ type report = {
 }
 
 val analyze : Net.t -> report
-(** Exhaustive single-failure sweep. *)
+(** Exhaustive single-failure sweep. Raises [Invalid_argument] when the
+    intact network is not identifiable (by the same per-component test
+    as the survivors): no failure can break what was never there. *)
 
 val fraction_critical_links : report -> float
 val fraction_critical_nodes : report -> float

@@ -45,37 +45,7 @@ type tree = {
 
 let tree csr =
   let flat = Biconnected.decompose_flat csr in
-  let size = Array.make flat.n_blocks 0 in
-  Array.iter (fun b -> size.(b) <- size.(b) + 1) flat.block_of_link;
-  let links = Array.map (fun s -> Array.make s 0) size in
-  Array.fill size 0 flat.n_blocks 0;
-  Array.iteri
-    (fun k b ->
-      links.(b).(size.(b)) <- k;
-      size.(b) <- size.(b) + 1)
-    flat.block_of_link;
-  let seen = Array.make csr.n (-1) in
-  let nodes =
-    Array.mapi
-      (fun b ls ->
-        let h = flat.head.(b) in
-        seen.(h) <- b;
-        let rest = ref [] in
-        let note x =
-          if seen.(x) <> b then begin
-            seen.(x) <- b;
-            rest := x :: !rest
-          end
-        in
-        Array.iter
-          (fun k ->
-            let u, v = Csr.endpoints csr k in
-            note u;
-            note v)
-          ls;
-        Array.of_list (h :: List.rev !rest))
-      links
-  in
+  let { Biconnected.links; nodes } = Biconnected.members csr flat in
   { csr; flat; links; nodes }
 
 (* Terminals of every block under the monitor flags [mon]: the block's

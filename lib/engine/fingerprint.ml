@@ -53,6 +53,16 @@ let of_component nodes edges =
   in
   Graph.EdgeSet.fold (fun (u, v) acc -> Int64.logxor acc (hash_edge u v)) edges s
 
+let of_block (c : Csr.t) ~nodes ~links =
+  let h = ref 0L in
+  Array.iter (fun i -> h := Int64.logxor !h (hash_node c.ids.(i))) nodes;
+  Array.iter
+    (fun k ->
+      let u, v = Csr.edge c k in
+      h := Int64.logxor !h (hash_edge u v))
+    links;
+  !h
+
 let of_net net =
   {
     structure = of_graph (Net.graph net);

@@ -37,9 +37,13 @@ val of_graph : Graph.t -> int64
 (** Structure hash of a whole graph (nodes and links). *)
 
 val of_component : Graph.NodeSet.t -> Graph.EdgeSet.t -> int64
-(** Structure hash of an explicit node/link set — the key of the
-    per-block decomposition cache. Equals {!of_graph} of the graph with
-    exactly those nodes and links. *)
+(** Structure hash of an explicit node/link set. Equals {!of_graph} of
+    the graph with exactly those nodes and links. *)
+
+val of_block : Csr.t -> nodes:int array -> links:int array -> int64
+(** {!of_component} of a block of a flattened graph, given by its node
+    indices and link numbers ({!Biconnected.members}), without building
+    the sets: the session's per-block cache key. *)
 
 val of_net : Nettomo_core.Net.t -> t
 (** Fingerprint of a network: structure of its graph, monitors part of

@@ -652,60 +652,68 @@ let identifiable t =
         | Ok _ | Error _ -> ());
     }
 
-let block_key (block : Biconnected.component) =
-  Fingerprint.of_component block.Biconnected.nodes block.Biconnected.edges
+(* One block's split for [mmp]'s compute, under the block's structure
+   hash ({!Fingerprint.of_block}): the in-memory cache, else the store's
+   [tri] entry and, for blocks of 4 nodes or more, its [sep] entry; the
+   block is split at most once, and only when one of them is missing. A
+   delta thus only costs recomputation inside the blocks it touched, and
+   block merges and splits are plain cache misses. *)
+let block_split t g (c : Csr.t) ~nodes ~links =
+  let key = Fingerprint.of_block c ~nodes ~links in
+  let cached = Hashtbl.find_opt t.blockcache key in
+  let hit = Option.is_some cached in
+  Obs.Metrics.incr
+    (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
+  Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
+  match cached with
+  | Some piece -> piece
+  | None ->
+      let fresh =
+        lazy
+          (Triconnected.split_biconnected
+             (Graph.induced g
+                (Array.fold_left (fun s i -> NS.add c.ids.(i) s) NS.empty nodes)))
+      in
+      let entry tag codec half =
+        stored t (Codec.key tag [ key ] []) codec (fun () ->
+            half (Lazy.force fresh))
+      in
+      let comps = entry "tri" Codec.components fst in
+      let pairs =
+        if Array.length nodes < 4 then [] else entry "sep" Codec.edges snd
+      in
+      Hashtbl.add t.blockcache key (comps, pairs);
+      (comps, pairs)
 
-(* Reassemble [Triconnected.decompose g] through the per-block cache:
-   the cheap linear biconnected pass always reruns, while the expensive
-   per-block split (components and separation pairs) is looked up by the
-   block's content fingerprint — so a delta only costs recomputation
-   inside the blocks it touched, and block merges/splits are plain cache
-   misses. The whole decomposition is not memoised: its one caller,
-   [mmp]'s compute, runs only when [mmp]'s memo, keyed by the same
-   structure fingerprint, misses. *)
-let decomposition t =
-  Obs.Trace.span "session.decomposition" @@ fun () ->
-  let g = Net.graph t.net in
-  (* One block's split: the in-memory cache, else the store's [tri] entry
-     and, for blocks of 4 nodes or more, its [sep] entry; the block is
-     split at most once, and only when one of them is missing. *)
-  let split (block : Biconnected.component) =
-    let key = block_key block in
-    let cached = Hashtbl.find_opt t.blockcache key in
-    let hit = Option.is_some cached in
-    Obs.Metrics.incr
-      (if hit then t.counters.c_block_hits else t.counters.c_block_misses);
-    Obs.Ctx.add_ambient (if hit then "block.hits" else "block.misses") 1.;
-    match cached with
-    | Some piece -> piece
-    | None ->
-        let fresh =
-          lazy
-            (Triconnected.split_biconnected
-               (Graph.induced g block.Biconnected.nodes))
-        in
-        let entry tag codec half =
-          stored t (Codec.key tag [ key ] []) codec (fun () ->
-              half (Lazy.force fresh))
-        in
-        let comps = entry "tri" Codec.components fst in
-        let pairs =
-          if NS.cardinal block.Biconnected.nodes < 4 then []
-          else entry "sep" Codec.edges snd
-        in
-        Hashtbl.add t.blockcache key (comps, pairs);
-        (comps, pairs)
-  in
-  let d = Triconnected.assemble (Biconnected.decompose g) ~split in
+(* NETTOMO_CHECK, after [mmp]'s compute: the cached pieces, looked up
+   by each persistent block's {!Fingerprint.of_component} and read
+   without counting a hit, reassemble [Triconnected.decompose g]
+   exactly. *)
+let check_blockcache t g =
   Invariant.check (fun () ->
+      let split (block : Biconnected.component) =
+        match
+          Hashtbl.find_opt t.blockcache
+            (Fingerprint.of_component block.Biconnected.nodes block.Biconnected.edges)
+        with
+        | Some piece -> piece
+        | None ->
+            Invariant.violationf
+              "Session.mmp: a block of %d nodes is missing from the block \
+               cache (state %s)"
+              (NS.cardinal block.Biconnected.nodes)
+              (Fingerprint.to_string t.fp)
+      in
+      let d = Triconnected.assemble (Biconnected.decompose g) ~split in
       if not (equal_decomposition d (Triconnected.decompose g)) then
         Invariant.violationf
-          "Session.decomposition: cached reassembly diverges from \
+          "Session.mmp: cached reassembly diverges from \
            Triconnected.decompose (state %s)"
-          (Fingerprint.to_string t.fp));
-  d
+          (Fingerprint.to_string t.fp))
 
-(* MMP ignores monitors, so it is keyed by the structure half alone. *)
+(* MMP ignores monitors, so it is keyed by the structure half alone.
+   The compute flattens the graph; its blocks' splits come from the
+   per-block cache. *)
 let mmp t =
   let g = Net.graph t.net in
   run t
@@ -724,7 +732,10 @@ let mmp t =
       compute =
         (fun () ->
           run_catch (fun () ->
-              Mmp.place_report_decomposed g (decomposition t)));
+              let c = Csr.of_graph g in
+              let r = Mmp.place_flat c ~split:(block_split t g c) in
+              check_blockcache t g;
+              r));
     }
 
 let classify t =

@@ -11,10 +11,10 @@
       fingerprint, or the structure half for MMP, plus the seed and
       budget where they matter), so a delta stream that revisits a
       state (add a link, remove it again) answers in O(1);
-    - the triconnected decomposition is reassembled from a per-block
-      cache keyed by each biconnected component's own fingerprint: a
-      delta only pays recomputation inside the blocks it touched, and
-      block merges/splits are ordinary cache misses that fall back to
+    - MMP takes each block's triconnected split from a per-block
+      cache keyed by the block's own fingerprint: a delta only pays
+      recomputation inside the blocks it touched, and block
+      merges/splits are ordinary cache misses that fall back to
       recomputing just those blocks;
     - O(1) counters (connectivity when derivable, the number of
       non-monitor nodes of degree < 3) and verdict monotonicity
@@ -90,8 +90,9 @@ val classify : t -> (Nettomo_core.Classify.kind Graph.EdgeMap.t, string) result
     memoized per state, exponential on first computation. *)
 
 val mmp : t -> (Nettomo_core.Mmp.report, string) result
-(** {!Nettomo_core.Mmp.place_report}, via the per-block decomposition
-    cache. *)
+(** {!Nettomo_core.Mmp.place_report}, computed by
+    {!Nettomo_core.Mmp.place_flat} on the state flattened once, with
+    each block's split from the per-block cache. *)
 
 val plan : t -> (Nettomo_core.Solver.plan, string) result
 (** {!Nettomo_core.Solver.independent_paths} with a fresh

@@ -15,6 +15,8 @@ type flat = {
   n_components : int;
 }
 
+type members = { links : int array array; nodes : int array array }
+
 (* Work counters of the lowpoint DFS: one run per search, and the
    half-edges it scanned. Deterministic for a given input, so benches
    gate on them where wall time is too noisy. *)
@@ -207,6 +209,44 @@ end
 
 let decompose_flat c =
   Nettomo_obs.Obs.Trace.span "graph.biconnected" @@ fun () -> decompose_csr c
+
+(* Links by counting sort on their block; each block's nodes as its
+   head, then its links' endpoints in order of first appearance, marked
+   with the block's number. A block of [l] links has at most [l + 1]
+   nodes. *)
+let members (c : Csr.t) f =
+  let size = Array.make f.n_blocks 0 in
+  Array.iter (fun b -> size.(b) <- size.(b) + 1) f.block_of_link;
+  let links = Array.map (fun s -> Array.make s 0) size in
+  Array.fill size 0 f.n_blocks 0;
+  Array.iteri
+    (fun k b ->
+      links.(b).(size.(b)) <- k;
+      size.(b) <- size.(b) + 1)
+    f.block_of_link;
+  let seen = Array.make c.n (-1) in
+  let nodes =
+    Array.mapi
+      (fun b ls ->
+        let h = f.head.(b) in
+        let ns = Array.make (Array.length ls + 1) h and len = ref 1 in
+        seen.(h) <- b;
+        let note x =
+          if seen.(x) <> b then begin
+            seen.(x) <- b;
+            ns.(!len) <- x;
+            incr len
+          end
+        in
+        Array.iter
+          (fun k ->
+            note c.ends.(2 * k);
+            note c.ends.((2 * k) + 1))
+          ls;
+        if !len = Array.length ns then ns else Array.sub ns 0 !len)
+      links
+  in
+  { links; nodes }
 
 let decompose g =
   Nettomo_obs.Obs.Trace.span "graph.biconnected" @@ fun () ->

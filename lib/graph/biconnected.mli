@@ -55,6 +55,21 @@ val decompose_flat : Csr.t -> flat
 (** The search behind {!decompose}, on a graph already flattened, run
     under the same [graph.biconnected] span. Linear time. *)
 
+(** Each block's links and nodes, by block number. Block [b] of
+    {!decompose}'s list (past its isolated nodes, which come first) is
+    flat block [n_blocks - 1 - b]: the search's last closed block comes
+    first. *)
+type members = {
+  links : int array array;  (** block → its link numbers, ascending *)
+  nodes : int array array;
+      (** block → its node indices: its head first, then its links'
+          endpoints in order of first appearance *)
+}
+
+val members : Csr.t -> flat -> members
+(** The members of every block of [flat], which must be
+    [decompose_flat] of the given graph. Linear time, no search. *)
+
 (** {1 Work counters} *)
 
 val dfs_runs : Nettomo_obs.Obs.Metrics.counter

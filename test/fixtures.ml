@@ -201,6 +201,102 @@ let isp_prefix name seed frac =
   let k = frac (List.length mmp) in
   Nettomo_core.Net.create g ~monitors:(List.filteri (fun i _ -> i < k) mmp)
 
+(* A cycle on [first … first + n - 1] with [chords] random chords. *)
+let cycle_with_chords rng ~first n chords =
+  let module Prng = Nettomo_util.Prng in
+  let g = ref (Graph.add_edge Graph.empty first (first + n - 1)) in
+  for i = 0 to n - 2 do
+    g := Graph.add_edge !g (first + i) (first + i + 1)
+  done;
+  for _ = 1 to chords do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then g := Graph.add_edge !g (first + u) (first + v)
+  done;
+  !g
+
+(* Pieces (cycles with chords, one in four a K4) glued one by one onto
+   two distinct nodes of the graph so far: each glue keeps the graph
+   biconnected and makes those two nodes a separation pair. *)
+let glued_pieces rng pieces =
+  let module Prng = Nettomo_util.Prng in
+  let piece first =
+    if Prng.int rng 4 = 0 then cycle_with_chords rng ~first 4 6
+    else
+      let n = Prng.int_in rng 3 8 in
+      cycle_with_chords rng ~first n (Prng.int rng n)
+  in
+  (* Two distinct positions in an array of [n] ≥ 2. *)
+  let two n =
+    let i = Prng.int rng n in
+    (i, (i + 1 + Prng.int rng (n - 1)) mod n)
+  in
+  let g = ref (piece 0) in
+  for _ = 2 to pieces do
+    let nodes = Graph.node_array !g in
+    let x, y = two (Array.length nodes) in
+    let p = piece (Graph.fresh_node !g) in
+    let ends = Graph.node_array p in
+    let i, j = two (Array.length ends) in
+    let glue v =
+      if v = ends.(i) then nodes.(x) else if v = ends.(j) then nodes.(y) else v
+    in
+    g :=
+      Graph.fold_edges
+        (fun (u, v) acc -> Graph.add_edge acc (glue u) (glue v))
+        p !g
+  done;
+  !g
+
+(* Four realistic maps: three ISP maps and a connected ER(150, 0.039)
+   draw. test_triconnected pins their decompositions. *)
+let pinned_maps () =
+  let isp name seed =
+    let spec = Option.get (Nettomo_topo.Isp.find name) in
+    (name, Nettomo_topo.Isp.generate (Nettomo_util.Prng.create seed) spec)
+  in
+  let er150 =
+    let rng = Nettomo_util.Prng.create 7 in
+    Nettomo_topo.Gen.until_connected (fun () ->
+        Nettomo_topo.Gen.erdos_renyi rng ~n:150 ~p:0.039)
+  in
+  [ isp "Ebone" 1; isp "Exodus" 2; isp "Tiscali" 3; ("ER150", er150) ]
+
+(* The ISP maps the benchmark suite's workloads run on (bench/suite's
+   inputs: the same specs and generator seeds). *)
+let suite_maps () =
+  List.map
+    (fun (name, seed) ->
+      let spec = Option.get (Nettomo_topo.Isp.find name) in
+      (name, Nettomo_topo.Isp.generate (Nettomo_util.Prng.create seed) spec))
+    [ ("Ebone", 50); ("Exodus", 54); ("Tiscali", 56) ]
+
+(* [g] with its nodes renamed through [ids]: node [v] becomes
+   [ids.(v)]. *)
+let relabel ids g =
+  Graph.fold_edges
+    (fun (u, v) acc -> Graph.add_edge acc ids.(u) ids.(v))
+    g
+    (Graph.fold_nodes (fun v acc -> Graph.add_node acc ids.(v)) g Graph.empty)
+
+(* A random graph of [n] nodes (isolated ones and several components
+   allowed) on shuffled sparse identifiers. *)
+let random_sparse_graph rng n extra =
+  let g = random_graph rng n extra in
+  relabel (sparse_ids rng (Graph.fresh_node g)) g
+
+(* [g]'s flat graph, its block-cut search, and each block with a link
+   as [Biconnected.decompose] lists it (isolated nodes left out), paired
+   with its flat block number. *)
+let flat_blocks g =
+  let c = Csr.of_graph g in
+  let flat = Biconnected.decompose_flat c in
+  let blocks =
+    List.filter
+      (fun (b : Biconnected.component) -> not (Graph.EdgeSet.is_empty b.edges))
+      (Biconnected.decompose g).components
+  in
+  (c, flat, List.mapi (fun i b -> (b, flat.Biconnected.n_blocks - 1 - i)) blocks)
+
 (* A network's flat graph and its monitor flags by index: the input of
    [Solver.basis]. *)
 let flat net =

@@ -690,3 +690,74 @@ module Split_ref = struct
     in
     split g0 ES.empty
 end
+
+(* MMP as it ran over the persistent decomposition, before the
+   placement moved onto the flat block-cut structure: the rules read
+   [Triconnected.decompose]'s blocks and components as node sets. The
+   reference for [Mmp.place_report], whose report must be this one,
+   field for field, with the same generator draws. *)
+module Mmp_ref = struct
+  open Nettomo_graph
+  module NS = Graph.NodeSet
+  module Prng = Nettomo_util.Prng
+
+  let pick ?rng k pool =
+    let elems = NS.elements pool in
+    if k >= List.length elems then elems
+    else
+      match rng with
+      | None -> List.filteri (fun i _ -> i < k) elems
+      | Some rng -> Array.to_list (Prng.sample rng k (Array.of_list elems))
+
+  let place_report ?rng g =
+    if Graph.is_empty g then invalid_arg "Mmp.place: empty graph";
+    if not (Traversal.is_connected g) then
+      invalid_arg "Mmp.place: disconnected graph";
+    let decomposition = Triconnected.decompose g in
+    let by_degree =
+      Graph.fold_nodes
+        (fun v acc -> if Graph.degree g v < 3 then NS.add v acc else acc)
+        g NS.empty
+    in
+    let monitors = ref by_degree in
+    let by_triconnected = ref NS.empty and by_biconnected = ref NS.empty in
+    (* A component with [fixed] nodes that are separation (or cut)
+       vertices gets monitors until it has 3 fixed nodes or monitors. *)
+    let need added nodes fixed =
+      let s = NS.cardinal (NS.inter nodes fixed) in
+      let m = NS.cardinal (NS.inter nodes !monitors) in
+      if 0 < s && s < 3 && s + m < 3 then
+        List.iter
+          (fun v ->
+            monitors := NS.add v !monitors;
+            added := NS.add v !added)
+          (pick ?rng (3 - s - m) (NS.diff (NS.diff nodes fixed) !monitors))
+    in
+    List.iter
+      (fun ((block : Biconnected.component), tricomps) ->
+        if NS.cardinal block.nodes >= 3 then begin
+          List.iter
+            (fun (t : Triconnected.component) ->
+              if NS.cardinal t.nodes >= 3 then
+                need by_triconnected t.nodes
+                  decomposition.Triconnected.separation_vertices)
+            tricomps;
+          need by_biconnected block.nodes decomposition.Triconnected.cut_vertices
+        end)
+      decomposition.Triconnected.blocks;
+    let top_up = ref NS.empty in
+    let missing = 3 - NS.cardinal !monitors in
+    if missing > 0 then
+      List.iter
+        (fun v ->
+          monitors := NS.add v !monitors;
+          top_up := NS.add v !top_up)
+        (pick ?rng missing (NS.diff (Graph.node_set g) !monitors));
+    {
+      Mmp.monitors = !monitors;
+      by_degree;
+      by_triconnected = !by_triconnected;
+      by_biconnected = !by_biconnected;
+      top_up = !top_up;
+    }
+end

@@ -128,6 +128,31 @@ let prop_2vc_matches_flow_oracle =
       let g = Fixtures.random_graph rng n extra in
       Biconnected.is_biconnected g = Connectivity.is_k_vertex_connected g 2)
 
+(* The flat members of every block are the block [decompose] lists in
+   the same place: its nodes, head first, and its links, ascending. *)
+let prop_members_match_decompose =
+  QCheck2.Test.make ~name:"members = decompose's blocks (sparse ids)" ~count:300
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 25) (int_range 0 20))
+    (fun (seed, n, extra) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let g = Fixtures.random_sparse_graph rng n extra in
+      let c, flat, blocks = Fixtures.flat_blocks g in
+      let m = Biconnected.members c flat in
+      List.length blocks = flat.n_blocks
+      && List.for_all
+           (fun ((b : Biconnected.component), k) ->
+             let nodes = m.nodes.(k) and links = m.links.(k) in
+             nodes.(0) = flat.head.(k)
+             && Array.for_all (fun l -> flat.block_of_link.(l) = k) links
+             && Array.for_all2 (fun (a : int) b -> a < b) (Array.sub links 0 (Array.length links - 1))
+                  (Array.sub links 1 (Array.length links - 1))
+             && Graph.NodeSet.equal b.nodes
+                  (Graph.NodeSet.of_list (Array.to_list (Array.map (fun i -> c.ids.(i)) nodes)))
+             && Array.length nodes = Graph.NodeSet.cardinal b.nodes
+             && Graph.EdgeSet.equal b.edges
+                  (Graph.EdgeSet.of_list (Array.to_list (Array.map (Csr.edge c) links))))
+           blocks)
+
 let suite =
   [
     Alcotest.test_case "bowtie decomposition" `Quick test_bowtie;
@@ -140,4 +165,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_blocks_partition_edges;
     QCheck_alcotest.to_alcotest prop_blocks_pairwise_share_at_most_one_node;
     QCheck_alcotest.to_alcotest prop_2vc_matches_flow_oracle;
+    QCheck_alcotest.to_alcotest prop_members_match_decompose;
   ]

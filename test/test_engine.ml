@@ -105,7 +105,12 @@ let run_stream ?store ~steps seed =
     let refnet = shadow_net sh in
     same "identifiable" Bool.equal (Session.identifiable s)
       (Session.Scratch.identifiable refnet);
-    same "mmp" Session.equal_report (Session.mmp s) (Session.Scratch.mmp refnet);
+    let mmp = Session.mmp s in
+    same "mmp" Session.equal_report mmp (Session.Scratch.mmp refnet);
+    (* [Scratch.mmp] runs the session's own flat placement, so the
+       persistent reference is what catches a fault in it. *)
+    same "mmp (persistent reference)" Session.equal_report mmp
+      (try Ok (Oracles.Mmp_ref.place_report sh.g) with Invalid_argument m -> Error m);
     if Net.kappa (Session.net s) = 2 && Graph.n_nodes sh.g <= 11 then
       same "classify" Session.equal_classification (Session.classify s)
         (Session.Scratch.classify refnet);

@@ -112,6 +112,24 @@ let test_of_component_consistency () =
          (Fingerprint.of_graph g))
   done
 
+(* The session's per-block cache key, read off the flat members, is
+   [of_component] of the block [decompose] lists in the same place: the
+   key every stored [tri-]/[sep-] entry was written under. *)
+let prop_block_key_is_of_component =
+  QCheck2.Test.make ~name:"flat block key = of_component (sparse ids)" ~count:300
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 25) (int_range 0 20))
+    (fun (seed, n, extra) ->
+      let rng = Prng.create seed in
+      let g = Fixtures.random_sparse_graph rng n extra in
+      let c, flat, blocks = Fixtures.flat_blocks g in
+      let m = Biconnected.members c flat in
+      List.for_all
+        (fun ((b : Biconnected.component), k) ->
+          Int64.equal
+            (Fingerprint.of_block c ~nodes:m.nodes.(k) ~links:m.links.(k))
+            (Fingerprint.of_component b.nodes b.edges))
+        blocks)
+
 let test_distinct_graphs_distinct_hashes () =
   (* Sanity, not a collision-resistance proof: structurally different
      small graphs must hash apart. *)
@@ -196,6 +214,7 @@ let suite =
       test_monitor_structure_split;
     Alcotest.test_case "of_component consistency" `Quick
       test_of_component_consistency;
+    QCheck_alcotest.to_alcotest prop_block_key_is_of_component;
     Alcotest.test_case "distinct graphs hash apart" `Quick
       test_distinct_graphs_distinct_hashes;
     Alcotest.test_case "delta stream equals rebuild" `Quick

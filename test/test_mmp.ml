@@ -162,6 +162,88 @@ let prop_mmp_minimal =
                 covers that; below 2 it is false anyway. *)
              not (Identifiability.network_identifiable net)))
 
+(* The one flat implementation against the persistent reference
+   ([Oracles.Mmp_ref]): every report field, with the default picks and
+   with a generator (same seed on both sides, so the same draws). *)
+let same_as_reference ?seed g =
+  let rng () = Option.map Nettomo_util.Prng.create seed in
+  let run f = try Ok (f ()) with Invalid_argument m -> Error m in
+  Nettomo_engine.Session.equal_result Nettomo_engine.Session.equal_report
+    (run (fun () -> Mmp.place_report ?rng:(rng ()) g))
+    (run (fun () -> Oracles.Mmp_ref.place_report ?rng:(rng ()) g))
+
+(* On shuffled sparse identifiers (access churn attaches its leaves
+   with sparse ones), one of: the largest connected component of an ER
+   draw (dangling trees, cut vertices and separation pairs aplenty); a
+   BA graph; or a chain of blocks rich in separation pairs (glued
+   pieces, [Fixtures.glued_pieces]), each hung on a random node of the
+   chain so far, so that rules (iii) and (iv) fire in several blocks
+   and the generator draws for each in turn. *)
+let random_connected_sparse seed =
+  let module Prng = Nettomo_util.Prng in
+  let module Gen = Nettomo_topo.Gen in
+  let rng = Prng.create seed in
+  let n = Prng.int_in rng 3 48 in
+  let g =
+    match Prng.int rng 3 with
+    | 0 ->
+        let er = Gen.erdos_renyi rng ~n ~p:(Prng.float rng 4.0 /. float_of_int n) in
+        List.fold_left
+          (fun best comp ->
+            if Graph.NodeSet.cardinal comp > Graph.n_nodes best then
+              Graph.induced er comp
+            else best)
+          Graph.empty (Traversal.components er)
+    | 1 -> Gen.barabasi_albert rng ~n:(max n 4) ~nmin:(Prng.int_in rng 1 3)
+    | _ ->
+        let chain = ref (Fixtures.glued_pieces rng (Prng.int_in rng 1 3)) in
+        for _ = 2 to Prng.int_in rng 2 4 do
+          let at = Prng.choose rng (Graph.node_array !chain) in
+          let shift = Graph.fresh_node !chain in
+          let piece = Fixtures.glued_pieces rng (Prng.int_in rng 1 3) in
+          chain :=
+            Graph.fold_edges
+              (fun (u, v) acc ->
+                let name x = if x = 0 then at else shift + x in
+                Graph.add_edge acc (name u) (name v))
+              piece !chain
+        done;
+        !chain
+  in
+  Fixtures.relabel (Fixtures.sparse_ids rng (Graph.fresh_node g)) g
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"report = persistent reference (ER, BA, sparse ids)"
+    ~count:400 (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let g = random_connected_sparse seed in
+      same_as_reference g && same_as_reference ~seed g)
+
+let test_maps_match_reference () =
+  List.iter
+    (fun (name, g) ->
+      let rng = Nettomo_util.Prng.create 11 in
+      let sparse = Fixtures.relabel (Fixtures.sparse_ids rng (Graph.fresh_node g)) g in
+      List.iter
+        (fun (what, g, seed) ->
+          check cb (Printf.sprintf "%s, %s" name what) true (same_as_reference ?seed g))
+        [
+          ("default picks", g, None);
+          ("with a generator", g, Some 5);
+          ("sparse ids", sparse, None);
+          ("sparse ids, with a generator", sparse, Some 5);
+        ])
+    (Fixtures.suite_maps () @ Fixtures.pinned_maps ())
+
+let test_errors_match_reference () =
+  List.iter
+    (fun (name, g) -> check cb name true (same_as_reference g))
+    [
+      ("empty", Graph.empty);
+      ("single node", Graph.add_node Graph.empty 5);
+      ("disconnected", Graph.of_edges [ (0, 1); (2, 3) ]);
+      ("isolated node beside a link", Graph.add_node (Graph.of_edges [ (0, 1) ]) 7);
+    ]
+
 let suite =
   [
     Alcotest.test_case "path: every node" `Quick test_path_all_monitors;
@@ -179,4 +261,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mmp_identifiable_topological;
     QCheck_alcotest.to_alcotest prop_mmp_identifiable_bruteforce;
     QCheck_alcotest.to_alcotest prop_mmp_minimal;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "report = persistent reference (suite and pinned maps)"
+      `Quick test_maps_match_reference;
+    Alcotest.test_case "errors = persistent reference" `Quick
+      test_errors_match_reference;
   ]

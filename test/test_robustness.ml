@@ -64,7 +64,22 @@ let test_invalid_inputs () =
     (try
        ignore (Robustness.survives_node_failure k5_net 99);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* No failure can break identifiability the intact network never had
+     (two monitors on K5, Theorem 3.1; one on Fig. 1). *)
+  List.iter
+    (fun (name, net) ->
+      check cb name true
+        (try
+           ignore (Robustness.analyze net);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ( "unidentifiable placement (K5, 2 monitors)",
+        Net.create Fixtures.k5 ~monitors:[ 0; 1 ] );
+      ( "unidentifiable placement (Fig. 1, 1 monitor)",
+        Net.with_monitors Paper.fig1 [ 0 ] );
+    ]
 
 (* Oracle agreement: survives_link_failure must equal re-running the
    decomposed identifiability check by hand via brute force on small

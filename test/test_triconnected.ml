@@ -212,22 +212,11 @@ let prop_virtual_endpoints_are_pair_members =
                      Graph.NodeSet.mem u members && Graph.NodeSet.mem v members)
                    c.virtuals))
 
-(* The graph layer's answers on four realistic maps, pinned as counts
-   and FNV-1a digests of their rendering, block and component order
-   included: a change of adjacency representation must leave every
-   decomposition, separation pair and bridge exactly where it was. *)
-let pinned_graphs () =
-  let isp name seed =
-    let spec = Option.get (Nettomo_topo.Isp.find name) in
-    (name, Nettomo_topo.Isp.generate (Nettomo_util.Prng.create seed) spec)
-  in
-  let er150 =
-    let rng = Nettomo_util.Prng.create 7 in
-    Nettomo_topo.Gen.until_connected (fun () ->
-        Nettomo_topo.Gen.erdos_renyi rng ~n:150 ~p:0.039)
-  in
-  [ isp "Ebone" 1; isp "Exodus" 2; isp "Tiscali" 3; ("ER150", er150) ]
-
+(* The graph layer's answers on four realistic maps
+   ([Fixtures.pinned_maps]), pinned as counts and FNV-1a digests of
+   their rendering, block and component order included: a change of
+   adjacency representation must leave every decomposition, separation
+   pair and bridge exactly where it was. *)
 let render_pins (t : Triconnected.t) bridges =
   let nodes s = String.concat "," (List.map string_of_int (Graph.NodeSet.elements s)) in
   let edges l = String.concat "," (List.map (Format.asprintf "%a" Graph.pp_edge) l) in
@@ -275,7 +264,7 @@ let test_pinned_decompositions () =
         "2b8a7f130f575c81" );
       ("ER150", "2 blocks, 7 components, 6 pairs, 1 bridges", "cfc2de84e25008d4");
     ]
-    (List.map pin (pinned_graphs ()))
+    (List.map pin (Fixtures.pinned_maps ()))
 
 (* A chain of K4, triangle, bridge, K4 and square. Its blocks of 4, 3,
    2, 4 and 4 nodes tell the split's threshold (3 nodes) from the
@@ -324,7 +313,7 @@ let test_assemble_contract () =
       check Alcotest.string (name ^ ": equals decompose")
         (render_pins (Triconnected.decompose g) Graph.EdgeSet.empty)
         (render_pins t Graph.EdgeSet.empty))
-    (("chain", chain) :: pinned_graphs ())
+    (("chain", chain) :: Fixtures.pinned_maps ())
 
 (* The decomposition's separation pairs without the split: one
    [Separation.cut_pairs] sweep of each block of 4 nodes or more,
@@ -345,7 +334,7 @@ let test_pairs_match_sweep () =
         (Alcotest.list Fixtures.edge_testable)
         (name ^ ": one sweep per block")
         (swept_pairs g) (Triconnected.decompose g).separation_pairs)
-    (("chain", chain) :: pinned_graphs ())
+    (("chain", chain) :: Fixtures.pinned_maps ())
 
 (* The split lists each block's separation pairs once and cuts every
    part along the first listed pair that still separates it, where the
@@ -360,51 +349,6 @@ let same_components a b =
       && Graph.EdgeSet.equal x.virtuals y.virtuals)
     a b
 
-let cycle_with_chords rng ~first n chords =
-  let module Prng = Nettomo_util.Prng in
-  let g = ref (Graph.add_edge Graph.empty first (first + n - 1)) in
-  for i = 0 to n - 2 do
-    g := Graph.add_edge !g (first + i) (first + i + 1)
-  done;
-  for _ = 1 to chords do
-    let u = Prng.int rng n and v = Prng.int rng n in
-    if u <> v then g := Graph.add_edge !g (first + u) (first + v)
-  done;
-  !g
-
-(* Pieces (cycles with chords, one in four a K4) glued one by one onto
-   two distinct nodes of the graph so far: each glue keeps the graph
-   biconnected and makes those two nodes a separation pair. *)
-let glued_pieces rng pieces =
-  let module Prng = Nettomo_util.Prng in
-  let piece first =
-    if Prng.int rng 4 = 0 then cycle_with_chords rng ~first 4 6
-    else
-      let n = Prng.int_in rng 3 8 in
-      cycle_with_chords rng ~first n (Prng.int rng n)
-  in
-  (* Two distinct positions in an array of [n] ≥ 2. *)
-  let two n =
-    let i = Prng.int rng n in
-    (i, (i + 1 + Prng.int rng (n - 1)) mod n)
-  in
-  let g = ref (piece 0) in
-  for _ = 2 to pieces do
-    let nodes = Graph.node_array !g in
-    let x, y = two (Array.length nodes) in
-    let p = piece (Graph.fresh_node !g) in
-    let ends = Graph.node_array p in
-    let i, j = two (Array.length ends) in
-    let glue v =
-      if v = ends.(i) then nodes.(x) else if v = ends.(j) then nodes.(y) else v
-    in
-    g :=
-      Graph.fold_edges
-        (fun (u, v) acc -> Graph.add_edge acc (glue u) (glue v))
-        p !g
-  done;
-  !g
-
 let prop_split_matches_reference =
   QCheck2.Test.make ~name:"split = recursive reference" ~count:1200
     QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 0 3) (int_range 4 24))
@@ -412,9 +356,9 @@ let prop_split_matches_reference =
       let rng = Nettomo_util.Prng.create seed in
       let g =
         if shape = 0 then
-          cycle_with_chords rng ~first:0 size
+          Fixtures.cycle_with_chords rng ~first:0 size
             (Nettomo_util.Prng.int rng (size / 2 + 1))
-        else glued_pieces rng (2 + (size mod 5))
+        else Fixtures.glued_pieces rng (2 + (size mod 5))
       in
       (* Every other input on shuffled sparse ids. *)
       let g =
@@ -442,12 +386,12 @@ let prop_pairs_match_sweep =
     QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 6) (int_range 1 6))
     (fun (seed, left, right) ->
       let rng = Nettomo_util.Prng.create seed in
-      let g = glued_pieces rng left in
+      let g = Fixtures.glued_pieces rng left in
       let shift = Graph.fresh_node g in
       let g =
         Graph.fold_edges
           (fun (u, v) acc -> Graph.add_edge acc (shift + u) (shift + v))
-          (glued_pieces rng right) (Graph.add_edge g 0 shift)
+          (Fixtures.glued_pieces rng right) (Graph.add_edge g 0 shift)
       in
       List.equal Graph.edge_equal (swept_pairs g)
         (Triconnected.decompose g).separation_pairs)
@@ -467,7 +411,7 @@ let test_split_matches_reference_pinned () =
                  (fst (Triconnected.split_biconnected block))
                  (Oracles.Split_ref.split_biconnected block)))
         (Biconnected.decompose g).components)
-    (pinned_graphs ())
+    (Fixtures.pinned_maps ())
 
 (* The reference's sweep, moved here from the separation tests: it
    stops at the lexicographically smallest pair, the first one
