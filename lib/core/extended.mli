@@ -3,7 +3,15 @@
     [G] itself becomes the interior graph of [Gex], which converts the
     κ-monitor identifiability question into the two-monitor interior
     question and yields Theorem 3.3: [G] is identifiable with κ ≥ 3
-    monitors iff [Gex] is 3-vertex-connected. *)
+    monitors iff [Gex] is 3-vertex-connected.
+
+    {!extend} builds [Gex] as a persistent graph, for the two-monitor
+    reduction and for tests. Theorem 3.3's test
+    ({!Identifiability.identifiable_flat}) builds it flat instead:
+    [Csr.extend c monitor] of the flat graph [c] and its monitor flags
+    gives the two virtual monitors the identifiers {!extend} gives them,
+    so it equals [Csr.of_graph (extend net).graph], in
+    [O(|V| + |L|)]. *)
 
 open Nettomo_graph
 

@@ -63,34 +63,45 @@ let interior_identifiable_two net =
 
 let interior_two_failures net = two_monitor_failures ~stop_at_first:false net
 
-(* Theorem 3.3: with κ ≥ 3 monitors, every link is identifiable iff
-   Gex is 3-vertex-connected. *)
-let extended_three_connected net =
-  Separation.is_three_vertex_connected (Extended.extend net).Extended.graph
-
-let network_identifiable net =
-  require_connected "Identifiability.network_identifiable" net;
-  if Graph.n_edges (Net.graph net) = 0 then
-    Errors.invalid_arg "Identifiability.network_identifiable: the graph has no links";
-  let g = Net.graph net in
-  match Net.kappa net with
+(* Theorems 3.1 and 3.3 on the flat graph. With κ ≥ 3 a non-monitor
+   keeps its degree in Gex, and a 3-vertex-connected graph has minimum
+   degree 3, so a non-monitor of degree below 3 settles "no" before
+   Gex is built: random-placement trials on sparse graphs fail in
+   O(|V|). *)
+let identifiable_flat (c : Csr.t) ~monitor =
+  match Array.fold_left (fun k m -> if m then k + 1 else k) 0 monitor with
   | 0 | 1 -> false
   | 2 ->
       (* Theorem 3.1: with two monitors only the single-link network is
          identifiable, and only when both endpoints are the monitors. *)
-      Graph.n_edges g = 1
-      &&
-      let [@warning "-8"] [ m1; m2 ] = Net.monitor_list net in
-      Graph.mem_edge g m1 m2
+      c.m = 1 && monitor.(c.ends.(0)) && monitor.(c.ends.(1))
   | _ ->
-      (* Cheap necessary condition: in Gex a non-monitor keeps its degree
-         from G, and a 3-vertex-connected graph has minimum degree 3.
-         This makes random-placement trials on sparse graphs fail in
-         O(|V|) instead of running the full sweep. *)
-      let degrees_ok =
-        Graph.NodeSet.for_all (fun v -> Graph.degree g v >= 3) (Net.non_monitors net)
+      let rec degrees_ok i =
+        i = c.n || ((monitor.(i) || c.xadj.(i + 1) - c.xadj.(i) >= 3) && degrees_ok (i + 1))
       in
-      degrees_ok && extended_three_connected net
+      degrees_ok 0 && Separation.is_three_vertex_connected_flat (Csr.extend c monitor)
+
+let monitor_flags (c : Csr.t) net = Array.map (Net.is_monitor net) c.ids
+
+(* With κ ≥ 3 the flat verdict is Gex's 3-connectivity; with κ = 1 or 2
+   a virtual monitor has degree κ in Gex, so it is not 3-connected. *)
+let extended_three_connected net =
+  match Net.kappa net with
+  | 0 -> Errors.invalid_arg "Identifiability.extended_three_connected: no monitors"
+  | 1 | 2 -> false
+  | _ ->
+      let c = Csr.of_graph (Net.graph net) in
+      identifiable_flat c ~monitor:(monitor_flags c net)
+
+(* The preconditions are read off the flat graph too: one breadth-first
+   search for connectivity. *)
+let network_identifiable net =
+  let c = Csr.of_graph (Net.graph net) in
+  if c.n > 0 && (Csr.bfs c 0).reached < c.n then
+    Errors.invalid_arg "Identifiability.network_identifiable: the network graph must be connected";
+  if c.m = 0 then
+    Errors.invalid_arg "Identifiability.network_identifiable: the graph has no links";
+  identifiable_flat c ~monitor:(monitor_flags c net)
 
 (* ------------------------------------------------------------------ *)
 (* Ground truth by exact rank                                          *)

@@ -28,18 +28,29 @@ val network_identifiable : Net.t -> bool
     graph with at least one link; raises [Invalid_argument] otherwise.
     With κ < 2 the answer is always [false]; with κ = 2 it is [true]
     only for the single-link network whose endpoints are the two
-    monitors (Theorem 3.1); with κ ≥ 3 it is
-    {!extended_three_connected}, after a degree pass that rejects a
-    non-monitor of degree below 3 without building the extended
-    graph. *)
+    monitors (Theorem 3.1); with κ ≥ 3 it is Theorem 3.3's test. The
+    network is flattened once and handed to {!identifiable_flat}. *)
+
+val identifiable_flat : Csr.t -> monitor:bool array -> bool
+(** {!network_identifiable} on a network given as its flat graph and
+    its monitor flags by index, for callers that hold that form and
+    have settled the preconditions: it checks neither connectivity nor
+    the link count. κ is the number of flags set. With κ ≥ 3 a
+    non-monitor of degree below 3 settles [false] in [O(|V|)];
+    otherwise [Gex] is built flat ([Csr.extend c monitor], see
+    {!Extended}) and tested with
+    {!Separation.is_three_vertex_connected_flat}, in
+    [O(|V| + |L|)]. No persistent graph is built. *)
 
 val extended_three_connected : Net.t -> bool
 (** Theorem 3.3's condition: whether the extended graph [Gex]
     ({!Extended.extend}) is 3-vertex-connected. On a connected network
     with at least one link and κ ≥ 3 monitors this is
     {!network_identifiable}; it checks none of those preconditions, for
-    callers that have settled them already. Raises [Invalid_argument]
-    when the network has no monitors. *)
+    callers that have settled them already. With κ ≥ 3 it is
+    {!identifiable_flat} of the flattened network; with κ = 1 or 2 it
+    is [false] (a virtual monitor has degree κ). Raises
+    [Invalid_argument] when the network has no monitors. *)
 
 type two_monitor_failure =
   | Condition1 of Graph.edge

@@ -89,10 +89,10 @@ let check_mmp g monitors =
           I.require (Graph.NodeSet.mem v monitors)
             "Mmp: degree-%d node %d is not a monitor" (Graph.degree g v) v)
       g;
-    let net = Net.create g ~monitors:(Graph.NodeSet.elements monitors) in
-    let gex = (Extended.extend net).Extended.graph in
+    let c = Csr.of_graph g in
+    let monitor = Array.map (fun v -> Graph.NodeSet.mem v monitors) c.Csr.ids in
     I.require
-      (Separation.is_three_vertex_connected gex)
+      (Separation.is_three_vertex_connected_flat (Csr.extend c monitor))
       "Mmp: extended graph of the placement is not 3-vertex-connected \
        (Theorem 3.3 postcondition)"
   end

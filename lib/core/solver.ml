@@ -140,17 +140,19 @@ let search ~keep ~graph ?rng ?max_stall ?seeds (csr : Csr.t) ~monitor =
     end
   in
   (* The monitors by index, which is identifier order, and every pair
-     of them in [Net.monitor_pairs] order, as identifiers. *)
+     of them in [Net.monitor_pairs] order, as identifiers; only layers 2
+     and 3 read the pairs, so they are listed only when one runs. *)
   let monitors = List.filter (Array.get monitor) (List.init csr.Csr.n Fun.id) in
   let pairs =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun j -> if i < j then Some (csr.Csr.ids.(i), csr.Csr.ids.(j)) else None)
-          monitors)
-      monitors
+    lazy
+      (List.concat_map
+         (fun i ->
+           List.filter_map
+             (fun j -> if i < j then Some (csr.Csr.ids.(i), csr.Csr.ids.(j)) else None)
+             monitors)
+         monitors)
   in
-  if pairs <> [] && n > 0 then begin
+  if List.compare_length_with monitors 2 >= 0 && n > 0 then begin
     (* Layer 0: ready-made rows from the caller (e.g. the constructive
        spanning-tree candidates of [Measure.Paths.simple_candidates]),
        generated on this search's flat graph — structured rows that
@@ -193,14 +195,16 @@ let search ~keep ~graph ?rng ?max_stall ?seeds (csr : Csr.t) ~monitor =
     in
     layer1 monitors;
     (* Layer 2: randomized simple paths until full rank or stall. *)
-    let pair_arr = Array.of_list pairs in
-    let stall = ref 0 in
-    while (not (Zbasis.is_full basis)) && !stall < max_stall do
-      let m1, m2 = pair_arr.(Prng.int rng (Array.length pair_arr)) in
-      match Paths.random_simple_path rng (Lazy.force graph) m1 m2 with
-      | Some p -> if offer_path p then stall := 0 else incr stall
-      | None -> incr stall
-    done;
+    if (not (Zbasis.is_full basis)) && max_stall > 0 then begin
+      let pair_arr = Array.of_list (Lazy.force pairs) in
+      let stall = ref 0 in
+      while (not (Zbasis.is_full basis)) && !stall < max_stall do
+        let m1, m2 = pair_arr.(Prng.int rng (Array.length pair_arr)) in
+        match Paths.random_simple_path rng (Lazy.force graph) m1 m2 with
+        | Some p -> if offer_path p then stall := 0 else incr stall
+        | None -> incr stall
+      done
+    end;
     (* Layer 3: exhaustive enumeration as a completeness fallback —
        only on small graphs, where the number of simple paths is
        tractable. *)
@@ -213,7 +217,7 @@ let search ~keep ~graph ?rng ?max_stall ?seeds (csr : Csr.t) ~monitor =
                 (fun p -> ignore (offer_path p))
                 (Paths.all_simple_paths ~limit:enumeration_limit (Lazy.force graph) m1 m2)
             with Paths.Limit_exceeded -> ())
-        pairs
+        (Lazy.force pairs)
   end;
   if Zbasis.rational basis then Obs.Metrics.incr rational_fallbacks;
   Obs.Metrics.incr ~by:(Zbasis.eliminations basis) eliminations;

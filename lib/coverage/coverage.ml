@@ -110,17 +110,19 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
      maps and sets are built once, at the end. *)
   let verdicts = Array.make c.m None in
   let finish mode =
-    let vs = ref Graph.EdgeMap.empty
-    and yes = ref Graph.EdgeSet.empty
-    and no = ref Graph.EdgeSet.empty in
-    Array.iteri
-      (fun k v ->
-        let (v : verdict) = Option.get v and e = Csr.edge c k in
-        vs := Graph.EdgeMap.add e v !vs;
-        if v.identifiable then yes := Graph.EdgeSet.add e !yes
-        else no := Graph.EdgeSet.add e !no)
-      verdicts;
-    { mode; verdicts = !vs; identifiable = !yes; unidentifiable = !no }
+    let vs = ref Graph.EdgeMap.empty and yes = ref [] and no = ref [] in
+    for k = c.m - 1 downto 0 do
+      let (v : verdict) = Option.get verdicts.(k) and e = Csr.edge c k in
+      vs := Graph.EdgeMap.add e v !vs;
+      if v.identifiable then yes := e :: !yes else no := e :: !no
+    done;
+    (* Link numbers are lexicographic, so both lists ascend. *)
+    {
+      mode;
+      verdicts = !vs;
+      identifiable = Graph.EdgeSet.of_list !yes;
+      unidentifiable = Graph.EdgeSet.of_list !no;
+    }
   in
   if c.m = 0 then finish Structural
   else
@@ -128,16 +130,10 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
     let mon = Array.map (Net.is_monitor net) c.ids in
     let low_degree x = (not mon.(x)) && degree c x < 3 in
     (* Theorems 3.1 and 3.3 on the whole network, on the flat graph: one
-       component proves it connected, and with κ ≥ 3 a non-monitor of
-       degree below 3 keeps that degree in the extended graph, which
-       then is not 3-connected. Only a network past both screens builds
-       the extended graph. κ = 2 takes Theorem 3.1's own test. *)
-    let rec no_low_degree x = x = c.n || ((not (low_degree x)) && no_low_degree (x + 1)) in
+       component proves it connected, and the flat test takes κ from
+       [mon]. *)
     let whole_network =
-      t.flat.n_components = 1
-      &&
-      if Net.kappa net = 2 then Identifiability.network_identifiable net
-      else no_low_degree 0 && Identifiability.extended_three_connected net
+      t.flat.n_components = 1 && Identifiability.identifiable_flat c ~monitor:mon
     in
     if whole_network then begin
       Array.fill verdicts 0 c.m (Some { identifiable = true; reason = Whole_network });
@@ -174,40 +170,53 @@ let classify ?(seed = 0) ?(exact_node_limit = 12) net =
          global one. Such blocks are decided outright — by the paper's
          Theorem 3.1/3.3 verdict on the block net when it accepts the
          whole block, by block-local exact rank when the block is small
-         enough to enumerate. Only a block one of those two tests
-         examines is built as a graph; its ascending links make its
-         j-th link column j of its measurement space. *)
+         enough to enumerate. The theorem runs on the block's flat
+         restriction with its terminals flagged; only a block the exact
+         rank examines is built as a graph, and its ascending links make
+         its j-th link column j of its measurement space. A single-link
+         block is skipped: its link spans its own block space, and when
+         both its ends are monitors the first pass has decided it. *)
+      let is_term = Array.make c.n false in
+      let block_theorem b ls =
+        let sub = Csr.restrict c ls in
+        Array.iter (fun x -> is_term.(x) <- true) term.(b);
+        let monitor = Array.map (fun v -> is_term.(Csr.index c v)) sub.ids in
+        Array.iter (fun x -> is_term.(x) <- false) term.(b);
+        Identifiability.identifiable_flat sub ~monitor
+      in
       Array.iteri
         (fun b ls ->
-          if relevant.(b) && Array.exists (fun k -> Option.is_none verdicts.(k)) ls then begin
+          if
+            relevant.(b)
+            && Array.length ls > 1
+            && Array.exists (fun k -> Option.is_none verdicts.(k)) ls
+          then begin
             let monitor_terminals = Array.for_all (fun x -> mon.(x)) term.(b) in
             let small = Array.length t.nodes.(b) <= exact_node_limit in
-            if monitor_terminals || small then begin
+            if monitor_terminals && block_theorem b ls then
+              Array.iter
+                (fun k -> if Option.is_none verdicts.(k) then decide k true Block_theorem)
+                ls
+            else if small then begin
               let bnet =
                 Net.create
                   (Graph.of_edges (Array.to_list (Array.map (Csr.edge c) ls)))
                   ~monitors:(Array.to_list (Array.map (fun x -> c.ids.(x)) term.(b)))
               in
-              if monitor_terminals && Identifiability.network_identifiable bnet then
-                Array.iter
-                  (fun k -> if Option.is_none verdicts.(k) then decide k true Block_theorem)
-                  ls
-              else if small then begin
-                match Identifiability.measurement_basis bnet with
-                | exception Paths.Limit_exceeded ->
-                    (* Too many block paths to enumerate — leave the
-                       links to the global fallback. *)
-                    ()
-                | basis ->
-                    Array.iteri
-                      (fun j k ->
-                        if Option.is_none verdicts.(k) then begin
-                          let inside = Basis.mem_unit basis j in
-                          if monitor_terminals then decide k inside Block_rank
-                          else if not inside then decide k false Block_rank
-                        end)
-                      ls
-              end
+              match Identifiability.measurement_basis bnet with
+              | exception Paths.Limit_exceeded ->
+                  (* Too many block paths to enumerate — leave the
+                     links to the global fallback. *)
+                  ()
+              | basis ->
+                  Array.iteri
+                    (fun j k ->
+                      if Option.is_none verdicts.(k) then begin
+                        let inside = Basis.mem_unit basis j in
+                        if monitor_terminals then decide k inside Block_rank
+                        else if not inside then decide k false Block_rank
+                      end)
+                    ls
             end
           end)
         t.links;

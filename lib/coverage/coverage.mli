@@ -23,8 +23,9 @@
 
     Structural layers, in order:
     + {e whole-network accept} — the network passes the paper's
-      identifiability test ({!Nettomo_core.Identifiability.network_identifiable},
-      Theorems 3.1/3.3 on the extended graph): every link is
+      identifiability test (Theorems 3.1/3.3 on the extended graph, run
+      on the classifier's flat graph and monitor flags by
+      {!Nettomo_core.Identifiability.identifiable_flat}): every link is
       identifiable.
     + {e monitor-link accept} — a direct monitor–monitor link is a
       one-hop measurement path; its incidence row {e is} the unit
@@ -48,9 +49,11 @@
       within-block terminal-pair paths are complete measurement paths
       of the full graph, making the condition {e sufficient} too — the
       block is then decided outright, by the paper's Theorem 3.1/3.3
-      verdict on the block net when it accepts the whole block, by
+      verdict on the block net (the block's flat restriction with its
+      terminals as monitors) when it accepts the whole block, by
       block-local exact rank when the block has at most
-      [exact_node_limit] nodes.
+      [exact_node_limit] nodes. Single-link blocks are skipped: the
+      link always spans its own block space.
     + {e rank fallback} — remaining links are decided by row-space
       membership over the pruned sub-network (the union of the relevant
       blocks, which carries exactly the same measurement paths as the
@@ -141,14 +144,15 @@ val classify :
     ({!Nettomo_graph.Csr.restrict}), so that its j-th link is column j;
     a persistent graph is built for it only when the search's random
     layer runs or the component is small enough for exact rank, and
-    otherwise only for a block that the Theorem 3.1/3.3 test or the
-    exact block rank examines. The report's maps and sets are built
-    once, at the end. The whole-network test reads connectivity off the
-    block–cut search and, with κ ≥ 3, rejects a network with a
-    non-monitor of degree below 3 on the flat graph; only a network
-    past both screens builds the extended graph for the paper's
-    3-vertex-connectivity sweep, whose per-node step allocates
-    nothing.
+    otherwise only for a block that the exact block rank examines. The
+    report's maps and sets are built once, at the end. The
+    whole-network test reads connectivity off the block–cut search and
+    runs Theorems 3.1/3.3 on the flat graph
+    ({!Nettomo_core.Identifiability.identifiable_flat}: with κ ≥ 3 a
+    non-monitor of degree below 3 settles it, otherwise the flat
+    extended graph goes to the linear-time 3-vertex-connectivity
+    test); a block's theorem test runs the same entry on the block's
+    restriction of the flat graph.
     Requires at least two monitors ([Invalid_argument] otherwise). *)
 
 val coverage : report -> float

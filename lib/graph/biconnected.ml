@@ -120,91 +120,69 @@ let decompose_csr (c : Csr.t) =
 (* The same lowpoint DFS cut down to cut vertices and connectivity, for
    sweeps that ask about G − v for every v: it keeps no edge stack and
    builds no block, and its buffers are allocated once per flattened
-   graph. [search ~early skip] marks the cut vertices of the graph minus
-   the index [skip] (-1 for none) in [is_cut] and returns its number of
-   connected components; with [~early] it stops at the first cut vertex
-   or the second component, and then returns 2. *)
-let cut_search (c : Csr.t) =
+   graph. [search skip] marks the cut vertices of the graph minus the
+   index [skip] (-1 for none) in [is_cut] and returns its number of
+   connected components. *)
+let cut_vertices_without (c : Csr.t) =
   let n = c.n in
   let disc = Array.make n (-1) and low = Array.make n 0 in
   let parent = Array.make n (-1) and stack = Array.make n 0 in
   let next = Array.make n 0 and is_cut = Array.make n false in
-  let search ~early skip =
+  let search skip =
     Array.fill disc 0 n (-1);
     Array.fill is_cut 0 n false;
     let time = ref 0 and scanned = ref 0 and components = ref 0 in
-    let stopped = ref false and root = ref 0 in
-    while (not !stopped) && !root < n do
-      let r = !root in
-      incr root;
+    for r = 0 to n - 1 do
       if disc.(r) < 0 && r <> skip then begin
         incr components;
-        if early && !components > 1 then stopped := true
-        else begin
-          disc.(r) <- !time;
-          low.(r) <- !time;
-          parent.(r) <- -1;
-          next.(r) <- c.xadj.(r);
-          incr time;
-          stack.(0) <- r;
-          let top = ref 0 and root_children = ref 0 in
-          while (not !stopped) && !top >= 0 do
-            let u = stack.(!top) in
-            let q = next.(u) in
-            if q < c.xadj.(u + 1) then begin
-              next.(u) <- q + 1;
-              incr scanned;
-              let v = c.adj.(q) in
-              if v = skip || v = parent.(u) then ()
-              else if disc.(v) < 0 then begin
-                if u = r then incr root_children;
-                parent.(v) <- u;
-                disc.(v) <- !time;
-                low.(v) <- !time;
-                next.(v) <- c.xadj.(v);
-                incr time;
-                incr top;
-                stack.(!top) <- v
-              end
-              else if disc.(v) < low.(u) then low.(u) <- disc.(v)
+        disc.(r) <- !time;
+        low.(r) <- !time;
+        parent.(r) <- -1;
+        next.(r) <- c.xadj.(r);
+        incr time;
+        stack.(0) <- r;
+        let top = ref 0 and root_children = ref 0 in
+        while !top >= 0 do
+          let u = stack.(!top) in
+          let q = next.(u) in
+          if q < c.xadj.(u + 1) then begin
+            next.(u) <- q + 1;
+            incr scanned;
+            let v = c.adj.(q) in
+            if v = skip || v = parent.(u) then ()
+            else if disc.(v) < 0 then begin
+              if u = r then incr root_children;
+              parent.(v) <- u;
+              disc.(v) <- !time;
+              low.(v) <- !time;
+              next.(v) <- c.xadj.(v);
+              incr time;
+              incr top;
+              stack.(!top) <- v
             end
-            else begin
-              decr top;
-              let p = parent.(u) in
-              if p >= 0 then begin
-                if low.(u) < low.(p) then low.(p) <- low.(u);
-                if p <> r && low.(u) >= disc.(p) then begin
-                  is_cut.(p) <- true;
-                  stopped := early
-                end
-              end
-            end;
-            (* A root with a second child is a cut vertex. *)
-            if !root_children > 1 && not is_cut.(r) then begin
-              is_cut.(r) <- true;
-              stopped := early
+            else if disc.(v) < low.(u) then low.(u) <- disc.(v)
+          end
+          else begin
+            decr top;
+            let p = parent.(u) in
+            if p >= 0 then begin
+              if low.(u) < low.(p) then low.(p) <- low.(u);
+              if p <> r && low.(u) >= disc.(p) then is_cut.(p) <- true
             end
-          done
-        end
+          end
+        done;
+        (* A root with a second child is a cut vertex. *)
+        if !root_children > 1 then is_cut.(r) <- true
       end
     done;
     count_run !scanned;
-    if !stopped then 2 else !components
+    !components
   in
-  (search, is_cut)
-
-let cut_vertices_without c =
-  let search, is_cut = cut_search c in
-  (is_cut, fun skip -> search ~early:false skip)
-
-let connected_and_cut_free c =
-  let search, _ = cut_search c in
-  fun skip -> search ~early:true skip <= 1
+  (is_cut, search)
 
 module Internal = struct
   let decompose_csr = decompose_csr
   let cut_vertices_without = cut_vertices_without
-  let connected_and_cut_free = connected_and_cut_free
 end
 
 let decompose_flat c =
@@ -281,4 +259,7 @@ let decompose g =
 let cut_vertices g = (decompose g).cut_vertices
 
 let is_biconnected g =
-  Graph.n_nodes g >= 3 && connected_and_cut_free (Csr.of_graph g) (-1)
+  Graph.n_nodes g >= 3
+  &&
+  let f = decompose_csr (Csr.of_graph g) in
+  f.n_components = 1 && not (Array.exists Fun.id f.is_cut)

@@ -75,14 +75,16 @@ val members : Csr.t -> flat -> members
 val dfs_runs : Nettomo_obs.Obs.Metrics.counter
 (** [graph_lowpoint_dfs_total]: lowpoint searches run — one per
     {!decompose}, {!decompose_flat}, {!is_biconnected} and {!Bridges}
-    query, and one per graph that the cut-pair and
-    3-vertex-connectivity sweeps of {!Separation} search ([G] itself
-    and each [G - v] they try). *)
+    query, one per graph that the cut-pair sweeps of {!Separation}
+    search ([G] itself and each [G - v] they try), and one per
+    depth-first pass of its 3-vertex-connectivity test (at most
+    three). *)
 
 val adjacency_scanned : Nettomo_obs.Obs.Metrics.counter
 (** [graph_adjacency_scanned_total]: the half-edges those searches
-    scanned; a search that stops early counts only what it scanned. Both counters are process-wide and deterministic
-    for a given input. *)
+    scanned; a search that stops early counts only what it scanned.
+    Both counters are process-wide and deterministic for a given
+    input. *)
 
 (**/**)
 
@@ -104,12 +106,4 @@ module Internal : sig
       none) and returns its number of connected components. It keeps
       no edge stack, builds no block and allocates nothing. The next
       search overwrites [is_cut], so one search at a time. *)
-
-  val connected_and_cut_free : Csr.t -> int -> bool
-  (** The same search, stopping at the first cut vertex or second
-      component: whether the graph minus the index [skip] ([-1] for
-      none) is connected and has no cut vertex (no constraint on its
-      size). It is the step of the 3-vertex-connectivity sweep, since
-      [G] with ≥ 4 nodes is 3-vertex-connected iff this holds with
-      every node skipped. *)
 end

@@ -89,6 +89,97 @@ let restrict t links =
     ends = Array.init (2 * m) (fun h -> local.(t.ends.((2 * links.(h / 2)) + (h mod 2))));
   }
 
+(* The identifiers [Graph.fresh_node] picks twice, for a graph with the
+   increasing identifiers [ids] and then for it plus the first pick:
+   one above the largest, or, once that is [max_int], the first free one
+   upwards from [min_int]. *)
+let fresh_pair ids =
+  let n = Array.length ids in
+  let rec free v i = if i < n && ids.(i) = v then free (v + 1) (i + 1) else (v, i) in
+  if n = 0 then (0, 1)
+  else
+    let hi = ids.(n - 1) in
+    if hi < max_int - 1 then (hi + 1, hi + 2)
+    else
+      let a, i = free min_int 0 in
+      if hi < max_int then (max_int, a) else (a, fst (free (a + 1) i))
+
+(* Sorted rows with their links numbered in lexicographic order: the
+   rows are scanned in increasing order, each half-edge to a higher
+   neighbour j is the next link, and its other half is the next slot
+   among j's lower neighbours, which open j's row in increasing
+   order. *)
+let of_rows ids xadj adj =
+  let n = Array.length ids and h = Array.length adj in
+  let eid = Array.make h 0 and ends = Array.make h 0 in
+  let lower = Array.sub xadj 0 n and k = ref 0 in
+  for i = 0 to n - 1 do
+    for p = xadj.(i) to xadj.(i + 1) - 1 do
+      let j = adj.(p) in
+      if j > i then begin
+        eid.(p) <- !k;
+        eid.(lower.(j)) <- !k;
+        lower.(j) <- lower.(j) + 1;
+        ends.(2 * !k) <- i;
+        ends.((2 * !k) + 1) <- j;
+        incr k
+      end
+    done
+  done;
+  { n; m = h / 2; ids; xadj; adj; eid; ends }
+
+(* Old index [i] moves up by the new identifiers below its own. Each
+   row of a linked node takes the two new indices in order among its
+   shifted neighbours; the new nodes' rows are the linked nodes. *)
+let extend t linked =
+  let a, b = fresh_pair t.ids in
+  let pos = Array.mapi (fun i v -> i + (if a < v then 1 else 0) + if b < v then 1 else 0) t.ids in
+  let n = t.n + 2 in
+  let before v = Array.fold_left (fun acc x -> if x < v then acc + 1 else acc) 0 t.ids in
+  let ia = before a + (if b < a then 1 else 0) and ib = before b + if a < b then 1 else 0 in
+  let hubs = [| Int.min ia ib; Int.max ia ib |] in
+  let kappa = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 linked in
+  let ids = Array.make n a and xadj = Array.make (n + 1) 0 in
+  ids.(ib) <- b;
+  xadj.(ia + 1) <- kappa;
+  xadj.(ib + 1) <- kappa;
+  Array.iteri
+    (fun i p ->
+      ids.(p) <- t.ids.(i);
+      xadj.(p + 1) <- t.xadj.(i + 1) - t.xadj.(i) + if linked.(i) then 2 else 0)
+    pos;
+  for i = 1 to n do
+    xadj.(i) <- xadj.(i) + xadj.(i - 1)
+  done;
+  let adj = Array.make xadj.(n) 0 in
+  let fill = Array.sub xadj 0 n in
+  let emit r x =
+    adj.(fill.(r)) <- x;
+    fill.(r) <- fill.(r) + 1
+  in
+  Array.iteri
+    (fun i p ->
+      (* The first [placed] of the two new indices are in the row. *)
+      let placed = ref (if linked.(i) then 0 else 2) in
+      let hubs_below x =
+        while !placed < 2 && hubs.(!placed) < x do
+          emit p hubs.(!placed);
+          incr placed
+        done
+      in
+      for q = t.xadj.(i) to t.xadj.(i + 1) - 1 do
+        let x = pos.(t.adj.(q)) in
+        hubs_below x;
+        emit p x
+      done;
+      hubs_below n;
+      if linked.(i) then begin
+        emit ia p;
+        emit ib p
+      end)
+    pos;
+  of_rows ids xadj adj
+
 type tree = {
   parent : int array;
   parent_eid : int array;

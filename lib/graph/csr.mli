@@ -67,6 +67,14 @@ val restrict : t -> int array -> t
     in [t] hold [d] half-edges. Raises [Invalid_argument] unless
     [links] are strictly ascending link numbers of [t]. *)
 
+val extend : t -> bool array -> t
+(** [extend t linked] is [t] plus two new nodes, each linked to every
+    node [i] with [linked.(i)]: the first new identifier is
+    {!Graph.fresh_node} of [t]'s graph, the second {!Graph.fresh_node}
+    of that graph plus the first. So it equals [of_graph] of the
+    persistent graph grown that way, built in [O(n + m)] from the flat
+    form alone. Requires [Array.length linked = t.n]. *)
+
 (** A breadth-first search tree, by index. *)
 type tree = {
   parent : int array;  (** tree parent; [-1] at the root and off the tree *)

@@ -8,8 +8,12 @@
     exactly the separation pairs along which the triconnected
     decomposition splits.
 
-    The sweep method is used: [{v, u}] is a 2-vertex cut iff [u] is a
-    cut-vertex of [G - v], giving all cuts in [O(|V|·(|V|+|L|))] time. *)
+    Listing the pairs uses the sweep method: [{v, u}] is a 2-vertex cut
+    iff [u] is a cut-vertex of [G - v], giving all cuts in
+    [O(|V|·(|V|+|L|))] time. Deciding whether there is any, which is
+    3-vertex-connectivity, takes linear time: Hopcroft and Tarjan's path
+    search (1973), with Gutwenger and Mutzel's corrections (2001),
+    stopped at the first pair it detects. *)
 
 val cut_pairs : Graph.t -> Graph.edge list
 (** All minimal 2-vertex cuts of a connected graph, as normalized node
@@ -26,7 +30,26 @@ val block_pairs : Graph.t -> Graph.edge list option
     bench/suite's [graph.cut_pairs.*] measures the split's own sweep. *)
 
 val is_three_vertex_connected : Graph.t -> bool
-(** Whether the graph is 3-vertex-connected: at least 4 nodes, and
-    [G - v] is connected and cut-vertex-free for every node [v]. This is
-    the test used for Condition ② of Theorem 3.2 and for Theorem 3.3,
-    and it runs under the [graph.three_connectivity] span. *)
+(** Whether the graph is 3-vertex-connected: at least 4 nodes, and no
+    set of at most two nodes whose removal disconnects it. This is the
+    test used for Condition ② of Theorem 3.2 and for Theorem 3.3. It
+    flattens the graph once and runs {!is_three_vertex_connected_flat}'s
+    test, under the same span. *)
+
+val is_three_vertex_connected_flat : Csr.t -> bool
+(** The same test on a graph already flattened, in [O(|V| + |L|)],
+    under the [graph.three_connectivity] span:
+    - fewer than 4 nodes: [false];
+    - a node of degree below 3: [false], with no search;
+    - one depth-first pass builds the palm tree with its lowpoints,
+      descendant counts and parents, which settles connectivity and cut
+      vertices;
+    - the arcs are bucket-sorted by Hopcroft and Tarjan's φ, a second
+      pass numbers the paths, and a third, the path search, stops at
+      the first type-1 or type-2 separation pair.
+
+    Each pass counts one run in [graph_lowpoint_dfs_total] and its
+    scanned arcs in [graph_adjacency_scanned_total]. Under
+    {!Nettomo_util.Invariant} a [false] answer is checked by one
+    breadth-first search: removing the separation pair, the cut vertex
+    or the low-degree node's neighbours must disconnect the graph. *)

@@ -307,3 +307,23 @@ let flat net =
 let solver_basis ?rng ?max_stall ?seeds net =
   let csr, monitor = flat net in
   Nettomo_core.Solver.basis ?rng ?max_stall ?seeds csr ~monitor
+
+(* Field-by-field equality of two flat graphs. *)
+let same_csr (a : Csr.t) (b : Csr.t) =
+  let same x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y in
+  a.n = b.n && a.m = b.m && same a.ids b.ids && same a.xadj b.xadj && same a.adj b.adj
+  && same a.eid b.eid && same a.ends b.ends
+
+(* A wheel: hub 0 and rim 1 … [n], each spoke kept with probability
+   3/4. *)
+let wheel_missing_spokes rng n =
+  let g = ref (cycle_with_chords rng ~first:1 n 0) in
+  for i = 1 to n do
+    if Nettomo_util.Prng.int rng 4 < 3 then g := Graph.add_edge !g 0 i
+  done;
+  !g
+
+(* A random connected graph monitored by its MMP placement. *)
+let mmp_net rng n extra =
+  let g = random_connected rng n extra in
+  Nettomo_core.Net.create g ~monitors:(Graph.NodeSet.elements (Nettomo_core.Mmp.place g))

@@ -761,3 +761,39 @@ module Mmp_ref = struct
       top_up = !top_up;
     }
 end
+
+(* 3-vertex-connectivity by the sweep that decided it before the path
+   search: at least 4 nodes, and G - v connected and free of cut
+   vertices for every node v, one lowpoint search per v. The reference
+   for [Separation.is_three_vertex_connected]. *)
+module Three_connected_ref = struct
+  open Nettomo_graph
+
+  let is_three_vertex_connected g =
+    Graph.n_nodes g >= 4
+    &&
+    let c = Csr.of_graph g in
+    let is_cut, search = Biconnected.Internal.cut_vertices_without c in
+    let rec from v =
+      v = c.Csr.n || (search v <= 1 && (not (Array.exists Fun.id is_cut)) && from (v + 1))
+    in
+    from 0
+end
+
+(* Theorems 3.1 and 3.3 as they ran on the persistent graph: the
+   degree pass over the non-monitors, then the extended graph built as
+   a [Graph.t] and swept. The reference for
+   [Identifiability.network_identifiable], which runs on the flat
+   graph. *)
+module Identifiable_ref = struct
+  open Nettomo_graph
+
+  let network_identifiable net =
+    let g = Net.graph net in
+    match Net.monitor_list net with
+    | [] | [ _ ] -> false
+    | [ m1; m2 ] -> Graph.n_edges g = 1 && Graph.mem_edge g m1 m2
+    | _ ->
+        Graph.NodeSet.for_all (fun v -> Graph.degree g v >= 3) (Net.non_monitors net)
+        && Three_connected_ref.is_three_vertex_connected (Extended.extend net).Extended.graph
+end

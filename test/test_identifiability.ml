@@ -182,6 +182,30 @@ let prop_theorem_3_3_matches_bruteforce =
       Identifiability.network_identifiable net
       = Identifiability.network_identifiable_bruteforce net)
 
+(* The flat Theorems 3.1/3.3 against the persistent reference, on nets
+   of every κ from 1 up, half relabelled onto sparse identifiers, and
+   on random nets under their MMP placement (identifiable). *)
+let prop_flat_matches_persistent_reference =
+  QCheck2.Test.make ~name:"network_identifiable = persistent reference (sparse ids)"
+    ~count:600
+    QCheck2.Gen.(
+      quad (int_bound 1_000_000) (int_range 2 16) (int_range 0 30) (int_range 0 6))
+    (fun (seed, n, extra, kappa) ->
+      let rng = Nettomo_util.Prng.create seed in
+      let net =
+        if kappa = 0 then Fixtures.mmp_net rng n extra
+        else
+          let g = Fixtures.random_connected rng n extra in
+          let g = if Nettomo_util.Prng.bool rng then Fixtures.relabel (Fixtures.sparse_ids rng n) g else g in
+          Net.create g
+            ~monitors:(Array.to_list (Nettomo_util.Prng.sample rng (Int.min kappa n) (Graph.node_array g)))
+      in
+      let flat = Identifiability.network_identifiable net in
+      flat = Oracles.Identifiable_ref.network_identifiable net
+      && (kappa > 0 || flat)
+      && Identifiability.extended_three_connected net
+         = (Net.kappa net >= 3 && Oracles.Identifiable_ref.network_identifiable net))
+
 let prop_theorem_3_2_matches_bruteforce =
   QCheck2.Test.make
     ~name:"Theorem 3.2 (interior, κ=2) matches exact-rank ground truth"
@@ -275,6 +299,7 @@ let suite =
     Alcotest.test_case "differential: serial = parallel on 50 random graphs"
       `Quick test_differential_serial_vs_parallel;
     QCheck_alcotest.to_alcotest prop_theorem_3_3_matches_bruteforce;
+    QCheck_alcotest.to_alcotest prop_flat_matches_persistent_reference;
     QCheck_alcotest.to_alcotest prop_theorem_3_2_matches_bruteforce;
     QCheck_alcotest.to_alcotest prop_corollary_4_1_random;
     QCheck_alcotest.to_alcotest prop_theorem_3_1_random;

@@ -1,4 +1,5 @@
 open Nettomo_graph
+module Prng = Nettomo_util.Prng
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -115,6 +116,62 @@ let prop_3vc_matches_flow_oracle =
       let g = Fixtures.random_graph rng n extra in
       Separation.is_three_vertex_connected g = Connectivity.is_k_vertex_connected g 3)
 
+(* The differential's graph families, on nodes 0 … n-1: random graphs
+   (connected or not), cycles with chords and glued pieces (rich in
+   type-1 and type-2 pairs), wheels with spokes removed, and extended
+   graphs of random nets under their MMP placements (yes-instances),
+   as they are and with one link removed. *)
+let family rng = function
+  | 0 -> Fixtures.random_connected rng (Prng.int_in rng 4 16) (Prng.int rng 30)
+  | 1 -> Fixtures.random_graph rng (Prng.int_in rng 4 14) (Prng.int rng 40)
+  | 2 -> Fixtures.cycle_with_chords rng ~first:0 (Prng.int_in rng 4 14) (Prng.int rng 20)
+  | 3 -> Fixtures.glued_pieces rng (Prng.int_in rng 1 4)
+  | 4 -> Fixtures.wheel_missing_spokes rng (Prng.int_in rng 3 14)
+  | f ->
+      let net = Fixtures.mmp_net rng (Prng.int_in rng 4 14) (Prng.int rng 25) in
+      let gex = (Nettomo_core.Extended.extend net).Nettomo_core.Extended.graph in
+      if f = 5 then gex
+      else
+        let links = Array.of_list (Graph.edges gex) in
+        let u, v = links.(Prng.int rng (Array.length links)) in
+        Graph.remove_edge gex u v
+
+(* The path search against the sweep it replaced and against Menger's
+   max-flow test, half the graphs on sparse identifiers; under forced
+   invariants every "no" is checked by its separator. *)
+let prop_path_search_matches_references =
+  QCheck2.Test.make
+    ~name:"path search = sweep reference = Menger (6 families, sparse ids)" ~count:2400
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_bound 6) bool)
+    (fun (seed, f, sparse) ->
+      let rng = Prng.create seed in
+      let g = family rng f in
+      let g = if sparse then Fixtures.relabel (Fixtures.sparse_ids rng (Graph.fresh_node g)) g else g in
+      let fast =
+        Nettomo_util.Invariant.with_enabled true (fun () -> Separation.is_three_vertex_connected g)
+      in
+      fast = Oracles.Three_connected_ref.is_three_vertex_connected g
+      && fast = Connectivity.is_k_vertex_connected g 3
+      && (f <> 5 || fast))
+
+let test_flat_entry_counts () =
+  (* K5: the palm-tree pass scans every half-edge, the path numbering
+     and the path search each walk every link once as an arc. *)
+  let c = Csr.of_graph Fixtures.k5 in
+  let runs = Nettomo_obs.Obs.Metrics.counter_value Biconnected.dfs_runs
+  and scanned = Nettomo_obs.Obs.Metrics.counter_value Biconnected.adjacency_scanned in
+  check cb "K5" true (Separation.is_three_vertex_connected_flat c);
+  check Alcotest.int "three passes" 3
+    (Nettomo_obs.Obs.Metrics.counter_value Biconnected.dfs_runs - runs);
+  check Alcotest.int "2m + m + m half-edges" 40
+    (Nettomo_obs.Obs.Metrics.counter_value Biconnected.adjacency_scanned - scanned);
+  (* A degree-2 node settles "no" with no pass at all. *)
+  let runs = Nettomo_obs.Obs.Metrics.counter_value Biconnected.dfs_runs in
+  check cb "wheel minus spoke" false
+    (Separation.is_three_vertex_connected_flat
+       (Csr.of_graph (Graph.remove_edge Fixtures.wheel5 0 3)));
+  check Alcotest.int "no pass" 0 (Nettomo_obs.Obs.Metrics.counter_value Biconnected.dfs_runs - runs)
+
 let suite =
   [
     Alcotest.test_case "square diagonals" `Quick test_square_pairs;
@@ -127,4 +184,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cut_pairs_match_oracle;
     QCheck_alcotest.to_alcotest prop_3vc_matches_oracle;
     QCheck_alcotest.to_alcotest prop_3vc_matches_flow_oracle;
+    QCheck_alcotest.to_alcotest prop_path_search_matches_references;
+    Alcotest.test_case "flat entry: passes and scans counted" `Quick test_flat_entry_counts;
   ]
